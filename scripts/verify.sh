@@ -8,13 +8,14 @@
 #                                              whose code reaches hm::parallel)
 #   build-asan-ubsan/ HM_SANITIZE=address,undefined   full ctest
 #   build-tidy/       compile database only    scripts/tidy.sh
+#   .bench_build/     perfbench (Release)      perfbench/run.py --selftest
 #
 # Usage: scripts/verify.sh [--matrix] [--skip-tsan] [--skip-asan]
 #                          [--skip-tidy] [--skip-lint]
 #
 # Default run: tier-1 + lint + TSan leg (the pre-merge gate). --matrix
-# adds the ASan+UBSan full suite and the clang-tidy leg — everything the
-# CI workflow runs, end to end.
+# adds the ASan+UBSan full suite, the perfbench build + self-tests and
+# the clang-tidy leg — everything the CI workflow runs, end to end.
 #
 # Sanitizer legs are probed against the host toolchain first and fail
 # fast with an actionable message instead of erroring mid-build; the
@@ -31,7 +32,7 @@ for arg in "$@"; do
     --skip-asan) SKIP_ASAN=1 ;;
     --skip-tidy) SKIP_TIDY=1 ;;
     --skip-lint) SKIP_LINT=1 ;;
-    -h|--help) sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) echo "verify: unknown argument: $arg (see --help)" >&2; exit 2 ;;
   esac
 done
@@ -121,6 +122,9 @@ if [[ "$MATRIX" == 1 ]]; then
     UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
       ctest --test-dir build-asan-ubsan --output-on-failure -j"$JOBS"
   fi
+
+  note "perfbench: build + catalogue checks + self-tests (.bench_build/)"
+  python3 perfbench/run.py --selftest
 
   if [[ "$SKIP_TIDY" == 1 ]]; then
     note "tidy: skipped (--skip-tidy)"

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -27,10 +28,44 @@ constexpr char kMagic[4] = {'H', 'M', 'S', 'N'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 24;  // magic + version + count + rsvd + payload
 constexpr std::size_t kCrcBytes = 4;
+constexpr std::size_t kSectionHeaderBytes = 16;  // tag + kind + len
 constexpr char kFilePrefix[] = "snapshot.";
 constexpr char kTmpSuffix[] = ".tmp";
 
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
 const WriteFaultHook* g_write_fault_hook = nullptr;
+
+/// Slicing-by-8 tables for the reflected IEEE polynomial. Table 0 is the
+/// classic bytewise table; table k advances a CRC over one byte followed
+/// by k zero bytes, so one step of eight lookups consumes eight bytes.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr auto kCrcTables = make_crc_tables();
+
+/// Little-endian u32 at `p`, assembled bytewise (alignment- and
+/// host-endian-independent; compilers fuse it into one load).
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 std::string errno_string() {
   return std::string(std::strerror(errno));
@@ -82,20 +117,17 @@ void set_write_fault_hook(const WriteFaultHook* hook) {
 }
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -121,6 +153,14 @@ void ByteWriter::put_f64(double v) {
   static_assert(sizeof(bits) == sizeof(v), "f64 must be 8 bytes");
   std::memcpy(&bits, &v, sizeof(bits));
   put_u64(bits);
+}
+
+void ByteWriter::put_f64s(const double* v, std::size_t n) {
+  if constexpr (kLittleEndian) {
+    put_bytes(v, n * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) put_f64(v[i]);
+  }
 }
 
 void ByteWriter::put_bytes(const void* p, std::size_t n) {
@@ -159,11 +199,22 @@ double ByteReader::f64() {
   return v;
 }
 
+void ByteReader::read_f64s(double* v, std::size_t n) {
+  HM_CHECK_MSG(n <= remaining() / sizeof(double),
+               "byte stream truncated reading " << n << " f64 values at offset "
+                                                << pos_ << " of " << size_);
+  if constexpr (kLittleEndian) {
+    read_bytes(v, n * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) v[i] = f64();
+  }
+}
+
 void ByteReader::read_bytes(void* p, std::size_t n) {
   HM_CHECK_MSG(remaining() >= n, "byte stream truncated reading " << n
                                      << " bytes at offset " << pos_ << " of "
                                      << size_);
-  std::memcpy(p, data_ + pos_, n);
+  if (n > 0) std::memcpy(p, data_ + pos_, n);
   pos_ += n;
 }
 
@@ -185,18 +236,22 @@ void Snapshot::put_u64(std::uint32_t tag, std::uint64_t v) {
 void Snapshot::put_f64_vec(std::uint32_t tag,
                            const std::vector<scalar_t>& v) {
   ByteWriter w;
+  w.reserve(8 + 8 * v.size());
   w.put_u64(v.size());
-  for (const scalar_t x : v) w.put_f64(x);
+  w.put_f64s(v.data(), v.size());
   add(tag, kKindF64Vec, w.take());
 }
 
 void Snapshot::put_f64_vec_list(
     std::uint32_t tag, const std::vector<std::vector<scalar_t>>& v) {
+  std::size_t bytes = 8;
+  for (const auto& row : v) bytes += 8 + 8 * row.size();
   ByteWriter w;
+  w.reserve(bytes);
   w.put_u64(v.size());
   for (const auto& row : v) {
     w.put_u64(row.size());
-    for (const scalar_t x : row) w.put_f64(x);
+    w.put_f64s(row.data(), row.size());
   }
   add(tag, kKindF64VecList, w.take());
 }
@@ -248,12 +303,13 @@ std::vector<scalar_t> Snapshot::get_f64_vec(std::uint32_t tag) const {
   const Section& s = find(tag, kKindF64Vec);
   ByteReader r(s.payload.data(), s.payload.size());
   const std::uint64_t n = r.u64();
-  HM_CHECK_MSG(r.remaining() == n * 8,
+  // Divide rather than multiply: n * 8 wraps for n >= 2^61.
+  HM_CHECK_MSG(r.remaining() % 8 == 0 && n == r.remaining() / 8,
                "f64 vector section: declared " << n << " values but "
                                                << r.remaining()
                                                << " payload bytes remain");
   std::vector<scalar_t> v(n);
-  for (std::uint64_t i = 0; i < n; ++i) v[i] = r.f64();
+  r.read_f64s(v.data(), v.size());
   return v;
 }
 
@@ -262,17 +318,23 @@ std::vector<std::vector<scalar_t>> Snapshot::get_f64_vec_list(
   const Section& s = find(tag, kKindF64VecList);
   ByteReader r(s.payload.data(), s.payload.size());
   const std::uint64_t rows = r.u64();
+  // Every row carries at least its 8-byte count.
+  HM_CHECK_MSG(rows <= r.remaining() / 8,
+               "f64 vector-list section: declared " << rows
+                                                    << " rows but only "
+                                                    << r.remaining()
+                                                    << " payload bytes remain");
   std::vector<std::vector<scalar_t>> v;
   v.reserve(rows);
   for (std::uint64_t i = 0; i < rows; ++i) {
     const std::uint64_t n = r.u64();
-    HM_CHECK_MSG(r.remaining() >= n * 8,
+    HM_CHECK_MSG(n <= r.remaining() / 8,
                  "f64 vector-list section: row " << i << " declares " << n
                                                  << " values but only "
                                                  << r.remaining()
                                                  << " payload bytes remain");
     std::vector<scalar_t> row(n);
-    for (std::uint64_t j = 0; j < n; ++j) row[j] = r.f64();
+    r.read_f64s(row.data(), row.size());
     v.push_back(std::move(row));
   }
   HM_CHECK(r.remaining() == 0);
@@ -283,7 +345,7 @@ std::vector<std::int64_t> Snapshot::get_i64_vec(std::uint32_t tag) const {
   const Section& s = find(tag, kKindI64Vec);
   ByteReader r(s.payload.data(), s.payload.size());
   const std::uint64_t n = r.u64();
-  HM_CHECK_MSG(r.remaining() == n * 8,
+  HM_CHECK_MSG(r.remaining() % 8 == 0 && n == r.remaining() / 8,
                "i64 vector section: declared " << n << " values but "
                                                << r.remaining()
                                                << " payload bytes remain");
@@ -297,25 +359,30 @@ const std::vector<std::uint8_t>& Snapshot::get_bytes(
   return find(tag, kKindBytes).payload;
 }
 
-std::vector<std::uint8_t> Snapshot::serialize() const {
-  ByteWriter body;
-  for (const auto& s : sections_) {
-    body.put_u32(s.tag);
-    body.put_u32(s.kind);
-    body.put_u64(s.payload.size());
-    body.put_bytes(s.payload.data(), s.payload.size());
-  }
-  const std::vector<std::uint8_t>& payload = body.bytes();
+std::size_t Snapshot::serialized_size() const {
+  std::size_t n = kHeaderBytes + kCrcBytes;
+  for (const auto& s : sections_) n += kSectionHeaderBytes + s.payload.size();
+  return n;
+}
 
+std::vector<std::uint8_t> Snapshot::serialize() const {
+  const std::size_t total = serialized_size();
   ByteWriter out;
+  out.reserve(total);
   out.put_bytes(kMagic, sizeof(kMagic));
   out.put_u32(kVersion);
   out.put_u32(static_cast<std::uint32_t>(sections_.size()));
   out.put_u32(0);  // reserved
-  out.put_u64(payload.size());
-  out.put_bytes(payload.data(), payload.size());
+  out.put_u64(total - kHeaderBytes - kCrcBytes);
+  for (const auto& s : sections_) {
+    out.put_u32(s.tag);
+    out.put_u32(s.kind);
+    out.put_u64(s.payload.size());
+    out.put_bytes(s.payload.data(), s.payload.size());
+  }
   const std::uint32_t crc = crc32(out.bytes().data(), out.bytes().size());
   out.put_u32(crc);
+  HM_CHECK(out.bytes().size() == total);
   return out.take();
 }
 
@@ -442,6 +509,7 @@ std::string save_snapshot(const std::string& dir, index_t keep,
   HM_CHECK_MSG(!dir.empty(), "snapshot directory must be non-empty");
   HM_CHECK_MSG(keep >= 1, "snapshot keep=" << keep << " must be >= 1");
   HM_CHECK_MSG(round >= 0, "snapshot round=" << round << " must be >= 0");
+  HM_OBS_SPAN("snapshot.save", "io", round, snap.serialized_size());
 
   std::error_code ec;
   fs::create_directories(dir, ec);

@@ -76,6 +76,7 @@ struct WriteFaultHook {
 void set_write_fault_hook(const WriteFaultHook* hook);
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `data`.
+/// Portable slicing-by-8: eight table lookups per eight input bytes.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
 
 /// Little-endian byte-buffer encoder. f64 values round-trip by bit
@@ -83,10 +84,14 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
 /// non-finite double.
 class ByteWriter {
  public:
+  void reserve(std::size_t n) { buf_.reserve(n); }
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
   void put_i64(std::int64_t v);
   void put_f64(double v);
+  /// `n` f64 values, byte-identical to n put_f64 calls: one memcpy on a
+  /// little-endian host, put_f64 per value otherwise.
+  void put_f64s(const double* v, std::size_t n);
   void put_bytes(const void* p, std::size_t n);
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -107,6 +112,9 @@ class ByteReader {
   std::uint64_t u64();
   std::int64_t i64();
   double f64();
+  /// `n` f64 values, as n f64() calls would read them (one memcpy on a
+  /// little-endian host).
+  void read_f64s(double* v, std::size_t n);
   void read_bytes(void* p, std::size_t n);
 
   std::size_t remaining() const { return size_ - pos_; }
@@ -146,6 +154,9 @@ class Snapshot {
   const std::vector<std::uint8_t>& get_bytes(std::uint32_t tag) const;
 
   std::size_t section_count() const { return sections_.size(); }
+
+  /// Byte size of serialize()'s output.
+  std::size_t serialized_size() const;
 
   /// Serialize to the on-disk byte layout (header + sections + CRC).
   std::vector<std::uint8_t> serialize() const;

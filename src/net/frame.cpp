@@ -113,7 +113,12 @@ void set_frame_fault_hook(const FrameFaultHook* hook) {
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
+  HM_CHECK_MSG(frame.payload.size() <= kMaxFramePayload,
+               "frame payload of " << frame.payload.size()
+                                   << " bytes exceeds kMaxFramePayload ("
+                                   << kMaxFramePayload << ")");
   io::ByteWriter header;
+  header.reserve(kFrameHeaderBytes + frame.payload.size());
   header.put_u32(kFrameMagic);
   header.put_u32(kFrameVersion);
   header.put_u32(static_cast<std::uint32_t>(frame.type));
@@ -122,13 +127,9 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   header.put_u64(frame.tag);
   header.put_u64(frame.payload.size());
   header.put_u32(io::crc32(frame.payload.data(), frame.payload.size()));
+  header.put_u32(io::crc32(header.bytes().data(), header.bytes().size()));
+  header.put_bytes(frame.payload.data(), frame.payload.size());
   std::vector<std::uint8_t> out = header.take();
-  const std::uint32_t hcrc = io::crc32(out.data(), out.size());
-  io::ByteWriter tail;
-  tail.put_u32(hcrc);
-  const auto& t = tail.bytes();
-  out.insert(out.end(), t.begin(), t.end());
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   HM_CHECK(out.size() == kFrameHeaderBytes + frame.payload.size());
   return out;
 }
@@ -168,6 +169,11 @@ FrameError decode_frame(const std::uint8_t* data, std::size_t n,
   if (type < static_cast<std::uint32_t>(FrameType::kRequest) ||
       type > static_cast<std::uint32_t>(FrameType::kShutdown)) {
     fail(detail, "unknown frame type");
+    return FrameError::kCorrupt;
+  }
+  // Bounding len first also keeps kFrameHeaderBytes + len from wrapping.
+  if (len > kMaxFramePayload) {
+    fail(detail, "payload length exceeds kMaxFramePayload");
     return FrameError::kCorrupt;
   }
   if (n < kFrameHeaderBytes + len) {
@@ -252,6 +258,12 @@ FrameError recv_frame(int fd, Frame& out, MonoClock::time_point deadline,
   }
   if (header_crc != io::crc32(header, kFrameHeaderBytes - 4)) {
     fail(detail, "header checksum mismatch");
+    return FrameError::kCorrupt;
+  }
+  // Anyone can stamp a valid header CRC, so bound the length before it
+  // sizes an allocation (this also keeps the sum below from wrapping).
+  if (len > kMaxFramePayload) {
+    fail(detail, "payload length exceeds kMaxFramePayload");
     return FrameError::kCorrupt;
   }
   std::vector<std::uint8_t> whole(kFrameHeaderBytes + len);

@@ -29,7 +29,8 @@
 //              torn frame desynchronizes the stream, so the connection is
 //              unrecoverable — never retried).
 //   kCorrupt — structural damage with the stream intact: bad magic,
-//              unsupported version, checksum mismatch (hard error).
+//              unsupported version, checksum mismatch, a payload length
+//              above kMaxFramePayload (hard error).
 //   kTimeout — the deadline expired before the first byte of a frame
 //              arrived; the stream is still aligned, so the caller may
 //              retransmit and keep waiting.
@@ -51,6 +52,13 @@ namespace hm::net {
 inline constexpr std::uint32_t kFrameMagic = 0x52464d48;  // "HMFR" LE
 inline constexpr std::uint32_t kFrameVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 48;
+
+/// Largest payload a frame may declare (1 GiB). The header CRC is no
+/// authentication, so recv_frame checks the declared length against this
+/// bound before allocating; encode_frame refuses larger payloads. The
+/// largest trainer payload, a Phase-1 reply of per-client models at
+/// paper scale, is tens of MB.
+inline constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;
 
 enum class FrameType : std::uint32_t {
   kRequest = 1,
@@ -94,7 +102,8 @@ void set_frame_fault_hook(const FrameFaultHook* hook);
 
 using MonoClock = std::chrono::steady_clock;
 
-/// Encode to the wire layout (header + payload).
+/// Encode to the wire layout (header + payload). Throws CheckError when
+/// the payload exceeds kMaxFramePayload.
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 /// Strict decode of one complete frame occupying exactly [data, data+n).

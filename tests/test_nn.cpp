@@ -156,6 +156,14 @@ struct MlpShape {
   std::vector<index_t> dims;
 };
 
+// Prints the layer widths ("6x8x3") so the parameterised test names are
+// stable; the default byte dump would show the vector's heap address.
+void PrintTo(const MlpShape& shape, std::ostream* os) {
+  for (std::size_t i = 0; i < shape.dims.size(); ++i) {
+    *os << (i == 0 ? "" : "x") << shape.dims[i];
+  }
+}
+
 class MlpGradient : public ::testing::TestWithParam<MlpShape> {};
 
 TEST_P(MlpGradient, MatchesFiniteDifferences) {

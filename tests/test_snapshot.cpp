@@ -11,7 +11,10 @@
 //       final model, weights, comm counters, and history TSV are
 //       byte-identical to the uninterrupted run,
 //   (d) the CI smoke target (SnapshotCrashReplay): HierMinimax killed
-//       mid-snapshot-write, resumed past the torn file, bit-compared.
+//       mid-snapshot-write, resumed past the torn file, bit-compared,
+//   (e) codec byte compatibility: the slicing-by-8 CRC32 against a
+//       bytewise reference, the bulk f64 path against the per-value one,
+//       and a snapshot's bytes pinned to what the bytewise codec wrote.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,6 +52,7 @@ using testing_util::bits;
 using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
 using testing_util::output_of;
+using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
 
 // ---------------------------------------------------------------------
@@ -208,7 +212,7 @@ TEST(SnapshotDecode, AdversarialCorruptionTable) {
 
 /// Hostile section headers need a hand-rolled file (serialize() cannot
 /// produce them): unknown kinds, overrunning lengths, duplicate tags, and
-/// a vector section whose declared element count contradicts its size.
+/// vector sections whose declared element counts contradict their sizes.
 TEST(SnapshotDecode, HostileSectionHeadersAreRejected) {
   const auto craft = [](std::uint32_t kind, std::uint64_t declared_len,
                         const std::vector<std::uint8_t>& payload,
@@ -256,6 +260,42 @@ TEST(SnapshotDecode, HostileSectionHeadersAreRejected) {
     const auto b = craft(io::Snapshot::kKindF64Vec, 8, lie.bytes(), 1);
     const io::Snapshot s = io::Snapshot::parse(b.data(), b.size());
     EXPECT_THROW(s.get_f64_vec(0x31474154), CheckError);
+  }
+
+  // Element counts whose byte size n * 8 wraps around 2^64 (2^61 * 8 ==
+  // 0): the typed getters must throw CheckError, not length_error from a
+  // vector sized by the hostile count.
+  const std::uint64_t wrap = 1ull << 61;
+  struct WrapCase {
+    const char* name;
+    std::uint32_t kind;
+    std::vector<std::uint64_t> words;
+  };
+  const std::vector<WrapCase> wrapping = {
+      {"f64 vec, n = 2^61", io::Snapshot::kKindF64Vec, {wrap}},
+      {"f64 vec, n = 2^61 + 1", io::Snapshot::kKindF64Vec, {wrap + 1, 0}},
+      {"i64 vec, n = 2^61", io::Snapshot::kKindI64Vec, {wrap}},
+      {"i64 vec, n = 2^61 + 1", io::Snapshot::kKindI64Vec, {wrap + 1, 0}},
+      {"f64 list, 2^61 rows", io::Snapshot::kKindF64VecList, {wrap}},
+      {"f64 list, row n = 2^61", io::Snapshot::kKindF64VecList, {1, wrap}},
+      {"f64 list, row n = 2^61 + 1", io::Snapshot::kKindF64VecList,
+       {1, wrap + 1, 0}},
+  };
+  for (const WrapCase& c : wrapping) {
+    io::ByteWriter payload;
+    for (const std::uint64_t x : c.words) payload.put_u64(x);
+    const auto b = craft(c.kind, payload.bytes().size(), payload.bytes(), 1);
+    const io::Snapshot s = io::Snapshot::parse(b.data(), b.size());
+    const auto get = [&] {
+      if (c.kind == io::Snapshot::kKindF64Vec) {
+        (void)s.get_f64_vec(0x31474154);
+      } else if (c.kind == io::Snapshot::kKindI64Vec) {
+        (void)s.get_i64_vec(0x31474154);
+      } else {
+        (void)s.get_f64_vec_list(0x31474154);
+      }
+    };
+    EXPECT_THROW(get(), CheckError) << c.name;
   }
 }
 
@@ -701,6 +741,157 @@ TEST(SnapshotCrashReplay, HierMinimaxKilledMidWriteResumesBitIdentically) {
   const RunOutput resumed = output_of(train_hierminimax(
       model, fed, topo, with_snapshots(snap_opts(false), policy, dir)));
   expect_same_output(straight, resumed, "killed mid-write");
+}
+
+// ---------------------------------------------------------------------
+// (e) Codec byte compatibility. The fast paths must write and accept
+// exactly the bytes the original bytewise codec did, so every snapshot
+// file and frame in the wild stays loadable.
+
+/// The textbook CRC32 (reflected 0xEDB88320): each byte, one bit at a
+/// time, with no tables.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCodec, Crc32KnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(io::crc32(reinterpret_cast<const std::uint8_t*>(check), 9),
+            0xCBF43926u);
+  EXPECT_EQ(io::crc32(nullptr, 0), 0u);
+}
+
+/// Every length 0..1024 at every start offset 0..7, so each tail length
+/// and each alignment of the eight-byte step is covered.
+TEST(SnapshotCodec, Crc32MatchesBytewiseReference) {
+  std::vector<std::uint8_t> buf(1024 + 8);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : buf) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(x >> 56);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      ASSERT_EQ(io::crc32(buf.data() + off, n),
+                reference_crc32(buf.data() + off, n))
+          << "offset " << off << ", length " << n;
+    }
+  }
+}
+
+/// put_f64s / read_f64s (one memcpy on a little-endian host) against
+/// put_f64 / f64 per value (the portable path, and the big-endian
+/// fallback), on bit patterns no arithmetic would produce.
+TEST(SnapshotCodec, BulkF64MatchesPerValuePath) {
+  std::vector<std::uint64_t> patterns = {
+      0x0000000000000000ull,  // +0
+      0x8000000000000000ull,  // -0
+      0x0000000000000001ull,  // smallest subnormal
+      0x7FF0000000000000ull,  // +inf
+      0xFFF0000000000000ull,  // -inf
+      0x7FF8000000000001ull,  // quiet NaN with payload
+      0x7FF0000000000001ull,  // signalling NaN
+      0x0123456789ABCDEFull,
+  };
+  std::uint64_t x = 1;
+  for (int i = 0; i < 57; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    patterns.push_back(x);
+  }
+  std::vector<double> v(patterns.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::memcpy(&v[i], &patterns[i], sizeof(double));
+  }
+
+  io::ByteWriter one, bulk;
+  one.put_u32(0xA5A5A5A5u);  // odd start: the run is not 8-byte aligned
+  bulk.put_u32(0xA5A5A5A5u);
+  for (const double d : v) one.put_f64(d);
+  bulk.put_f64s(v.data(), v.size());
+  ASSERT_EQ(bulk.bytes(), one.bytes());
+
+  const auto& bytes = one.bytes();
+  io::ByteReader per_value(bytes.data(), bytes.size());
+  io::ByteReader at_once(bytes.data(), bytes.size());
+  per_value.u32();
+  at_once.u32();
+  std::vector<double> got(v.size());
+  at_once.read_f64s(got.data(), got.size());
+  EXPECT_EQ(at_once.remaining(), 0u);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(bits(got[i]), patterns[i]) << i;
+    EXPECT_EQ(bits(per_value.f64()), patterns[i]) << i;
+  }
+
+  io::ByteReader short_read(bytes.data(), bytes.size());
+  short_read.u32();
+  std::vector<double> one_more(v.size() + 1);
+  EXPECT_THROW(short_read.read_f64s(one_more.data(), one_more.size()),
+               CheckError);
+}
+
+/// The serialized bytes of pinned_codec_snapshot(), and of the same
+/// snapshot laid out field by field from the format in snapshot.hpp: the
+/// size and CRC are the values the bytewise codec produced.
+TEST(SnapshotCodec, SerializedBytesArePinned) {
+  const std::vector<std::uint8_t> bytes = pinned_codec_snapshot().serialize();
+  ASSERT_EQ(bytes.size(), 16183u);
+  io::ByteReader tail(bytes.data() + bytes.size() - 4, 4);
+  EXPECT_EQ(tail.u32(), 0x077957d8u);
+
+  std::vector<double> w(1000);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = 0.25 * static_cast<double>(i) - 3.0;
+  }
+  io::ByteWriter body;
+  const auto section = [&](std::uint32_t tag, std::uint32_t kind,
+                           std::uint64_t len) {
+    body.put_u32(tag);
+    body.put_u32(kind);
+    body.put_u64(len);
+  };
+  section(1, io::Snapshot::kKindU64, 8);
+  body.put_u64(9);
+  section(2, io::Snapshot::kKindF64Vec, 8 + 8 * w.size());
+  body.put_u64(w.size());
+  for (const double d : w) body.put_f64(d);
+  section(3, io::Snapshot::kKindF64VecList, 8 + 8 + 8 * w.size() + 8);
+  body.put_u64(2);
+  body.put_u64(w.size());
+  for (const double d : w) body.put_f64(d);
+  body.put_u64(0);
+  section(4, io::Snapshot::kKindI64Vec, 8 + 3 * 8);
+  body.put_u64(3);
+  for (const std::int64_t i : {-1, 0, 7}) body.put_i64(i);
+  section(5, io::Snapshot::kKindBytes, 3);
+  body.put_bytes("\x01\x02\x03", 3);
+  io::ByteWriter file;
+  file.put_bytes("HMSN", 4);
+  file.put_u32(1);  // version
+  file.put_u32(5);  // section count
+  file.put_u32(0);  // reserved
+  file.put_u64(body.bytes().size());
+  file.put_bytes(body.bytes().data(), body.bytes().size());
+  file.put_u32(io::crc32(file.bytes().data(), file.bytes().size()));
+  EXPECT_EQ(file.bytes(), bytes);
+
+  // A file in this layout loads, value for value.
+  const io::Snapshot r =
+      io::Snapshot::parse(file.bytes().data(), file.bytes().size());
+  EXPECT_EQ(r.get_u64(1), 9u);
+  EXPECT_EQ(r.get_f64_vec(2), w);
+  EXPECT_EQ(r.get_f64_vec_list(3),
+            (std::vector<std::vector<scalar_t>>{w, {}}));
+  EXPECT_EQ(r.get_i64_vec(4), (std::vector<std::int64_t>{-1, 0, 7}));
+  EXPECT_EQ(r.get_bytes(5), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(r.serialized_size(), bytes.size());
 }
 
 }  // namespace

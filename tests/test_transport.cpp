@@ -1,8 +1,10 @@
 // Transport layer suite:
 //   (a) frame codec: round-trip, the full corruption/truncation decode
-//       table, and the pinned FrameError taxonomy names,
+//       table, the pinned FrameError taxonomy names, pinned frame bytes,
+//       and payload lengths above kMaxFramePayload,
 //   (b) frames over a real socketpair: delivery, timeout before a frame,
-//       torn writes (via the FrameFaultHook seam), boundary close,
+//       torn writes (via the FrameFaultHook seam), boundary close, and
+//       crafted payload lengths refused before allocating,
 //   (c) transports: loopback echo + stats, socket retry-after-slow-start,
 //       timeout demotion, kill injection, orderly shutdown with no
 //       leaked fds and no zombie children,
@@ -50,6 +52,7 @@ namespace {
 using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
 using testing_util::output_of;
+using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
 
 std::chrono::steady_clock::time_point in_ms(int ms) {
@@ -110,6 +113,27 @@ TEST(FrameCodec, ErrorNamesArePinned) {
   EXPECT_STREQ(net::frame_error_name(net::FrameError::kTimeout), "timeout");
 }
 
+/// A valid-CRC header declaring `len` payload bytes. The header CRC is
+/// no authentication: anyone can stamp one on any length.
+std::vector<std::uint8_t> header_declaring(std::uint64_t len) {
+  auto h = net::encode_frame(sample_frame());
+  h.resize(net::kFrameHeaderBytes);
+  for (int i = 0; i < 8; ++i) {
+    h[32 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  const std::uint32_t crc = io::crc32(h.data(), 44);
+  for (int i = 0; i < 4; ++i) {
+    h[44 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  return h;
+}
+
+const std::uint64_t kHostileLengths[] = {
+    ~std::uint64_t{0},          // 48 + len wraps to 47
+    std::uint64_t{1} << 40,     // a 1 TB allocation
+    net::kMaxFramePayload + 1,  // just past the bound
+};
+
 /// Decode table: every damage class maps to the documented FrameError —
 /// and in particular "no data" (kClosed) and "mid-frame cut" (kTorn)
 /// stay distinguishable from structural corruption (kCorrupt).
@@ -169,6 +193,33 @@ TEST(FrameCodec, DamageTableMapsToTheDocumentedErrors) {
   EXPECT_EQ(net::decode_frame(bad.data(), bad.size(), out, &detail),
             net::FrameError::kCorrupt);
   EXPECT_EQ(detail, "trailing bytes after frame");
+
+  for (const std::uint64_t len : kHostileLengths) {
+    const auto h = header_declaring(len);
+    EXPECT_EQ(net::decode_frame(h.data(), h.size(), out, &detail),
+              net::FrameError::kCorrupt)
+        << "len=" << len;
+    EXPECT_EQ(detail, "payload length exceeds kMaxFramePayload");
+  }
+}
+
+/// A frame of pinned_codec_snapshot() is the bytes the bytewise codec
+/// wrote: header fields, both CRCs and the payload all land in the
+/// whole-frame checksum.
+TEST(FrameCodec, PinnedSnapshotFrameBytes) {
+  net::Frame f;
+  f.type = net::FrameType::kReply;
+  f.seq = 42;
+  f.tag = 7;
+  f.payload = pinned_codec_snapshot().serialize();
+  const auto wire = net::encode_frame(f);
+  ASSERT_EQ(wire.size(), 16231u);
+  EXPECT_EQ(io::crc32(wire.data(), wire.size()), 0x80399623u);
+
+  net::Frame out;
+  ASSERT_EQ(net::decode_frame(wire.data(), wire.size(), out),
+            net::FrameError::kOk);
+  EXPECT_EQ(out.payload, f.payload);
 }
 
 // ---------------------------------------------------------------------
@@ -253,6 +304,25 @@ TEST(FrameWire, TruncatedWriteThenCloseIsTorn) {
     EXPECT_EQ(net::recv_frame(sp.b(), out, in_ms(2000), &detail),
               net::FrameError::kTorn)
         << "cut=" << cut << " " << detail;
+  }
+}
+
+/// A crafted header must be refused before its length sizes a buffer:
+/// under ASan the wrapped 47-byte buffer would overflow on the next recv,
+/// and 2^40 would try to allocate a terabyte.
+TEST(FrameWire, CraftedPayloadLengthIsCorruptBeforeAllocating) {
+  for (const std::uint64_t len : kHostileLengths) {
+    Socketpair sp;
+    auto wire = header_declaring(len);
+    wire.resize(wire.size() + 64, 0xAB);  // bytes an overflow would land
+    ASSERT_EQ(::send(sp.a(), wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+    net::Frame out;
+    std::string detail;
+    EXPECT_EQ(net::recv_frame(sp.b(), out, in_ms(2000), &detail),
+              net::FrameError::kCorrupt)
+        << "len=" << len;
+    EXPECT_EQ(detail, "payload length exceeds kMaxFramePayload");
   }
 }
 

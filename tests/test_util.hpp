@@ -1,8 +1,9 @@
 // Shared fixtures and helpers for the algorithm-level tests: small
 // federated tasks with controlled heterogeneity that train in well under
 // a second, the bit-exact fingerprint/trajectory-comparison helpers used
-// by the fault, snapshot, and scenario matrices, and the scenario
-// enumeration for the adversarial matrix.
+// by the fault, snapshot, and scenario matrices, the scenario
+// enumeration for the adversarial matrix, and the snapshot whose bytes
+// the codec tests pin.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,11 +18,29 @@
 #include "algo/options.hpp"
 #include "data/federated.hpp"
 #include "data/generators.hpp"
+#include "io/snapshot.hpp"
 #include "nn/softmax_regression.hpp"
 #include "sim/fault.hpp"
 #include "sim/topology.hpp"
 
 namespace hm::testing_util {
+
+/// The snapshot whose serialized bytes (and frame) the codec tests pin to
+/// the values the original bytewise codec produced: one section of every
+/// kind, with w[i] = 0.25 i - 3 for i < 1000.
+inline io::Snapshot pinned_codec_snapshot() {
+  std::vector<scalar_t> w(1000);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = 0.25 * static_cast<scalar_t>(i) - 3.0;
+  }
+  io::Snapshot s;
+  s.put_u64(1, 9);
+  s.put_f64_vec(2, w);
+  s.put_f64_vec_list(3, {w, {}});
+  s.put_i64_vec(4, {-1, 0, 7});
+  s.put_bytes(5, {1, 2, 3});
+  return s;
+}
 
 /// Heterogeneous task: `num_edges` edges, one class each (paper §6.1
 /// protocol), low dimension for speed.
