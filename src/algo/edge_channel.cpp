@@ -45,35 +45,32 @@ std::vector<index_t> to_index(const std::vector<std::int64_t>& v) {
 }
 
 /// Build one lane's request handler: a process-local EdgeProgram plus
-/// full-size edge buffers, dispatching on the wire kind. `pool` is the
+/// full-size area buffers, dispatching on the wire kind. `pool` is the
 /// pool to run on; when null (a forked socket worker) the handler owns a
 /// fresh pool — the coordinator's pool threads do not survive fork().
 net::Handler make_worker_handler(const nn::Model& model,
                                  const data::FederatedDataset& fed,
-                                 const sim::HierTopology& topo,
-                                 const TrainOptions& opts,
+                                 const Hierarchy& h,
                                  parallel::ThreadPool* pool) {
   struct Worker {
-    TrainOptions opts;  // stable copy EdgeProgram references
+    Hierarchy h;  // stable copy EdgeProgram references
     std::unique_ptr<parallel::ThreadPool> owned_pool;
     std::unique_ptr<EdgeProgram> program;
     std::vector<std::vector<scalar_t>> edge_w;
     std::vector<std::vector<scalar_t>> edge_ckpt;
     std::vector<char> edge_has_ckpt;
   };
-  auto wk = std::make_shared<Worker>();
-  wk->opts = opts;
+  auto wk = std::make_shared<Worker>(Worker{h, nullptr, nullptr, {}, {}, {}});
   if (pool == nullptr) {
     wk->owned_pool = std::make_unique<parallel::ThreadPool>();
     pool = wk->owned_pool.get();
   }
-  wk->program =
-      std::make_unique<EdgeProgram>(model, fed, topo, wk->opts, *pool);
-  const auto num_edges = static_cast<std::size_t>(topo.num_edges());
+  wk->program = std::make_unique<EdgeProgram>(model, fed, wk->h, *pool);
+  const auto num_edges = static_cast<std::size_t>(h.tree.num_areas());
   wk->edge_w.resize(num_edges);
   wk->edge_ckpt.resize(num_edges);
   wk->edge_has_ckpt.assign(num_edges, 1);
-  const index_t n0 = topo.clients_per_edge();
+  const index_t n0 = h.tree.leaves_per_area();
   return [wk, n0](std::uint64_t, const net::Bytes& request) -> net::Bytes {
     const io::Snapshot req = io::Snapshot::parse(request.data(),
                                                  request.size());
@@ -96,11 +93,11 @@ net::Handler make_worker_handler(const nn::Model& model,
       for (const index_t e : edges) {
         const auto s = static_cast<std::size_t>(e);
         ew.push_back(wk->edge_w[s]);
-        const bool h = wk->edge_has_ckpt[s] != 0;
-        has.push_back(h ? 1 : 0);
+        const bool fresh = wk->edge_has_ckpt[s] != 0;
+        has.push_back(fresh ? 1 : 0);
         // An edge with no fresh checkpoint ships an empty slot — its
         // stale local buffer must not overwrite the coordinator mirror.
-        ck.push_back(h ? wk->edge_ckpt[s] : std::vector<scalar_t>{});
+        ck.push_back(fresh ? wk->edge_ckpt[s] : std::vector<scalar_t>{});
       }
       rep.put_u64(kWireKind, kKindPhase1Rep);
       rep.put_f64_vec_list(kWireEdgeW, ew);
@@ -127,9 +124,8 @@ net::Handler make_worker_handler(const nn::Model& model,
 class InprocEdgeChannel final : public EdgeChannel {
  public:
   InprocEdgeChannel(const nn::Model& model, const data::FederatedDataset& fed,
-                    const sim::HierTopology& topo, const TrainOptions& opts,
-                    parallel::ThreadPool& pool)
-      : program_(model, fed, topo, opts, pool) {}
+                    const Hierarchy& h, parallel::ThreadPool& pool)
+      : program_(model, fed, h, pool) {}
 
   bool can_fail() const override { return false; }
 
@@ -160,25 +156,25 @@ class InprocEdgeChannel final : public EdgeChannel {
 class RpcEdgeChannel final : public EdgeChannel {
  public:
   RpcEdgeChannel(const nn::Model& model, const data::FederatedDataset& fed,
-                 const sim::HierTopology& topo, const TrainOptions& opts,
-                 parallel::ThreadPool& pool)
-      : topo_(topo), d_(model.num_params()) {
-    const index_t num_edges = topo.num_edges();
-    index_t lanes = opts.transport.workers > 0
-                        ? opts.transport.workers
-                        : (num_edges + 3) / 4;  // default: 4 edges per lane
+                 const Hierarchy& h, parallel::ThreadPool& pool)
+      : num_edges_(h.tree.num_areas()),
+        n0_(h.tree.leaves_per_area()),
+        d_(model.num_params()) {
+    const net::TransportSpec& spec = h.opts.transport;
+    index_t lanes = spec.workers > 0
+                        ? spec.workers
+                        : (num_edges_ + 3) / 4;  // default: 4 edges per lane
     if (lanes < 1) lanes = 1;
-    if (lanes > num_edges) lanes = num_edges;
-    if (opts.transport.kind == net::TransportKind::kSocket) {
-      transport_ = net::make_socket_transport(
-          opts.transport, lanes, [&](index_t) {
-            // Runs inside the freshly forked child: build a worker with
-            // its own thread pool (null pool argument).
-            return make_worker_handler(model, fed, topo, opts, nullptr);
-          });
+    if (lanes > num_edges_) lanes = num_edges_;
+    if (spec.kind == net::TransportKind::kSocket) {
+      transport_ = net::make_socket_transport(spec, lanes, [&](index_t) {
+        // Runs inside the freshly forked child: build a worker with its
+        // own thread pool (null pool argument).
+        return make_worker_handler(model, fed, h, nullptr);
+      });
     } else {
       transport_ = net::make_loopback_transport(lanes, [&](index_t) {
-        return make_worker_handler(model, fed, topo, opts, &pool);
+        return make_worker_handler(model, fed, h, &pool);
       });
     }
   }
@@ -256,7 +252,6 @@ class RpcEdgeChannel final : public EdgeChannel {
               const std::vector<char>& client_ok,
               std::vector<scalar_t>& client_losses,
               sim::EdgeLiveness& live) override {
-    const index_t n0 = topo_.clients_per_edge();
     const index_t lanes = transport_->lanes();
     // Group the loss edges by lane, remembering each edge's position in
     // `edges` so the ok/loss slots stay aligned.
@@ -279,10 +274,10 @@ class RpcEdgeChannel final : public EdgeChannel {
         continue;
       }
       std::vector<std::int64_t> ok;
-      ok.reserve(lane_edges[s].size() * static_cast<std::size_t>(n0));
+      ok.reserve(lane_edges[s].size() * static_cast<std::size_t>(n0_));
       for (const std::size_t j : lane_pos[s]) {
-        for (index_t i = 0; i < n0; ++i) {
-          ok.push_back(client_ok[j * static_cast<std::size_t>(n0) +
+        for (index_t i = 0; i < n0_; ++i) {
+          ok.push_back(client_ok[j * static_cast<std::size_t>(n0_) +
                                  static_cast<std::size_t>(i)]);
         }
       }
@@ -307,13 +302,13 @@ class RpcEdgeChannel final : public EdgeChannel {
       HM_CHECK(rep.get_u64(kWireKind) == kKindPhase2Rep);
       const std::vector<scalar_t> losses = rep.get_f64_vec(kWireLoss);
       HM_CHECK(losses.size() ==
-               lane_edges[s].size() * static_cast<std::size_t>(n0));
+               lane_edges[s].size() * static_cast<std::size_t>(n0_));
       for (std::size_t q = 0; q < lane_pos[s].size(); ++q) {
         const std::size_t j = lane_pos[s][q];
-        for (index_t i = 0; i < n0; ++i) {
-          client_losses[j * static_cast<std::size_t>(n0) +
+        for (index_t i = 0; i < n0_; ++i) {
+          client_losses[j * static_cast<std::size_t>(n0_) +
                         static_cast<std::size_t>(i)] =
-              losses[q * static_cast<std::size_t>(n0) +
+              losses[q * static_cast<std::size_t>(n0_) +
                      static_cast<std::size_t>(i)];
         }
       }
@@ -339,7 +334,7 @@ class RpcEdgeChannel final : public EdgeChannel {
   /// their checkpoint flag like a planned crash at block c2 would.
   void lane_down(index_t lane, const std::vector<index_t>& participating,
                  sim::EdgeLiveness& live, std::vector<char>* edge_has_ckpt) {
-    for (index_t e = 0; e < topo_.num_edges(); ++e) {
+    for (index_t e = 0; e < num_edges_; ++e) {
       if (lane_of(e) == lane) live.mark_down(e);
     }
     if (edge_has_ckpt != nullptr) {
@@ -356,7 +351,8 @@ class RpcEdgeChannel final : public EdgeChannel {
     return 2 * static_cast<std::uint64_t>(k) + 1;
   }
 
-  const sim::HierTopology& topo_;
+  index_t num_edges_;
+  index_t n0_;
   index_t d_;
   std::unique_ptr<net::Transport> transport_;
 };
@@ -365,12 +361,11 @@ class RpcEdgeChannel final : public EdgeChannel {
 
 std::unique_ptr<EdgeChannel> make_edge_channel(
     const nn::Model& model, const data::FederatedDataset& fed,
-    const sim::HierTopology& topo, const TrainOptions& opts,
-    parallel::ThreadPool& pool) {
-  if (opts.transport.kind == net::TransportKind::kInproc) {
-    return std::make_unique<InprocEdgeChannel>(model, fed, topo, opts, pool);
+    const Hierarchy& h, parallel::ThreadPool& pool) {
+  if (h.opts.transport.kind == net::TransportKind::kInproc) {
+    return std::make_unique<InprocEdgeChannel>(model, fed, h, pool);
   }
-  return std::make_unique<RpcEdgeChannel>(model, fed, topo, opts, pool);
+  return std::make_unique<RpcEdgeChannel>(model, fed, h, pool);
 }
 
 }  // namespace hm::algo::detail

@@ -1,4 +1,4 @@
-// The trainer's view of "run phase 1 / phase 2 on the edges": an
+// The trainer's view of "run phase 1 / phase 2 on the areas": an
 // exchange boundary that either calls EdgeProgram directly (in-proc,
 // bit-exact oracle) or ships the round state over a net::Transport to
 // per-lane EdgeProgram replicas (loopback or forked socket workers).
@@ -13,12 +13,11 @@
 #include <memory>
 #include <vector>
 
-#include "algo/options.hpp"
+#include "algo/edge_program.hpp"
 #include "data/federated.hpp"
 #include "nn/model.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/liveness.hpp"
-#include "sim/topology.hpp"
 
 namespace hm::algo::detail {
 
@@ -54,11 +53,10 @@ class EdgeChannel {
                       sim::EdgeLiveness& live) = 0;
 };
 
-/// Build the channel selected by opts.transport.kind. For kSocket the
+/// Build the channel selected by h.opts.transport.kind. For kSocket the
 /// worker processes are forked here and torn down by the destructor.
 std::unique_ptr<EdgeChannel> make_edge_channel(
     const nn::Model& model, const data::FederatedDataset& fed,
-    const sim::HierTopology& topo, const TrainOptions& opts,
-    parallel::ThreadPool& pool);
+    const Hierarchy& h, parallel::ThreadPool& pool);
 
 }  // namespace hm::algo::detail

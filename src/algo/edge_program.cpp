@@ -6,23 +6,42 @@
 
 namespace hm::algo::detail {
 
+namespace {
+
+/// The ids first, first + 1, ..., first + count - 1.
+std::vector<index_t> id_range(index_t first, index_t count) {
+  std::vector<index_t> ids(static_cast<std::size_t>(count));
+  for (index_t i = 0; i < count; ++i) {
+    ids[static_cast<std::size_t>(i)] = first + i;
+  }
+  return ids;
+}
+
+}  // namespace
+
 EdgeProgram::EdgeProgram(const nn::Model& model,
                          const data::FederatedDataset& fed,
-                         const sim::HierTopology& topo,
-                         const TrainOptions& opts,
-                         parallel::ThreadPool& pool)
+                         const Hierarchy& h, parallel::ThreadPool& pool)
     : model_(model),
       fed_(fed),
-      topo_(topo),
-      opts_(opts),
-      root_(opts.seed),
-      plan_(opts.fault),
+      h_(h),
+      root_(h.opts.seed),
+      plan_(h.opts.fault),
       cluster_(pool),
-      agg_{opts.aggregate, opts.trim_frac},
-      client_w_(static_cast<std::size_t>(topo.num_clients())),
-      client_ckpt_(static_cast<std::size_t>(topo.num_clients())),
-      scratch_(static_cast<std::size_t>(topo.num_clients())),
-      ph2_ws_(model.make_workspace()) {}
+      agg_{h.opts.aggregate, h.opts.trim_frac},
+      scratch_(static_cast<std::size_t>(h.tree.num_leaves())) {
+  const index_t depth = h.tree.depth();
+  node_w_.resize(static_cast<std::size_t>(depth) + 1);
+  node_ckpt_.resize(static_cast<std::size_t>(depth) + 1);
+  node_has_ckpt_.resize(static_cast<std::size_t>(depth));
+  for (index_t lv = 2; lv <= depth; ++lv) {
+    const auto s = static_cast<std::size_t>(lv);
+    const auto n = static_cast<std::size_t>(h.tree.nodes_at(lv));
+    node_w_[s].resize(n);
+    node_ckpt_[s].resize(n);
+    if (lv < depth) node_has_ckpt_[s].assign(n, 1);
+  }
+}
 
 std::vector<scalar_t>& EdgeProgram::ensure(std::vector<scalar_t>& v) const {
   if (v.empty()) {
@@ -37,121 +56,192 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
                          std::vector<std::vector<scalar_t>>& edge_w,
                          std::vector<std::vector<scalar_t>>& edge_ckpt,
                          std::vector<char>& edge_has_ckpt) {
+  const TrainOptions& opts = h_.opts;
   const index_t d = model_.num_params();
-  const index_t n0 = topo_.clients_per_edge();
+  const index_t depth = h_.tree.depth();
+  const index_t inner = depth - 1;  // depth of the leaves' parents
+  const std::vector<index_t>& fan = h_.tree.branching();
+  const index_t leaf_fan = fan.back();
+  const index_t lpa = h_.tree.leaves_per_area();
+  const auto leaf_slot = static_cast<std::size_t>(depth);
   rng::Xoshiro256 round_gen =
       root_.split(static_cast<std::uint64_t>(k) + 1);
 
-  // Seed every listed edge's model with the broadcast global model.
+  // Depth-indexed views; the areas live in the caller's arrays.
+  const auto models = [&](index_t lv) -> std::vector<std::vector<scalar_t>>& {
+    return lv == 1 ? edge_w : node_w_[static_cast<std::size_t>(lv)];
+  };
+  const auto ckpts = [&](index_t lv) -> std::vector<std::vector<scalar_t>>& {
+    return lv == 1 ? edge_ckpt : node_ckpt_[static_cast<std::size_t>(lv)];
+  };
+  const auto has_ckpt = [&](index_t lv) -> std::vector<char>& {
+    return lv == 1 ? edge_has_ckpt
+                   : node_has_ckpt_[static_cast<std::size_t>(lv)];
+  };
+  const auto nodes_of = [&](index_t lv, index_t e) {
+    const index_t per_area = h_.tree.nodes_at(lv) / h_.tree.num_areas();
+    return id_range(e * per_area, per_area);
+  };
+  const auto children = [&](index_t lv, index_t n) {
+    const index_t f = fan[static_cast<std::size_t>(lv)];
+    return id_range(n * f, f);
+  };
+  const auto slot = [](index_t id) { return static_cast<std::size_t>(id); };
+
+  // Seed every listed area with the broadcast global model. A crashed
+  // area server takes its whole subtree offline: its model stays the
+  // seed and it holds no fresh checkpoint.
+  std::vector<index_t> live;
+  live.reserve(edges.size());
   for (const index_t e : edges) {
-    tensor::copy(w, ensure(edge_w[static_cast<std::size_t>(e)]));
+    tensor::copy(w, ensure(edge_w[slot(e)]));
+    if (!plan_.edge_crashed(k, e)) {
+      live.push_back(e);
+    } else if (c2 >= 0) {
+      edge_has_ckpt[slot(e)] = 0;
+    }
   }
 
-  // tau2 client-edge aggregation blocks.
-  for (index_t t2 = 0; t2 < opts_.tau2; ++t2) {
-    LocalSgdConfig cfg;
-    cfg.steps = opts_.tau1;
-    cfg.batch_size = opts_.batch_size;
-    cfg.eta = opts_.eta_w;
-    cfg.w_radius = opts_.w_radius;
-    cfg.weight_decay = opts_.weight_decay;
-    cfg.prox_mu = opts_.prox_mu;
-    cfg.checkpoint_step = t2 == c2 ? c1 : 0;
-    std::vector<LocalSgdJob> jobs;
-    std::vector<rng::Xoshiro256> gens;
-    const std::size_t max_jobs = edges.size() * static_cast<std::size_t>(n0);
-    jobs.reserve(max_jobs);
-    gens.reserve(max_jobs);
-    for (const index_t e : edges) {
-      for (index_t i = 0; i < n0; ++i) {
-        const index_t client = topo_.client_id(e, i);
-        // Offline hardware (crashed or churned away) computes nothing
-        // this round. (Dropped clients still compute — only their
-        // report is lost.)
-        if (plan_.edge_crashed(k, e) || plan_.client_offline(k, client)) {
-          continue;
+  // span[lv]: innermost blocks in one block of a depth-lv node.
+  std::vector<index_t> span(static_cast<std::size_t>(depth), 1);
+  for (index_t lv = inner - 1; lv >= 1; --lv) {
+    span[slot(lv)] = span[slot(lv) + 1] * h_.taus[slot(lv)];
+  }
+
+  for (index_t b = 0; b < opts.tau2; ++b) {
+    // Interior blocks starting here broadcast down, shallowest first.
+    for (index_t lv = 1; lv < inner; ++lv) {
+      if (b % span[slot(lv)] != 0) continue;
+      for (const index_t e : live) {
+        for (const index_t n : nodes_of(lv, e)) {
+          for (const index_t c : children(lv, n)) {
+            tensor::copy(models(lv)[slot(n)], ensure(models(lv + 1)[slot(c)]));
+          }
         }
-        auto& w_local = ensure(client_w_[static_cast<std::size_t>(client)]);
-        tensor::copy(edge_w[static_cast<std::size_t>(e)], w_local);
-        gens.push_back(round_gen.split(kTagLocal)
-                           .split(static_cast<std::uint64_t>(e))
-                           .split(static_cast<std::uint64_t>(t2))
-                           .split(static_cast<std::uint64_t>(i)));
-        const data::Dataset* shard = &fed_.shard_at(k, e, i);
-        if (plan_.client_poisoned(k, client)) {
-          shard = &poison_.get(*shard, client);
-        }
-        jobs.push_back(
-            {shard, w_local,
-             nn::VecView(
-                 ensure(client_ckpt_[static_cast<std::size_t>(client)])),
-             &gens.back(), client});
       }
     }
-    run_local_sgd_jobs(model_, cfg, jobs, scratch_, bstate_, opts_.batched,
+
+    LocalSgdConfig cfg;
+    cfg.steps = opts.tau1;
+    cfg.batch_size = opts.batch_size;
+    cfg.eta = opts.eta_w;
+    cfg.w_radius = opts.w_radius;
+    cfg.weight_decay = opts.weight_decay;
+    cfg.prox_mu = opts.prox_mu;
+    cfg.checkpoint_step = b == c2 ? c1 : 0;
+    std::vector<LocalSgdJob> jobs;
+    std::vector<rng::Xoshiro256> gens;
+    const std::size_t max_jobs = live.size() * static_cast<std::size_t>(lpa);
+    jobs.reserve(max_jobs);
+    gens.reserve(max_jobs);
+    for (const index_t e : live) {
+      for (index_t i = 0; i < lpa; ++i) {
+        const index_t leaf = e * lpa + i;
+        // Offline hardware (churned away) computes nothing this round.
+        // (Dropped clients still compute — only their report is lost.)
+        if (plan_.client_offline(k, leaf)) continue;
+        auto& w_local = ensure(node_w_[leaf_slot][slot(leaf)]);
+        tensor::copy(models(inner)[slot(leaf / leaf_fan)], w_local);
+        gens.push_back(round_gen.split(kTagLocal)
+                           .split(static_cast<std::uint64_t>(e))
+                           .split(static_cast<std::uint64_t>(b))
+                           .split(static_cast<std::uint64_t>(i)));
+        const data::Dataset* shard = &fed_.shard_at(k, e, i);
+        if (plan_.client_poisoned(k, leaf)) {
+          shard = &poison_.get(*shard, leaf);
+        }
+        const nn::VecView ckpt =
+            b == c2 ? nn::VecView(ensure(node_ckpt_[leaf_slot][slot(leaf)]))
+                    : nn::VecView();
+        jobs.push_back({shard, w_local, ckpt, &gens.back(), leaf});
+      }
+    }
+    run_local_sgd_jobs(model_, cfg, jobs, scratch_, bstate_, opts.batched,
                        cluster_);
-    if (opts_.quantize_bits > 0) {
+    if (opts.quantize_bits > 0) {
       for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const auto client = static_cast<std::size_t>(jobs[j].scratch_id);
+        const auto leaf = slot(jobs[j].scratch_id);
         rng::Xoshiro256 qgen = gens[j].split(kTagQuant);
-        sim::quantize_payload(client_w_[client], opts_.quantize_bits, qgen);
-        if (t2 == c2) {
-          sim::quantize_payload(client_ckpt_[client], opts_.quantize_bits,
-                                qgen);
+        sim::quantize_payload(node_w_[leaf_slot][leaf], opts.quantize_bits,
+                              qgen);
+        if (b == c2) {
+          sim::quantize_payload(node_ckpt_[leaf_slot][leaf],
+                                opts.quantize_bits, qgen);
         }
       }
     }
     if (plan_.payload_attack()) {
-      // edge_w[e] still holds the block-start model every client of
-      // edge e started from — the sign-flip reflection reference. The
+      // A leaf's parent still holds the block-start model every leaf
+      // under it started from — the sign-flip reflection reference. The
       // checkpoint upload stays honest: it is variance-reduction
       // scaffolding for Phase 2, not a model report (DESIGN.md §13).
       for (const auto& job : jobs) {
         const index_t c = job.scratch_id;
         if (!plan_.client_attacker(k, c)) continue;
-        const index_t e = fed_.edge_of_client(c);
-        plan_.corrupt_payload(k, c,
-                              edge_w[static_cast<std::size_t>(e)].data(),
-                              client_w_[static_cast<std::size_t>(c)].data(),
-                              d);
+        plan_.corrupt_payload(k, c, models(inner)[slot(c / leaf_fan)].data(),
+                              node_w_[leaf_slot][slot(c)].data(), d);
       }
     }
 
-    // Client-edge aggregation (and checkpoint aggregation at block c2).
-    for (const index_t e : edges) {
-      if (!plan_.enabled()) {
-        auto clients = topo_.clients_of_edge(e);
-        robust_uniform_average(client_w_, clients, agg_,
-                               edge_w[static_cast<std::size_t>(e)]);
-        if (t2 == c2) {
-          uniform_average(client_ckpt_, clients,
-                          ensure(edge_ckpt[static_cast<std::size_t>(e)]));
+    // Leaf-parent aggregation with the robust combiner (the one hop
+    // attackers own), and checkpoint aggregation in block c2.
+    for (const index_t e : live) {
+      for (const index_t n : nodes_of(inner, e)) {
+        const std::vector<index_t> leaves = children(inner, n);
+        auto& node_w = models(inner)[slot(n)];
+        if (!plan_.enabled()) {
+          robust_uniform_average(node_w_[leaf_slot], leaves, agg_, node_w);
+          if (b == c2) {
+            uniform_average(node_ckpt_[leaf_slot], leaves,
+                            ensure(ckpts(inner)[slot(n)]));
+          }
+          continue;
         }
-        continue;
+        // Aggregate over whichever leaves actually reported this block;
+        // a node with zero survivors keeps its block-start model.
+        std::vector<index_t> surv;
+        for (const index_t c : leaves) {
+          if (plan_.client_reports(k, c)) surv.push_back(c);
+        }
+        if (!surv.empty()) {
+          robust_uniform_average(node_w_[leaf_slot], surv, agg_, node_w);
+        }
+        if (b == c2) {
+          has_ckpt(inner)[slot(n)] = surv.empty() ? 0 : 1;
+          if (!surv.empty()) {
+            uniform_average(node_ckpt_[leaf_slot], surv,
+                            ensure(ckpts(inner)[slot(n)]));
+          }
+        }
       }
-      if (plan_.edge_crashed(k, e)) {
-        if (t2 == c2) edge_has_ckpt[static_cast<std::size_t>(e)] = 0;
-        continue;  // area offline, model frozen
+    }
+
+    // Interior blocks ending here average up, deepest first. Interior
+    // servers are reliable and take the plain mean of all children.
+    for (index_t lv = inner - 1; lv >= 1; --lv) {
+      if ((b + 1) % span[slot(lv)] != 0) continue;
+      for (const index_t e : live) {
+        for (const index_t n : nodes_of(lv, e)) {
+          uniform_average(models(lv + 1), children(lv, n),
+                          models(lv)[slot(n)]);
+        }
       }
-      // Aggregate over whichever clients actually reported this block;
-      // an edge with zero survivors keeps its previous block's model.
-      std::vector<index_t> surv;
-      for (const index_t c : topo_.clients_of_edge(e)) {
-        if (plan_.client_offline(k, c)) continue;  // silent, never sent
-        if (plan_.client_dropped(k, c)) continue;  // report lost in transit
-        surv.push_back(c);
-      }
-      if (!surv.empty()) {
-        robust_uniform_average(client_w_, surv, agg_,
-                               edge_w[static_cast<std::size_t>(e)]);
-      }
-      if (t2 == c2) {
-        if (surv.empty()) {
-          edge_has_ckpt[static_cast<std::size_t>(e)] = 0;
-        } else {
-          edge_has_ckpt[static_cast<std::size_t>(e)] = 1;
-          uniform_average(client_ckpt_, surv,
-                          ensure(edge_ckpt[static_cast<std::size_t>(e)]));
+    }
+  }
+
+  // Average the captured checkpoint up to the areas, over the children
+  // that hold one.
+  if (c2 < 0) return;
+  for (index_t lv = inner - 1; lv >= 1; --lv) {
+    for (const index_t e : live) {
+      for (const index_t n : nodes_of(lv, e)) {
+        std::vector<index_t> held;
+        for (const index_t c : children(lv, n)) {
+          if (has_ckpt(lv + 1)[slot(c)]) held.push_back(c);
+        }
+        has_ckpt(lv)[slot(n)] = held.empty() ? 0 : 1;
+        if (!held.empty()) {
+          uniform_average(ckpts(lv + 1), held, ensure(ckpts(lv)[slot(n)]));
         }
       }
     }
@@ -162,12 +252,13 @@ void EdgeProgram::phase2(index_t k, std::span<const index_t> edges,
                          const std::vector<scalar_t>& checkpoint,
                          std::span<const char> client_ok,
                          std::span<scalar_t> client_losses) {
-  const index_t n0 = topo_.clients_per_edge();
+  const index_t n0 = h_.tree.leaves_per_area();
   const index_t loss_jobs = static_cast<index_t>(edges.size()) * n0;
   HM_CHECK(static_cast<index_t>(client_ok.size()) == loss_jobs);
   HM_CHECK(static_cast<index_t>(client_losses.size()) == loss_jobs);
   rng::Xoshiro256 round_gen =
       root_.split(static_cast<std::uint64_t>(k) + 1);
+  if (!ph2_ws_) ph2_ws_ = model_.make_workspace();
 
   // Draw every surviving job's estimation batch (per-job RNG streams,
   // so the samples are independent of evaluation order), then score
@@ -189,8 +280,8 @@ void EdgeProgram::phase2(index_t k, std::span<const index_t> edges,
                               .split(static_cast<std::uint64_t>(e))
                               .split(static_cast<std::uint64_t>(i));
     auto& batch = batches[static_cast<std::size_t>(job)];
-    if (opts_.loss_est_batch > 0) {
-      batch.resize(static_cast<std::size_t>(opts_.loss_est_batch));
+    if (h_.opts.loss_est_batch > 0) {
+      batch.resize(static_cast<std::size_t>(h_.opts.loss_est_batch));
       for (auto& idx : batch) {
         idx = static_cast<index_t>(
             gen.uniform_index(static_cast<std::uint64_t>(shard.size())));

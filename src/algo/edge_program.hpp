@@ -1,16 +1,16 @@
-// The edge-and-below share of one HierMinimax round, factored out of the
-// trainer so it can run anywhere: in the trainer's process (the in-proc
-// oracle and the loopback transport) or inside a forked worker process
-// that serves a subset of the edges.
+// The area-and-below share of one hierarchical round, factored out of the
+// coordinator so it can run anywhere: in the trainer's process (the
+// in-proc oracle and the loopback transport) or inside a forked worker
+// process that serves a subset of the areas.
 //
 // The split is exact, not approximate. Everything here is a pure
 // function of (round index, checkpoint indices, the broadcast model, the
 // run options): all randomness comes from non-advancing splits of a
 // root generator rebuilt from opts.seed, the fault plan is a pure
-// function of (fault seed, round, entity), and per-client buffers are
+// function of (fault seed, round, entity), and per-node buffers are
 // written before every read within a round. Two EdgeProgram instances —
-// in different processes — therefore produce bit-identical per-edge
-// results for any partition of the edge set (run_local_sgd_jobs and
+// in different processes — therefore produce bit-identical per-area
+// results for any partition of the area set (run_local_sgd_jobs and
 // Model::loss_many are bit-identical per job regardless of grouping).
 //
 // Deliberately NOT here: every sim::CommStats update. Fault metering
@@ -32,35 +32,52 @@
 #include "rng/rng.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault.hpp"
-#include "sim/topology.hpp"
+#include "sim/multi_topology.hpp"
 
 namespace hm::algo::detail {
+
+/// The tree one hierarchical run trains over. Depth-1 nodes are the areas
+/// p ranges over (the edges of the three-layer system), leaves are the
+/// clients. A depth-l node runs taus[l-1] blocks of its children per
+/// block of its parent; a leaf runs taus.back() local SGD steps per
+/// innermost block. The flat trainers use tree {N_E, N_0} with taus
+/// {tau2, tau1}. `opts.tau1` is taus.back() and `opts.tau2` the number
+/// of innermost blocks per round (the product of the outer taus).
+struct Hierarchy {
+  sim::MultiTopology tree;
+  std::vector<index_t> taus;
+  TrainOptions opts;
+};
 
 class EdgeProgram {
  public:
   EdgeProgram(const nn::Model& model, const data::FederatedDataset& fed,
-              const sim::HierTopology& topo, const TrainOptions& opts,
-              parallel::ThreadPool& pool);
+              const Hierarchy& h, parallel::ThreadPool& pool);
 
-  /// Phase 1 for the given participating edges: seed each edge's model
-  /// from the broadcast `w`, run the tau2 client-edge aggregation blocks
-  /// (local SGD, quantization, payload attacks, per-edge robust
-  /// aggregation, checkpoint capture at block c2), leaving the per-edge
-  /// aggregates in edge_w / edge_ckpt / edge_has_ckpt. The three output
-  /// arrays are full-size (indexed by edge id); only the listed edges'
-  /// slots are touched. Uplink quantization toward the cloud is NOT
-  /// applied — that is the coordinator's hop.
+  /// Phase 1 for the given participating areas: seed each area's model
+  /// from the broadcast `w` and run the round's opts.tau2 innermost
+  /// blocks down its subtree. Interior nodes broadcast their model at the
+  /// start of each of their blocks and take the plain mean of their
+  /// children at its end; the leaves' parents combine the leaf reports
+  /// with the robust combiner after local SGD, quantization and payload
+  /// attacks. In innermost block c2 the leaves capture the iterate after
+  /// c1 steps; the capture is averaged up to the area. c2 < 0 captures
+  /// nothing (and allocates no checkpoint buffer). The per-area results
+  /// land in edge_w / edge_ckpt / edge_has_ckpt, which are full-size
+  /// (indexed by area id); only the listed areas' slots are touched.
+  /// Uplink quantization toward the cloud is NOT applied — that is the
+  /// coordinator's hop.
   void phase1(index_t k, index_t c1, index_t c2,
               std::span<const index_t> edges, const std::vector<scalar_t>& w,
               std::vector<std::vector<scalar_t>>& edge_w,
               std::vector<std::vector<scalar_t>>& edge_ckpt,
               std::vector<char>& edge_has_ckpt);
 
-  /// Phase 2 for the given loss-estimation edges: score every client job
-  /// with client_ok[j*n0 + i] set (j indexes `edges`, i the client slot)
-  /// at the shared `checkpoint`, writing losses into the aligned
-  /// client_losses span. Skipped jobs' slots are left untouched (the
-  /// caller zero-fills).
+  /// Phase 2 for the given loss-estimation areas: score every leaf job
+  /// with client_ok[j*n + i] set (j indexes `edges`, i the leaf's index
+  /// in its area, n the leaves per area) at the shared `checkpoint`,
+  /// writing losses into the aligned client_losses span. Skipped jobs'
+  /// slots are left untouched (the caller zero-fills).
   void phase2(index_t k, std::span<const index_t> edges,
               const std::vector<scalar_t>& checkpoint,
               std::span<const char> client_ok,
@@ -71,18 +88,21 @@ class EdgeProgram {
 
   const nn::Model& model_;
   const data::FederatedDataset& fed_;
-  const sim::HierTopology& topo_;
-  const TrainOptions& opts_;
+  const Hierarchy& h_;
   rng::Xoshiro256 root_;  // never advanced, only split (resume-safe)
   sim::FaultPlan plan_;
   sim::ClusterSim cluster_;
   AggregateSpec agg_;
-  std::vector<std::vector<scalar_t>> client_w_;
-  std::vector<std::vector<scalar_t>> client_ckpt_;
+  // Per-depth node buffers, indexed [depth][node id at that depth] and
+  // materialized on first touch. Depth 1 lives in the caller's per-area
+  // arrays, so slots 0 and 1 stay empty; depth L holds the leaves.
+  std::vector<std::vector<std::vector<scalar_t>>> node_w_;
+  std::vector<std::vector<std::vector<scalar_t>>> node_ckpt_;
+  std::vector<std::vector<char>> node_has_ckpt_;
   std::vector<ClientScratch> scratch_;
   BatchEngineState bstate_;
   PoisonStore poison_;
-  std::unique_ptr<nn::Workspace> ph2_ws_;
+  std::unique_ptr<nn::Workspace> ph2_ws_;  // created by the first phase2
 };
 
 }  // namespace hm::algo::detail

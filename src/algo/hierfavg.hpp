@@ -4,7 +4,9 @@
 //
 // Each round: sample m_E edges uniformly; each runs tau2 client-edge
 // aggregation blocks of tau1 local SGD steps; the cloud averages the
-// edge models.
+// edge models. It is HierMinimax's round engine (algo/hierminimax.cpp)
+// without the checkpoint and Phase 2, so it runs over every transport
+// backend (opts.transport) with the same faults, attacks and snapshots.
 #pragma once
 
 #include "algo/options.hpp"

@@ -1,10 +1,23 @@
+// The one hierarchical round engine. train_hierminimax, train_hierfavg
+// and their L-level counterparts are the same coordinator loop over a
+// detail::Hierarchy; the entry point picks the variant:
+//
+//   variant          area sampling                checkpoint  Phase 2
+//   HierMinimax      by p, with replacement       yes         yes
+//   HierFAVG         uniform, without replacement no          no
+//
+// The flat trainers run on the depth-2 tree {N_E, N_0}, taus {tau2, tau1};
+// the *_multi trainers on the caller's depth-L tree. Every stream comes
+// from the tree path, so depth 2 is the flat derivation exactly (see
+// DESIGN.md §3 for the stream rule).
 #include "algo/hierminimax.hpp"
 
 #include "algo/edge_channel.hpp"
+#include "algo/hierfavg.hpp"
+#include "algo/hierminimax_multi.hpp"
 #include "algo/trainer_common.hpp"
 #include "core/check.hpp"
 #include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sim/liveness.hpp"
 #include "sim/quantize.hpp"
 #include "tensor/vecops.hpp"
@@ -13,49 +26,132 @@ namespace hm::algo {
 
 namespace {
 
+using detail::Hierarchy;
 using detail::Participants;
 
+enum class Variant { kHierMinimax, kHierFavg, kHierMinimaxMulti, kHierFavgMulti };
+
+bool is_minimax(Variant v) {
+  return v == Variant::kHierMinimax || v == Variant::kHierMinimaxMulti;
+}
+
+/// Span names per variant (obs names are part of the trace schema).
+struct SpanNames {
+  const char* round;
+  const char* phase1;
+  const char* phase2;
+};
+
+SpanNames span_names(Variant v) {
+  switch (v) {
+    case Variant::kHierMinimax:
+      return {"hierminimax.round", "hierminimax.phase1", "hierminimax.phase2"};
+    case Variant::kHierFavg:
+      return {"hierfavg.round", "hierfavg.phase1", nullptr};
+    case Variant::kHierMinimaxMulti:
+      return {"hierminimax_multi.round", "hierminimax_multi.phase1",
+              "hierminimax_multi.phase2"};
+    case Variant::kHierFavgMulti:
+      break;
+  }
+  return {"hierfavg_multi.round", "hierfavg_multi.phase1", nullptr};
+}
+
+void count_round(Variant v) {
+  // One call site per counter: HM_OBS_INC caches its counter statically.
+  switch (v) {
+    case Variant::kHierMinimax: HM_OBS_INC("algo.hierminimax.rounds"); break;
+    case Variant::kHierFavg: HM_OBS_INC("algo.hierfavg.rounds"); break;
+    case Variant::kHierMinimaxMulti:
+      HM_OBS_INC("algo.hierminimax_multi.rounds");
+      break;
+    case Variant::kHierFavgMulti:
+      HM_OBS_INC("algo.hierfavg_multi.rounds");
+      break;
+  }
+}
+
+std::uint64_t algo_id(Variant v) {
+  switch (v) {
+    case Variant::kHierMinimax: return detail::kAlgoHierMinimax;
+    case Variant::kHierFavg: return detail::kAlgoHierFavg;
+    case Variant::kHierMinimaxMulti: return detail::kAlgoHierMinimaxMulti;
+    case Variant::kHierFavgMulti: break;
+  }
+  return detail::kAlgoHierFavgMulti;
+}
+
 void validate_inputs(const nn::Model& model, const data::FederatedDataset& fed,
-                     const sim::HierTopology& topo, const TrainOptions& opts) {
+                     const Hierarchy& h, bool minimax) {
+  const TrainOptions& opts = h.opts;
   fed.validate();
-  HM_CHECK_MSG(fed.num_edges() == topo.num_edges(),
+  HM_CHECK_MSG(h.tree.depth() >= 2,
+               "a hierarchical run needs a tree of depth >= 2, got depth "
+                   << h.tree.depth());
+  for (const index_t t : h.taus) HM_CHECK(t > 0);
+  HM_CHECK_MSG(fed.num_edges() == h.tree.num_areas(),
                "dataset has " << fed.num_edges() << " edges, topology "
-                              << topo.num_edges());
-  HM_CHECK(fed.clients_per_edge == topo.clients_per_edge());
+                              << h.tree.num_areas());
+  HM_CHECK(fed.clients_per_edge == h.tree.leaves_per_area());
   HM_CHECK(fed.dim() == model.input_dim());
   HM_CHECK(fed.num_classes() == model.num_classes());
-  HM_CHECK(opts.rounds > 0 && opts.tau1 > 0 && opts.tau2 > 0);
-  HM_CHECK(opts.eta_w > 0 && opts.eta_p > 0);
+  HM_CHECK(opts.rounds > 0 && opts.eta_w > 0);
   HM_CHECK(opts.sampled_edges >= 0 &&
-           opts.sampled_edges <= topo.num_edges());
-  HM_CHECK(opts.p_set.feasible(topo.num_edges()));
+           opts.sampled_edges <= h.tree.num_areas());
+  if (minimax) {
+    HM_CHECK(opts.eta_p > 0);
+    HM_CHECK(opts.p_set.feasible(h.tree.num_areas()));
+  }
   HM_CHECK(opts.transport.workers >= 0);
   HM_CHECK(opts.transport.rpc_timeout_ms > 0);
   HM_CHECK(opts.transport.rpc_retries >= 0 &&
            opts.transport.rpc_backoff_ms >= 0);
 }
 
-}  // namespace
+/// The multi-level history records the three-layer CommStats shape:
+/// level-0 traffic as edge_cloud, deeper levels summed as client_edge.
+sim::CommStats flat_view(const MultiCommStats& m) {
+  sim::CommStats flat;
+  flat.edge_cloud_rounds = m.levels[0].rounds;
+  flat.edge_cloud_models_up = m.levels[0].models_up;
+  flat.edge_cloud_models_down = m.levels[0].models_down;
+  for (std::size_t l = 1; l < m.levels.size(); ++l) {
+    flat.client_edge_rounds += m.levels[l].rounds;
+    flat.client_edge_models_up += m.levels[l].models_up;
+    flat.client_edge_models_down += m.levels[l].models_down;
+  }
+  flat.client_edge_fault = m.leaf_fault;
+  flat.edge_cloud_fault = m.top_fault;
+  return flat;
+}
 
-// The coordinator half of Algorithm 1. Everything edge-and-below (local
-// SGD, per-edge aggregation, Phase-2 loss scoring) lives behind the
-// EdgeChannel; the trainer keeps sampling, the cloud hops (uplink
-// quantization, edge-cloud aggregation, the ascent step), snapshots, and
-// ALL sim::CommStats metering. Fault accounting accumulates
-// order-sensitive floating-point sums (LinkFaultStats.extra_rtts), so
-// the coordinator replays the per-block delivery loops in the exact
-// legacy order from pure FaultPlan queries — identically whether the
-// edge computation ran in-process or in forked workers.
-TrainResult train_hierminimax(const nn::Model& model,
-                              const data::FederatedDataset& fed,
-                              const sim::HierTopology& topo,
-                              const TrainOptions& opts,
-                              parallel::ThreadPool& pool) {
-  validate_inputs(model, fed, topo, opts);
+// The coordinator half of Algorithm 1. Everything area-and-below (local
+// SGD, the per-node aggregations, Phase-2 loss scoring) lives behind the
+// EdgeChannel; the coordinator keeps sampling, the cloud hops (uplink
+// quantization, area-cloud aggregation, the ascent step), snapshots, and
+// ALL comm metering. Fault accounting accumulates order-sensitive
+// floating-point sums (LinkFaultStats.extra_rtts), so the coordinator
+// replays the per-block delivery loops in a fixed order from pure
+// FaultPlan queries — identically whether the area computation ran
+// in-process or in forked workers.
+//
+// `levels` is the multi-level trainers' per-link meter: when set, fault
+// tallies go to it, and history and snapshots record it instead of
+// TrainResult::comm.
+TrainResult run_engine(const nn::Model& model,
+                       const data::FederatedDataset& fed, const Hierarchy& h,
+                       Variant variant, parallel::ThreadPool& pool,
+                       MultiCommStats* levels) {
+  const bool minimax = is_minimax(variant);
+  validate_inputs(model, fed, h, minimax);
+  const TrainOptions& opts = h.opts;
   const index_t d = model.num_params();
-  const index_t num_edges = topo.num_edges();          // N_E
-  const index_t n0 = topo.clients_per_edge();          // N_0
+  const index_t num_edges = h.tree.num_areas();        // N_E
+  const index_t n0 = h.tree.leaves_per_area();         // N_0
   const index_t m_e = opts.sampled_edges > 0 ? opts.sampled_edges : num_edges;
+  // Reports per area and hop: the model, plus the checkpoint (minimax).
+  const std::uint64_t uploads = minimax ? 2 : 1;
+  [[maybe_unused]] const SpanNames names = span_names(variant);
 
   rng::Xoshiro256 root(opts.seed);
   const sim::FaultPlan plan(opts.fault);
@@ -66,12 +162,21 @@ TrainResult train_hierminimax(const nn::Model& model,
     rng::Xoshiro256 init_gen = root.split(detail::kTagInit);
     model.init_params(result.w, init_gen);
   }
-  result.p = detail::uniform_weights(num_edges);
+  result.p = detail::uniform_weights(num_edges);  // fixed for HierFAVG
   result.w_avg = result.w;
   result.p_avg = result.p;
+  sim::CommStats& comm = result.comm;
+  sim::LinkFaultStats& leaf_fault =
+      levels ? levels->leaf_fault : comm.client_edge_fault;
+  sim::LinkFaultStats& top_fault =
+      levels ? levels->top_fault : comm.edge_cloud_fault;
+  if (levels) {
+    levels->levels.assign(static_cast<std::size_t>(h.tree.depth()), {});
+  }
+  const auto recorded = [&]() { return levels ? flat_view(*levels) : comm; };
 
-  // Per-edge mirrors on the coordinator. Inner vectors start empty and
-  // materialize on first touch (with edge sampling most edges may never
+  // Per-area mirrors on the coordinator. Inner vectors start empty and
+  // materialize on first touch (with area sampling most areas may never
   // participate); once created a buffer persists, so later rounds see
   // exactly the stale contents an eager layout would have had.
   std::vector<std::vector<scalar_t>> edge_w(
@@ -82,108 +187,142 @@ TrainResult train_hierminimax(const nn::Model& model,
     if (v.empty()) v.assign(static_cast<std::size_t>(d), 0);
     return v;
   };
-  std::vector<scalar_t> checkpoint(static_cast<std::size_t>(d));
-  std::vector<scalar_t> edge_losses(static_cast<std::size_t>(num_edges));
+  std::vector<scalar_t> checkpoint;
+  std::vector<scalar_t> edge_losses;
+  if (minimax) {
+    checkpoint.resize(static_cast<std::size_t>(d));
+    edge_losses.resize(static_cast<std::size_t>(num_edges));
+  }
 
-  // The edge-and-below computation, in-process or in worker processes.
+  // The area-and-below computation, in-process or in worker processes.
   const std::unique_ptr<detail::EdgeChannel> channel =
-      detail::make_edge_channel(model, fed, topo, opts, pool);
+      detail::make_edge_channel(model, fed, h, pool);
   sim::EdgeLiveness live;
   live.init(num_edges);
 
   detail::StaleStore stale;
   if (plan.enabled() || channel->can_fail()) stale.init(num_edges);
   const detail::AggregateSpec agg{opts.aggregate, opts.trim_frac};
-  // Whether edge e captured a checkpoint at block c2 this round (an edge
-  // whose every client failed at that block has no fresh checkpoint).
+  // Whether area e captured a checkpoint in block c2 this round (an area
+  // whose every leaf failed at that block has no fresh checkpoint).
   std::vector<char> edge_has_ckpt(static_cast<std::size_t>(num_edges), 1);
 
   detail::RunState rs;
-  rs.algo_id = detail::kAlgoHierMinimax;
+  rs.algo_id = algo_id(variant);
   rs.seed = opts.seed;
   rs.root = &root;
   rs.w = &result.w;
-  rs.p = &result.p;
-  rs.w_avg = &result.w_avg;
-  rs.p_avg = &result.p_avg;
-  rs.comm = &result.comm;
+  if (minimax) rs.p = &result.p;
+  if (levels) {
+    rs.multi_comm = levels;
+  } else {
+    rs.w_avg = &result.w_avg;
+    if (minimax) rs.p_avg = &result.p_avg;
+    rs.comm = &comm;
+  }
   rs.stale = &stale;
   rs.history = &result.history;
   const index_t k0 = detail::resume_round(opts.resume_from, rs);
 
   if (k0 == 0) {
     detail::maybe_record(model, fed, pool, 0, opts.rounds, opts.eval_every,
-                         result.w, result.comm, result.history);
+                         result.w, recorded(), result.history);
   }
 
   for (index_t k = k0; k < opts.rounds; ++k) {
-    HM_OBS_SPAN("hierminimax.round", "algo", k, 0);
-    HM_OBS_INC("algo.hierminimax.rounds");
+    HM_OBS_SPAN(names.round, "algo", k, 0);
+    count_round(variant);
     rng::Xoshiro256 round_gen = root.split(static_cast<std::uint64_t>(k) + 1);
 
-    // --- Phase 1: sample edges by p^(k) and the checkpoint index.
+    // --- Phase 1: sample areas (by p^(k) with replacement, so Eq. (5) is
+    // unbiased; HierFAVG uniformly without) and the checkpoint index: the
+    // iterate after c1 local steps of innermost block c2 (HierFAVG: none).
     rng::Xoshiro256 sample_gen = round_gen.split(detail::kTagSampleEdges);
     const Participants parts = Participants::from_draws(
-        rng::sample_weighted_with_replacement(result.p, m_e, sample_gen));
-    rng::Xoshiro256 ckpt_gen = round_gen.split(detail::kTagCheckpoint);
-    const index_t c1 = 1 + static_cast<index_t>(ckpt_gen.uniform_index(
-                               static_cast<std::uint64_t>(opts.tau1)));
-    const index_t c2 = static_cast<index_t>(ckpt_gen.uniform_index(
-        static_cast<std::uint64_t>(opts.tau2)));
+        minimax
+            ? rng::sample_weighted_with_replacement(result.p, m_e, sample_gen)
+            : rng::sample_without_replacement(num_edges, m_e, sample_gen));
+    index_t c1 = 0;
+    index_t c2 = -1;
+    if (minimax) {
+      rng::Xoshiro256 ckpt_gen = round_gen.split(detail::kTagCheckpoint);
+      c1 = 1 + static_cast<index_t>(ckpt_gen.uniform_index(
+                   static_cast<std::uint64_t>(opts.tau1)));
+      c2 = static_cast<index_t>(ckpt_gen.uniform_index(
+          static_cast<std::uint64_t>(opts.tau2)));
+    }
 
     const auto participating =
-        static_cast<std::uint64_t>(parts.ids.size());  // physical edges
-    result.comm.edge_cloud_models_down += participating;
+        static_cast<std::uint64_t>(parts.ids.size());  // physical areas
+    comm.edge_cloud_models_down += participating;
 
-    // Seed + local SGD + client-edge aggregation for every participating
-    // edge, wherever that edge's compute lives. A worker process that
-    // died marks its edges in `live`.
+    // Seed + the subtree rounds for every participating area, wherever
+    // that area's compute lives. A worker process that died marks its
+    // areas in `live`.
     {
-      HM_OBS_SPAN("hierminimax.phase1", "algo", k, parts.ids.size());
+      HM_OBS_SPAN(names.phase1, "algo", k, parts.ids.size());
       channel->phase1(k, c1, c2, parts.ids, result.w, edge_w, edge_ckpt,
                       edge_has_ckpt, live);
     }
 
-    // An edge is down when the plan says so (simulated crash) or its
+    // An area is down when the plan says so (simulated crash) or its
     // worker process actually died — both take the same degraded paths.
     const bool degraded = plan.enabled() || live.any_down();
     const auto edge_down = [&](index_t e) {
       return plan.edge_crashed(k, e) || live.down(e);
     };
 
-    // Delivery metering for the tau2 client-edge blocks, replayed in the
-    // exact order the in-line loops used to run (fault-stat accumulation
-    // is order-sensitive floating point).
+    // Delivery metering for the leaf reports of every innermost block,
+    // replayed in block, area, leaf order (fault-stat accumulation is
+    // order-sensitive floating point).
     for (index_t t2 = 0; t2 < opts.tau2; ++t2) {
       if (plan.enabled()) {
         for (const index_t e : parts.ids) {
           if (edge_down(e)) continue;
-          for (const index_t c : topo.clients_of_edge(e)) {
+          for (index_t c = e * n0; c < (e + 1) * n0; ++c) {
             if (plan.client_offline(k, c)) continue;  // silent, never sent
             if (plan.client_dropped(k, c)) {
-              result.comm.client_edge_fault.note_lost_report();
+              leaf_fault.note_lost_report();
               continue;
             }
-            result.comm.client_edge_fault.note_delivered();
-            result.comm.client_edge_fault.note_straggle(
-                plan.straggler_mult(k, c));
+            leaf_fault.note_delivered();
+            leaf_fault.note_straggle(plan.straggler_mult(k, c));
           }
         }
       }
-      result.comm.client_edge_rounds += 1;
-      result.comm.client_edge_models_down +=
+      comm.client_edge_rounds += 1;
+      comm.client_edge_models_down +=
           participating * static_cast<std::uint64_t>(n0);
-      result.comm.client_edge_models_up +=
+      comm.client_edge_models_up +=
           participating * static_cast<std::uint64_t>(n0) *
           (t2 == c2 ? 2 : 1);  // model + checkpoint at block c2
-      result.comm.client_edge_bytes +=
+      comm.client_edge_bytes +=
           participating * static_cast<std::uint64_t>(n0) *
           (sim::payload_bytes(d, 0) +  // broadcast down, uncompressed
            static_cast<std::uint64_t>(t2 == c2 ? 2 : 1) *
                sim::payload_bytes(d, opts.quantize_bits));
     }
+    if (levels) {
+      // Level l carries one broadcast and one report per child for every
+      // block of every depth-l node of the areas that computed.
+      auto& lv = levels->levels;
+      lv[0].rounds += 1;
+      lv[0].models_down += participating;
+      lv[0].models_up += uploads * participating;
+      std::uint64_t nodes = 0;
+      for (const index_t e : parts.ids) nodes += edge_down(e) ? 0 : 1;
+      std::uint64_t blocks = 1;
+      for (std::size_t l = 1; l < lv.size(); ++l) {
+        blocks *= static_cast<std::uint64_t>(h.taus[l - 1]);
+        const auto fan = static_cast<std::uint64_t>(h.tree.branching()[l]);
+        lv[l].rounds += nodes * blocks;
+        lv[l].models_down += nodes * blocks * fan;
+        lv[l].models_up += nodes * blocks * fan;
+        nodes *= fan;
+      }
+    }
 
-    // Uplink quantization of the per-edge aggregates (Hier-Local-QSGD
+    // Uplink quantization of the per-area aggregates (Hier-Local-QSGD
     // style: both hops compress toward the cloud). The coordinator owns
     // this hop — workers return pre-quantization aggregates.
     if (opts.quantize_bits > 0) {
@@ -192,43 +331,48 @@ TrainResult train_hierminimax(const nn::Model& model,
                                    .split(static_cast<std::uint64_t>(e));
         sim::quantize_payload(edge_w[static_cast<std::size_t>(e)],
                               opts.quantize_bits, qgen);
-        sim::quantize_payload(ensure(edge_ckpt[static_cast<std::size_t>(e)]),
-                              opts.quantize_bits, qgen);
+        if (minimax) {
+          sim::quantize_payload(
+              ensure(edge_ckpt[static_cast<std::size_t>(e)]),
+              opts.quantize_bits, qgen);
+        }
       }
     }
 
-    // Edge-cloud aggregation: global model (Eq. 5) + checkpoint (Eq. 6).
+    // Area-cloud aggregation: global model (Eq. 5) + checkpoint (Eq. 6).
+    // Checkpoint aggregation stays a plain weighted mean: attackers
+    // upload honest checkpoints (threat-model boundary, DESIGN.md §13).
     bool aggregated = true;
     if (!degraded) {
       detail::robust_weighted_average(edge_w, parts, agg, result.w);
-      // Checkpoint aggregation stays a plain weighted mean: attackers
-      // upload honest checkpoints (threat-model boundary, DESIGN.md §13).
-      if (opts.use_checkpoint) {
-        detail::weighted_average(edge_ckpt, parts, checkpoint);
-      } else {
-        tensor::copy(result.w, checkpoint);  // ablation: last-iterate losses
+      if (minimax) {
+        if (opts.use_checkpoint) {
+          detail::weighted_average(edge_ckpt, parts, checkpoint);
+        } else {
+          tensor::copy(result.w, checkpoint);  // ablation: last iterate
+        }
       }
       tensor::project_l2_ball(result.w, opts.w_radius);
     } else {
-      // Each participating edge uploads model + checkpoint as one report
-      // over the faulty wide-area link. A dead worker's edges simply
-      // never deliver (no link-fault query — the process is gone).
+      // Each participating area uploads its report over the faulty
+      // wide-area link. A dead worker's areas simply never deliver (no
+      // link-fault query — the process is gone).
       std::vector<char> delivered(parts.ids.size(), 0);
       for (std::size_t j = 0; j < parts.ids.size(); ++j) {
         const index_t e = parts.ids[j];
         if (edge_down(e)) continue;
         if (!plan.enabled() ||
             plan.deliver(k, sim::fault_msg(sim::kMsgModelUp, e),
-                         result.comm.edge_cloud_fault)) {
+                         top_fault)) {
           delivered[j] = 1;
         }
       }
       aggregated = detail::degraded_weighted_average(
           edge_w, parts, delivered, opts.on_fault, opts.stale_decay, k,
           stale, result.w, result.w, agg);
-      if (aggregated) {
+      if (aggregated && minimax) {
         if (opts.use_checkpoint) {
-          // Checkpoints exist only for delivered edges that captured one
+          // Checkpoints exist only for delivered areas that captured one
           // at block c2; renormalize over those. With none surviving,
           // fall back to the aggregate (last-iterate losses this round).
           Participants surv;
@@ -248,39 +392,44 @@ TrainResult train_hierminimax(const nn::Model& model,
         } else {
           tensor::copy(result.w, checkpoint);
         }
-        tensor::project_l2_ball(result.w, opts.w_radius);
       }
+      if (aggregated) tensor::project_l2_ball(result.w, opts.w_radius);
     }
-    result.comm.edge_cloud_rounds += 1;
-    result.comm.edge_cloud_models_up += 2 * participating;
-    result.comm.edge_cloud_bytes +=
+    comm.edge_cloud_rounds += 1;
+    comm.edge_cloud_models_up += uploads * participating;
+    comm.edge_cloud_bytes +=
         participating * (sim::payload_bytes(d, 0) +  // broadcast down
-                         2 * sim::payload_bytes(d, opts.quantize_bits));
+                         uploads * sim::payload_bytes(d, opts.quantize_bits));
 
-    // --- Phase 2: uniform edge sample, loss estimation on the checkpoint.
+    // --- Phase 2: uniform area sample, loss estimation on the checkpoint.
     // A skipped Phase 1 (kSkipRound with casualties, or no surviving
     // reports at all) also skips the ascent: there is no fresh checkpoint
     // to estimate losses at, so the round leaves (w, p) untouched.
-    if (aggregated) {
-      HM_OBS_SPAN("hierminimax.phase2", "algo", k, 0);
+    if (minimax && aggregated) {
+      HM_OBS_SPAN(names.phase2, "algo", k, 0);
       rng::Xoshiro256 uniform_gen = round_gen.split(detail::kTagSampleUniform);
       const auto losses_set =
           rng::sample_without_replacement(num_edges, m_e, uniform_gen);
-      result.comm.edge_cloud_models_down +=
+      comm.edge_cloud_models_down +=
           static_cast<std::uint64_t>(losses_set.size());
-      result.comm.client_edge_models_down +=
+      comm.client_edge_models_down +=
           static_cast<std::uint64_t>(losses_set.size()) *
           static_cast<std::uint64_t>(n0);
-      result.comm.client_edge_rounds += 1;
+      comm.client_edge_rounds += 1;
+      if (levels) {
+        levels->levels[0].rounds += 1;
+        levels->levels[0].models_down +=
+            static_cast<std::uint64_t>(losses_set.size());
+      }
 
       std::fill(edge_losses.begin(), edge_losses.end(), scalar_t{0});
       const index_t loss_jobs = static_cast<index_t>(losses_set.size()) * n0;
       std::vector<scalar_t> client_losses(
           static_cast<std::size_t>(loss_jobs), 0);
-      // Loss reports ride the same faulty links as models: a client report
-      // can be lost on the client-edge hop, the per-edge mean is over
-      // whichever clients reported, and the edge's scalar can be lost on
-      // the wide-area hop. Edges with nothing to report leave v_e = 0.
+      // Loss reports ride the same faulty links as models: a leaf report
+      // can be lost on the leaf link, the per-area mean is over whichever
+      // leaves reported, and the area's scalar can be lost on the
+      // wide-area hop. Areas with nothing to report leave v_e = 0.
       std::vector<char> edge_ok(losses_set.size(), 1);
       std::vector<char> client_ok(static_cast<std::size_t>(loss_jobs), 1);
       std::vector<index_t> edge_nsurv(losses_set.size(), n0);
@@ -301,7 +450,7 @@ TrainResult train_hierminimax(const nn::Model& model,
           }
           index_t nsurv = 0;
           for (index_t i = 0; i < n0; ++i) {
-            const index_t c = topo.client_id(e, i);
+            const index_t c = e * n0 + i;
             const std::size_t job =
                 j * static_cast<std::size_t>(n0) + static_cast<std::size_t>(i);
             if (plan.client_offline(k, c)) {
@@ -309,14 +458,13 @@ TrainResult train_hierminimax(const nn::Model& model,
               continue;
             }
             if (plan.client_dropped(k, c)) {
-              result.comm.client_edge_fault.note_lost_report();
+              leaf_fault.note_lost_report();
               client_ok[job] = 0;
               continue;
             }
             if (plan.enabled()) {
-              result.comm.client_edge_fault.note_delivered();
-              result.comm.client_edge_fault.note_straggle(
-                  plan.straggler_mult(k, c));
+              leaf_fault.note_delivered();
+              leaf_fault.note_straggle(plan.straggler_mult(k, c));
             }
             nsurv += 1;
           }
@@ -324,17 +472,17 @@ TrainResult train_hierminimax(const nn::Model& model,
           if (nsurv == 0 ||
               (plan.enabled() &&
                !plan.deliver(k, sim::fault_msg(sim::kMsgLossUp, e),
-                             result.comm.edge_cloud_fault))) {
+                             top_fault))) {
             edge_ok[j] = 0;
             num_loss_edges -= 1;
           }
         }
       }
-      // Score every surviving client job at the shared checkpoint,
-      // wherever that client's compute lives.
+      // Score every surviving leaf job at the shared checkpoint,
+      // wherever that leaf's compute lives.
       channel->phase2(k, losses_set, checkpoint, client_ok, client_losses,
                       live);
-      // A lane that died during Phase 2 delivered nothing: its edges'
+      // A lane that died during Phase 2 delivered nothing: its areas'
       // loss reports are lost exactly like a failed wide-area delivery.
       if (channel->can_fail()) {
         for (std::size_t j = 0; j < losses_set.size(); ++j) {
@@ -355,29 +503,32 @@ TrainResult train_hierminimax(const nn::Model& model,
             f_e /
             static_cast<scalar_t>(edge_nsurv[static_cast<std::size_t>(j)]);
       }
-      result.comm.client_edge_scalars +=
+      comm.client_edge_scalars +=
           static_cast<std::uint64_t>(losses_set.size()) *
           static_cast<std::uint64_t>(n0);
-      result.comm.edge_cloud_scalars +=
+      comm.edge_cloud_scalars +=
           static_cast<std::uint64_t>(losses_set.size());
-      result.comm.edge_cloud_rounds += 1;
+      comm.edge_cloud_rounds += 1;
       // Phase-2 bytes: checkpoint broadcasts down both hops + scalar losses.
-      result.comm.edge_cloud_bytes +=
+      comm.edge_cloud_bytes +=
           static_cast<std::uint64_t>(losses_set.size()) *
               sim::payload_bytes(d, 0) +
           static_cast<std::uint64_t>(losses_set.size()) * 8;
-      result.comm.client_edge_bytes +=
+      comm.client_edge_bytes +=
           static_cast<std::uint64_t>(losses_set.size()) *
               static_cast<std::uint64_t>(n0) *
               (sim::payload_bytes(d, 0) + 8);
 
-      // Ascent step (Eq. 7): v_e = (N_E/m_E) f_e on delivered edges, else
-      // 0, with m_E renormalized to the delivered count.
+      // Ascent step (Eq. 7): v_e = (N_E/m_E) f_e on delivered areas, else
+      // 0, with m_E renormalized to the delivered count. The step is
+      // eta_p times the leaf iterations per round, taus.back() first.
       if (num_loss_edges > 0) {
         const scalar_t scale_v = static_cast<scalar_t>(num_edges) /
                                  static_cast<scalar_t>(num_loss_edges);
-        const scalar_t step = opts.eta_p * static_cast<scalar_t>(opts.tau1) *
-                              static_cast<scalar_t>(opts.tau2);
+        scalar_t step = opts.eta_p;
+        for (auto t = h.taus.rbegin(); t != h.taus.rend(); ++t) {
+          step *= static_cast<scalar_t>(*t);
+        }
         for (std::size_t j = 0; j < losses_set.size(); ++j) {
           if (!edge_ok[j]) continue;
           const index_t e = losses_set[j];
@@ -389,13 +540,71 @@ TrainResult train_hierminimax(const nn::Model& model,
     }
 
     detail::update_running_average(result.w_avg, result.w, k);
-    detail::update_running_average(result.p_avg, result.p, k);
+    if (minimax) detail::update_running_average(result.p_avg, result.p, k);
     detail::maybe_record(model, fed, pool, k + 1, opts.rounds,
-                         opts.eval_every, result.w, result.comm,
+                         opts.eval_every, result.w, recorded(),
                          result.history);
     detail::snapshot_round_end(opts.snapshot, k, rs);
   }
   return result;
+}
+
+Hierarchy flat_hierarchy(const sim::HierTopology& topo,
+                         const TrainOptions& opts) {
+  return Hierarchy{
+      sim::MultiTopology({topo.num_edges(), topo.clients_per_edge()}),
+      {opts.tau2, opts.tau1},
+      opts};
+}
+
+MultiTrainResult run_multi(const nn::Model& model,
+                           const data::FederatedDataset& fed,
+                           const sim::MultiTopology& topo,
+                           const MultiTrainOptions& m, Variant variant,
+                           parallel::ThreadPool& pool) {
+  HM_CHECK_MSG(static_cast<index_t>(m.taus.size()) == topo.depth(),
+               "need one tau per level: " << topo.depth());
+  Hierarchy h{topo, m.taus, {}};
+  TrainOptions& o = h.opts;
+  o.rounds = m.rounds;
+  o.tau1 = m.taus.back();
+  o.tau2 = 1;
+  for (std::size_t l = 0; l + 1 < m.taus.size(); ++l) o.tau2 *= m.taus[l];
+  o.batch_size = m.batch_size;
+  o.eta_w = m.eta_w;
+  o.eta_p = m.eta_p;
+  o.sampled_edges = m.sampled_areas;
+  o.w_radius = m.w_radius;
+  o.p_set = m.p_set;
+  o.seed = m.seed;
+  o.eval_every = m.eval_every;
+  o.loss_est_batch = m.loss_est_batch;
+  o.batched = m.batched;
+  o.fault = m.fault;
+  o.on_fault = m.on_fault;
+  o.stale_decay = m.stale_decay;
+  o.aggregate = m.aggregate;
+  o.trim_frac = m.trim_frac;
+  o.snapshot = m.snapshot;
+  o.resume_from = m.resume_from;
+
+  MultiTrainResult out;
+  TrainResult r = run_engine(model, fed, h, variant, pool, &out.comm);
+  out.w = std::move(r.w);
+  out.p = std::move(r.p);
+  out.history = std::move(r.history);
+  return out;
+}
+
+}  // namespace
+
+TrainResult train_hierminimax(const nn::Model& model,
+                              const data::FederatedDataset& fed,
+                              const sim::HierTopology& topo,
+                              const TrainOptions& opts,
+                              parallel::ThreadPool& pool) {
+  return run_engine(model, fed, flat_hierarchy(topo, opts),
+                    Variant::kHierMinimax, pool, nullptr);
 }
 
 TrainResult train_hierminimax(const nn::Model& model,
@@ -404,6 +613,55 @@ TrainResult train_hierminimax(const nn::Model& model,
                               const TrainOptions& opts) {
   return train_hierminimax(model, fed, topo, opts,
                            parallel::ThreadPool::global());
+}
+
+TrainResult train_hierfavg(const nn::Model& model,
+                           const data::FederatedDataset& fed,
+                           const sim::HierTopology& topo,
+                           const TrainOptions& opts,
+                           parallel::ThreadPool& pool) {
+  return run_engine(model, fed, flat_hierarchy(topo, opts),
+                    Variant::kHierFavg, pool, nullptr);
+}
+
+TrainResult train_hierfavg(const nn::Model& model,
+                           const data::FederatedDataset& fed,
+                           const sim::HierTopology& topo,
+                           const TrainOptions& opts) {
+  return train_hierfavg(model, fed, topo, opts,
+                        parallel::ThreadPool::global());
+}
+
+MultiTrainResult train_hierminimax_multi(const nn::Model& model,
+                                         const data::FederatedDataset& fed,
+                                         const sim::MultiTopology& topo,
+                                         const MultiTrainOptions& opts,
+                                         parallel::ThreadPool& pool) {
+  return run_multi(model, fed, topo, opts, Variant::kHierMinimaxMulti, pool);
+}
+
+MultiTrainResult train_hierminimax_multi(const nn::Model& model,
+                                         const data::FederatedDataset& fed,
+                                         const sim::MultiTopology& topo,
+                                         const MultiTrainOptions& opts) {
+  return train_hierminimax_multi(model, fed, topo, opts,
+                                 parallel::ThreadPool::global());
+}
+
+MultiTrainResult train_hierfavg_multi(const nn::Model& model,
+                                      const data::FederatedDataset& fed,
+                                      const sim::MultiTopology& topo,
+                                      const MultiTrainOptions& opts,
+                                      parallel::ThreadPool& pool) {
+  return run_multi(model, fed, topo, opts, Variant::kHierFavgMulti, pool);
+}
+
+MultiTrainResult train_hierfavg_multi(const nn::Model& model,
+                                      const data::FederatedDataset& fed,
+                                      const sim::MultiTopology& topo,
+                                      const MultiTrainOptions& opts) {
+  return train_hierfavg_multi(model, fed, topo, opts,
+                              parallel::ThreadPool::global());
 }
 
 }  // namespace hm::algo

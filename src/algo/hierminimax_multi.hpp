@@ -5,13 +5,15 @@
 // weight vector p; inside a sampled area, a node at depth l runs
 // taus[l-1] aggregation blocks of its children, bottoming out in
 // taus[depth-1] local SGD steps at each leaf; each level averages its
-// children after every block. The checkpoint generalizes to a uniformly
-// random iteration index in [1, prod(taus)], captured at the leaves and
-// averaged up the tree. Phase 2 is unchanged: a uniform area sample
-// estimates losses at the checkpoint and p ascends (Eq. 7 with step
-// eta_p * prod(taus)).
+// children after every block. The checkpoint is the leaf iterate after
+// c1 in [1, taus.back()] steps of innermost block c2 (counted over the
+// whole round), averaged up the tree like the models. Phase 2 is
+// unchanged: a uniform area sample estimates losses at the checkpoint
+// and p ascends (Eq. 7 with step eta_p * prod(taus)).
 //
-// With taus = {tau2, tau1} this reduces exactly to Algorithm 1.
+// Both trainers run on the same round engine as train_hierminimax and
+// train_hierfavg (algo/hierminimax.cpp). With taus = {tau2, tau1} on the
+// tree {N_E, N_0} they are bit-identical to those flat trainers.
 #pragma once
 
 #include "algo/options.hpp"
@@ -103,9 +105,9 @@ MultiTrainResult train_hierminimax_multi(const nn::Model& model,
 
 /// L-level hierarchical *minimization* baseline (multi-level local SGD a
 /// la Castiglia et al. [5] / HierFAVG generalized): identical Phase-1
-/// tree schedule, uniform area sampling without replacement, no weight
-/// vector and no Phase 2. The control arm for the multi-level minimax
-/// comparison.
+/// tree schedule, uniform area sampling without replacement, no
+/// checkpoint, no weight vector and no Phase 2. The control arm for the
+/// multi-level minimax comparison.
 MultiTrainResult train_hierfavg_multi(const nn::Model& model,
                                       const data::FederatedDataset& fed,
                                       const sim::MultiTopology& topo,
