@@ -198,13 +198,13 @@ const std::vector<GoldenRow>& golden() {
        {0x3fc6c1120383ff93ull, 0x3fc808bd341923e9ull, 0x3fd6c76904804384ull,
         0x3fd1d3af5fb12abeull}},
       {"hierminimax_multi",
-       {0x3ff62e42fefa39f5ull, 0x3ff2016d2bcf495aull, 0x3ff0aa9cda991ea8ull,
-        0x3febd75e223577fcull},
-       {0x3fca69edb31c100bull, 0x3fc8bc356268d59full, 0x3fd6c505d195cbf7ull,
-        0x3fcf4fd1474f8269ull}},
+       {0x3ff62e42fefa39f5ull, 0x3ff205c7d64a446full, 0x3ff0a7ec6dbced9eull,
+        0x3fed272e2800a0c9ull},
+       {0x3fc6c1120383ff93ull, 0x3fc808bd341923e9ull, 0x3fd6c76904804384ull,
+        0x3fd1d3af5fb12abeull}},
       {"hierfavg_multi",
-       {0x3ff62e42fefa39f5ull, 0x3ff24d3a48756d37ull, 0x3fefcadf9d1684deull,
-        0x3fec43145c31d985ull},
+       {0x3ff62e42fefa39f5ull, 0x3ff24c27b3f6df52ull, 0x3fefd7b79e0ac40cull,
+        0x3fec4c773c205420ull},
        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
         0x3fd0000000000000ull}},
   };
