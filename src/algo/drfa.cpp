@@ -31,6 +31,7 @@ std::vector<scalar_t> edge_weights_from_clients(
 TrainResult train_drfa(const nn::Model& model,
                        const data::FederatedDataset& fed,
                        const TrainOptions& opts, parallel::ThreadPool& pool) {
+  detail::require_inproc(opts, "train_drfa");
   fed.validate();
   HM_CHECK(opts.rounds > 0 && opts.tau1 > 0 && opts.eta_p > 0);
   const index_t d = model.num_params();
@@ -318,6 +319,7 @@ TrainResult train_stochastic_afl(const nn::Model& model,
                                  const data::FederatedDataset& fed,
                                  const TrainOptions& opts,
                                  parallel::ThreadPool& pool) {
+  detail::require_inproc(opts, "train_stochastic_afl");
   TrainOptions afl_opts = opts;
   afl_opts.tau1 = 1;  // single-step local update per round
   afl_opts.tau2 = 1;

@@ -14,6 +14,7 @@ TrainResult train_fedavg(const nn::Model& model,
                          const data::FederatedDataset& fed,
                          const TrainOptions& opts,
                          parallel::ThreadPool& pool) {
+  detail::require_inproc(opts, "train_fedavg");
   fed.validate();
   HM_CHECK(opts.rounds > 0 && opts.tau1 > 0);
   const index_t d = model.num_params();

@@ -108,14 +108,16 @@ struct TrainOptions {
   io::SnapshotPolicy snapshot;
   std::string resume_from;
 
-  // Transport backend (net/transport.hpp), HierMinimax only for now.
-  // kInproc is the oracle (direct calls, no serialization); kLoopback
-  // routes every edge exchange through the wire codec in-process (never
-  // fails); kSocket forks `transport.workers` worker processes, each
-  // serving the edges with id % workers == lane. All three produce
-  // bit-identical (w, p, history) trajectories; under kSocket a worker
-  // crash surfaces as the corresponding edges' crash fault events and is
-  // handled by `on_fault` exactly like a planned edge crash.
+  // Transport backend (net/transport.hpp) for the hierarchical trainers
+  // (HierMinimax and HierFAVG); the two-layer trainers reject anything
+  // but kInproc. kInproc is the oracle (direct calls, no serialization);
+  // kLoopback routes every edge exchange through the wire codec
+  // in-process (never fails); kSocket forks `transport.workers` worker
+  // processes, each serving the edges with id % workers == lane. All
+  // three produce bit-identical (w, p, history) trajectories; under
+  // kSocket a worker crash surfaces as the corresponding edges' crash
+  // fault events and is handled by `on_fault` exactly like a planned
+  // edge crash.
   net::TransportSpec transport;
 };
 

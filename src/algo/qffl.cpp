@@ -16,6 +16,7 @@ TrainResult train_qffl(const nn::Model& model,
                        const data::FederatedDataset& fed,
                        const TrainOptions& opts, scalar_t q,
                        parallel::ThreadPool& pool) {
+  detail::require_inproc(opts, "train_qffl");
   fed.validate();
   HM_CHECK(opts.rounds > 0 && opts.tau1 > 0 && opts.eta_w > 0);
   HM_CHECK_MSG(q >= 0, "q must be nonnegative");

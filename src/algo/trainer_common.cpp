@@ -1,6 +1,8 @@
 #include "algo/trainer_common.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -37,6 +39,16 @@ void accumulate_weighted(std::size_t count, const WeightAt& weight_at,
     HM_CHECK(source_at(i).size() == out.size());
     tensor::axpy(weight_at(i), source_at(i), out);
   }
+}
+
+/// Sort key for the robust combiners: the IEEE 754 totalOrder on doubles
+/// with -0 folded onto +0 and every NaN tied above +Inf. Non-NaN values
+/// order exactly as operator< does, and the order is strict and weak for
+/// any bit pattern (std::sort on raw doubles is undefined with a NaN).
+std::uint64_t order_key(scalar_t v) {
+  if (std::isnan(v)) return ~std::uint64_t{0};
+  const auto b = std::bit_cast<std::uint64_t>(v == 0 ? scalar_t{0} : v);
+  return (b >> 63) != 0 ? ~b : b | (std::uint64_t{1} << 63);
 }
 
 }  // namespace
@@ -107,13 +119,18 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
       std::min(static_cast<index_t>(agg.trim_frac *
                                     static_cast<scalar_t>(total)),
                (total - 1) / 2);
-  // Per-coordinate (value, source index) pairs, sorted ascending. The
-  // index tiebreak pins the order among equal values, and the sorted
+  // Per-coordinate (order key, source index) pairs, sorted ascending.
+  // The index tiebreak pins the order among equal keys, and the sorted
   // order is also the accumulation order for the trimmed mean.
-  std::vector<std::pair<scalar_t, std::size_t>> order(m);
+  std::vector<std::pair<std::uint64_t, std::size_t>> order(m);
   for (std::size_t c = 0; c < dim; ++c) {
-    for (std::size_t i = 0; i < m; ++i) order[i] = {(*srcs[i])[c], i};
+    for (std::size_t i = 0; i < m; ++i) {
+      order[i] = {order_key((*srcs[i])[c]), i};
+    }
     std::sort(order.begin(), order.end());
+    const auto sorted = [&](std::size_t j) {
+      return (*srcs[order[j].second])[c];
+    };
     if (agg.kind == Aggregate::kMedian) {
       index_t cum = 0;
       std::size_t j = 0;
@@ -124,9 +141,9 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
       if (2 * cum == total) {
         // Even split: exactly half the weight is at or below order[j],
         // so the median is the midpoint of the straddling values.
-        out[c] = scalar_t{0.5} * (order[j].first + order[j + 1].first);
+        out[c] = scalar_t{0.5} * (sorted(j) + sorted(j + 1));
       } else {
-        out[c] = order[j].first;
+        out[c] = sorted(j);
       }
     } else {  // kTrimmedMean
       scalar_t acc = 0;
@@ -137,7 +154,7 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
         const index_t w = mults[order[j].second];
         const index_t a = std::max(pos, lo);
         const index_t b = std::min(pos + w, hi);
-        if (b > a) acc += static_cast<scalar_t>(b - a) * order[j].first;
+        if (b > a) acc += static_cast<scalar_t>(b - a) * sorted(j);
         pos += w;
       }
       out[c] = acc / static_cast<scalar_t>(total - 2 * trim);
@@ -330,6 +347,14 @@ const data::Dataset& PoisonStore::get(const data::Dataset& shard,
     src[i] = &shard;
   }
   return flipped[i];
+}
+
+void require_inproc(const TrainOptions& opts, const char* trainer) {
+  HM_CHECK_MSG(opts.transport.kind == net::TransportKind::kInproc,
+               trainer << " runs in-process only, got transport '"
+                       << net::to_string(opts.transport.kind)
+                       << "' (train_hierminimax and train_hierfavg "
+                          "support every backend)");
 }
 
 void update_running_average(std::vector<scalar_t>& avg,

@@ -59,7 +59,9 @@ struct AggregateSpec {
 /// `mults` (sum == total). Inputs are ordered by (coordinate value,
 /// source index) with a fixed sorted-order reduction, so the result is a
 /// pure function of the multiset of inputs — deterministic at 0 ULP and
-/// invariant under input permutation. kMean is rejected here (callers
+/// invariant under input permutation. The value order is total: -0 ties
+/// +0 and every NaN sorts above +Inf, so any input, finite or not, has
+/// a defined result. kMean is rejected here (callers
 /// dispatch it to the fused mean kernels). `out` may alias a source:
 /// each coordinate is fully read before it is written.
 void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
@@ -145,6 +147,11 @@ struct PoisonStore {
   std::vector<data::Dataset> flipped;
   const data::Dataset& get(const data::Dataset& shard, index_t client);
 };
+
+/// The two-layer trainers run in-process only (the transport ships the
+/// edge tier of the hierarchical engine). Any other opts.transport is a
+/// CheckError naming `trainer`, never silently ignored.
+void require_inproc(const TrainOptions& opts, const char* trainer);
 
 /// avg <- (avg * k + value) / (k + 1); k is the number of points already
 /// folded into avg.

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "algo/fedavg.hpp"
+#include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
 #include "algo/hierminimax_multi.hpp"
 #include "algo/qffl.hpp"
@@ -22,6 +23,7 @@ namespace hm {
 namespace {
 
 using algo::TrainOptions;
+using testing_util::bits;
 using testing_util::heterogeneous_task;
 using testing_util::iid_task;
 
@@ -405,6 +407,106 @@ TEST(MultiHierMinimax, TrivialMiddleLevelCollapsesToDepthTwo) {
   for (std::size_t i = 0; i < a.p.size(); ++i) {
     EXPECT_NEAR(a.p[i], b.p[i], 1e-10);
   }
+}
+
+/// The flat trainers' options for the depth-2 run of `m` (taus {tau2,
+/// tau1}): every field MultiTrainOptions carries, mapped one to one.
+TrainOptions flat_options(const algo::MultiTrainOptions& m) {
+  TrainOptions o;
+  o.rounds = m.rounds;
+  o.tau2 = m.taus[0];
+  o.tau1 = m.taus[1];
+  o.batch_size = m.batch_size;
+  o.eta_w = m.eta_w;
+  o.eta_p = m.eta_p;
+  o.sampled_edges = m.sampled_areas;
+  o.w_radius = m.w_radius;
+  o.p_set = m.p_set;
+  o.seed = m.seed;
+  o.eval_every = m.eval_every;
+  o.loss_est_batch = m.loss_est_batch;
+  o.fault = m.fault;
+  o.on_fault = m.on_fault;
+  o.stale_decay = m.stale_decay;
+  o.aggregate = m.aggregate;
+  o.trim_frac = m.trim_frac;
+  return o;
+}
+
+template <typename A, typename B>
+void expect_bit_identical(const A& multi, const B& flat,
+                          const std::string& label) {
+  ASSERT_EQ(multi.w.size(), flat.w.size()) << label;
+  for (std::size_t i = 0; i < multi.w.size(); ++i) {
+    ASSERT_EQ(bits(multi.w[i]), bits(flat.w[i])) << label << " w[" << i << "]";
+  }
+  ASSERT_EQ(multi.p.size(), flat.p.size()) << label;
+  for (std::size_t i = 0; i < multi.p.size(); ++i) {
+    ASSERT_EQ(bits(multi.p[i]), bits(flat.p[i])) << label << " p[" << i << "]";
+  }
+  const auto& a = multi.history.records();
+  const auto& b = flat.history.records();
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    ASSERT_EQ(a[r].round, b[r].round) << label;
+    EXPECT_EQ(bits(a[r].global_loss), bits(b[r].global_loss))
+        << label << " round " << a[r].round;
+    ASSERT_EQ(a[r].edge_acc.size(), b[r].edge_acc.size()) << label;
+    for (std::size_t e = 0; e < a[r].edge_acc.size(); ++e) {
+      EXPECT_EQ(bits(a[r].edge_acc[e]), bits(b[r].edge_acc[e]))
+          << label << " round " << a[r].round << " edge " << e;
+    }
+  }
+}
+
+/// Depth 2 is Algorithm 1: on the tree {N_E, N_0} with taus {tau2, tau1}
+/// both L-level trainers reproduce the flat trainers bit for bit —
+/// fault-free, under area sampling with a capped weight set, and under
+/// faults with a robust combiner and stale reuse.
+TEST(MultiHierMinimax, DepthTwoIsBitIdenticalToFlatTrainers) {
+  const auto fed = heterogeneous_task(4, 3);
+  const sim::MultiTopology tree({fed.num_edges(), fed.clients_per_edge});
+  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+
+  std::vector<std::pair<std::string, algo::MultiTrainOptions>> cases;
+  cases.emplace_back("plain", multi_opts({3, 2}, 6));
+  cases.back().second.eval_every = 1;
+  cases.emplace_back("sampled", cases.front().second);
+  cases.back().second.sampled_areas = 2;
+  cases.back().second.p_set = algo::SimplexSet{0.1, 0.6};
+  cases.back().second.eta_p = 0.05;
+  cases.emplace_back("faults", cases.front().second);
+  {
+    auto& f = cases.back().second;
+    f.fault.enabled = true;
+    f.fault.client_dropout_prob = 0.25;
+    f.fault.straggler_prob = 0.3;
+    f.fault.edge_loss_prob = 0.2;
+    f.fault.edge_crash_round = {-1, 2, -1, -1};
+    f.on_fault = algo::OnFault::kReuseStale;
+    f.aggregate = algo::Aggregate::kMedian;
+  }
+  for (const auto& [name, m] : cases) {
+    expect_bit_identical(
+        algo::train_hierminimax_multi(model, fed, tree, m),
+        algo::train_hierminimax(model, fed, topo, flat_options(m)),
+        "hierminimax " + name);
+    expect_bit_identical(
+        algo::train_hierfavg_multi(model, fed, tree, m),
+        algo::train_hierfavg(model, fed, topo, flat_options(m)),
+        "hierfavg " + name);
+  }
+}
+
+TEST(MultiHierMinimax, DepthOneTreeIsRejected) {
+  const auto fed = heterogeneous_task(4, 1);
+  const sim::MultiTopology tree({4});
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  EXPECT_THROW(algo::train_hierminimax_multi(model, fed, tree, multi_opts({2})),
+               CheckError);
+  EXPECT_THROW(algo::train_hierfavg_multi(model, fed, tree, multi_opts({2})),
+               CheckError);
 }
 
 TEST(MultiHierMinimax, ImprovesFairnessOnHeterogeneousTask) {

@@ -64,6 +64,12 @@ const data::FederatedDataset& shared_task() {
   return fed;
 }
 
+/// 4 areas x (2 mid nodes x 2 leaves): the depth-3 fixture.
+const data::FederatedDataset& deep_task() {
+  static const data::FederatedDataset fed = heterogeneous_task(4, 4);
+  return fed;
+}
+
 /// The pinned quantities: one u64 bit pattern per per-round global loss,
 /// then one per coordinate of the final p.
 struct Trajectory {
@@ -152,6 +158,19 @@ std::vector<Runner> runners() {
                    return trajectory_of(train_hierfavg_multi(
                        model, fed, topo, multi_golden_opts()));
                  }});
+  // Depth 3 pins the L-level stream rule beyond the flat derivation:
+  // interior blocks, innermost-block indices and checkpoint averaging
+  // up two levels.
+  out.push_back({"hierminimax_multi_d3", [] {
+                   const auto& fed = deep_task();
+                   const sim::MultiTopology topo({4, 2, 2});
+                   const nn::SoftmaxRegression model(fed.dim(),
+                                                     fed.num_classes());
+                   MultiTrainOptions o = multi_golden_opts();
+                   o.taus = {2, 2, 2};
+                   return trajectory_of(
+                       train_hierminimax_multi(model, fed, topo, o));
+                 }});
   return out;
 }
 
@@ -207,6 +226,13 @@ const std::vector<GoldenRow>& golden() {
         0x3fec4c773c205420ull},
        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
         0x3fd0000000000000ull}},
+      // The 4x4 fixture's ln(4) record differs from the 4x2 one's in the
+      // last bits: per-edge losses are averaged over other test sets.
+      {"hierminimax_multi_d3",
+       {0x3ff62e42fefa39ecull, 0x3ff0f95f955de460ull, 0x3fed2277f98adca6ull,
+        0x3fea4ab3ea77e5d5ull},
+       {0x3fc4ae0cfdfd1f38ull, 0x3fb99281dc89bdb0ull, 0x3fd98bb59298535eull,
+        0x3fd5b8a37746ad9aull}},
   };
   return kGolden;
 }

@@ -10,11 +10,15 @@
 //       majority, so the bound is tight,
 //   (d) the even-count median tie: exactly half the weight at or below
 //       a value yields the exact midpoint of the straddling pair,
-//       replayed bit-identically across input orders.
+//       replayed bit-identically across input orders,
+//   (e) non-finite inputs: NaN, ±Inf and ±0 get a defined result (NaN
+//       sorts above +Inf, -0 ties +0) under every input order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -307,6 +311,72 @@ TEST(RobustCombine, TrimIsCappedSoOneUnitSurvives) {
   robust_combine(ptrs(v), {1, 2, 1}, 4,
                  AggregateSpec{Aggregate::kTrimmedMean, 0.49}, out);
   EXPECT_EQ(bits(out[0]), bits(scalar_t{5.0}));
+}
+
+// ---------------------------------------------------------------------
+// (e) Non-finite inputs. Sorting raw doubles with a NaN present breaks
+// std::sort's strict weak ordering (undefined behaviour); the combiners
+// order by a total-order key instead, so every case below is defined
+// and identical under all 120 orders of its five sources.
+
+TEST(RobustCombine, NonFiniteInputsHaveDefinedOrderFreeResults) {
+  constexpr scalar_t kNan = std::numeric_limits<scalar_t>::quiet_NaN();
+  constexpr scalar_t kInf = std::numeric_limits<scalar_t>::infinity();
+  struct Case {
+    const char* name;
+    std::vector<scalar_t> values;  // one source per value, unit weights
+    scalar_t median;               // expected; NaN means "is NaN"
+    scalar_t trimmed;              // trim_frac 0.2: one unit per side
+  };
+  const Case cases[] = {
+      // NaN is the largest value: it is trimmed, never the median.
+      {"nan", {kNan, 1, 2, 3, 4}, 3, 3},
+      {"both_nans", {kNan, -kNan, 5, -kInf, 0}, 5, kNan},
+      {"infs", {kInf, -kInf, 1, 2, 3}, 2, 2},
+      {"signed_zeros", {-0.0, 0.0, -0.0, 1, -1}, 0, 0},
+      {"all_inf", {kInf, kInf, -kInf, kInf, kInf}, kInf, kInf},
+  };
+  const auto same = [](scalar_t got, scalar_t want) {
+    return std::isnan(want) ? std::isnan(got) : got == want;
+  };
+  for (const Case& tc : cases) {
+    std::vector<std::vector<scalar_t>> v;
+    for (const scalar_t x : tc.values) v.push_back({x});
+    std::vector<std::size_t> perm(v.size());
+    std::iota(perm.begin(), perm.end(), 0u);
+    do {
+      std::vector<const std::vector<scalar_t>*> srcs;
+      for (const std::size_t i : perm) srcs.push_back(&v[i]);
+      const std::vector<index_t> mults(v.size(), 1);
+      std::vector<scalar_t> med(1, 0);
+      std::vector<scalar_t> trm(1, 0);
+      robust_combine(srcs, mults, 5, AggregateSpec{Aggregate::kMedian, 0},
+                     med);
+      robust_combine(srcs, mults, 5,
+                     AggregateSpec{Aggregate::kTrimmedMean, 0.2}, trm);
+      ASSERT_TRUE(same(med[0], tc.median)) << tc.name << " median "
+                                           << med[0];
+      ASSERT_TRUE(same(trm[0], tc.trimmed)) << tc.name << " trimmed "
+                                            << trm[0];
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+}
+
+/// The even-weight median tie straddling a non-finite value takes the
+/// IEEE midpoint of the pair, which is itself defined.
+TEST(RobustCombine, MedianTieWithNonFiniteNeighbourIsDefined) {
+  constexpr scalar_t kNan = std::numeric_limits<scalar_t>::quiet_NaN();
+  constexpr scalar_t kInf = std::numeric_limits<scalar_t>::infinity();
+  const AggregateSpec agg{Aggregate::kMedian, 0};
+  std::vector<scalar_t> out(1, 0);
+  robust_combine(ptrs({{kNan}, {1}}), {1, 1}, 2, agg, out);
+  EXPECT_TRUE(std::isnan(out[0]));
+  robust_combine(ptrs({{kInf}, {-kInf}}), {1, 1}, 2, agg, out);
+  EXPECT_TRUE(std::isnan(out[0]));  // -Inf + Inf
+  robust_combine(ptrs({{kInf}, {1}}), {1, 1}, 2, agg, out);
+  EXPECT_EQ(out[0], kInf);
+  robust_combine(ptrs({{0.0}, {-0.0}}), {1, 1}, 2, agg, out);
+  EXPECT_EQ(bits(out[0]), bits(scalar_t{0.0}));  // 0.5 * (-0 + 0) = +0
 }
 
 }  // namespace

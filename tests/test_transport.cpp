@@ -8,12 +8,13 @@
 //   (c) transports: loopback echo + stats, socket retry-after-slow-start,
 //       timeout demotion, kill injection, orderly shutdown with no
 //       leaked fds and no zombie children,
-//   (d) the tentpole acceptance: HierMinimax over loopback and socket
-//       backends is bit-identical (w, p, history TSV, comm counters) to
-//       the in-process oracle — clean, and with a worker SIGKILLed at
-//       each kill point under each OnFault policy, where the dead
-//       process must degrade exactly like the equivalent in-proc
-//       edge-crash fault plan.
+//   (d) the trainer x backend table: HierMinimax and HierFAVG over
+//       loopback and socket backends are bit-identical (w, p, history
+//       TSV, comm counters) to the in-process oracle — clean, and with a
+//       worker SIGKILLed at each kill point under each OnFault policy,
+//       where the dead process must degrade exactly like the equivalent
+//       in-proc edge-crash fault plan; the two-layer trainers refuse
+//       every backend but in-proc.
 //
 // NOT labeled PARALLEL in tests/CMakeLists.txt: the socket backend forks
 // workers, and TSan does not support fork from a threaded process. The
@@ -30,6 +31,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,8 +39,12 @@
 #include <utility>
 #include <vector>
 
+#include "algo/drfa.hpp"
 #include "algo/fault_config.hpp"
+#include "algo/fedavg.hpp"
+#include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
+#include "algo/qffl.hpp"
 #include "io/snapshot.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
@@ -535,36 +541,59 @@ TrainOptions transport_opts() {
   return o;
 }
 
-RunOutput run_with(const TrainOptions& opts) {
-  const auto& fed = []() -> const data::FederatedDataset& {
-    static const data::FederatedDataset f = heterogeneous_task(4, 2);
-    return f;
-  }();
+/// The trainers that run over every backend. `round1_last_tag` is the
+/// frame tag (2*round + phase - 1) of the last exchange of round 1:
+/// HierFAVG has no Phase 2.
+struct Trainer {
+  const char* name;
+  TrainResult (*train)(const nn::Model&, const data::FederatedDataset&,
+                       const sim::HierTopology&, const TrainOptions&);
+  std::uint64_t round1_last_tag;
+};
+
+const Trainer kTrainers[] = {
+    {"hierminimax", train_hierminimax, 3},
+    {"hierfavg", train_hierfavg, 2},
+};
+
+const data::FederatedDataset& transport_task() {
+  static const data::FederatedDataset f = heterogeneous_task(4, 2);
+  return f;
+}
+
+RunOutput run_with(const Trainer& t, const TrainOptions& opts) {
+  const auto& fed = transport_task();
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  return output_of(train_hierminimax(model, fed, topo, opts));
+  return output_of(t.train(model, fed, topo, opts));
 }
 
 TEST(TransportOracle, LoopbackIsBitIdenticalToInproc) {
-  const RunOutput oracle = run_with(transport_opts());
-  for (const index_t workers : {index_t{0}, index_t{1}, index_t{3}}) {
-    TrainOptions o = transport_opts();
-    o.transport.kind = net::TransportKind::kLoopback;
-    o.transport.workers = workers;
-    expect_same_output(oracle, run_with(o),
-                       "loopback workers=" + std::to_string(workers));
+  for (const Trainer& t : kTrainers) {
+    const RunOutput oracle = run_with(t, transport_opts());
+    for (const index_t workers : {index_t{0}, index_t{1}, index_t{3}}) {
+      TrainOptions o = transport_opts();
+      o.transport.kind = net::TransportKind::kLoopback;
+      o.transport.workers = workers;
+      expect_same_output(oracle, run_with(t, o),
+                         std::string(t.name) + " loopback workers=" +
+                             std::to_string(workers));
+    }
   }
 }
 
 TEST(TransportOracle, SocketIsBitIdenticalToInprocAndLeaksNothing) {
-  const RunOutput oracle = run_with(transport_opts());
-  const int fds_before = open_fd_count();
-  TrainOptions o = transport_opts();
-  o.transport.kind = net::TransportKind::kSocket;
-  o.transport.workers = 3;  // uneven lane/edge split on 4 edges
-  expect_same_output(oracle, run_with(o), "socket workers=3");
-  EXPECT_EQ(open_fd_count(), fds_before);
-  EXPECT_TRUE(no_children_remain());
+  for (const Trainer& t : kTrainers) {
+    const RunOutput oracle = run_with(t, transport_opts());
+    const int fds_before = open_fd_count();
+    TrainOptions o = transport_opts();
+    o.transport.kind = net::TransportKind::kSocket;
+    o.transport.workers = 3;  // uneven lane/edge split on 4 edges
+    expect_same_output(oracle, run_with(t, o),
+                       std::string(t.name) + " socket workers=3");
+    EXPECT_EQ(open_fd_count(), fds_before) << t.name;
+    EXPECT_TRUE(no_children_remain()) << t.name;
+  }
 }
 
 /// Backends must also agree under partial edge participation (the lane
@@ -578,14 +607,18 @@ TEST(TransportOracle, BackendsAgreeUnderSamplingAndFaults) {
   base.fault.edge_loss_prob = 0.2;
   base.on_fault = OnFault::kReuseStale;
 
-  const RunOutput oracle = run_with(base);
-  TrainOptions lo = base;
-  lo.transport.kind = net::TransportKind::kLoopback;
-  expect_same_output(oracle, run_with(lo), "loopback+faults");
-  TrainOptions so = base;
-  so.transport.kind = net::TransportKind::kSocket;
-  so.transport.workers = 2;
-  expect_same_output(oracle, run_with(so), "socket+faults");
+  for (const Trainer& t : kTrainers) {
+    const RunOutput oracle = run_with(t, base);
+    TrainOptions lo = base;
+    lo.transport.kind = net::TransportKind::kLoopback;
+    expect_same_output(oracle, run_with(t, lo),
+                       std::string(t.name) + " loopback+faults");
+    TrainOptions so = base;
+    so.transport.kind = net::TransportKind::kSocket;
+    so.transport.workers = 2;
+    expect_same_output(oracle, run_with(t, so),
+                       std::string(t.name) + " socket+faults");
+  }
   EXPECT_TRUE(no_children_remain());
 }
 
@@ -593,23 +626,23 @@ TEST(TransportOracle, BackendsAgreeUnderSamplingAndFaults) {
 /// SIGKILLing it {before handling, mid-reply-frame, after the reply} is
 /// observed by the coordinator at a known round, so each cell must be
 /// bit-identical to the in-proc oracle whose FaultSpec crashes exactly
-/// those edges at that round — under every OnFault policy. Both sides
-/// run an enabled zero-probability plan so degraded-mode metering is
-/// active in both.
+/// those edges at that round — under every OnFault policy, for every
+/// trainer. Both sides run an enabled zero-probability plan so
+/// degraded-mode metering is active in both.
 TEST(TransportOracle, KillMatrixMatchesTheEdgeCrashOracle) {
   struct KillCase {
     const char* name;
     net::KillPoint point;
-    std::uint64_t tag;    // 2*round + (phase - 1)
+    bool last_of_round1;  // tag: round 1's last exchange, else phase 1
     index_t crash_round;  // oracle crash round for lane-1 edges
   };
   // pre/torn at round 1 phase 1: the round-1 request dies -> the oracle
-  // crashes the edges at round 1. post at round 1 phase 2: the round
-  // completes, the corpse is found at round 2's liveness sweep.
+  // crashes the edges at round 1. post after round 1's last exchange:
+  // the round completes, the corpse is found at round 2's liveness sweep.
   const KillCase cases[] = {
-      {"pre", net::KillPoint::kPreHandle, 2, 1},
-      {"torn", net::KillPoint::kTornReply, 2, 1},
-      {"post", net::KillPoint::kPostReply, 3, 2},
+      {"pre", net::KillPoint::kPreHandle, false, 1},
+      {"torn", net::KillPoint::kTornReply, false, 1},
+      {"post", net::KillPoint::kPostReply, true, 2},
   };
   const OnFault policies[] = {OnFault::kRenormalize, OnFault::kReuseStale,
                               OnFault::kSkipRound};
@@ -617,26 +650,66 @@ TEST(TransportOracle, KillMatrixMatchesTheEdgeCrashOracle) {
   TrainOptions base = transport_opts();
   base.fault.enabled = true;  // zero probabilities: only the crash differs
 
-  std::map<std::pair<index_t, int>, RunOutput> oracles;
-  for (const OnFault policy : policies) {
-    for (const KillCase& kc : cases) {
-      const auto key = std::make_pair(kc.crash_round, static_cast<int>(policy));
-      if (oracles.find(key) == oracles.end()) {
-        TrainOptions o = base;
-        o.on_fault = policy;
-        o.fault.edge_crash_round = {-1, kc.crash_round, -1, kc.crash_round};
-        oracles.emplace(key, run_with(o));
-      }
+  for (const Trainer& t : kTrainers) {
+    std::map<std::pair<index_t, int>, RunOutput> oracles;
+    for (const OnFault policy : policies) {
+      for (const KillCase& kc : cases) {
+        const auto key =
+            std::make_pair(kc.crash_round, static_cast<int>(policy));
+        if (oracles.find(key) == oracles.end()) {
+          TrainOptions o = base;
+          o.on_fault = policy;
+          o.fault.edge_crash_round = {-1, kc.crash_round, -1, kc.crash_round};
+          oracles.emplace(key, run_with(t, o));
+        }
 
-      TrainOptions s = base;
-      s.on_fault = policy;
-      s.transport.kind = net::TransportKind::kSocket;
-      s.transport.workers = 2;
-      s.transport.kill = net::KillSpec{1, kc.tag, kc.point};
-      expect_same_output(
-          oracles.at(key), run_with(s),
-          std::string("kill=") + kc.name + " policy=" + to_string(policy));
+        TrainOptions s = base;
+        s.on_fault = policy;
+        s.transport.kind = net::TransportKind::kSocket;
+        s.transport.workers = 2;
+        s.transport.kill = net::KillSpec{
+            1, kc.last_of_round1 ? t.round1_last_tag : 2, kc.point};
+        expect_same_output(oracles.at(key), run_with(t, s),
+                           std::string(t.name) + " kill=" + kc.name +
+                               " policy=" + to_string(policy));
+      }
     }
+  }
+  EXPECT_TRUE(no_children_remain());
+}
+
+/// The two-layer trainers have no edge tier to ship: a non-inproc
+/// transport is an error that names the trainer, never silently ignored.
+TEST(TransportSupport, TwoLayerTrainersRejectOtherBackends) {
+  const auto& fed = transport_task();
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  using Run = std::function<void(const TrainOptions&)>;
+  const std::pair<const char*, Run> trainers[] = {
+      {"train_fedavg",
+       [&](const TrainOptions& o) { train_fedavg(model, fed, o); }},
+      {"train_drfa", [&](const TrainOptions& o) { train_drfa(model, fed, o); }},
+      {"train_stochastic_afl",
+       [&](const TrainOptions& o) { train_stochastic_afl(model, fed, o); }},
+      {"train_qffl",
+       [&](const TrainOptions& o) { train_qffl(model, fed, o, 2.0); }},
+  };
+  for (const auto& [name, run] : trainers) {
+    for (const net::TransportKind kind :
+         {net::TransportKind::kLoopback, net::TransportKind::kSocket}) {
+      TrainOptions o = transport_opts();
+      o.transport.kind = kind;
+      try {
+        run(o);
+        ADD_FAILURE() << name << " accepted transport "
+                      << net::to_string(kind);
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+    TrainOptions o = transport_opts();
+    o.rounds = 1;
+    EXPECT_NO_THROW(run(o)) << name << " in-proc";
   }
   EXPECT_TRUE(no_children_remain());
 }
