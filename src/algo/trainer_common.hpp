@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -142,9 +143,11 @@ bool degraded_uniform_average(
 /// is cached and re-flipped only when the underlying shard changes
 /// identity (concept-drift phase switch). Materialize in the trainers'
 /// single-threaded job-setup loops only — get() is not thread-safe.
+/// `flipped` is a deque so that growing it for a higher client id keeps
+/// the twins already handed to this block's jobs in place.
 struct PoisonStore {
   std::vector<const data::Dataset*> src;
-  std::vector<data::Dataset> flipped;
+  std::deque<data::Dataset> flipped;
   const data::Dataset& get(const data::Dataset& shard, index_t client);
 };
 
