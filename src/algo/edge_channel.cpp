@@ -252,6 +252,7 @@ class RpcEdgeChannel final : public EdgeChannel {
               const std::vector<char>& client_ok,
               std::vector<scalar_t>& client_losses,
               sim::EdgeLiveness& live) override {
+    const index_t n0 = n0_;
     const index_t lanes = transport_->lanes();
     // Group the loss edges by lane, remembering each edge's position in
     // `edges` so the ok/loss slots stay aligned.
@@ -274,10 +275,10 @@ class RpcEdgeChannel final : public EdgeChannel {
         continue;
       }
       std::vector<std::int64_t> ok;
-      ok.reserve(lane_edges[s].size() * static_cast<std::size_t>(n0_));
+      ok.reserve(lane_edges[s].size() * static_cast<std::size_t>(n0));
       for (const std::size_t j : lane_pos[s]) {
-        for (index_t i = 0; i < n0_; ++i) {
-          ok.push_back(client_ok[j * static_cast<std::size_t>(n0_) +
+        for (index_t i = 0; i < n0; ++i) {
+          ok.push_back(client_ok[j * static_cast<std::size_t>(n0) +
                                  static_cast<std::size_t>(i)]);
         }
       }
@@ -302,13 +303,13 @@ class RpcEdgeChannel final : public EdgeChannel {
       HM_CHECK(rep.get_u64(kWireKind) == kKindPhase2Rep);
       const std::vector<scalar_t> losses = rep.get_f64_vec(kWireLoss);
       HM_CHECK(losses.size() ==
-               lane_edges[s].size() * static_cast<std::size_t>(n0_));
+               lane_edges[s].size() * static_cast<std::size_t>(n0));
       for (std::size_t q = 0; q < lane_pos[s].size(); ++q) {
         const std::size_t j = lane_pos[s][q];
-        for (index_t i = 0; i < n0_; ++i) {
-          client_losses[j * static_cast<std::size_t>(n0_) +
+        for (index_t i = 0; i < n0; ++i) {
+          client_losses[j * static_cast<std::size_t>(n0) +
                         static_cast<std::size_t>(i)] =
-              losses[q * static_cast<std::size_t>(n0_) +
+              losses[q * static_cast<std::size_t>(n0) +
                      static_cast<std::size_t>(i)];
         }
       }

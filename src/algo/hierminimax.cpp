@@ -9,7 +9,7 @@
 // The flat trainers run on the depth-2 tree {N_E, N_0}, taus {tau2, tau1};
 // the *_multi trainers on the caller's depth-L tree. Every stream comes
 // from the tree path, so depth 2 is the flat derivation exactly (see
-// DESIGN.md §3 for the stream rule).
+// DESIGN.md §2, "One hierarchical round engine", for the stream rule).
 #include "algo/hierminimax.hpp"
 
 #include "algo/edge_channel.hpp"
@@ -29,33 +29,33 @@ namespace {
 using detail::Hierarchy;
 using detail::Participants;
 
-enum class Variant { kHierMinimax, kHierFavg, kHierMinimaxMulti, kHierFavgMulti };
-
-bool is_minimax(Variant v) {
-  return v == Variant::kHierMinimax || v == Variant::kHierMinimaxMulti;
-}
-
-/// Span names per variant (obs names are part of the trace schema).
-struct SpanNames {
-  const char* round;
-  const char* phase1;
-  const char* phase2;
+enum class Variant {
+  kHierMinimax,
+  kHierFavg,
+  kHierMinimaxMulti,
+  kHierFavgMulti
 };
 
-SpanNames span_names(Variant v) {
-  switch (v) {
-    case Variant::kHierMinimax:
-      return {"hierminimax.round", "hierminimax.phase1", "hierminimax.phase2"};
-    case Variant::kHierFavg:
-      return {"hierfavg.round", "hierfavg.phase1", nullptr};
-    case Variant::kHierMinimaxMulti:
-      return {"hierminimax_multi.round", "hierminimax_multi.phase1",
-              "hierminimax_multi.phase2"};
-    case Variant::kHierFavgMulti:
-      break;
-  }
-  return {"hierfavg_multi.round", "hierfavg_multi.phase1", nullptr};
-}
+/// Per-variant constants, indexed by Variant. Span names are part of the
+/// trace schema; HierFAVG has no Phase 2 span.
+struct VariantInfo {
+  bool minimax;  // p-weighted sampling, checkpoint and Phase 2
+  std::uint64_t algo_id;
+  const char* round_span;
+  const char* phase1_span;
+  const char* phase2_span;
+};
+
+constexpr VariantInfo kVariants[] = {
+    {true, detail::kAlgoHierMinimax, "hierminimax.round",
+     "hierminimax.phase1", "hierminimax.phase2"},
+    {false, detail::kAlgoHierFavg, "hierfavg.round", "hierfavg.phase1",
+     nullptr},
+    {true, detail::kAlgoHierMinimaxMulti, "hierminimax_multi.round",
+     "hierminimax_multi.phase1", "hierminimax_multi.phase2"},
+    {false, detail::kAlgoHierFavgMulti, "hierfavg_multi.round",
+     "hierfavg_multi.phase1", nullptr},
+};
 
 void count_round(Variant v) {
   // One call site per counter: HM_OBS_INC caches its counter statically.
@@ -69,16 +69,6 @@ void count_round(Variant v) {
       HM_OBS_INC("algo.hierfavg_multi.rounds");
       break;
   }
-}
-
-std::uint64_t algo_id(Variant v) {
-  switch (v) {
-    case Variant::kHierMinimax: return detail::kAlgoHierMinimax;
-    case Variant::kHierFavg: return detail::kAlgoHierFavg;
-    case Variant::kHierMinimaxMulti: return detail::kAlgoHierMinimaxMulti;
-    case Variant::kHierFavgMulti: break;
-  }
-  return detail::kAlgoHierFavgMulti;
 }
 
 void validate_inputs(const nn::Model& model, const data::FederatedDataset& fed,
@@ -142,7 +132,8 @@ TrainResult run_engine(const nn::Model& model,
                        const data::FederatedDataset& fed, const Hierarchy& h,
                        Variant variant, parallel::ThreadPool& pool,
                        MultiCommStats* levels) {
-  const bool minimax = is_minimax(variant);
+  const VariantInfo& info = kVariants[static_cast<std::size_t>(variant)];
+  const bool minimax = info.minimax;
   validate_inputs(model, fed, h, minimax);
   const TrainOptions& opts = h.opts;
   const index_t d = model.num_params();
@@ -151,7 +142,6 @@ TrainResult run_engine(const nn::Model& model,
   const index_t m_e = opts.sampled_edges > 0 ? opts.sampled_edges : num_edges;
   // Reports per area and hop: the model, plus the checkpoint (minimax).
   const std::uint64_t uploads = minimax ? 2 : 1;
-  [[maybe_unused]] const SpanNames names = span_names(variant);
 
   rng::Xoshiro256 root(opts.seed);
   const sim::FaultPlan plan(opts.fault);
@@ -208,7 +198,7 @@ TrainResult run_engine(const nn::Model& model,
   std::vector<char> edge_has_ckpt(static_cast<std::size_t>(num_edges), 1);
 
   detail::RunState rs;
-  rs.algo_id = algo_id(variant);
+  rs.algo_id = info.algo_id;
   rs.seed = opts.seed;
   rs.root = &root;
   rs.w = &result.w;
@@ -230,7 +220,7 @@ TrainResult run_engine(const nn::Model& model,
   }
 
   for (index_t k = k0; k < opts.rounds; ++k) {
-    HM_OBS_SPAN(names.round, "algo", k, 0);
+    HM_OBS_SPAN(info.round_span, "algo", k, 0);
     count_round(variant);
     rng::Xoshiro256 round_gen = root.split(static_cast<std::uint64_t>(k) + 1);
 
@@ -260,7 +250,7 @@ TrainResult run_engine(const nn::Model& model,
     // that area's compute lives. A worker process that died marks its
     // areas in `live`.
     {
-      HM_OBS_SPAN(names.phase1, "algo", k, parts.ids.size());
+      HM_OBS_SPAN(info.phase1_span, "algo", k, parts.ids.size());
       channel->phase1(k, c1, c2, parts.ids, result.w, edge_w, edge_ckpt,
                       edge_has_ckpt, live);
     }
@@ -406,7 +396,7 @@ TrainResult run_engine(const nn::Model& model,
     // reports at all) also skips the ascent: there is no fresh checkpoint
     // to estimate losses at, so the round leaves (w, p) untouched.
     if (minimax && aggregated) {
-      HM_OBS_SPAN(names.phase2, "algo", k, 0);
+      HM_OBS_SPAN(info.phase2_span, "algo", k, 0);
       rng::Xoshiro256 uniform_gen = round_gen.split(detail::kTagSampleUniform);
       const auto losses_set =
           rng::sample_without_replacement(num_edges, m_e, uniform_gen);

@@ -14,6 +14,9 @@
 //     estimates, forms the unbiased gradient estimate v with
 //     v_e = (N_E / m_E) f_e(checkpoint), and ascends
 //     p^(k+1) = Proj_P(p^(k) + eta_p * tau1 * tau2 * v)   (Eq. 7).
+//
+// The same round engine runs train_hierfavg and the L-level trainers
+// (algo/hierminimax.cpp); opts.transport picks where the edges compute.
 #pragma once
 
 #include "algo/options.hpp"
