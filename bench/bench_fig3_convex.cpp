@@ -9,10 +9,6 @@
 //
 // Usage: bench_fig3_convex [--rounds K] [--dim D] [--target 0.70]
 //                          [--num-seeds N] [--paper-scale] [--seed S]
-//                          [--batched]
-//
-// --batched runs the fused multi-client engine (bit-identical to the
-// per-client path, typically >=2x faster per round; see DESIGN.md §11).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -49,7 +45,6 @@ int run(int argc, char** argv) {
   opts.sampled_edges = flags.get_int("m-e", 5);
   opts.eval_every = std::max<index_t>(1, rounds / 100);
   opts.seed = seed;
-  opts.batched = flags.get_bool("batched", false);
 
   std::cout << "# Figure 3: convex loss (logistic regression), "
             << bench::family_name(bench::ImageFamily::kEmnistDigits)

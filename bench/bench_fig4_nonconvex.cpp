@@ -10,10 +10,6 @@
 //
 // Usage: bench_fig4_nonconvex [--rounds K] [--dim D] [--similarity 0.5]
 //                             [--target 0.55] [--num-seeds N] [--paper-scale]
-//                             [--batched]
-//
-// --batched runs the fused multi-client engine (bit-identical to the
-// per-client path, typically >=2x faster per round; see DESIGN.md §11).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -54,7 +50,6 @@ int run(int argc, char** argv) {
   opts.sampled_edges = flags.get_int("m-e", 2);
   opts.eval_every = std::max<index_t>(1, rounds / 60);
   opts.seed = seed;
-  opts.batched = flags.get_bool("batched", false);
 
   std::cout << "# Figure 4: non-convex loss (ReLU MLP), "
             << bench::family_name(bench::ImageFamily::kFashion) << ", s="

@@ -75,8 +75,7 @@ void BM_Fig3Round(benchmark::State& state) {
   const sim::HierTopology topo(num_edges, clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   algo::TrainOptions opts = fig3_opts(1);
-  opts.batched = state.range(1) != 0;
-  const TraceArm arm(state.range(2) != 0);
+  const TraceArm arm(state.range(1) != 0);
   for (auto _ : state) {
     auto result = algo::train_hierminimax(model, fed, topo, opts);
     benchmark::DoNotOptimize(result.w.data());
@@ -85,9 +84,8 @@ void BM_Fig3Round(benchmark::State& state) {
                           kRoundsPerIter);
 }
 BENCHMARK(BM_Fig3Round)
-    ->Args({64, 0, 0})->Args({64, 1, 0})->Args({784, 0, 0})
-    ->Args({784, 1, 0})->Args({64, 1, 1})->Args({784, 1, 1})
-    ->ArgNames({"dim", "batched", "trace"})
+    ->Args({64, 0})->Args({784, 0})->Args({64, 1})->Args({784, 1})
+    ->ArgNames({"dim", "trace"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Fig4Round(benchmark::State& state) {
@@ -103,8 +101,7 @@ void BM_Fig4Round(benchmark::State& state) {
                             ? nn::make_paper_mlp(dim, fed.num_classes())
                             : nn::Mlp({dim, 48, 24, fed.num_classes()});
   algo::TrainOptions opts = fig4_opts(2);
-  opts.batched = state.range(1) != 0;
-  const TraceArm arm(state.range(2) != 0);
+  const TraceArm arm(state.range(1) != 0);
   for (auto _ : state) {
     auto result = algo::train_hierminimax(model, fed, topo, opts);
     benchmark::DoNotOptimize(result.w.data());
@@ -113,9 +110,8 @@ void BM_Fig4Round(benchmark::State& state) {
                           kRoundsPerIter);
 }
 BENCHMARK(BM_Fig4Round)
-    ->Args({32, 0, 0})->Args({32, 1, 0})->Args({784, 0, 0})
-    ->Args({784, 1, 0})->Args({32, 1, 1})->Args({784, 1, 1})
-    ->ArgNames({"dim", "batched", "trace"})
+    ->Args({32, 0})->Args({784, 0})->Args({32, 1})->Args({784, 1})
+    ->ArgNames({"dim", "trace"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

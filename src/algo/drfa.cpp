@@ -72,7 +72,6 @@ TrainResult train_drfa(const nn::Model& model,
   // fuse the whole sweep into stacked evaluation blocks.
   const std::unique_ptr<nn::Workspace> loss_ws = model.make_workspace();
   const sim::ClusterSim cluster(pool);
-  BatchEngineState bstate;
   std::vector<scalar_t> checkpoint(static_cast<std::size_t>(d));
 
   detail::RunState rs;
@@ -132,8 +131,7 @@ TrainResult train_drfa(const nn::Model& model,
                       nn::VecView(client_ckpt[static_cast<std::size_t>(n)]),
                       &gens.back(), n});
     }
-    run_local_sgd_jobs(model, cfg, jobs, scratch, bstate, opts.batched,
-                       cluster);
+    run_local_sgd_jobs(model, cfg, jobs, scratch, cluster);
     if (opts.quantize_bits > 0) {
       for (std::size_t j = 0; j < jobs.size(); ++j) {
         const index_t n = parts.ids[j];

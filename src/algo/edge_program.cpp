@@ -156,8 +156,7 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
         jobs.push_back({shard, w_local, ckpt, &gens.back(), leaf});
       }
     }
-    run_local_sgd_jobs(model_, cfg, jobs, scratch_, bstate_, opts.batched,
-                       cluster_);
+    run_local_sgd_jobs(model_, cfg, jobs, scratch_, cluster_);
     if (opts.quantize_bits > 0) {
       for (std::size_t j = 0; j < jobs.size(); ++j) {
         const auto leaf = slot(jobs[j].scratch_id);

@@ -100,7 +100,6 @@ class EdgeProgram {
   std::vector<std::vector<std::vector<scalar_t>>> node_ckpt_;
   std::vector<std::vector<char>> node_has_ckpt_;
   std::vector<ClientScratch> scratch_;
-  BatchEngineState bstate_;
   PoisonStore poison_;
   std::unique_ptr<nn::Workspace> ph2_ws_;  // created by the first phase2
 };

@@ -41,7 +41,6 @@ TrainResult train_fedavg(const nn::Model& model,
       std::vector<scalar_t>(static_cast<std::size_t>(d)));
   std::vector<ClientScratch> scratch(static_cast<std::size_t>(num_clients));
   const sim::ClusterSim cluster(pool);
-  BatchEngineState bstate;
   detail::StaleStore stale;
   if (plan.enabled()) stale.init(num_clients);
   detail::PoisonStore poison;
@@ -93,8 +92,7 @@ TrainResult train_fedavg(const nn::Model& model,
       if (plan.client_poisoned(k, n)) shard = &poison.get(*shard, n);
       jobs.push_back({shard, w_local, {}, &gens.back(), n});
     }
-    run_local_sgd_jobs(model, cfg, jobs, scratch, bstate, opts.batched,
-                       cluster);
+    run_local_sgd_jobs(model, cfg, jobs, scratch, cluster);
     if (opts.quantize_bits > 0) {
       for (std::size_t j = 0; j < jobs.size(); ++j) {
         rng::Xoshiro256 qgen = gens[j].split(detail::kTagQuant);

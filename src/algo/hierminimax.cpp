@@ -569,7 +569,6 @@ MultiTrainResult run_multi(const nn::Model& model,
   o.seed = m.seed;
   o.eval_every = m.eval_every;
   o.loss_est_batch = m.loss_est_batch;
-  o.batched = m.batched;
   o.fault = m.fault;
   o.on_fault = m.on_fault;
   o.stale_decay = m.stale_decay;

@@ -39,8 +39,6 @@ struct MultiTrainOptions {
   seed_t seed = 1;
   index_t eval_every = 10;
   index_t loss_est_batch = 32;
-  bool batched = false;       // batched lockstep local SGD (see
-                              // TrainOptions::batched); bit-identical
 
   // Fault injection (see TrainOptions): leaf-level dropout/crash/straggle
   // plus cloud-area link loss and area (edge_crash_round) crashes.

@@ -49,78 +49,13 @@ void run_local_sgd(const nn::Model& model, const data::Dataset& shard,
 void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
                         std::span<const LocalSgdJob> jobs,
                         std::vector<ClientScratch>& scratch,
-                        BatchEngineState& batch_state, bool batched,
                         const sim::ClusterSim& cluster) {
   if (jobs.empty()) return;
-  if (!batched) {
-    cluster.run_devices(static_cast<index_t>(jobs.size()), [&](index_t j) {
-      const LocalSgdJob& job = jobs[static_cast<std::size_t>(j)];
-      run_local_sgd(model, *job.shard, config, job.w, job.checkpoint,
-                    *job.gen,
-                    scratch[static_cast<std::size_t>(job.scratch_id)]);
-    });
-    return;
-  }
-
-  // Batched lockstep path. Mirrors run_local_sgd line for line, with the
-  // per-step gradient evaluations of all jobs fused into one
-  // loss_and_grad_batch call. Each job's RNG stream sees exactly the
-  // oracle's draw sequence (its own batches, in step order), every
-  // floating-point op per job is unchanged, and each gen ends in the
-  // oracle's post-run state.
-  HM_CHECK(config.steps >= 0 && config.batch_size > 0 && config.eta > 0);
-  const bool capture =
-      config.checkpoint_step >= 1 && config.checkpoint_step <= config.steps;
-  for (const LocalSgdJob& job : jobs) {
-    HM_CHECK(static_cast<index_t>(job.w.size()) == model.num_params());
-    if (capture) {
-      HM_CHECK(static_cast<index_t>(job.checkpoint.size()) ==
-               model.num_params());
-    }
-    auto& sc = scratch[static_cast<std::size_t>(job.scratch_id)];
-    sc.ensure(model);
-    if (config.prox_mu > 0) {
-      sc.prox_center.assign(job.w.begin(), job.w.end());
-    }
-  }
-  if (!batch_state.ws) batch_state.ws = model.make_batch_workspace();
-  const auto num_jobs = jobs.size();
-  const auto bs = static_cast<std::size_t>(config.batch_size);
-  batch_state.batches.resize(num_jobs * bs);
-  batch_state.refs.resize(num_jobs);
-
-  for (index_t step = 0; step < config.steps; ++step) {
-    for (std::size_t j = 0; j < num_jobs; ++j) {
-      const LocalSgdJob& job = jobs[j];
-      for (std::size_t b = 0; b < bs; ++b) {
-        batch_state.batches[j * bs + b] =
-            static_cast<index_t>(job.gen->uniform_index(
-                static_cast<std::uint64_t>(job.shard->size())));
-      }
-      batch_state.refs[j] = nn::BatchClientRef{
-          job.w, job.shard,
-          std::span<const index_t>(batch_state.batches.data() + j * bs, bs),
-          scratch[static_cast<std::size_t>(job.scratch_id)].grad};
-    }
-    model.loss_and_grad_batch(batch_state.refs, {}, *batch_state.ws);
-    cluster.run_devices(static_cast<index_t>(num_jobs), [&](index_t ji) {
-      const LocalSgdJob& job = jobs[static_cast<std::size_t>(ji)];
-      auto& sc = scratch[static_cast<std::size_t>(job.scratch_id)];
-      if (config.prox_mu > 0) {
-        for (std::size_t i = 0; i < sc.grad.size(); ++i) {
-          sc.grad[i] += config.prox_mu * (job.w[i] - sc.prox_center[i]);
-        }
-      }
-      const scalar_t decay =
-          config.weight_decay > 0 ? 1 - config.eta * config.weight_decay
-                                  : scalar_t{1};
-      tensor::axpby(-config.eta, sc.grad, decay, job.w);
-      tensor::project_l2_ball(job.w, config.w_radius);
-      if (capture && step + 1 == config.checkpoint_step) {
-        tensor::copy(job.w, job.checkpoint);
-      }
-    });
-  }
+  cluster.run_devices(static_cast<index_t>(jobs.size()), [&](index_t j) {
+    const LocalSgdJob& job = jobs[static_cast<std::size_t>(j)];
+    run_local_sgd(model, *job.shard, config, job.w, job.checkpoint, *job.gen,
+                  scratch[static_cast<std::size_t>(job.scratch_id)]);
+  });
 }
 
 }  // namespace hm::algo

@@ -3,6 +3,7 @@
 // and DRFA need.
 #pragma once
 
+#include "core/check.hpp"
 #include "data/dataset.hpp"
 #include "nn/model.hpp"
 #include "sim/cluster.hpp"
@@ -46,8 +47,7 @@ void run_local_sgd(const nn::Model& model, const data::Dataset& shard,
 
 /// One client of a parallel local-SGD block: the per-call arguments of
 /// run_local_sgd, prepared by the trainer. `gen` must stay valid for the
-/// whole run and is left in the same post-run state as the per-client
-/// path. `scratch_id` slots into the trainer's ClientScratch vector and
+/// whole run. `scratch_id` slots into the trainer's ClientScratch vector and
 /// must be distinct across the jobs of one run (grad buffers alias
 /// otherwise).
 struct LocalSgdJob {
@@ -58,28 +58,27 @@ struct LocalSgdJob {
   index_t scratch_id = 0;
 };
 
-/// Reusable state of the batched execution path, owned by the trainer so
-/// panel/workspace allocations amortize across rounds.
-struct BatchEngineState {
-  std::unique_ptr<nn::BatchWorkspace> ws;
-  std::vector<index_t> batches;        // flat [jobs x batch_size] indices
-  std::vector<nn::BatchClientRef> refs;
-};
-
-/// Run one local-SGD block for every job (all sharing `config`).
-///
-/// batched=false — the 0-ULP oracle: one device task per job on the
-/// cluster scheduler (sim::ClusterSim::run_devices).
-///
-/// batched=true — all jobs advance in lockstep: per step, every job's
-/// mini-batch is drawn from its own gen (same per-stream draw order as
-/// the oracle), one Model::loss_and_grad_batch call fuses the gradient
-/// work across clients, and the SGD updates run as one device region.
-/// Results are bit-identical to the oracle, job by job.
+/// Run one local-SGD block for every job (all sharing `config`): one
+/// device task per job on the cluster scheduler
+/// (sim::ClusterSim::run_devices), each a run_local_sgd call.
 void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
                         std::span<const LocalSgdJob> jobs,
                         std::vector<ClientScratch>& scratch,
-                        BatchEngineState& batch_state, bool batched,
                         const sim::ClusterSim& cluster);
+
+/// Compatibility shim for perfbench/cpp/layers.cpp, the one caller of the
+/// former batched-engine signature. It exists only for perfbench and goes
+/// away with the next benchmark change; it accepts only batched=false and
+/// forwards to the overload above.
+struct BatchEngineState {};
+inline void run_local_sgd_jobs(const nn::Model& model,
+                               const LocalSgdConfig& config,
+                               std::span<const LocalSgdJob> jobs,
+                               std::vector<ClientScratch>& scratch,
+                               BatchEngineState& /*unused*/, bool batched,
+                               const sim::ClusterSim& cluster) {
+  HM_CHECK(!batched);
+  run_local_sgd_jobs(model, config, jobs, scratch, cluster);
+}
 
 }  // namespace hm::algo

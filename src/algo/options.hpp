@@ -77,13 +77,6 @@ struct TrainOptions {
                                  // false, Phase 2 estimates losses on the
                                  // final round model w^(k+1) instead of the
                                  // random checkpoint of Eq. (6)
-  bool batched = false;          // batched multi-client execution engine:
-                                 // all sampled clients of a parallel block
-                                 // advance in lockstep through fused
-                                 // per-step gradient evaluations
-                                 // (algo/local_sgd.hpp). Bit-identical to
-                                 // the per-client path — a perf toggle,
-                                 // never a semantics toggle.
 
   // Fault injection (sim/fault.hpp). The default spec is disabled and the
   // trainers take their fault-free path bit-identically; an enabled spec

@@ -45,7 +45,6 @@ TrainResult train_qffl(const nn::Model& model,
   std::vector<scalar_t> client_loss(static_cast<std::size_t>(num_clients), 0);
   std::vector<ClientScratch> scratch(static_cast<std::size_t>(num_clients));
   const sim::ClusterSim cluster(pool);
-  BatchEngineState bstate;
 
   detail::RunState rs;
   rs.algo_id = detail::kAlgoQffl;
@@ -101,8 +100,7 @@ TrainResult train_qffl(const nn::Model& model,
       jobs.push_back({&fed.client_shard_at(k, n), w_local, {}, &gens.back(),
                       n});
     }
-    run_local_sgd_jobs(model, cfg, jobs, scratch, bstate, opts.batched,
-                       cluster);
+    run_local_sgd_jobs(model, cfg, jobs, scratch, cluster);
 
     // Aggregate the q-FedAvg update. Delta w_k = L (w - w_bar_k).
     std::vector<scalar_t> update(static_cast<std::size_t>(d), 0);

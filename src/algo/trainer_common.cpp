@@ -643,6 +643,18 @@ index_t resume_round(const std::string& resume_from, const RunState& st) {
                "snapshot '" << loaded->path << "' has implausible round "
                             << next_round);
 
+  // The CRC proves the bytes are the ones written, not that they are a
+  // state a trainer can continue from: NaN/Inf would poison every later
+  // aggregate and projection, so a restored vector must be finite.
+  const auto require_finite = [&](const std::vector<scalar_t>& v,
+                                  const std::string& section) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      HM_CHECK_MSG(std::isfinite(v[i]),
+                   "snapshot '" << loaded->path << "' section '" << section
+                                << "' has non-finite value " << v[i]
+                                << " at index " << i);
+    }
+  };
   const auto restore_vec = [&](std::uint32_t tag, std::vector<scalar_t>* dst,
                                const char* name) {
     HM_CHECK_MSG((dst != nullptr) == s.has(tag),
@@ -658,6 +670,7 @@ index_t resume_round(const std::string& resume_from, const RunState& st) {
                               << "' has " << v.size() << " values, this run "
                               << "expects " << dst->size()
                               << " — model/topology mismatch");
+    require_finite(v, name);
     *dst = std::move(v);
   };
   restore_vec(kSnapW, st.w, "w");
@@ -717,6 +730,9 @@ index_t resume_round(const std::string& resume_from, const RunState& st) {
                               << models.size()
                               << " participants, this run has "
                               << st.stale->last_round.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      require_finite(models[m], "stale_models[" + std::to_string(m) + "]");
+    }
     st.stale->models = std::move(models);
     st.stale->last_round.assign(rounds.begin(), rounds.end());
   }

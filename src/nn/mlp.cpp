@@ -18,30 +18,11 @@ struct MlpWorkspace final : Workspace {
   std::vector<tensor::Matrix> deltas;       // d_1 .. d_L (indexed l-1)
 };
 
-/// Stacked panels for the batched multi-client path: client g's batch
-/// rows occupy rows [offsets[g], offsets[g+1]) of every panel, so each
-/// layer's per-client GEMMs become one gemm_batch over row blocks.
-struct MlpBatchWorkspace final : BatchWorkspace {
-  std::vector<tensor::Matrix> activations;  // stacked a_0 .. a_L
-  std::vector<tensor::Matrix> deltas;       // stacked d_1 .. d_L
-  std::vector<index_t> offsets;             // per-client row offsets (+total)
-  std::vector<tensor::GemmGroup> groups;    // reused per gemm_batch call
-};
-
 /// Row-block size for the stacked evaluation sweep: large enough that the
 /// per-layer weight packs (W1 alone is ~1.9 MB for the paper MLP) are
 /// amortized over many rows, small enough that the activations of one
 /// block stay cache-friendly.
 constexpr index_t kEvalBlock = 512;
-
-/// Mutable view of one client's row block inside a stacked panel.
-tensor::MatView block(tensor::Matrix& m, index_t row0, index_t nrows) {
-  return tensor::MatView(m.data() + row0 * m.cols(), nrows, m.cols());
-}
-tensor::ConstMatView block(const tensor::Matrix& m, index_t row0,
-                           index_t nrows) {
-  return tensor::ConstMatView(m.data() + row0 * m.cols(), nrows, m.cols());
-}
 
 /// Gather batch rows into a contiguous activation matrix.
 void gather_batch(const data::Dataset& d, std::span<const index_t> batch,
@@ -299,150 +280,6 @@ void Mlp::predict(ConstVecView w, const data::Dataset& d,
   const auto& logits = scratch.activations[static_cast<std::size_t>(layers)];
   for (index_t r = 0; r < m; ++r) {
     out[static_cast<std::size_t>(r)] = tensor::argmax(logits.row(r));
-  }
-}
-
-std::unique_ptr<BatchWorkspace> Mlp::make_batch_workspace() const {
-  auto ws = std::make_unique<MlpBatchWorkspace>();
-  ws->activations.resize(static_cast<std::size_t>(num_layers()) + 1);
-  ws->deltas.resize(static_cast<std::size_t>(num_layers()));
-  return ws;
-}
-
-void Mlp::loss_and_grad_batch(std::span<const BatchClientRef> clients,
-                              std::span<scalar_t> losses,
-                              BatchWorkspace& ws) const {
-  HM_CHECK(losses.empty() || losses.size() == clients.size());
-  if (clients.empty()) return;
-  auto& scratch = static_cast<MlpBatchWorkspace&>(ws);
-  const auto num_clients = static_cast<index_t>(clients.size());
-  const index_t layers = num_layers();
-
-  scratch.offsets.resize(static_cast<std::size_t>(num_clients) + 1);
-  scratch.offsets[0] = 0;
-  for (index_t g = 0; g < num_clients; ++g) {
-    const BatchClientRef& cl = clients[static_cast<std::size_t>(g)];
-    HM_CHECK(static_cast<index_t>(cl.w.size()) == num_params());
-    HM_CHECK(static_cast<index_t>(cl.grad.size()) == num_params());
-    HM_CHECK(!cl.batch.empty());
-    HM_CHECK(cl.data->dim() == input_dim() &&
-             cl.data->num_classes == num_classes());
-    scratch.offsets[static_cast<std::size_t>(g) + 1] =
-        scratch.offsets[static_cast<std::size_t>(g)] +
-        static_cast<index_t>(cl.batch.size());
-  }
-  const index_t total_m = scratch.offsets[static_cast<std::size_t>(num_clients)];
-
-  // Stacked gather: same row copies as the per-client gather_batch.
-  auto& a0 = scratch.activations[0];
-  a0.resize_for_overwrite(total_m, input_dim());
-  for (index_t g = 0; g < num_clients; ++g) {
-    const BatchClientRef& cl = clients[static_cast<std::size_t>(g)];
-    const index_t off = scratch.offsets[static_cast<std::size_t>(g)];
-    for (index_t r = 0; r < static_cast<index_t>(cl.batch.size()); ++r) {
-      tensor::copy(cl.data->x.row(cl.batch[static_cast<std::size_t>(r)]),
-                   a0.row(off + r));
-    }
-  }
-
-  // Forward: one gemm_batch per layer over all clients' row blocks. Each
-  // group is the same (A, W, C) triple the per-client path hands gemm_nt,
-  // so every element's reduction is untouched; bias rows and ReLU are
-  // elementwise and run over the stacked panel.
-  for (index_t l = 0; l < layers; ++l) {
-    auto& out = scratch.activations[static_cast<std::size_t>(l) + 1];
-    out.resize_for_overwrite(total_m, dims_[static_cast<std::size_t>(l) + 1]);
-    auto& a_prev = scratch.activations[static_cast<std::size_t>(l)];
-    scratch.groups.clear();
-    for (index_t g = 0; g < num_clients; ++g) {
-      const index_t off = scratch.offsets[static_cast<std::size_t>(g)];
-      const index_t m_g =
-          scratch.offsets[static_cast<std::size_t>(g) + 1] - off;
-      scratch.groups.push_back(
-          {block(std::as_const(a_prev), off, m_g),
-           weights(clients[static_cast<std::size_t>(g)].w, l),
-           block(out, off, m_g)});
-    }
-    tensor::gemm_batch(tensor::GemmKind::kNT, scratch.groups);
-    for (index_t g = 0; g < num_clients; ++g) {
-      const index_t off = scratch.offsets[static_cast<std::size_t>(g)];
-      const index_t m_g =
-          scratch.offsets[static_cast<std::size_t>(g) + 1] - off;
-      add_bias_rows(block(out, off, m_g),
-                    biases(clients[static_cast<std::size_t>(g)].w, l));
-    }
-    if (l + 1 < layers) tensor::relu(out.flat());
-  }
-
-  // Loss + output delta: literal copy of the per-client loop per block.
-  auto& logits = scratch.activations[static_cast<std::size_t>(layers)];
-  auto& delta_out = scratch.deltas[static_cast<std::size_t>(layers) - 1];
-  delta_out.resize_for_overwrite(total_m, num_classes());
-  for (index_t g = 0; g < num_clients; ++g) {
-    const BatchClientRef& cl = clients[static_cast<std::size_t>(g)];
-    const index_t off = scratch.offsets[static_cast<std::size_t>(g)];
-    const auto m = static_cast<index_t>(cl.batch.size());
-    const scalar_t inv_m = scalar_t{1} / static_cast<scalar_t>(m);
-    scalar_t total_loss = 0;
-    for (index_t r = 0; r < m; ++r) {
-      const index_t label =
-          cl.data->y[static_cast<std::size_t>(
-              cl.batch[static_cast<std::size_t>(r)])];
-      ConstVecView row = logits.row(off + r);
-      const scalar_t lse = tensor::log_sum_exp(row);
-      total_loss += lse - row[static_cast<std::size_t>(label)];
-      VecView drow = delta_out.row(off + r);
-      for (index_t c = 0; c < num_classes(); ++c) {
-        const scalar_t p = std::exp(row[static_cast<std::size_t>(c)] - lse);
-        drow[static_cast<std::size_t>(c)] =
-            (p - (c == label ? 1 : 0)) * inv_m;
-      }
-    }
-    if (!losses.empty())
-      losses[static_cast<std::size_t>(g)] = total_loss * inv_m;
-  }
-
-  // Backward: gemm_batch per layer for the weight grads (TN) and the
-  // back-propagated deltas (NN); bias-grad reductions keep the oracle's
-  // per-row axpy order, relu' is elementwise over the stacked panel.
-  for (index_t l = layers - 1; l >= 0; --l) {
-    const auto& delta = scratch.deltas[static_cast<std::size_t>(l)];
-    const auto& a_prev = scratch.activations[static_cast<std::size_t>(l)];
-    scratch.groups.clear();
-    for (index_t g = 0; g < num_clients; ++g) {
-      const index_t off = scratch.offsets[static_cast<std::size_t>(g)];
-      const index_t m_g =
-          scratch.offsets[static_cast<std::size_t>(g) + 1] - off;
-      scratch.groups.push_back(
-          {block(delta, off, m_g), block(a_prev, off, m_g),
-           weights(clients[static_cast<std::size_t>(g)].grad, l)});
-    }
-    tensor::gemm_batch(tensor::GemmKind::kTN, scratch.groups);
-    for (index_t g = 0; g < num_clients; ++g) {
-      const index_t off = scratch.offsets[static_cast<std::size_t>(g)];
-      const index_t m_g =
-          scratch.offsets[static_cast<std::size_t>(g) + 1] - off;
-      VecView gb = biases(clients[static_cast<std::size_t>(g)].grad, l);
-      tensor::set_zero(gb);
-      for (index_t r = 0; r < m_g; ++r)
-        tensor::axpy(1.0, delta.row(off + r), gb);
-    }
-    if (l > 0) {
-      auto& delta_prev = scratch.deltas[static_cast<std::size_t>(l) - 1];
-      delta_prev.resize_for_overwrite(total_m, dims_[static_cast<std::size_t>(l)]);
-      scratch.groups.clear();
-      for (index_t g = 0; g < num_clients; ++g) {
-        const index_t off = scratch.offsets[static_cast<std::size_t>(g)];
-        const index_t m_g =
-            scratch.offsets[static_cast<std::size_t>(g) + 1] - off;
-        scratch.groups.push_back(
-            {block(delta, off, m_g),
-             weights(clients[static_cast<std::size_t>(g)].w, l),
-             block(delta_prev, off, m_g)});
-      }
-      tensor::gemm_batch(tensor::GemmKind::kNN, scratch.groups);
-      tensor::relu_backward(a_prev.flat(), delta_prev.flat());
-    }
   }
 }
 

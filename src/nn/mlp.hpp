@@ -47,14 +47,6 @@ class Mlp final : public Model {
                std::span<const index_t> batch, std::span<index_t> out,
                Workspace& ws) const override;
 
-  /// Batched path: all clients' forward/backward GEMMs are issued as one
-  /// gemm_batch per layer over stacked activation panels (clients share
-  /// each parallel region), bit-identical per client to loss_and_grad.
-  std::unique_ptr<BatchWorkspace> make_batch_workspace() const override;
-  void loss_and_grad_batch(std::span<const BatchClientRef> clients,
-                           std::span<scalar_t> losses,
-                           BatchWorkspace& ws) const override;
-
  private:
   std::vector<index_t> dims_;
   std::vector<index_t> w_offsets_;  // start of W_l in the flat vector

@@ -6,34 +6,6 @@
 
 namespace hm::nn {
 
-namespace {
-
-/// Default batch scratch: one ordinary Workspace, shared serially.
-struct FallbackBatchWorkspace final : BatchWorkspace {
-  explicit FallbackBatchWorkspace(std::unique_ptr<Workspace> w)
-      : inner(std::move(w)) {}
-  std::unique_ptr<Workspace> inner;
-};
-
-}  // namespace
-
-std::unique_ptr<BatchWorkspace> Model::make_batch_workspace() const {
-  return std::make_unique<FallbackBatchWorkspace>(make_workspace());
-}
-
-void Model::loss_and_grad_batch(std::span<const BatchClientRef> clients,
-                                std::span<scalar_t> losses,
-                                BatchWorkspace& ws) const {
-  HM_CHECK(losses.empty() || losses.size() == clients.size());
-  auto& scratch = static_cast<FallbackBatchWorkspace&>(ws);
-  for (std::size_t g = 0; g < clients.size(); ++g) {
-    const BatchClientRef& cl = clients[g];
-    const scalar_t loss =
-        loss_and_grad(cl.w, *cl.data, cl.batch, cl.grad, *scratch.inner);
-    if (!losses.empty()) losses[g] = loss;
-  }
-}
-
 void Model::loss_many(std::span<const LossJob> jobs,
                       std::span<scalar_t> losses, Workspace& ws) const {
   HM_CHECK(losses.size() == jobs.size());

@@ -27,25 +27,7 @@ class Workspace {
   virtual ~Workspace() = default;
 };
 
-/// Opaque scratch for the batched multi-client path. One instance per
-/// engine (NOT per thread): a loss_and_grad_batch call owns it for the
-/// whole call and parallelizes internally.
-class BatchWorkspace {
- public:
-  virtual ~BatchWorkspace() = default;
-};
-
-/// One client's slice of a batched gradient evaluation: its own
-/// parameters, dataset shard, sampled batch, and gradient output. Grad
-/// spans of distinct clients must not overlap.
-struct BatchClientRef {
-  ConstVecView w;
-  const data::Dataset* data;
-  std::span<const index_t> batch;
-  VecView grad;
-};
-
-/// One slice of a batched loss-only evaluation: parameters, a dataset
+/// One slice of a multi-job loss-only evaluation: parameters, a dataset
 /// shard, and the rows to score. Jobs that share `w` (by data pointer)
 /// can be fused into one stacked sweep by loss_many overrides.
 struct LossJob {
@@ -90,19 +72,6 @@ class Model {
   virtual void predict(ConstVecView w, const data::Dataset& d,
                        std::span<const index_t> batch,
                        std::span<index_t> out, Workspace& ws) const = 0;
-
-  virtual std::unique_ptr<BatchWorkspace> make_batch_workspace() const;
-
-  /// Evaluate loss_and_grad for many clients in one call, writing each
-  /// client's mean loss into losses[g] (when `losses` is non-empty; it
-  /// must then have one slot per client). CONTRACT: per client the loss
-  /// and gradient are bit-identical to a loss_and_grad call with the same
-  /// arguments — overriding models may fuse work across clients (stacked
-  /// GEMMs, shared parallel regions) but must keep every per-element
-  /// reduction order. The base implementation simply loops.
-  virtual void loss_and_grad_batch(std::span<const BatchClientRef> clients,
-                                   std::span<scalar_t> losses,
-                                   BatchWorkspace& ws) const;
 
   /// Evaluate many loss-only jobs in one call, writing job g's mean loss
   /// into losses[g] (one slot per job, required). CONTRACT: every job's

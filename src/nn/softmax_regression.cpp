@@ -19,18 +19,6 @@ struct SoftmaxWorkspace final : Workspace {
   tensor::Matrix logit_rows;  // block x classes (eval path)
 };
 
-struct SoftmaxBatchWorkspace final : BatchWorkspace {
-  tensor::Matrix xb;      // gathered batch rows of the current client
-  tensor::Matrix logits;  // batch x classes
-  tensor::Matrix coeff;   // batch x classes softmax-residual coefficients
-  std::unique_ptr<Workspace> inner;  // oracle scratch for tiny batches
-};
-
-/// Below this batch size the stacked gemm_tn path costs more (row gather
-/// plus kernel setup on a nearly empty panel) than the oracle's streamed
-/// per-sample accumulation, so the batch engine delegates per client.
-constexpr index_t kBatchGemmMinRows = 16;
-
 /// Row-block size for the evaluation paths: large enough that the weight
 /// matrix pack is amortized over many samples per fused sweep, small
 /// enough that the gathered block stays cache-resident.
@@ -136,91 +124,6 @@ scalar_t SoftmaxRegression::loss_and_grad(ConstVecView w,
   return total_loss * inv_m;
 }
 
-std::unique_ptr<BatchWorkspace> SoftmaxRegression::make_batch_workspace()
-    const {
-  return std::make_unique<SoftmaxBatchWorkspace>();
-}
-
-void SoftmaxRegression::loss_and_grad_batch(
-    std::span<const BatchClientRef> clients, std::span<scalar_t> losses,
-    BatchWorkspace& ws) const {
-  HM_CHECK(losses.empty() || losses.size() == clients.size());
-  auto& scratch = static_cast<SoftmaxBatchWorkspace&>(ws);
-  for (std::size_t g = 0; g < clients.size(); ++g) {
-    const BatchClientRef& cl = clients[g];
-    const data::Dataset& d = *cl.data;
-    HM_CHECK(static_cast<index_t>(cl.w.size()) == num_params());
-    HM_CHECK(static_cast<index_t>(cl.grad.size()) == num_params());
-    HM_CHECK(!cl.batch.empty());
-    HM_CHECK(d.dim() == dim_ && d.num_classes == classes_);
-    const auto m = static_cast<index_t>(cl.batch.size());
-
-    if (m < kBatchGemmMinRows) {
-      if (!scratch.inner) scratch.inner = make_workspace();
-      const scalar_t loss_g =
-          loss_and_grad(cl.w, d, cl.batch, cl.grad, *scratch.inner);
-      if (!losses.empty()) losses[g] = loss_g;
-      continue;
-    }
-
-    // Logits per gathered row with the oracle's exact reductions: the
-    // same per-class dot and the same single bias addition that
-    // compute_logits performs (gathered rows are bitwise dataset rows).
-    scratch.xb.resize_for_overwrite(m, dim_);
-    for (index_t r = 0; r < m; ++r) {
-      tensor::copy(d.x.row(cl.batch[static_cast<std::size_t>(r)]),
-                   scratch.xb.row(r));
-    }
-    scratch.logits.resize_for_overwrite(m, classes_);
-    for (index_t r = 0; r < m; ++r) {
-      VecView row = scratch.logits.row(r);
-      for (index_t c = 0; c < classes_; ++c) {
-        row[static_cast<std::size_t>(c)] =
-            tensor::dot(weight_row(cl.w, dim_, c), scratch.xb.row(r)) +
-            bias(cl.w, dim_, classes_, c);
-      }
-    }
-
-    // Softmax residual coefficients per sample, with the oracle's exact
-    // per-element roundings; the bias gradients keep the oracle's literal
-    // skip-if-zero accumulation.
-    scratch.coeff.resize_for_overwrite(m, classes_);
-    VecView bias_grad = cl.grad.subspan(
-        static_cast<std::size_t>(classes_ * dim_),
-        static_cast<std::size_t>(classes_));
-    tensor::set_zero(bias_grad);
-    const scalar_t inv_m = scalar_t{1} / static_cast<scalar_t>(m);
-    scalar_t total_loss = 0;
-    for (index_t r = 0; r < m; ++r) {
-      const index_t i = cl.batch[static_cast<std::size_t>(r)];
-      const index_t label = d.y[static_cast<std::size_t>(i)];
-      ConstVecView logits = scratch.logits.row(r);
-      const scalar_t lse = tensor::log_sum_exp(logits);
-      total_loss += lse - logits[static_cast<std::size_t>(label)];
-      VecView crow = scratch.coeff.row(r);
-      for (index_t c = 0; c < classes_; ++c) {
-        const scalar_t p =
-            std::exp(logits[static_cast<std::size_t>(c)] - lse);
-        const scalar_t coeff = (p - (c == label ? 1 : 0)) * inv_m;
-        crow[static_cast<std::size_t>(c)] = coeff;
-        if (coeff == 0) continue;
-        bias_grad[static_cast<std::size_t>(c)] += coeff;
-      }
-    }
-    if (!losses.empty()) losses[g] = total_loss * inv_m;
-
-    // Weight gradient as one gemm_tn: grad_W(c, j) folds coeff(r, c) *
-    // x(r, j) over samples in increasing r — the same multiply-then-add
-    // roundings, in the same order, as the oracle's per-sample axpy
-    // accumulation from a zeroed gradient. The oracle's skip of
-    // zero-coefficient samples is also preserved bitwise: adding
-    // coeff * x = ±0 to a finite accumulator leaves it unchanged, and a
-    // +0 accumulator stays +0 under round-to-nearest.
-    tensor::gemm_tn(scratch.coeff, scratch.xb,
-                    tensor::MatView(cl.grad.data(), classes_, dim_));
-  }
-}
-
 scalar_t SoftmaxRegression::loss(ConstVecView w, const data::Dataset& d,
                                  std::span<const index_t> batch,
                                  Workspace& ws) const {
@@ -242,11 +145,10 @@ void SoftmaxRegression::loss_many(std::span<const LossJob> jobs,
   // sample's logits at full kernel throughput, and blocks span job
   // boundaries within a shared-w run so small jobs amortize the weight
   // pack. The gemm_nt_fma rounding differs from compute_logits; the
-  // result is still deterministic for any thread count and SIMD level,
-  // and evaluation is shared by the batched and per-client training
-  // paths, so their bit-equality is unaffected. Per job the value is
-  // bit-identical to a standalone loss() call: each row's logits do not
-  // depend on its block, and each job's rows accumulate in row order.
+  // result is still deterministic for any thread count and SIMD level.
+  // Per job the value is bit-identical to a standalone loss() call: each
+  // row's logits do not depend on its block, and each job's rows
+  // accumulate in row order.
   std::size_t g = 0;
   while (g < jobs.size()) {
     std::size_t run_end = g + 1;

@@ -31,14 +31,6 @@ class SoftmaxRegression final : public Model {
                std::span<const index_t> batch, std::span<index_t> out,
                Workspace& ws) const override;
 
-  /// Batched path: per client, all logit rows come from one dot_nt sweep
-  /// (paired dot2 passes over the gathered batch) instead of per-sample
-  /// per-class dot calls; bit-identical per client to loss_and_grad.
-  std::unique_ptr<BatchWorkspace> make_batch_workspace() const override;
-  void loss_and_grad_batch(std::span<const BatchClientRef> clients,
-                           std::span<scalar_t> losses,
-                           BatchWorkspace& ws) const override;
-
  private:
   index_t dim_;
   index_t classes_;

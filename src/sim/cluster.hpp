@@ -9,7 +9,7 @@
 
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
-#include "sim/topology.hpp"
+#include "sim/fault.hpp"
 
 namespace hm::sim {
 

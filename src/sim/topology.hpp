@@ -3,11 +3,8 @@
 // client is attached to exactly one edge server.
 #pragma once
 
-#include <vector>
-
 #include "core/check.hpp"
 #include "core/types.hpp"
-#include "sim/fault.hpp"
 
 namespace hm::sim {
 
@@ -23,46 +20,6 @@ class HierTopology {
   index_t num_edges() const { return num_edges_; }           // N_E
   index_t clients_per_edge() const { return clients_per_edge_; }  // N_0
   index_t num_clients() const { return num_edges_ * clients_per_edge_; }
-
-  /// Global client id of the i-th client in edge area e.
-  index_t client_id(index_t edge, index_t i) const {
-    HM_CHECK(0 <= edge && edge < num_edges_);
-    HM_CHECK(0 <= i && i < clients_per_edge_);
-    return edge * clients_per_edge_ + i;
-  }
-
-  index_t edge_of_client(index_t client) const {
-    HM_CHECK(0 <= client && client < num_clients());
-    return client / clients_per_edge_;
-  }
-
-  /// All client ids in edge area e.
-  std::vector<index_t> clients_of_edge(index_t edge) const {
-    std::vector<index_t> out;
-    out.reserve(static_cast<std::size_t>(clients_per_edge_));
-    for (index_t i = 0; i < clients_per_edge_; ++i) {
-      out.push_back(client_id(edge, i));
-    }
-    return out;
-  }
-
-  /// Client ids in edge area e whose reports reach the edge server at
-  /// `round` under `plan`: crashed and dropped clients are excluded, and
-  /// a crashed edge server takes the whole area offline (empty result).
-  /// With a disabled plan this is exactly clients_of_edge(edge).
-  std::vector<index_t> surviving_clients_of_edge(index_t edge,
-                                                 const FaultPlan& plan,
-                                                 index_t round) const {
-    if (!plan.enabled()) return clients_of_edge(edge);
-    std::vector<index_t> out;
-    out.reserve(static_cast<std::size_t>(clients_per_edge_));
-    if (plan.edge_crashed(round, edge)) return out;
-    for (index_t i = 0; i < clients_per_edge_; ++i) {
-      const index_t id = client_id(edge, i);
-      if (plan.client_reports(round, id)) out.push_back(id);
-    }
-    return out;
-  }
 
  private:
   index_t num_edges_;

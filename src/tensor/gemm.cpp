@@ -27,15 +27,6 @@ void gemv(ConstMatView a, ConstVecView x, VecView y, scalar_t beta) {
   detail::active_kernel_table().gemv(a, x, y, beta);
 }
 
-void gemm_batch(GemmKind kind, std::span<const GemmGroup> groups,
-                scalar_t beta) {
-  detail::active_kernel_table().gemm_batch(kind, groups, beta);
-}
-
-void dot_nt(ConstMatView a, ConstMatView b, MatView c) {
-  detail::active_kernel_table().dot_nt(a, b, c);
-}
-
 void gemm_nt_fma(ConstMatView a, ConstMatView b, MatView c, scalar_t beta) {
   detail::active_kernel_table().gemm_nt_fma(a, b, c, beta);
 }

@@ -38,34 +38,6 @@ void gemm_tn(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0);
 /// with the fused dot2 kernel and split across the pool for tall A).
 void gemv(ConstMatView a, ConstVecView x, VecView y, scalar_t beta = 0);
 
-/// Which single-call multiply a GemmGroup stands for.
-enum class GemmKind { kNN, kNT, kTN };
-
-/// One independent multiply of a batch: the same (a, b, c) triple the
-/// corresponding single gemm/gemm_nt/gemm_tn call would take. Outputs of
-/// distinct groups must not overlap.
-struct GemmGroup {
-  ConstMatView a;
-  ConstMatView b;
-  MatView c;
-};
-
-/// Run every group's multiply, bit-identical per group to the matching
-/// single call, but scheduled as one shared task list: all groups' packing
-/// runs in one parallel region and all groups' row bands in a second, so a
-/// batch of per-client multiplies (the clients x layers schedule of the
-/// batched trainer engine) fills the pool even when each group alone is
-/// below the single-call parallelization threshold.
-void gemm_batch(GemmKind kind, std::span<const GemmGroup> groups,
-                scalar_t beta = 0);
-
-/// C(i, j) = <a.row(i), b.row(j)> with the vecops 8-lane fixed-order dot
-/// reduction (NOT the gemm micro-kernel order): bit-identical to looping
-/// dot()/dot2() per element, which is what the per-sample model paths do.
-/// Used by the batched softmax/linear paths so a whole logits block keeps
-/// the exact per-row rounding of the unbatched oracle.
-void dot_nt(ConstMatView a, ConstMatView b, MatView c);
-
 /// C = beta*C + A * B^T with an explicitly FUSED accumulator update:
 /// acc = fma(a, b, acc), one rounding per term instead of two. IEEE-754
 /// fusedMultiplyAdd is exactly specified, so this kernel family is still

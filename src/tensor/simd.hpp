@@ -60,8 +60,6 @@ struct KernelTable {
   void (*gemm_nt)(ConstMatView, ConstMatView, MatView, scalar_t);
   void (*gemm_tn)(ConstMatView, ConstMatView, MatView, scalar_t);
   void (*gemv)(ConstMatView, ConstVecView, VecView, scalar_t);
-  void (*gemm_batch)(GemmKind, std::span<const GemmGroup>, scalar_t);
-  void (*dot_nt)(ConstMatView, ConstMatView, MatView);
   void (*gemm_nt_fma)(ConstMatView, ConstMatView, MatView, scalar_t);
 };
 

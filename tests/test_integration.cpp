@@ -9,7 +9,6 @@
 #include "algo/fedavg.hpp"
 #include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "nn/convnet.hpp"
 #include "nn/mlp.hpp"
 #include "nn/softmax_regression.hpp"
 #include "test_util.hpp"
@@ -128,27 +127,6 @@ TEST(Integration, NonConvexMlpTrainsUnderHierMinimax) {
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::Mlp model({fed.dim(), 16, fed.num_classes()});
   auto opts = base_opts(120);
-  opts.sampled_edges = 2;
-  opts.eta_w = 0.05;
-  const auto result = train_hierminimax(model, fed, topo, opts);
-  EXPECT_GT(result.history.back().summary.average, 0.7);
-}
-
-TEST(Integration, ConvNetTrainsUnderHierMinimax) {
-  // Image-shaped inputs end to end: 6x6 "images", conv feature extractor.
-  data::GaussianSpec spec;
-  spec.dim = 36;
-  spec.num_classes = 4;
-  spec.num_samples = 1600;
-  spec.separation = 3.0;
-  spec.seed = 808;
-  const auto all = data::make_gaussian_classes(spec);
-  rng::Xoshiro256 gen(809);
-  const auto tt = data::split_train_test(all, 0.25, gen);
-  const auto fed = data::partition_iid(tt, 4, 2, gen);
-  const sim::HierTopology topo(4, 2);
-  const nn::ConvNet model(6, 4, 3, 4);
-  auto opts = base_opts(100);
   opts.sampled_edges = 2;
   opts.eta_w = 0.05;
   const auto result = train_hierminimax(model, fed, topo, opts);

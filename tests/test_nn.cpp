@@ -7,9 +7,7 @@
 #include <numeric>
 
 #include "data/generators.hpp"
-#include "nn/convnet.hpp"
 #include "nn/grad_check.hpp"
-#include "nn/linear_regression.hpp"
 #include "nn/mlp.hpp"
 #include "nn/model.hpp"
 #include "nn/softmax_regression.hpp"
@@ -246,118 +244,6 @@ TEST(Model, BatchSubsetLossIsMeanOverBatch) {
   const scalar_t mean =
       (m.loss(w, d, b1, *ws) + m.loss(w, d, b2, *ws)) / 2;
   EXPECT_NEAR(m.loss(w, d, both, *ws), mean, 1e-12);
-}
-
-TEST(LinearRegression, MetadataAndConvexity) {
-  const LinearRegression m(8, 3);
-  EXPECT_EQ(m.num_params(), 27);
-  EXPECT_TRUE(m.is_convex());
-  EXPECT_EQ(m.num_classes(), 3);
-}
-
-TEST(LinearRegression, GradientMatchesFiniteDifferences) {
-  const LinearRegression m(6, 4);
-  const auto d = small_task();
-  const auto w = random_params(m, 61);
-  const std::vector<index_t> batch = {0, 4, 9};
-  const auto result = check_gradients(m, w, d, batch);
-  EXPECT_LT(result.max_rel_error, 1e-6);
-}
-
-TEST(LinearRegression, ZeroInitLossIsHalf) {
-  // Zero scores vs one-hot target: loss = 0.5 * 1 per sample.
-  const LinearRegression m(6, 4);
-  const auto d = small_task();
-  std::vector<scalar_t> w(static_cast<std::size_t>(m.num_params()), 0);
-  auto ws = m.make_workspace();
-  EXPECT_NEAR(m.loss(w, d, all_indices(d.size()), *ws), 0.5, 1e-12);
-}
-
-TEST(LinearRegression, GradientDescentLearnsSeparableTask) {
-  const LinearRegression m(6, 4);
-  const auto d = small_task(6, 4, 200, 9);
-  std::vector<scalar_t> w(static_cast<std::size_t>(m.num_params()), 0);
-  std::vector<scalar_t> grad(w.size());
-  auto ws = m.make_workspace();
-  const auto batch = all_indices(d.size());
-  // MSE Hessian ~ E[xx^T]: keep the step below 2/lambda_max.
-  for (int it = 0; it < 400; ++it) {
-    m.loss_and_grad(w, d, batch, grad, *ws);
-    tensor::axpy(-0.05, grad, VecView(w));
-  }
-  EXPECT_GT(accuracy(m, w, d, *ws), 0.8);
-}
-
-TEST(ConvNet, ParamCountAndShapes) {
-  // 8x8 input, 3 filters of 3x3 -> 6x6 features -> 4 classes.
-  const ConvNet m(8, 3, 3, 4);
-  EXPECT_EQ(m.input_dim(), 64);
-  EXPECT_EQ(m.feature_side(), 6);
-  EXPECT_EQ(m.num_params(), 3 * 9 + 3 + 4 * 3 * 36 + 4);
-  EXPECT_FALSE(m.is_convex());
-}
-
-TEST(ConvNet, InvalidGeometryThrows) {
-  EXPECT_THROW(ConvNet(4, 2, 5, 3), CheckError);  // kernel > side
-  EXPECT_THROW(ConvNet(4, 0, 2, 3), CheckError);
-}
-
-TEST(ConvNet, GradientMatchesFiniteDifferences) {
-  const ConvNet m(6, 2, 3, 3);
-  data::GaussianSpec spec;
-  spec.dim = 36;
-  spec.num_classes = 3;
-  spec.num_samples = 16;
-  spec.seed = 71;
-  const auto d = data::make_gaussian_classes(spec);
-  std::vector<scalar_t> w(static_cast<std::size_t>(m.num_params()));
-  rng::Xoshiro256 gen(72);
-  m.init_params(w, gen);
-  const std::vector<index_t> batch = {0, 5, 11};
-  const auto result =
-      check_gradients(m, w, d, batch, /*epsilon=*/1e-5, /*max_coords=*/200);
-  EXPECT_LT(result.max_rel_error, 2e-4) << "abs=" << result.max_abs_error;
-}
-
-TEST(ConvNet, LearnsTranslationStructuredTask) {
-  // Task where the class is a local 2x2 pattern placed at a random
-  // location: exactly what a conv filter can detect and a dense model of
-  // the same size finds hard. Checks the model trains end-to-end.
-  const index_t side = 6;
-  data::Dataset d;
-  d.num_classes = 2;
-  const index_t n = 256;
-  d.x.resize(n, side * side);
-  d.y.resize(static_cast<std::size_t>(n));
-  rng::Xoshiro256 gen(73);
-  for (index_t i = 0; i < n; ++i) {
-    auto row = d.x.row(i);
-    for (auto& v : row) v = gen.normal(0.0, 0.3);
-    const index_t label = static_cast<index_t>(gen.uniform_index(2));
-    const auto r0 = static_cast<index_t>(gen.uniform_index(side - 1));
-    const auto c0 = static_cast<index_t>(gen.uniform_index(side - 1));
-    // Class 0: bright diagonal pair; class 1: bright anti-diagonal pair.
-    if (label == 0) {
-      row[static_cast<std::size_t>(r0 * side + c0)] += 2.5;
-      row[static_cast<std::size_t>((r0 + 1) * side + c0 + 1)] += 2.5;
-    } else {
-      row[static_cast<std::size_t>(r0 * side + c0 + 1)] += 2.5;
-      row[static_cast<std::size_t>((r0 + 1) * side + c0)] += 2.5;
-    }
-    d.y[static_cast<std::size_t>(i)] = label;
-  }
-  const ConvNet m(side, 4, 2, 2);
-  std::vector<scalar_t> w(static_cast<std::size_t>(m.num_params()));
-  rng::Xoshiro256 init(74);
-  m.init_params(w, init);
-  auto ws = m.make_workspace();
-  std::vector<scalar_t> grad(w.size());
-  const auto batch = all_indices(d.size());
-  for (int it = 0; it < 250; ++it) {
-    m.loss_and_grad(w, d, batch, grad, *ws);
-    tensor::axpy(-0.5, grad, VecView(w));
-  }
-  EXPECT_GT(accuracy(m, w, d, *ws), 0.9);
 }
 
 TEST(GradCheck, DetectsBrokenGradient) {

@@ -1,4 +1,4 @@
-// Unit tests for hm::sim: topology index mapping, communication meter
+// Unit tests for hm::sim: topology cardinalities, communication meter
 // arithmetic, cluster job execution.
 #include <gtest/gtest.h>
 
@@ -23,42 +23,9 @@ TEST(Topology, Cardinalities) {
   EXPECT_EQ(topo.num_clients(), 30);
 }
 
-TEST(Topology, ClientIdRoundTrips) {
-  const HierTopology topo(4, 5);
-  for (index_t e = 0; e < 4; ++e) {
-    for (index_t i = 0; i < 5; ++i) {
-      const index_t id = topo.client_id(e, i);
-      EXPECT_EQ(topo.edge_of_client(id), e);
-    }
-  }
-}
-
-TEST(Topology, ClientIdsAreDenseAndUnique) {
-  const HierTopology topo(3, 4);
-  std::vector<bool> seen(12, false);
-  for (index_t e = 0; e < 3; ++e) {
-    for (index_t i = 0; i < 4; ++i) {
-      const index_t id = topo.client_id(e, i);
-      ASSERT_GE(id, 0);
-      ASSERT_LT(id, 12);
-      EXPECT_FALSE(seen[static_cast<std::size_t>(id)]);
-      seen[static_cast<std::size_t>(id)] = true;
-    }
-  }
-}
-
-TEST(Topology, ClientsOfEdge) {
-  const HierTopology topo(2, 3);
-  EXPECT_EQ(topo.clients_of_edge(1), (std::vector<index_t>{3, 4, 5}));
-}
-
 TEST(Topology, InvalidArgumentsThrow) {
   EXPECT_THROW(HierTopology(0, 3), CheckError);
   EXPECT_THROW(HierTopology(3, 0), CheckError);
-  const HierTopology topo(2, 2);
-  EXPECT_THROW(topo.client_id(2, 0), CheckError);
-  EXPECT_THROW(topo.client_id(0, 2), CheckError);
-  EXPECT_THROW(topo.edge_of_client(4), CheckError);
 }
 
 TEST(CommStats, TotalsAndAccumulation) {

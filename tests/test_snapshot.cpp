@@ -18,11 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,6 +35,7 @@
 #include "algo/hierminimax.hpp"
 #include "algo/hierminimax_multi.hpp"
 #include "algo/qffl.hpp"
+#include "algo/trainer_common.hpp"
 #include "core/check.hpp"
 #include "io/checkpoint.hpp"
 #include "io/snapshot.hpp"
@@ -696,6 +699,89 @@ TEST(SnapshotResume, WrongAlgorithmOrSeedIsRejected) {
   auto reseeded = with_snapshots(snap_opts(false), policy, dir);
   reseeded.seed = 6;
   EXPECT_THROW(train_fedavg(model, fed, reseeded), CheckError);
+}
+
+/// Overwrite element `i` of f64-vector section `tag` inside a serialized
+/// snapshot and re-seal the trailing CRC, so the file still validates and
+/// only resume's content checks can catch the damage.
+void poke_f64(std::vector<std::uint8_t>& bytes, std::uint32_t tag,
+              std::size_t i, double v) {
+  constexpr std::size_t kHeader = 24;  // magic, version, count, rsvd, len
+  constexpr std::size_t kSectionHeader = 16;  // tag, kind, payload length
+  std::size_t pos = kHeader;
+  while (pos + kSectionHeader <= bytes.size() - 4) {
+    io::ByteReader r(bytes.data() + pos, kSectionHeader);
+    const std::uint32_t t = r.u32();
+    const std::uint32_t kind = r.u32();
+    const std::uint64_t len = r.u64();
+    if (t == tag) {
+      ASSERT_EQ(kind, io::Snapshot::kKindF64Vec);
+      ASSERT_LT(8 + 8 * i, len);
+      io::ByteWriter w;
+      w.put_f64(v);
+      std::memcpy(bytes.data() + pos + kSectionHeader + 8 + 8 * i,
+                  w.bytes().data(), 8);
+      io::ByteWriter crc;
+      crc.put_u32(io::crc32(bytes.data(), bytes.size() - 4));
+      std::memcpy(bytes.data() + bytes.size() - 4, crc.bytes().data(), 4);
+      return;
+    }
+    pos += kSectionHeader + len;
+  }
+  FAIL() << "section " << tag << " not found";
+}
+
+/// A snapshot whose CRC is valid but whose state holds NaN or Inf must not
+/// be resumed: the failure names the file, the section, and the index.
+TEST(SnapshotResume, NonFiniteStateIsRejectedWithSectionAndIndex) {
+  const auto& fed = shared_task();
+  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  const std::string dir = fresh_dir("non_finite");
+  io::SnapshotPolicy policy;
+  policy.every_k_rounds = kEveryK;
+  policy.dir = dir;
+  policy.keep = 1;
+  auto opts = with_snapshots(snap_opts(false), policy, "");
+  opts.rounds = kEveryK;
+  train_hierminimax(model, fed, topo, opts);
+  const std::string path = dir + "/snapshot.00000002";
+  const auto clean = read_file(path);
+  ASSERT_FALSE(clean.empty());
+
+  const auto expect_rejected = [&](const std::vector<std::uint8_t>& bytes,
+                                   const std::string& section,
+                                   const std::string& index,
+                                   const std::string& value) {
+    write_file(path, bytes);
+    opts.resume_from = dir;
+    try {
+      train_hierminimax(model, fed, topo, opts);
+      FAIL() << "resume from a non-finite '" << section << "' should throw";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      for (const std::string& want :
+           {path, "section '" + section + "'", "at index " + index, value}) {
+        EXPECT_NE(msg.find(want), std::string::npos)
+            << "missing '" << want << "' in: " << msg;
+      }
+    }
+  };
+
+  auto bytes = clean;
+  poke_f64(bytes, detail::kSnapP, 1, std::nan(""));
+  poke_f64(bytes, detail::kSnapW, 3,
+           std::numeric_limits<double>::infinity());
+  // `w` is restored first, so its Inf is the one reported.
+  expect_rejected(bytes, "w", "3", "inf");
+
+  bytes = clean;
+  poke_f64(bytes, detail::kSnapP, 1, std::nan(""));
+  expect_rejected(bytes, "p", "1", "nan");
+
+  // The untouched snapshot still resumes.
+  write_file(path, clean);
+  EXPECT_NO_THROW(train_hierminimax(model, fed, topo, opts));
 }
 
 // ---------------------------------------------------------------------
