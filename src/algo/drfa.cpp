@@ -121,15 +121,13 @@ TrainResult train_drfa(const nn::Model& model,
     jobs.reserve(parts.ids.size());
     gens.reserve(parts.ids.size());
     for (const index_t n : parts.ids) {
-      auto& w_local = client_w[static_cast<std::size_t>(n)];
-      tensor::copy(result.w, w_local);
       gens.push_back(round_gen.split(detail::kTagLocal)
                          .split(static_cast<std::uint64_t>(n)));
       const data::Dataset* shard = &fed.client_shard_at(k, n);
       if (plan.client_poisoned(k, n)) shard = &poison.get(*shard, n);
-      jobs.push_back({shard, w_local,
-                      nn::VecView(client_ckpt[static_cast<std::size_t>(n)]),
-                      &gens.back(), n});
+      jobs.push_back({shard, client_w[static_cast<std::size_t>(n)],
+                      client_ckpt[static_cast<std::size_t>(n)], &gens.back(),
+                      n, result.w});
     }
     run_local_sgd_jobs(model, cfg, jobs, scratch, cluster);
     if (opts.quantize_bits > 0) {
@@ -155,8 +153,8 @@ TrainResult train_drfa(const nn::Model& model,
 
     bool aggregated = true;
     if (!plan.enabled()) {
-      detail::robust_weighted_average(client_w, parts, agg, result.w);
-      detail::weighted_average(client_ckpt, parts, checkpoint);
+      detail::robust_weighted_average(client_w, parts, agg, result.w, &pool);
+      detail::weighted_average(client_ckpt, parts, checkpoint, &pool);
       tensor::project_l2_ball(result.w, opts.w_radius);
     } else {
       std::vector<char> delivered(parts.ids.size(), 0);
@@ -176,7 +174,7 @@ TrainResult train_drfa(const nn::Model& model,
       }
       aggregated = detail::degraded_weighted_average(
           client_w, parts, delivered, opts.on_fault, opts.stale_decay, k,
-          stale, result.w, result.w, agg);
+          stale, result.w, result.w, agg, &pool);
       if (aggregated) {
         // Checkpoint: only delivered reports carry one; renormalize over
         // the survivors. With no surviving checkpoint (possible under
@@ -191,7 +189,7 @@ TrainResult train_drfa(const nn::Model& model,
         if (surv.ids.empty()) {
           tensor::copy(result.w, checkpoint);
         } else {
-          detail::weighted_average(client_ckpt, surv, checkpoint);
+          detail::weighted_average(client_ckpt, surv, checkpoint, &pool);
         }
         tensor::project_l2_ball(result.w, opts.w_radius);
       }
@@ -292,7 +290,7 @@ TrainResult train_drfa(const nn::Model& model,
       }
     }
 
-    detail::update_running_average(result.w_avg, result.w, k);
+    detail::update_running_average(result.w_avg, result.w, k, &pool);
     detail::update_running_average(q_avg, q, k);
     detail::maybe_record(model, fed, pool, k + 1, opts.rounds,
                          opts.eval_every, result.w, result.comm,

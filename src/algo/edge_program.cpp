@@ -2,7 +2,6 @@
 
 #include "core/check.hpp"
 #include "sim/quantize.hpp"
-#include "tensor/vecops.hpp"
 
 namespace hm::algo::detail {
 
@@ -29,17 +28,17 @@ EdgeProgram::EdgeProgram(const nn::Model& model,
       plan_(h.opts.fault),
       cluster_(pool),
       agg_{h.opts.aggregate, h.opts.trim_frac},
-      scratch_(static_cast<std::size_t>(h.tree.num_leaves())) {
+      leaf_job_(static_cast<std::size_t>(h.tree.num_leaves()), -1) {
   const index_t depth = h.tree.depth();
   node_w_.resize(static_cast<std::size_t>(depth) + 1);
   node_ckpt_.resize(static_cast<std::size_t>(depth) + 1);
   node_has_ckpt_.resize(static_cast<std::size_t>(depth));
-  for (index_t lv = 2; lv <= depth; ++lv) {
+  for (index_t lv = 2; lv < depth; ++lv) {
     const auto s = static_cast<std::size_t>(lv);
     const auto n = static_cast<std::size_t>(h.tree.nodes_at(lv));
     node_w_[s].resize(n);
     node_ckpt_[s].resize(n);
-    if (lv < depth) node_has_ckpt_[s].assign(n, 1);
+    node_has_ckpt_[s].assign(n, 1);
   }
 }
 
@@ -63,7 +62,6 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   const std::vector<index_t>& fan = h_.tree.branching();
   const index_t leaf_fan = fan.back();
   const index_t lpa = h_.tree.leaves_per_area();
-  const auto leaf_slot = static_cast<std::size_t>(depth);
   rng::Xoshiro256 round_gen =
       root_.split(static_cast<std::uint64_t>(k) + 1);
 
@@ -87,6 +85,16 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
     return id_range(n * f, f);
   };
   const auto slot = [](index_t id) { return static_cast<std::size_t>(id); };
+  parallel::ThreadPool* pool = &cluster_.pool();
+  // Leaf buffers are indexed by job slot: map `leaves` to their slots.
+  const auto job_slots = [&](const std::vector<index_t>& leaves) {
+    std::vector<index_t> slots(leaves.size());
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      slots[i] = leaf_job_[slot(leaves[i])];
+      HM_ASSERT(slots[i] >= 0);  // only leaves whose job ran are read
+    }
+    return slots;
+  };
 
   // Seed every listed area with the broadcast global model. A crashed
   // area server takes its whole subtree offline: its model stays the
@@ -94,7 +102,7 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   std::vector<index_t> live;
   live.reserve(edges.size());
   for (const index_t e : edges) {
-    tensor::copy(w, ensure(edge_w[slot(e)]));
+    copy_model(w, ensure(edge_w[slot(e)]), pool);
     if (!plan_.edge_crashed(k, e)) {
       live.push_back(e);
     } else if (c2 >= 0) {
@@ -115,7 +123,8 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
       for (const index_t e : live) {
         for (const index_t n : nodes_of(lv, e)) {
           for (const index_t c : children(lv, n)) {
-            tensor::copy(models(lv)[slot(n)], ensure(models(lv + 1)[slot(c)]));
+            copy_model(models(lv)[slot(n)], ensure(models(lv + 1)[slot(c)]),
+                       pool);
           }
         }
       }
@@ -129,19 +138,33 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
     cfg.weight_decay = opts.weight_decay;
     cfg.prox_mu = opts.prox_mu;
     cfg.checkpoint_step = b == c2 ? c1 : 0;
+    // One job per leaf that computes this block; job j trains in leaf
+    // slot j from its parent's model, copied inside the device task.
     std::vector<LocalSgdJob> jobs;
     std::vector<rng::Xoshiro256> gens;
+    std::vector<index_t> job_leaf;
     const std::size_t max_jobs = live.size() * static_cast<std::size_t>(lpa);
     jobs.reserve(max_jobs);
     gens.reserve(max_jobs);
+    job_leaf.reserve(max_jobs);
+    auto& leaf_w = node_w_[static_cast<std::size_t>(depth)];
+    auto& leaf_ckpt = node_ckpt_[static_cast<std::size_t>(depth)];
+    if (leaf_w.size() < max_jobs) {
+      leaf_w.resize(max_jobs);
+      leaf_ckpt.resize(max_jobs);
+      scratch_.resize(max_jobs);
+    }
     for (const index_t e : live) {
       for (index_t i = 0; i < lpa; ++i) {
         const index_t leaf = e * lpa + i;
         // Offline hardware (churned away) computes nothing this round.
         // (Dropped clients still compute — only their report is lost.)
-        if (plan_.client_offline(k, leaf)) continue;
-        auto& w_local = ensure(node_w_[leaf_slot][slot(leaf)]);
-        tensor::copy(models(inner)[slot(leaf / leaf_fan)], w_local);
+        if (plan_.client_offline(k, leaf)) {
+          leaf_job_[slot(leaf)] = -1;
+          continue;
+        }
+        const std::size_t j = jobs.size();
+        leaf_job_[slot(leaf)] = static_cast<index_t>(j);
         gens.push_back(round_gen.split(kTagLocal)
                            .split(static_cast<std::uint64_t>(e))
                            .split(static_cast<std::uint64_t>(b))
@@ -151,21 +174,20 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
           shard = &poison_.get(*shard, leaf);
         }
         const nn::VecView ckpt =
-            b == c2 ? nn::VecView(ensure(node_ckpt_[leaf_slot][slot(leaf)]))
-                    : nn::VecView();
-        jobs.push_back({shard, w_local, ckpt, &gens.back(), leaf});
+            b == c2 ? nn::VecView(ensure(leaf_ckpt[j])) : nn::VecView();
+        jobs.push_back({shard, ensure(leaf_w[j]), ckpt, &gens.back(),
+                        static_cast<index_t>(j),
+                        models(inner)[slot(leaf / leaf_fan)]});
+        job_leaf.push_back(leaf);
       }
     }
     run_local_sgd_jobs(model_, cfg, jobs, scratch_, cluster_);
     if (opts.quantize_bits > 0) {
       for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const auto leaf = slot(jobs[j].scratch_id);
         rng::Xoshiro256 qgen = gens[j].split(kTagQuant);
-        sim::quantize_payload(node_w_[leaf_slot][leaf], opts.quantize_bits,
-                              qgen);
+        sim::quantize_payload(leaf_w[j], opts.quantize_bits, qgen);
         if (b == c2) {
-          sim::quantize_payload(node_ckpt_[leaf_slot][leaf],
-                                opts.quantize_bits, qgen);
+          sim::quantize_payload(leaf_ckpt[j], opts.quantize_bits, qgen);
         }
       }
     }
@@ -174,11 +196,11 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
       // under it started from — the sign-flip reflection reference. The
       // checkpoint upload stays honest: it is variance-reduction
       // scaffolding for Phase 2, not a model report (DESIGN.md §13).
-      for (const auto& job : jobs) {
-        const index_t c = job.scratch_id;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const index_t c = job_leaf[j];
         if (!plan_.client_attacker(k, c)) continue;
         plan_.corrupt_payload(k, c, models(inner)[slot(c / leaf_fan)].data(),
-                              node_w_[leaf_slot][slot(c)].data(), d);
+                              leaf_w[j].data(), d);
       }
     }
 
@@ -189,27 +211,30 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
         const std::vector<index_t> leaves = children(inner, n);
         auto& node_w = models(inner)[slot(n)];
         if (!plan_.enabled()) {
-          robust_uniform_average(node_w_[leaf_slot], leaves, agg_, node_w);
+          const std::vector<index_t> slots = job_slots(leaves);
+          robust_uniform_average(leaf_w, slots, agg_, node_w, pool);
           if (b == c2) {
-            uniform_average(node_ckpt_[leaf_slot], leaves,
-                            ensure(ckpts(inner)[slot(n)]));
+            uniform_average(leaf_ckpt, slots, ensure(ckpts(inner)[slot(n)]),
+                            pool);
           }
           continue;
         }
-        // Aggregate over whichever leaves actually reported this block;
-        // a node with zero survivors keeps its block-start model.
+        // Aggregate over whichever leaves actually reported this block
+        // (a reporting leaf is never offline, so its job ran); a node
+        // with zero survivors keeps its block-start model.
         std::vector<index_t> surv;
         for (const index_t c : leaves) {
           if (plan_.client_reports(k, c)) surv.push_back(c);
         }
-        if (!surv.empty()) {
-          robust_uniform_average(node_w_[leaf_slot], surv, agg_, node_w);
+        const std::vector<index_t> slots = job_slots(surv);
+        if (!slots.empty()) {
+          robust_uniform_average(leaf_w, slots, agg_, node_w, pool);
         }
         if (b == c2) {
-          has_ckpt(inner)[slot(n)] = surv.empty() ? 0 : 1;
-          if (!surv.empty()) {
-            uniform_average(node_ckpt_[leaf_slot], surv,
-                            ensure(ckpts(inner)[slot(n)]));
+          has_ckpt(inner)[slot(n)] = slots.empty() ? 0 : 1;
+          if (!slots.empty()) {
+            uniform_average(leaf_ckpt, slots, ensure(ckpts(inner)[slot(n)]),
+                            pool);
           }
         }
       }
@@ -222,7 +247,7 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
       for (const index_t e : live) {
         for (const index_t n : nodes_of(lv, e)) {
           uniform_average(models(lv + 1), children(lv, n),
-                          models(lv)[slot(n)]);
+                          models(lv)[slot(n)], pool);
         }
       }
     }
@@ -240,7 +265,8 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
         }
         has_ckpt(lv)[slot(n)] = held.empty() ? 0 : 1;
         if (!held.empty()) {
-          uniform_average(ckpts(lv + 1), held, ensure(ckpts(lv)[slot(n)]));
+          uniform_average(ckpts(lv + 1), held, ensure(ckpts(lv)[slot(n)]),
+                          pool);
         }
       }
     }

@@ -8,7 +8,10 @@
 // run options): all randomness comes from non-advancing splits of a
 // root generator rebuilt from opts.seed, the fault plan is a pure
 // function of (fault seed, round, entity), and per-node buffers are
-// written before every read within a round. Two EdgeProgram instances —
+// written before every read within a round. Leaf buffers belong to job
+// slots, not to leaves: slot j holds whichever leaf ran as job j of the
+// current innermost block, so a program keeps one model per job of its
+// largest block rather than one per leaf. Two EdgeProgram instances —
 // in different processes — therefore produce bit-identical per-area
 // results for any partition of the area set (run_local_sgd_jobs and
 // Model::loss_many are bit-identical per job regardless of grouping).
@@ -95,11 +98,14 @@ class EdgeProgram {
   AggregateSpec agg_;
   // Per-depth node buffers, indexed [depth][node id at that depth] and
   // materialized on first touch. Depth 1 lives in the caller's per-area
-  // arrays, so slots 0 and 1 stay empty; depth L holds the leaves.
+  // arrays, so slots 0 and 1 stay empty. Depth L holds the leaves and is
+  // indexed by job slot instead; leaf_job_ maps each leaf of the current
+  // block to its slot (-1: offline, no job).
   std::vector<std::vector<std::vector<scalar_t>>> node_w_;
   std::vector<std::vector<std::vector<scalar_t>>> node_ckpt_;
   std::vector<std::vector<char>> node_has_ckpt_;
-  std::vector<ClientScratch> scratch_;
+  std::vector<index_t> leaf_job_;
+  std::vector<ClientScratch> scratch_;  // by job slot
   PoisonStore poison_;
   std::unique_ptr<nn::Workspace> ph2_ws_;  // created by the first phase2
 };

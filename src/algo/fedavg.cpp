@@ -84,13 +84,12 @@ TrainResult train_fedavg(const nn::Model& model,
     jobs.reserve(clients.size());
     gens.reserve(clients.size());
     for (const index_t n : clients) {
-      auto& w_local = client_w[static_cast<std::size_t>(n)];
-      tensor::copy(result.w, w_local);
       gens.push_back(round_gen.split(detail::kTagLocal)
                          .split(static_cast<std::uint64_t>(n)));
       const data::Dataset* shard = &fed.client_shard_at(k, n);
       if (plan.client_poisoned(k, n)) shard = &poison.get(*shard, n);
-      jobs.push_back({shard, w_local, {}, &gens.back(), n});
+      jobs.push_back({shard, client_w[static_cast<std::size_t>(n)], {},
+                      &gens.back(), n, result.w});
     }
     run_local_sgd_jobs(model, cfg, jobs, scratch, cluster);
     if (opts.quantize_bits > 0) {
@@ -113,7 +112,7 @@ TrainResult train_fedavg(const nn::Model& model,
     }
 
     if (!plan.enabled()) {
-      detail::robust_uniform_average(client_w, clients, agg, result.w);
+      detail::robust_uniform_average(client_w, clients, agg, result.w, &pool);
       tensor::project_l2_ball(result.w, opts.w_radius);
     } else {
       // Decide which sampled clients report over the wide-area link:
@@ -138,7 +137,7 @@ TrainResult train_fedavg(const nn::Model& model,
       if (detail::degraded_uniform_average(client_w, clients, delivered,
                                            opts.on_fault, opts.stale_decay,
                                            k, stale, result.w, result.w,
-                                           agg)) {
+                                           agg, &pool)) {
         tensor::project_l2_ball(result.w, opts.w_radius);
       }
     }
@@ -150,7 +149,7 @@ TrainResult train_fedavg(const nn::Model& model,
         (sim::payload_bytes(d, 0) +
          sim::payload_bytes(d, opts.quantize_bits));
 
-    detail::update_running_average(result.w_avg, result.w, k);
+    detail::update_running_average(result.w_avg, result.w, k, &pool);
     detail::maybe_record(model, fed, pool, k + 1, opts.rounds,
                          opts.eval_every, result.w, result.comm,
                          result.history);

@@ -334,10 +334,10 @@ TrainResult run_engine(const nn::Model& model,
     // upload honest checkpoints (threat-model boundary, DESIGN.md §13).
     bool aggregated = true;
     if (!degraded) {
-      detail::robust_weighted_average(edge_w, parts, agg, result.w);
+      detail::robust_weighted_average(edge_w, parts, agg, result.w, &pool);
       if (minimax) {
         if (opts.use_checkpoint) {
-          detail::weighted_average(edge_ckpt, parts, checkpoint);
+          detail::weighted_average(edge_ckpt, parts, checkpoint, &pool);
         } else {
           tensor::copy(result.w, checkpoint);  // ablation: last iterate
         }
@@ -359,7 +359,7 @@ TrainResult run_engine(const nn::Model& model,
       }
       aggregated = detail::degraded_weighted_average(
           edge_w, parts, delivered, opts.on_fault, opts.stale_decay, k,
-          stale, result.w, result.w, agg);
+          stale, result.w, result.w, agg, &pool);
       if (aggregated && minimax) {
         if (opts.use_checkpoint) {
           // Checkpoints exist only for delivered areas that captured one
@@ -377,7 +377,7 @@ TrainResult run_engine(const nn::Model& model,
           if (surv.ids.empty()) {
             tensor::copy(result.w, checkpoint);
           } else {
-            detail::weighted_average(edge_ckpt, surv, checkpoint);
+            detail::weighted_average(edge_ckpt, surv, checkpoint, &pool);
           }
         } else {
           tensor::copy(result.w, checkpoint);
@@ -529,7 +529,7 @@ TrainResult run_engine(const nn::Model& model,
       }
     }
 
-    detail::update_running_average(result.w_avg, result.w, k);
+    detail::update_running_average(result.w_avg, result.w, k, &pool);
     if (minimax) detail::update_running_average(result.p_avg, result.p, k);
     detail::maybe_record(model, fed, pool, k + 1, opts.rounds,
                          opts.eval_every, result.w, recorded(),

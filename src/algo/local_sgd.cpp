@@ -53,6 +53,7 @@ void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
   if (jobs.empty()) return;
   cluster.run_devices(static_cast<index_t>(jobs.size()), [&](index_t j) {
     const LocalSgdJob& job = jobs[static_cast<std::size_t>(j)];
+    if (!job.start.empty()) tensor::copy(job.start, job.w);
     run_local_sgd(model, *job.shard, config, job.w, job.checkpoint, *job.gen,
                   scratch[static_cast<std::size_t>(job.scratch_id)]);
   });

@@ -49,18 +49,23 @@ void run_local_sgd(const nn::Model& model, const data::Dataset& shard,
 /// run_local_sgd, prepared by the trainer. `gen` must stay valid for the
 /// whole run. `scratch_id` slots into the trainer's ClientScratch vector and
 /// must be distinct across the jobs of one run (grad buffers alias
-/// otherwise).
+/// otherwise). A non-empty `start` (the model the client received) is
+/// copied into `w` inside the job's device task, before the first step;
+/// it must not overlap any job's `w`.
 struct LocalSgdJob {
   const data::Dataset* shard = nullptr;
   nn::VecView w;
   nn::VecView checkpoint;  // empty unless this job captures
   rng::Xoshiro256* gen = nullptr;
   index_t scratch_id = 0;
+  nn::ConstVecView start;  // empty: run from w as it stands
 };
 
 /// Run one local-SGD block for every job (all sharing `config`): one
 /// device task per job on the cluster scheduler
-/// (sim::ClusterSim::run_devices), each a run_local_sgd call.
+/// (sim::ClusterSim::run_devices), each an optional start copy and a
+/// run_local_sgd call. The result is bit-identical to copying every
+/// start into its w first and then running.
 void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
                         std::span<const LocalSgdJob> jobs,
                         std::vector<ClientScratch>& scratch,

@@ -93,12 +93,11 @@ TrainResult train_qffl(const nn::Model& model,
     jobs.reserve(clients.size());
     gens.reserve(clients.size());
     for (const index_t n : clients) {
-      auto& w_local = client_w[static_cast<std::size_t>(n)];
-      tensor::copy(result.w, w_local);
       gens.push_back(round_gen.split(detail::kTagLocal)
                          .split(static_cast<std::uint64_t>(n)));
-      jobs.push_back({&fed.client_shard_at(k, n), w_local, {}, &gens.back(),
-                      n});
+      jobs.push_back({&fed.client_shard_at(k, n),
+                      client_w[static_cast<std::size_t>(n)], {}, &gens.back(),
+                      n, result.w});
     }
     run_local_sgd_jobs(model, cfg, jobs, scratch, cluster);
 
@@ -133,7 +132,7 @@ TrainResult train_qffl(const nn::Model& model,
         (sim::payload_bytes(d, 0) + sim::payload_bytes(d, opts.quantize_bits) +
          16);
 
-    detail::update_running_average(result.w_avg, result.w, k);
+    detail::update_running_average(result.w_avg, result.w, k, &pool);
     detail::maybe_record(model, fed, pool, k + 1, opts.rounds,
                          opts.eval_every, result.w, result.comm,
                          result.history);

@@ -10,35 +10,59 @@
 #include "core/check.hpp"
 #include "core/log.hpp"
 #include "obs/obs.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/vecops.hpp"
 
 namespace hm::algo::detail {
 
 namespace {
 
+/// Run body(lo, hi) over [0, n) in kModelBlock coordinate blocks across
+/// `pool`. A null pool, or a vector of at most one block, is one inline
+/// body(0, n) call.
+template <typename Body>
+void for_model_blocks(parallel::ThreadPool* pool, std::size_t n,
+                      const Body& body) {
+  const std::size_t blocks = (n + kModelBlock - 1) / kModelBlock;
+  if (pool == nullptr || blocks <= 1) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  parallel::parallel_for(
+      *pool, 0, static_cast<index_t>(blocks),
+      [&](index_t b) {
+        const std::size_t lo = static_cast<std::size_t>(b) * kModelBlock;
+        body(lo, std::min(n, lo + kModelBlock));
+      },
+      1);
+}
+
 /// Weighted accumulation over a set of participant vectors with the fused
 /// one- and two-source kernels: the first source overwrites (saves the
 /// zero-fill pass), then sources are folded pairwise so `out` is walked
 /// half as many times. Accumulation order over sources is the sequential
-/// order, same as a chain of axpy calls.
+/// order, same as a chain of axpy calls, in every coordinate block.
 template <typename WeightAt, typename SourceAt>
 void accumulate_weighted(std::size_t count, const WeightAt& weight_at,
                          const SourceAt& source_at,
-                         std::vector<scalar_t>& out) {
+                         std::vector<scalar_t>& out,
+                         parallel::ThreadPool* pool) {
   HM_CHECK(count > 0);
-  HM_CHECK(source_at(0).size() == out.size());
-  tensor::axpby(weight_at(0), source_at(0), scalar_t{0}, out);
-  std::size_t i = 1;
-  for (; i + 2 <= count; i += 2) {
+  for (std::size_t i = 0; i < count; ++i) {
     HM_CHECK(source_at(i).size() == out.size());
-    HM_CHECK(source_at(i + 1).size() == out.size());
-    tensor::axpy2(weight_at(i), source_at(i), weight_at(i + 1),
-                  source_at(i + 1), out);
   }
-  if (i < count) {
-    HM_CHECK(source_at(i).size() == out.size());
-    tensor::axpy(weight_at(i), source_at(i), out);
-  }
+  for_model_blocks(pool, out.size(), [&](std::size_t lo, std::size_t hi) {
+    const auto src = [&](std::size_t i) {
+      return nn::ConstVecView(source_at(i)).subspan(lo, hi - lo);
+    };
+    const nn::VecView dst = nn::VecView(out).subspan(lo, hi - lo);
+    tensor::axpby(weight_at(0), src(0), scalar_t{0}, dst);
+    std::size_t i = 1;
+    for (; i + 2 <= count; i += 2) {
+      tensor::axpy2(weight_at(i), src(i), weight_at(i + 1), src(i + 1), dst);
+    }
+    if (i < count) tensor::axpy(weight_at(i), src(i), dst);
+  });
 }
 
 /// Sort key for the robust combiners: the IEEE 754 totalOrder on doubles
@@ -52,6 +76,14 @@ std::uint64_t order_key(scalar_t v) {
 }
 
 }  // namespace
+
+void copy_model(nn::ConstVecView src, nn::VecView dst,
+                parallel::ThreadPool* pool) {
+  HM_CHECK(src.size() == dst.size());
+  for_model_blocks(pool, dst.size(), [&](std::size_t lo, std::size_t hi) {
+    tensor::copy(src.subspan(lo, hi - lo), dst.subspan(lo, hi - lo));
+  });
+}
 
 Participants Participants::from_draws(const std::vector<index_t>& draws) {
   Participants p;
@@ -71,8 +103,8 @@ Participants Participants::from_draws(const std::vector<index_t>& draws) {
 }
 
 void weighted_average(const std::vector<std::vector<scalar_t>>& vectors,
-                      const Participants& parts,
-                      std::vector<scalar_t>& out) {
+                      const Participants& parts, std::vector<scalar_t>& out,
+                      parallel::ThreadPool* pool) {
   HM_CHECK(!parts.ids.empty() && parts.total > 0);
   const scalar_t inv_total = scalar_t{1} / static_cast<scalar_t>(parts.total);
   accumulate_weighted(
@@ -83,12 +115,13 @@ void weighted_average(const std::vector<std::vector<scalar_t>>& vectors,
       [&](std::size_t i) -> const std::vector<scalar_t>& {
         return vectors[static_cast<std::size_t>(parts.ids[i])];
       },
-      out);
+      out, pool);
 }
 
 void uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
                      const std::vector<index_t>& ids,
-                     std::vector<scalar_t>& out) {
+                     std::vector<scalar_t>& out,
+                     parallel::ThreadPool* pool) {
   HM_CHECK(!ids.empty());
   const scalar_t inv = scalar_t{1} / static_cast<scalar_t>(ids.size());
   accumulate_weighted(
@@ -96,12 +129,13 @@ void uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
       [&](std::size_t i) -> const std::vector<scalar_t>& {
         return vectors[static_cast<std::size_t>(ids[i])];
       },
-      out);
+      out, pool);
 }
 
 void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
                     const std::vector<index_t>& mults, index_t total,
-                    const AggregateSpec& agg, nn::VecView out) {
+                    const AggregateSpec& agg, nn::VecView out,
+                    parallel::ThreadPool* pool) {
   HM_CHECK(agg.kind != Aggregate::kMean);
   HM_CHECK(!srcs.empty() && mults.size() == srcs.size() && total > 0);
   HM_CHECK_MSG(agg.trim_frac >= 0 && agg.trim_frac < scalar_t{0.5},
@@ -121,53 +155,56 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
                (total - 1) / 2);
   // Per-coordinate (order key, source index) pairs, sorted ascending.
   // The index tiebreak pins the order among equal keys, and the sorted
-  // order is also the accumulation order for the trimmed mean.
-  std::vector<std::pair<std::uint64_t, std::size_t>> order(m);
-  for (std::size_t c = 0; c < dim; ++c) {
-    for (std::size_t i = 0; i < m; ++i) {
-      order[i] = {order_key((*srcs[i])[c]), i};
+  // order is also the accumulation order for the trimmed mean. Each
+  // coordinate is independent, so blocks of them can run anywhere.
+  for_model_blocks(pool, dim, [&](std::size_t first, std::size_t last) {
+    std::vector<std::pair<std::uint64_t, std::size_t>> order(m);
+    for (std::size_t c = first; c < last; ++c) {
+      for (std::size_t i = 0; i < m; ++i) {
+        order[i] = {order_key((*srcs[i])[c]), i};
+      }
+      std::sort(order.begin(), order.end());
+      const auto sorted = [&](std::size_t j) {
+        return (*srcs[order[j].second])[c];
+      };
+      if (agg.kind == Aggregate::kMedian) {
+        index_t cum = 0;
+        std::size_t j = 0;
+        for (; j < m; ++j) {
+          cum += mults[order[j].second];
+          if (2 * cum >= total) break;
+        }
+        if (2 * cum == total) {
+          // Even split: exactly half the weight is at or below order[j],
+          // so the median is the midpoint of the straddling values.
+          out[c] = scalar_t{0.5} * (sorted(j) + sorted(j + 1));
+        } else {
+          out[c] = sorted(j);
+        }
+      } else {  // kTrimmedMean
+        scalar_t acc = 0;
+        const index_t lo = trim;  // keep weight units in [lo, hi)
+        const index_t hi = total - trim;
+        index_t pos = 0;
+        for (std::size_t j = 0; j < m; ++j) {
+          const index_t w = mults[order[j].second];
+          const index_t a = std::max(pos, lo);
+          const index_t b = std::min(pos + w, hi);
+          if (b > a) acc += static_cast<scalar_t>(b - a) * sorted(j);
+          pos += w;
+        }
+        out[c] = acc / static_cast<scalar_t>(total - 2 * trim);
+      }
     }
-    std::sort(order.begin(), order.end());
-    const auto sorted = [&](std::size_t j) {
-      return (*srcs[order[j].second])[c];
-    };
-    if (agg.kind == Aggregate::kMedian) {
-      index_t cum = 0;
-      std::size_t j = 0;
-      for (; j < m; ++j) {
-        cum += mults[order[j].second];
-        if (2 * cum >= total) break;
-      }
-      if (2 * cum == total) {
-        // Even split: exactly half the weight is at or below order[j],
-        // so the median is the midpoint of the straddling values.
-        out[c] = scalar_t{0.5} * (sorted(j) + sorted(j + 1));
-      } else {
-        out[c] = sorted(j);
-      }
-    } else {  // kTrimmedMean
-      scalar_t acc = 0;
-      const index_t lo = trim;        // keep weight units in [lo, hi)
-      const index_t hi = total - trim;
-      index_t pos = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        const index_t w = mults[order[j].second];
-        const index_t a = std::max(pos, lo);
-        const index_t b = std::min(pos + w, hi);
-        if (b > a) acc += static_cast<scalar_t>(b - a) * sorted(j);
-        pos += w;
-      }
-      out[c] = acc / static_cast<scalar_t>(total - 2 * trim);
-    }
-  }
+  });
 }
 
 void robust_weighted_average(
     const std::vector<std::vector<scalar_t>>& vectors,
     const Participants& parts, const AggregateSpec& agg,
-    std::vector<scalar_t>& out) {
+    std::vector<scalar_t>& out, parallel::ThreadPool* pool) {
   if (agg.kind == Aggregate::kMean) {
-    weighted_average(vectors, parts, out);
+    weighted_average(vectors, parts, out, pool);
     return;
   }
   HM_CHECK(!parts.ids.empty() && parts.total > 0);
@@ -175,15 +212,16 @@ void robust_weighted_average(
   for (std::size_t i = 0; i < parts.ids.size(); ++i) {
     srcs[i] = &vectors[static_cast<std::size_t>(parts.ids[i])];
   }
-  robust_combine(srcs, parts.multiplicity, parts.total, agg, out);
+  robust_combine(srcs, parts.multiplicity, parts.total, agg, out, pool);
 }
 
 void robust_uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
                             const std::vector<index_t>& ids,
                             const AggregateSpec& agg,
-                            std::vector<scalar_t>& out) {
+                            std::vector<scalar_t>& out,
+                            parallel::ThreadPool* pool) {
   if (agg.kind == Aggregate::kMean) {
-    uniform_average(vectors, ids, out);
+    uniform_average(vectors, ids, out, pool);
     return;
   }
   HM_CHECK(!ids.empty());
@@ -192,7 +230,8 @@ void robust_uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
     srcs[i] = &vectors[static_cast<std::size_t>(ids[i])];
   }
   const std::vector<index_t> mults(ids.size(), 1);
-  robust_combine(srcs, mults, static_cast<index_t>(ids.size()), agg, out);
+  robust_combine(srcs, mults, static_cast<index_t>(ids.size()), agg, out,
+                 pool);
 }
 
 namespace {
@@ -230,7 +269,7 @@ bool degraded_weighted_average(
     const Participants& parts, const std::vector<char>& delivered,
     OnFault policy, scalar_t stale_decay, index_t round, StaleStore& stale,
     const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
-    const AggregateSpec& agg) {
+    const AggregateSpec& agg, parallel::ThreadPool* pool) {
   HM_CHECK(delivered.size() == parts.ids.size());
   bool all_delivered = true;
   for (const char c : delivered) all_delivered = all_delivered && c != 0;
@@ -239,7 +278,7 @@ bool degraded_weighted_average(
     // Empty surviving set (e.g. Participants::from_draws on zero draws):
     // there is nothing to aggregate — every policy skips the round.
     if (parts.ids.empty()) return false;
-    robust_weighted_average(vectors, parts, agg, out);
+    robust_weighted_average(vectors, parts, agg, out, pool);
     if (policy == OnFault::kReuseStale) {
       for (const index_t id : parts.ids) {
         stale.deliver(id, vectors[static_cast<std::size_t>(id)], round);
@@ -259,7 +298,7 @@ bool degraded_weighted_average(
       survivors.total += parts.multiplicity[i];
     }
     if (survivors.ids.empty()) return false;  // skip-round fallback
-    robust_weighted_average(vectors, survivors, agg, out);
+    robust_weighted_average(vectors, survivors, agg, out, pool);
     return true;
   }
 
@@ -291,9 +330,9 @@ bool degraded_weighted_average(
         [&](std::size_t i) -> const std::vector<scalar_t>& {
           return *srcs[i];
         },
-        out);
+        out, pool);
   } else {
-    robust_combine(srcs, parts.multiplicity, parts.total, agg, out);
+    robust_combine(srcs, parts.multiplicity, parts.total, agg, out, pool);
   }
   for (std::size_t i = 0; i < parts.ids.size(); ++i) {
     if (delivered[i]) {
@@ -309,13 +348,13 @@ bool degraded_uniform_average(
     const std::vector<index_t>& ids, const std::vector<char>& delivered,
     OnFault policy, scalar_t stale_decay, index_t round, StaleStore& stale,
     const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
-    const AggregateSpec& agg) {
+    const AggregateSpec& agg, parallel::ThreadPool* pool) {
   HM_CHECK(delivered.size() == ids.size());
   bool all_delivered = true;
   for (const char c : delivered) all_delivered = all_delivered && c != 0;
   if (all_delivered) {
     if (ids.empty()) return false;
-    robust_uniform_average(vectors, ids, agg, out);
+    robust_uniform_average(vectors, ids, agg, out, pool);
     if (policy == OnFault::kReuseStale) {
       for (const index_t id : ids) {
         stale.deliver(id, vectors[static_cast<std::size_t>(id)], round);
@@ -332,7 +371,7 @@ bool degraded_uniform_average(
   p.total = static_cast<index_t>(ids.size());
   return degraded_weighted_average(vectors, p, delivered, policy,
                                    stale_decay, round, stale, fallback, out,
-                                   agg);
+                                   agg, pool);
 }
 
 const data::Dataset& PoisonStore::get(const data::Dataset& shard,
@@ -358,12 +397,16 @@ void require_inproc(const TrainOptions& opts, const char* trainer) {
 }
 
 void update_running_average(std::vector<scalar_t>& avg,
-                            const std::vector<scalar_t>& value, index_t k) {
+                            const std::vector<scalar_t>& value, index_t k,
+                            parallel::ThreadPool* pool) {
   HM_CHECK(avg.size() == value.size() && k >= 0);
   const scalar_t w_old =
       static_cast<scalar_t>(k) / static_cast<scalar_t>(k + 1);
   const scalar_t w_new = scalar_t{1} / static_cast<scalar_t>(k + 1);
-  tensor::axpby(w_new, value, w_old, avg);
+  for_model_blocks(pool, avg.size(), [&](std::size_t lo, std::size_t hi) {
+    tensor::axpby(w_new, nn::ConstVecView(value).subspan(lo, hi - lo), w_old,
+                  nn::VecView(avg).subspan(lo, hi - lo));
+  });
 }
 
 std::vector<scalar_t> uniform_weights(index_t n) {

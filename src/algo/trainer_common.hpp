@@ -38,15 +38,30 @@ struct Participants {
   static Participants from_draws(const std::vector<index_t>& draws);
 };
 
+/// Coordinates per block of the block-parallel model-vector kernels (the
+/// aggregations, running averages and copy_model): 64 KiB of doubles.
+/// Every element's arithmetic and source order are the same whatever the
+/// split, so results are bit-identical for any pool, including none; a
+/// vector of at most one block runs inline with no dispatch (DESIGN.md
+/// §7, "Model-vector traffic").
+inline constexpr std::size_t kModelBlock = 8192;
+
+/// dst = src, block-parallel on `pool` (sizes must match).
+void copy_model(nn::ConstVecView src, nn::VecView dst,
+                parallel::ThreadPool* pool);
+
 /// out = sum_i weights[i] * vectors[ids[i]] with weights normalized to 1.
+/// `pool` splits the coordinates into kModelBlock blocks (null: serial
+/// on the caller); the result is bit-identical either way.
 void weighted_average(const std::vector<std::vector<scalar_t>>& vectors,
-                      const Participants& parts,
-                      std::vector<scalar_t>& out);
+                      const Participants& parts, std::vector<scalar_t>& out,
+                      parallel::ThreadPool* pool = nullptr);
 
 /// out = mean of vectors[id] over `ids`.
 void uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
                      const std::vector<index_t>& ids,
-                     std::vector<scalar_t>& out);
+                     std::vector<scalar_t>& out,
+                     parallel::ThreadPool* pool = nullptr);
 
 /// The model-report combiner and its parameters, threaded through the
 /// aggregation helpers. The default is the plain mean, which keeps every
@@ -64,10 +79,12 @@ struct AggregateSpec {
 /// +0 and every NaN sorts above +Inf, so any input, finite or not, has
 /// a defined result. kMean is rejected here (callers
 /// dispatch it to the fused mean kernels). `out` may alias a source:
-/// each coordinate is fully read before it is written.
+/// each coordinate is fully read before it is written. `pool` as in
+/// weighted_average.
 void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
                     const std::vector<index_t>& mults, index_t total,
-                    const AggregateSpec& agg, nn::VecView out);
+                    const AggregateSpec& agg, nn::VecView out,
+                    parallel::ThreadPool* pool = nullptr);
 
 /// weighted_average with a selectable combiner: kMean delegates to
 /// weighted_average (bit-identical), the robust kinds treat each
@@ -75,13 +92,14 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
 void robust_weighted_average(
     const std::vector<std::vector<scalar_t>>& vectors,
     const Participants& parts, const AggregateSpec& agg,
-    std::vector<scalar_t>& out);
+    std::vector<scalar_t>& out, parallel::ThreadPool* pool = nullptr);
 
 /// uniform_average with a selectable combiner (multiplicity 1 each).
 void robust_uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
                             const std::vector<index_t>& ids,
                             const AggregateSpec& agg,
-                            std::vector<scalar_t>& out);
+                            std::vector<scalar_t>& out,
+                            parallel::ThreadPool* pool = nullptr);
 
 /// Last delivered update per potential participant, for OnFault::
 /// kReuseStale. `last_round[id] < 0` means the participant never
@@ -121,13 +139,14 @@ struct StaleStore {
 /// untouched then. With all participants delivered this is bit-identical
 /// to weighted_average for every policy. `fallback` may alias `out`.
 /// `agg` selects the combiner over the (survivor + substitute) set; the
-/// default mean reproduces the historical behavior bit-for-bit.
+/// default mean reproduces the historical behavior bit-for-bit. `pool`
+/// splits the combine as in weighted_average.
 bool degraded_weighted_average(
     const std::vector<std::vector<scalar_t>>& vectors,
     const Participants& parts, const std::vector<char>& delivered,
     OnFault policy, scalar_t stale_decay, index_t round, StaleStore& stale,
     const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
-    const AggregateSpec& agg = {});
+    const AggregateSpec& agg = {}, parallel::ThreadPool* pool = nullptr);
 
 /// Uniform-weight variant over `ids` (multiplicity 1 each); otherwise
 /// identical semantics to degraded_weighted_average.
@@ -136,7 +155,7 @@ bool degraded_uniform_average(
     const std::vector<index_t>& ids, const std::vector<char>& delivered,
     OnFault policy, scalar_t stale_decay, index_t round, StaleStore& stale,
     const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
-    const AggregateSpec& agg = {});
+    const AggregateSpec& agg = {}, parallel::ThreadPool* pool = nullptr);
 
 /// Lazily materialized label-flipped twins of client shards, for the
 /// AttackKind::kLabelFlip arm. data::flip_labels is pure, so each twin
@@ -157,9 +176,10 @@ struct PoisonStore {
 void require_inproc(const TrainOptions& opts, const char* trainer);
 
 /// avg <- (avg * k + value) / (k + 1); k is the number of points already
-/// folded into avg.
+/// folded into avg. `pool` as in weighted_average.
 void update_running_average(std::vector<scalar_t>& avg,
-                            const std::vector<scalar_t>& value, index_t k);
+                            const std::vector<scalar_t>& value, index_t k,
+                            parallel::ThreadPool* pool = nullptr);
 
 /// Uniform probability vector of length n.
 std::vector<scalar_t> uniform_weights(index_t n);

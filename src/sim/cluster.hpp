@@ -16,7 +16,6 @@ namespace hm::sim {
 class ClusterSim {
  public:
   explicit ClusterSim(parallel::ThreadPool& pool) : pool_(&pool) {}
-  ClusterSim() : pool_(&parallel::ThreadPool::global()) {}
 
   parallel::ThreadPool& pool() const { return *pool_; }
 

@@ -11,12 +11,14 @@
 #include "algo/local_sgd.hpp"
 #include "algo/trainer_common.hpp"
 #include "nn/softmax_regression.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/vecops.hpp"
 #include "test_util.hpp"
 
 namespace hm::algo {
 namespace {
 
+using testing_util::bits;
 using testing_util::heterogeneous_task;
 using testing_util::iid_task;
 
@@ -145,6 +147,69 @@ TEST(LocalSgd, ProximalTermLimitsDrift) {
   const scalar_t anchored = drift_with_mu(5.0);
   EXPECT_LT(anchored, 0.5 * free_drift);
   EXPECT_GT(anchored, 0);
+}
+
+// A job's `start` is copied into its w inside the device task. The block
+// must equal copying every start first and then running, bit for bit,
+// with every option that reads the iterate: the FedProx centre must be
+// the start model, not whatever w held before, and decay, projection and
+// the checkpoint capture follow from it.
+TEST(LocalSgd, JobStartCopyMatchesCopyThenRun) {
+  const auto fed = heterogeneous_task();
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  const auto d = static_cast<std::size_t>(model.num_params());
+  LocalSgdConfig cfg;
+  cfg.steps = 6;
+  cfg.batch_size = 4;
+  cfg.eta = 0.1;
+  cfg.w_radius = 0.8;
+  cfg.weight_decay = 0.05;
+  cfg.prox_mu = 0.5;
+  cfg.checkpoint_step = 3;
+  // Two start models, each shared by two jobs (as siblings share their
+  // parent's model).
+  std::vector<std::vector<scalar_t>> starts(2, std::vector<scalar_t>(d));
+  rng::Xoshiro256 init(5);
+  for (auto& s : starts) {
+    for (auto& x : s) x = 0.1 * init.normal();
+  }
+  const std::size_t n = 4;
+  parallel::ThreadPool pool(3, /*force_region_dispatch=*/true);
+  const sim::ClusterSim cluster(pool);
+  struct Out {
+    std::vector<std::vector<scalar_t>> w, ckpt;
+  };
+  const auto run = [&](bool start_in_job) {
+    // w starts far from every start model, so a prox centre taken before
+    // the copy would show.
+    Out out{std::vector<std::vector<scalar_t>>(n,
+                                               std::vector<scalar_t>(d, 7.0)),
+            std::vector<std::vector<scalar_t>>(n,
+                                               std::vector<scalar_t>(d, 0))};
+    std::vector<rng::Xoshiro256> gens;
+    for (std::size_t j = 0; j < n; ++j) gens.emplace_back(100 + j);
+    std::vector<ClientScratch> scratch(n);
+    std::vector<LocalSgdJob> jobs;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::vector<scalar_t>& start = starts[j % 2];
+      if (!start_in_job) tensor::copy(start, out.w[j]);
+      jobs.push_back({&fed.client_train[j], out.w[j], out.ckpt[j], &gens[j],
+                      static_cast<index_t>(j),
+                      start_in_job ? nn::ConstVecView(start)
+                                   : nn::ConstVecView()});
+    }
+    run_local_sgd_jobs(model, cfg, jobs, scratch, cluster);
+    return out;
+  };
+  const Out ref = run(false);
+  const Out got = run(true);
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_GT(tensor::nrm2(ref.ckpt[j]), 0) << "job " << j;
+    for (std::size_t i = 0; i < d; ++i) {
+      ASSERT_EQ(bits(got.w[j][i]), bits(ref.w[j][i])) << j << "," << i;
+      ASSERT_EQ(bits(got.ckpt[j][i]), bits(ref.ckpt[j][i])) << j << "," << i;
+    }
+  }
 }
 
 TEST(Participants, DedupAndMultiplicity) {

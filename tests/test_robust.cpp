@@ -12,7 +12,9 @@
 //       a value yields the exact midpoint of the straddling pair,
 //       replayed bit-identically across input orders,
 //   (e) non-finite inputs: NaN, ±Inf and ±0 get a defined result (NaN
-//       sorts above +Inf, -0 ties +0) under every input order.
+//       sorts above +Inf, -0 ties +0) under every input order,
+//   (f) block-parallel aggregation: with a pool, every combiner gives
+//       the serial null-pool result bit for bit, for any pool size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 
 #include "algo/trainer_common.hpp"
 #include "core/check.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "test_util.hpp"
 
@@ -377,6 +380,83 @@ TEST(RobustCombine, MedianTieWithNonFiniteNeighbourIsDefined) {
   EXPECT_EQ(out[0], kInf);
   robust_combine(ptrs({{0.0}, {-0.0}}), {1, 1}, 2, agg, out);
   EXPECT_EQ(bits(out[0]), bits(scalar_t{0.0}));  // 0.5 * (-0 + 0) = +0
+}
+
+// ---------------------------------------------------------------------
+// (f) Block-parallel aggregation. With a pool the combiners split the
+// coordinates into kModelBlock blocks. Each coordinate's arithmetic and
+// source order do not depend on the split, so every pool size must
+// reproduce the serial null-pool call bit for bit, non-finite inputs
+// and the partial last block included.
+
+TEST(BlockParallelAggregation, BitIdenticalToSerialForEveryPoolSize) {
+  constexpr scalar_t kNan = std::numeric_limits<scalar_t>::quiet_NaN();
+  constexpr scalar_t kInf = std::numeric_limits<scalar_t>::infinity();
+  const std::size_t dim = 3 * detail::kModelBlock + 5;  // partial tail
+  const std::size_t m = 5;
+  std::vector<std::vector<scalar_t>> vecs = random_sources(m, dim, 4242);
+  const scalar_t specials[] = {kNan, kInf, -kInf, -0.0};
+  for (std::size_t i = 0; i < m; ++i) {
+    // One special per block and source, plus a few in the tail block.
+    for (std::size_t b = 0; b < 4; ++b) {
+      const std::size_t c = std::min(dim - 1, b * detail::kModelBlock +
+                                                  (i * 977 + 3) % 4096);
+      vecs[i][c] = specials[(i + b) % 4];
+    }
+    vecs[i][dim - 1 - i] = specials[i % 4];
+  }
+  Participants parts;
+  parts.ids = {0, 2, 3, 4};
+  parts.multiplicity = {2, 1, 3, 1};
+  parts.total = 7;
+  const std::vector<index_t> ids = {4, 1, 0, 3, 2};
+  const std::vector<index_t> mults = {1, 2, 1, 1, 3};
+  const AggregateSpec median{Aggregate::kMedian, 0};
+  const AggregateSpec trimmed{Aggregate::kTrimmedMean, 0.2};
+
+  const auto run_all = [&](parallel::ThreadPool* pool) {
+    std::vector<std::vector<scalar_t>> outs;
+    std::vector<scalar_t> out(dim);
+    detail::weighted_average(vecs, parts, out, pool);
+    outs.push_back(out);
+    detail::uniform_average(vecs, ids, out, pool);
+    outs.push_back(out);
+    robust_combine(ptrs(vecs), mults, 8, median, out, pool);
+    outs.push_back(out);
+    robust_combine(ptrs(vecs), mults, 8, trimmed, out, pool);
+    outs.push_back(out);
+    // kReuseStale with two casualties: id 2 has a stale update to blend
+    // toward the fallback, id 3 has none and substitutes the fallback.
+    const std::vector<char> delivered = {1, 0, 0, 1};
+    for (const AggregateSpec& agg : {AggregateSpec{}, median}) {
+      detail::StaleStore stale;
+      stale.init(static_cast<index_t>(m));
+      stale.deliver(2, vecs[1], /*round=*/1);
+      EXPECT_TRUE(detail::degraded_weighted_average(
+          vecs, parts, delivered, OnFault::kReuseStale, 0.5, /*round=*/3,
+          stale, vecs[1], out, agg, pool));
+      outs.push_back(out);
+    }
+    out = vecs[0];
+    detail::update_running_average(out, vecs[3], 4, pool);
+    outs.push_back(out);
+    detail::copy_model(vecs[4], out, pool);
+    outs.push_back(out);
+    return outs;
+  };
+
+  const auto serial = run_all(nullptr);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    parallel::ThreadPool pool(threads, /*force_region_dispatch=*/true);
+    const auto got = run_all(&pool);
+    ASSERT_EQ(got.size(), serial.size());
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        ASSERT_EQ(bits(got[r][c]), bits(serial[r][c]))
+            << "threads " << threads << ", result " << r << ", coord " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

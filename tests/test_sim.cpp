@@ -328,7 +328,8 @@ TEST(ClusterSim, FaultAwareDispatchSkipsCrashedDevices) {
   spec.client_crash_round = {-1, 0, 2};  // device 1 dead from round 0,
                                          // device 2 dead from round 2
   const FaultPlan plan(spec);
-  const ClusterSim cluster;
+  parallel::ThreadPool pool(2);
+  const ClusterSim cluster(pool);
   std::atomic<int> mask{0};
   cluster.run_devices(3, plan, /*round=*/1,
                       [&](index_t i) { mask |= 1 << i; });

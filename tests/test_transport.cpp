@@ -622,6 +622,49 @@ TEST(TransportOracle, BackendsAgreeUnderSamplingAndFaults) {
   EXPECT_TRUE(no_children_remain());
 }
 
+/// Leaf buffers belong to job slots, and each lane's EdgeProgram numbers
+/// its jobs differently: the in-proc program numbers the leaves of every
+/// sampled area, a lane only those of its own areas. Sampling, churn,
+/// crashes and dropout change the job set from block to block, so any
+/// state a slot carried across blocks or rounds would split the backends.
+/// Attackers, quantization and the median combiner read and rewrite the
+/// slots after the jobs; both attack families run.
+TEST(TransportOracle, LeafSlotsKeepNoStateAcrossRounds) {
+  static const data::FederatedDataset fed = heterogeneous_task(4, 3);
+  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  TrainOptions base = transport_opts();
+  base.rounds = 6;
+  base.sampled_edges = 3;
+  base.quantize_bits = 8;
+  base.aggregate = Aggregate::kMedian;
+  base.on_fault = OnFault::kReuseStale;
+  base.fault.enabled = true;
+  base.fault.churn_prob = 0.3;
+  base.fault.churn_dwell = 2;
+  base.fault.client_dropout_prob = 0.2;
+  base.fault.client_crash_round = {-1, -1, -1, -1, 2};  // client 4
+  base.fault.edge_crash_round = {-1, -1, 3};             // edge 2
+  base.fault.attack_prob = 0.3;
+  for (const sim::AttackKind attack :
+       {sim::AttackKind::kLabelFlip, sim::AttackKind::kSignFlip}) {
+    TrainOptions o = base;
+    o.fault.attack = attack;
+    const RunOutput oracle =
+        output_of(train_hierminimax(model, fed, topo, o));
+    for (const index_t workers : {index_t{1}, index_t{3}}) {
+      TrainOptions lo = o;
+      lo.transport.kind = net::TransportKind::kLoopback;
+      lo.transport.workers = workers;
+      expect_same_output(
+          oracle, output_of(train_hierminimax(model, fed, topo, lo)),
+          std::string(attack == sim::AttackKind::kSignFlip ? "sign-flip"
+                                                           : "label-flip") +
+              " loopback workers=" + std::to_string(workers));
+    }
+  }
+}
+
 /// The kill matrix. Worker 1 of 2 serves edges {1, 3} (lane = edge % 2).
 /// SIGKILLing it {before handling, mid-reply-frame, after the reply} is
 /// observed by the coordinator at a known round, so each cell must be
