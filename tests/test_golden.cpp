@@ -23,6 +23,7 @@
 #include "algo/hierminimax.hpp"
 #include "algo/hierminimax_multi.hpp"
 #include "algo/qffl.hpp"
+#include "nn/mlp.hpp"
 #include "nn/softmax_regression.hpp"
 #include "sim/multi_topology.hpp"
 #include "sim/topology.hpp"
@@ -171,6 +172,29 @@ std::vector<Runner> runners() {
                    return trajectory_of(
                        train_hierminimax_multi(model, fed, topo, o));
                  }});
+  // MLP rows: every hidden width is at least 4x the batch, so the
+  // batch-sized forward GEMMs take gemm_nt's transposed (small-side
+  // packed) path. The HierMinimax row runs decayed, projected steps; the
+  // FedAvg row adds a proximal term.
+  out.push_back({"hierminimax_mlp", [] {
+                   const auto& fed = shared_task();
+                   const sim::HierTopology topo(fed.num_edges(),
+                                                fed.clients_per_edge);
+                   const nn::Mlp model({fed.dim(), 32, 16, fed.num_classes()});
+                   TrainOptions o = golden_opts();
+                   o.weight_decay = 0.05;
+                   o.w_radius = 9.0;
+                   return trajectory_of(
+                       train_hierminimax(model, fed, topo, o));
+                 }});
+  out.push_back({"fedavg_mlp_prox", [] {
+                   const auto& fed = shared_task();
+                   const nn::Mlp model({fed.dim(), 32, fed.num_classes()});
+                   TrainOptions o = golden_opts();
+                   o.batch_size = 8;
+                   o.prox_mu = 0.5;
+                   return trajectory_of(train_fedavg(model, fed, o));
+                 }});
   return out;
 }
 
@@ -181,8 +205,8 @@ struct GoldenRow {
 };
 
 // Regenerate with HM_GOLDEN_PRINT=1 (see the file comment). The first
-// loss record of every trainer is the untrained model's ln(4) — the
-// uniform-prediction cross-entropy on 4 classes — which doubles as a
+// loss record of every softmax trainer is the untrained model's ln(4) —
+// the uniform-prediction cross-entropy on 4 classes — which doubles as a
 // sanity check that the table belongs to this fixture.
 const std::vector<GoldenRow>& golden() {
   static const std::vector<GoldenRow> kGolden = {
@@ -233,6 +257,17 @@ const std::vector<GoldenRow>& golden() {
         0x3fea4ab3ea77e5d5ull},
        {0x3fc4ae0cfdfd1f38ull, 0x3fb99281dc89bdb0ull, 0x3fd98bb59298535eull,
         0x3fd5b8a37746ad9aull}},
+      // The MLP rows start from He-initialized weights, not from ln(4).
+      {"hierminimax_mlp",
+       {0x3ffe4c7227f688b7ull, 0x3ff68df8a6187448ull, 0x3ff7e0b24260a2b6ull,
+        0x3ff2491a2c9ca20cull},
+       {0x3fd0074cde6df9edull, 0x3fc4a2f3c1fe7a8bull, 0x3fd40eaf8247736full,
+        0x3fd19889be4b555full}},
+      {"fedavg_mlp_prox",
+       {0x4003ae8f2d3ab624ull, 0x400019b77f5e8b5full, 0x3ffbb44ebfb33a0cull,
+        0x3ff803be596e523bull},
+       {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+        0x3fd0000000000000ull}},
   };
   return kGolden;
 }
