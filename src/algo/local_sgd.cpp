@@ -17,8 +17,15 @@ void run_local_sgd(const nn::Model& model, const data::Dataset& shard,
     HM_CHECK(static_cast<index_t>(checkpoint.size()) == model.num_params());
   }
   scratch.ensure(model);
+  nn::SgdRule rule;
+  rule.eta = config.eta;
+  // Decoupled decay folded into the step: w = (1 - eta*wd)*w - eta*g.
+  rule.decay = config.weight_decay > 0 ? 1 - config.eta * config.weight_decay
+                                       : scalar_t{1};
+  rule.prox_mu = config.prox_mu;
   if (config.prox_mu > 0) {
     scratch.prox_center.assign(w.begin(), w.end());
+    rule.prox_center = scratch.prox_center;
   }
 
   std::vector<index_t> batch(static_cast<std::size_t>(config.batch_size));
@@ -27,18 +34,7 @@ void run_local_sgd(const nn::Model& model, const data::Dataset& shard,
       idx = static_cast<index_t>(gen.uniform_index(
           static_cast<std::uint64_t>(shard.size())));
     }
-    model.loss_and_grad(w, shard, batch, scratch.grad, *scratch.ws);
-    if (config.prox_mu > 0) {
-      for (std::size_t i = 0; i < scratch.grad.size(); ++i) {
-        scratch.grad[i] += config.prox_mu * (w[i] - scratch.prox_center[i]);
-      }
-    }
-    // Fused decayed step: w = (1 - eta*wd)*w - eta*g in one pass
-    // (bit-identical to the scale-then-axpy pair; see vecops.hpp).
-    const scalar_t decay =
-        config.weight_decay > 0 ? 1 - config.eta * config.weight_decay
-                                : scalar_t{1};
-    tensor::axpby(-config.eta, scratch.grad, decay, w);
+    model.sgd_step(w, shard, batch, rule, scratch.grad, *scratch.ws);
     tensor::project_l2_ball(w, config.w_radius);
     if (capture && step + 1 == config.checkpoint_step) {
       tensor::copy(w, checkpoint);

@@ -37,6 +37,12 @@ void add_bias_rows(tensor::MatView m, tensor::ConstVecView bias) {
   for (index_t r = 0; r < m.rows(); ++r) tensor::axpy(1.0, bias, m.row(r));
 }
 
+/// out = sum of the rows of m, folded in row order (the bias gradient).
+void column_sums(tensor::ConstMatView m, VecView out) {
+  tensor::set_zero(out);
+  for (index_t r = 0; r < m.rows(); ++r) tensor::axpy(1.0, m.row(r), out);
+}
+
 }  // namespace
 
 Mlp::Mlp(std::vector<index_t> layer_dims) : dims_(std::move(layer_dims)) {
@@ -103,11 +109,11 @@ void Mlp::init_params(VecView w, rng::Xoshiro256& gen) const {
   }
 }
 
-scalar_t Mlp::loss_and_grad(ConstVecView w, const data::Dataset& d,
-                            std::span<const index_t> batch, VecView grad,
-                            Workspace& ws) const {
+template <typename LayerGrad>
+scalar_t Mlp::backprop(ConstVecView w, const data::Dataset& d,
+                       std::span<const index_t> batch, Workspace& ws,
+                       LayerGrad&& layer_grad) const {
   HM_CHECK(static_cast<index_t>(w.size()) == num_params());
-  HM_CHECK(static_cast<index_t>(grad.size()) == num_params());
   HM_CHECK(!batch.empty());
   HM_CHECK(d.dim() == input_dim() && d.num_classes == num_classes());
   auto& scratch = static_cast<MlpWorkspace&>(ws);
@@ -146,23 +152,54 @@ scalar_t Mlp::loss_and_grad(ConstVecView w, const data::Dataset& d,
     }
   }
 
-  // Backward: gradW_l = d_l^T a_{l-1}; gradb_l = colsum d_l;
-  // d_{l-1} = (d_l W_l) ⊙ relu'(a_{l-1}).
+  // Backward: d_{l-1} = (d_l W_l) ⊙ relu'(a_{l-1}), then layer l's
+  // gradient (gradW_l = d_l^T a_{l-1}, gradb_l = colsum d_l).
   for (index_t l = layers - 1; l >= 0; --l) {
     const auto& delta = scratch.deltas[static_cast<std::size_t>(l)];
     const auto& a_prev = scratch.activations[static_cast<std::size_t>(l)];
-    tensor::gemm_tn(delta, a_prev, weights(grad, l));
-    VecView gb = biases(grad, l);
-    tensor::set_zero(gb);
-    for (index_t r = 0; r < m; ++r) tensor::axpy(1.0, delta.row(r), gb);
     if (l > 0) {
       auto& delta_prev = scratch.deltas[static_cast<std::size_t>(l) - 1];
       delta_prev.resize_for_overwrite(m, dims_[static_cast<std::size_t>(l)]);
       tensor::gemm(delta, weights(w, l), delta_prev);
       tensor::relu_backward(a_prev.flat(), delta_prev.flat());
     }
+    layer_grad(l, delta, a_prev);
   }
   return total_loss * inv_m;
+}
+
+scalar_t Mlp::loss_and_grad(ConstVecView w, const data::Dataset& d,
+                            std::span<const index_t> batch, VecView grad,
+                            Workspace& ws) const {
+  HM_CHECK(static_cast<index_t>(grad.size()) == num_params());
+  return backprop(w, d, batch, ws,
+                  [&](index_t l, const tensor::Matrix& delta,
+                      const tensor::Matrix& a_prev) {
+                    tensor::gemm_tn(delta, a_prev, weights(grad, l));
+                    column_sums(delta, biases(grad, l));
+                  });
+}
+
+scalar_t Mlp::sgd_step(VecView w, const data::Dataset& d,
+                       std::span<const index_t> batch, const SgdRule& rule,
+                       VecView grad_scratch, Workspace& ws) const {
+  if (rule.prox_mu > 0) {
+    return Model::sgd_step(w, d, batch, rule, grad_scratch, ws);
+  }
+  HM_CHECK(static_cast<index_t>(grad_scratch.size()) == num_params());
+  // Per element this is axpby(-eta, grad, decay, w) on the gradient that
+  // loss_and_grad would have written: gemm_tn's epilogue applies the same
+  // two products and one sum, and only the bias gradients pass through
+  // grad_scratch.
+  return backprop(w, d, batch, ws,
+                  [&](index_t l, const tensor::Matrix& delta,
+                      const tensor::Matrix& a_prev) {
+                    tensor::gemm_tn(delta, a_prev, weights(w, l), rule.decay,
+                                    -rule.eta);
+                    VecView gb = biases(grad_scratch, l);
+                    column_sums(delta, gb);
+                    tensor::axpby(-rule.eta, gb, rule.decay, biases(w, l));
+                  });
 }
 
 scalar_t Mlp::loss(ConstVecView w, const data::Dataset& d,

@@ -39,6 +39,13 @@ class Mlp final : public Model {
   scalar_t loss_and_grad(ConstVecView w, const data::Dataset& d,
                          std::span<const index_t> batch, VecView grad,
                          Workspace& ws) const override;
+  /// Fused step: each W_l is updated in place by gemm_tn(alpha = -eta,
+  /// beta = decay) right after delta_{l-1} is taken from the old W_l, so
+  /// the weight gradient is never written out. With prox_mu > 0 it falls
+  /// back to the base version.
+  scalar_t sgd_step(VecView w, const data::Dataset& d,
+                    std::span<const index_t> batch, const SgdRule& rule,
+                    VecView grad_scratch, Workspace& ws) const override;
   scalar_t loss(ConstVecView w, const data::Dataset& d,
                 std::span<const index_t> batch, Workspace& ws) const override;
   void loss_many(std::span<const LossJob> jobs, std::span<scalar_t> losses,
@@ -48,6 +55,15 @@ class Mlp final : public Model {
                Workspace& ws) const override;
 
  private:
+  /// Forward pass and output delta, then for l = L-1 .. 0: delta_{l-1}
+  /// from W_l, then layer_grad(l, delta_l, a_{l-1}). Returns the batch
+  /// loss. W_l is not read after layer_grad(l, ...) runs, so the callback
+  /// may overwrite it.
+  template <typename LayerGrad>
+  scalar_t backprop(ConstVecView w, const data::Dataset& d,
+                    std::span<const index_t> batch, Workspace& ws,
+                    LayerGrad&& layer_grad) const;
+
   std::vector<index_t> dims_;
   std::vector<index_t> w_offsets_;  // start of W_l in the flat vector
   std::vector<index_t> b_offsets_;  // start of b_l

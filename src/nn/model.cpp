@@ -3,8 +3,23 @@
 #include <numeric>
 
 #include "core/check.hpp"
+#include "tensor/vecops.hpp"
 
 namespace hm::nn {
+
+scalar_t Model::sgd_step(VecView w, const data::Dataset& d,
+                         std::span<const index_t> batch, const SgdRule& rule,
+                         VecView grad, Workspace& ws) const {
+  const scalar_t loss = loss_and_grad(w, d, batch, grad, ws);
+  if (rule.prox_mu > 0) {
+    HM_CHECK(rule.prox_center.size() == w.size());
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      grad[i] += rule.prox_mu * (w[i] - rule.prox_center[i]);
+    }
+  }
+  tensor::axpby(-rule.eta, grad, rule.decay, w);
+  return loss;
+}
 
 void Model::loss_many(std::span<const LossJob> jobs,
                       std::span<scalar_t> losses, Workspace& ws) const {

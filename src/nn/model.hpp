@@ -36,6 +36,18 @@ struct LossJob {
   std::span<const index_t> batch;
 };
 
+/// One local-SGD update (Eq. 4 before projection), applied in place:
+///   w = decay * w - eta * (grad + prox_mu * (w - prox_center)).
+/// decay is the decoupled weight-decay factor 1 - eta*lambda (1 = none);
+/// the proximal term is off at prox_mu == 0, and prox_center must then be
+/// empty or ignored.
+struct SgdRule {
+  scalar_t eta = 0;
+  scalar_t decay = 1;
+  scalar_t prox_mu = 0;
+  ConstVecView prox_center;
+};
+
 class Model {
  public:
   virtual ~Model() = default;
@@ -62,6 +74,17 @@ class Model {
   virtual scalar_t loss_and_grad(ConstVecView w, const data::Dataset& d,
                                  std::span<const index_t> batch, VecView grad,
                                  Workspace& ws) const = 0;
+
+  /// One SGD step on `w` in place; returns the batch loss at the old w.
+  /// CONTRACT: bit-identical to loss_and_grad into `grad_scratch`, then
+  /// grad[i] += prox_mu * (w[i] - prox_center[i]) when prox_mu > 0, then
+  /// axpby(-eta, grad, decay, w) — which is exactly what the base version
+  /// does. Overrides may update w without materializing the gradient;
+  /// `grad_scratch` (num_params() long) holds unspecified values after.
+  virtual scalar_t sgd_step(VecView w, const data::Dataset& d,
+                            std::span<const index_t> batch,
+                            const SgdRule& rule, VecView grad_scratch,
+                            Workspace& ws) const;
 
   /// Mean cross-entropy loss over the batch (no gradient).
   virtual scalar_t loss(ConstVecView w, const data::Dataset& d,

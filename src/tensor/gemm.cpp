@@ -19,8 +19,9 @@ void gemm_nt(ConstMatView a, ConstMatView b, MatView c, scalar_t beta) {
   detail::active_kernel_table().gemm_nt(a, b, c, beta);
 }
 
-void gemm_tn(ConstMatView a, ConstMatView b, MatView c, scalar_t beta) {
-  detail::active_kernel_table().gemm_tn(a, b, c, beta);
+void gemm_tn(ConstMatView a, ConstMatView b, MatView c, scalar_t beta,
+             scalar_t alpha) {
+  detail::active_kernel_table().gemm_tn(a, b, c, beta, alpha);
 }
 
 void gemv(ConstMatView a, ConstVecView x, VecView y, scalar_t beta) {

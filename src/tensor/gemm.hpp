@@ -5,18 +5,22 @@
 //   C(m x n) (+)= A(m x k) * B(n x k)^T          — gemm_nt
 //   C(k x n) (+)= A(m x k)^T * B(m x n)          — gemm_tn
 //
-// Implementation: a register-tiled MR x NR micro-kernel accumulates over
-// the reduction index in strictly increasing order. gemm/gemm_tn read B
-// in place (its columns are already contiguous); gemm_nt packs B^T once
-// per call into NR-wide k-major panels reused across every row block of
-// C — or, when A has only a handful of rows, computes the transposed
-// product with the small side packed instead. Above a flop threshold the
-// row blocks of C are split across the global thread pool; writes are
-// disjoint per row, and each C(i, j) folds its k-terms in the same fixed
-// order no matter how the rows are distributed, so results are
-// bit-identical for any pool size and match the naive triple loop exactly
-// (FMA contraction is disabled build-wide; see vecops.hpp for the
-// determinism contract).
+// Implementation: a register-tiled micro-kernel accumulates each C(i, j)
+// over the reduction index in strictly increasing order, then applies the
+// output rule once per element: C = alpha*acc + beta*C (beta == 0
+// overwrites without reading C; alpha is 1 except through gemm_tn).
+// gemm/gemm_tn read B in place (its columns are already contiguous);
+// gemm_nt packs B^T once per call into k-major panels reused across every
+// row block of C — or, when A has only a handful of rows, computes the
+// transposed product with the small side packed instead, in panels of the
+// fewest whole vector lane groups that cover it (taller tiles keep the
+// accumulator count). The tile geometry is chosen from the shape alone.
+// Above a flop threshold the row blocks of C are split across the global
+// thread pool; writes are disjoint per row, and each C(i, j) folds its
+// k-terms in the same fixed order no matter how the rows are distributed
+// or how wide the tile is, so results are bit-identical for any pool size
+// and SIMD tier and match the naive triple loop exactly (FMA contraction
+// is disabled build-wide; see vecops.hpp for the determinism contract).
 #pragma once
 
 #include <span>
@@ -31,8 +35,15 @@ void gemm(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0);
 /// C = beta*C + A * B^T.
 void gemm_nt(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0);
 
-/// C = beta*C + A^T * B.
-void gemm_tn(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0);
+/// C = alpha * A^T*B + beta*C, evaluated per element as alpha*acc +
+/// beta*c with acc the k-ordered sum — the rounding sequence of writing
+/// A^T*B into scratch and then calling axpby(alpha, scratch, beta, C), in
+/// one pass over C. This is how a local-SGD step updates a weight matrix
+/// in place (alpha = -eta, beta = the decay factor). alpha == 1 gives
+/// exactly the unscaled product. An empty reduction (A with no rows)
+/// leaves C = beta*C.
+void gemm_tn(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0,
+             scalar_t alpha = 1);
 
 /// y = beta*y + A * x (dense matrix-vector; rows are processed pairwise
 /// with the fused dot2 kernel and split across the pool for tall A).

@@ -3,7 +3,10 @@
 // vector width so the 8-double vec_t lane groups become single zmm
 // operations. 8x16 register tile = 16 zmm accumulators (two per row) +
 // 2 panel vectors, half the 32-register file left for operands (shape
-// picked empirically: ~1.4x over 8x8 on the Fig. 3/4 GEMM sizes).
+// picked empirically: ~1.4x over 8x8 on the Fig. 3/4 GEMM sizes). When
+// gemm_nt's transposed path packs at most 8 rows (the batch-8 MLP
+// forward), the panel is one lane group wide and the tile 16x8: the same
+// 16 accumulators, none of them spent on zero padding.
 #define HM_KERNEL_NS avx512_kernels
 #define HM_KERNEL_TABLE kernel_table_avx512
 #define HM_KERNEL_MR 8

@@ -58,7 +58,7 @@ struct KernelTable {
   scalar_t (*dist2)(ConstVecView, ConstVecView);
   void (*gemm)(ConstMatView, ConstMatView, MatView, scalar_t);
   void (*gemm_nt)(ConstMatView, ConstMatView, MatView, scalar_t);
-  void (*gemm_tn)(ConstMatView, ConstMatView, MatView, scalar_t);
+  void (*gemm_tn)(ConstMatView, ConstMatView, MatView, scalar_t, scalar_t);
   void (*gemv)(ConstMatView, ConstVecView, VecView, scalar_t);
   void (*gemm_nt_fma)(ConstMatView, ConstMatView, MatView, scalar_t);
 };

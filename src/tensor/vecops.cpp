@@ -68,6 +68,22 @@ index_t argmax(ConstVecView x) {
 void project_l2_ball(VecView x, scalar_t radius) {
   if (radius <= 0) return;  // W = R^d
   const scalar_t norm = nrm2(x);
+  if (std::isinf(norm)) {
+    // The squared norm overflowed. With every coordinate finite the norm
+    // is really big * sqrt(sum (x_i/big)^2), and taking radius/norm as 0
+    // would erase x: recompute it scaled by the largest magnitude. Only
+    // this rare branch pays for the extra passes, so the usual path keeps
+    // its bits. An infinite coordinate keeps the infinite norm.
+    scalar_t big = 0;
+    for (const scalar_t v : x) big = std::max(big, std::abs(v));
+    if (std::isfinite(big)) {
+      scalar_t ss = 0;
+      for (const scalar_t v : x) ss += (v / big) * (v / big);
+      const scalar_t rel = std::sqrt(ss);  // norm / big, in [1, sqrt(n)]
+      if (rel > radius / big) scale((radius / big) / rel, x);
+      return;
+    }
+  }
   if (norm > radius) scale(radius / norm, x);
 }
 

@@ -77,7 +77,9 @@ scalar_t max(ConstVecView x);
 index_t argmax(ConstVecView x);
 
 /// Project x onto the L2 ball of the given radius centered at the origin.
-/// radius <= 0 means "unconstrained" (identity), matching W = R^d.
+/// radius <= 0 means "unconstrained" (identity), matching W = R^d. A
+/// finite x whose squared norm overflows is still scaled onto the sphere
+/// (the norm is recomputed with rescaling), not set to zero.
 void project_l2_ball(VecView x, scalar_t radius);
 
 }  // namespace hm::tensor

@@ -10,6 +10,7 @@
 #include "algo/hierfavg.hpp"
 #include "algo/local_sgd.hpp"
 #include "algo/trainer_common.hpp"
+#include "nn/mlp.hpp"
 #include "nn/softmax_regression.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/vecops.hpp"
@@ -205,6 +206,60 @@ TEST(LocalSgd, JobStartCopyMatchesCopyThenRun) {
   const Out got = run(true);
   for (std::size_t j = 0; j < n; ++j) {
     EXPECT_GT(tensor::nrm2(ref.ckpt[j]), 0) << "job " << j;
+    for (std::size_t i = 0; i < d; ++i) {
+      ASSERT_EQ(bits(got.w[j][i]), bits(ref.w[j][i])) << j << "," << i;
+      ASSERT_EQ(bits(got.ckpt[j][i]), bits(ref.ckpt[j][i])) << j << "," << i;
+    }
+  }
+}
+
+TEST(LocalSgd, MlpJobsOnAPoolMatchSerialRuns) {
+  // One fused-step MLP block (decay, projection, checkpoint capture) on a
+  // 4-thread pool equals each job's run_local_sgd called in turn on this
+  // thread, with no pool involved.
+  const auto fed = heterogeneous_task();
+  const nn::Mlp model({fed.dim(), 48, fed.num_classes()});
+  const auto d = static_cast<std::size_t>(model.num_params());
+  LocalSgdConfig cfg;
+  cfg.steps = 4;
+  cfg.batch_size = 8;
+  cfg.eta = 0.05;
+  cfg.w_radius = 6.0;
+  cfg.weight_decay = 0.1;
+  cfg.checkpoint_step = 2;
+  std::vector<scalar_t> w0(d);
+  rng::Xoshiro256 init(9);
+  model.init_params(w0, init);
+  const std::size_t n = 6;
+  struct Out {
+    std::vector<std::vector<scalar_t>> w, ckpt;
+  };
+  const auto run = [&](parallel::ThreadPool* pool) {
+    Out out{std::vector<std::vector<scalar_t>>(n, w0),
+            std::vector<std::vector<scalar_t>>(n, std::vector<scalar_t>(d))};
+    std::vector<rng::Xoshiro256> gens;
+    for (std::size_t j = 0; j < n; ++j) gens.emplace_back(200 + j);
+    std::vector<ClientScratch> scratch(n);
+    if (pool == nullptr) {
+      for (std::size_t j = 0; j < n; ++j) {
+        run_local_sgd(model, fed.client_train[j], cfg, out.w[j], out.ckpt[j],
+                      gens[j], scratch[j]);
+      }
+      return out;
+    }
+    std::vector<LocalSgdJob> jobs;
+    for (std::size_t j = 0; j < n; ++j) {
+      jobs.push_back({&fed.client_train[j], out.w[j], out.ckpt[j], &gens[j],
+                      static_cast<index_t>(j), {}});
+    }
+    run_local_sgd_jobs(model, cfg, jobs, scratch, sim::ClusterSim(*pool));
+    return out;
+  };
+  parallel::ThreadPool pool(4, /*force_region_dispatch=*/true);
+  const Out ref = run(nullptr);
+  const Out got = run(&pool);
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_NE(bits(ref.w[j][0]), bits(w0[0])) << "job " << j;
     for (std::size_t i = 0; i < d; ++i) {
       ASSERT_EQ(bits(got.w[j][i]), bits(ref.w[j][i])) << j << "," << i;
       ASSERT_EQ(bits(got.ckpt[j][i]), bits(ref.ckpt[j][i])) << j << "," << i;

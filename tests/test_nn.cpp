@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "data/generators.hpp"
 #include "nn/grad_check.hpp"
@@ -244,6 +247,87 @@ TEST(Model, BatchSubsetLossIsMeanOverBatch) {
   const scalar_t mean =
       (m.loss(w, d, b1, *ws) + m.loss(w, d, b2, *ws)) / 2;
   EXPECT_NEAR(m.loss(w, d, both, *ws), mean, 1e-12);
+}
+
+/// The Model::sgd_step contract spelled out: gradient, optional
+/// proximal term, then one axpby.
+scalar_t reference_step(const Model& m, std::vector<scalar_t>& w,
+                        const data::Dataset& d, std::span<const index_t> batch,
+                        const SgdRule& rule, Workspace& ws) {
+  std::vector<scalar_t> g(w.size());
+  const scalar_t loss = m.loss_and_grad(w, d, batch, g, ws);
+  if (rule.prox_mu > 0) {
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      g[i] += rule.prox_mu * (w[i] - rule.prox_center[i]);
+    }
+  }
+  tensor::axpby(-rule.eta, g, rule.decay, w);
+  return loss;
+}
+
+std::uint64_t bits_of(scalar_t x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+TEST(Model, SgdStepIsBitIdenticalToGradientThenAxpby) {
+  // The Mlp override updates each W_l inside gemm_tn and never writes the
+  // weight gradient out; the softmax model takes the base version. Both
+  // must equal the spelled-out step bit for bit over several successive
+  // steps. Batches 1 and 8 take gemm_nt's narrow transposed path (every
+  // hidden width is at least 4x the batch), 17 the packed path; the
+  // 300-300-5 net is large enough for the GEMMs to split row bands.
+  const auto small = small_task(20, 5, 64, 7);
+  const auto wide = small_task(300, 5, 64, 9);
+  const Mlp deep({20, 80, 40, 5});
+  const Mlp big({300, 100, 5});
+  const SoftmaxRegression softmax(20, 5);
+  struct Case {
+    const Model* model;
+    const data::Dataset* data;
+    const char* name;
+  };
+  for (const Case& c : {Case{&deep, &small, "mlp 20-80-40-5"},
+                        Case{&big, &wide, "mlp 300-100-5"},
+                        Case{&softmax, &small, "softmax"}}) {
+    const auto w0 = random_params(*c.model, 60);
+    for (const index_t b : {1, 8, 17}) {
+      std::vector<index_t> batch(static_cast<std::size_t>(b));
+      for (index_t r = 0; r < b; ++r) {
+        batch[static_cast<std::size_t>(r)] = (7 * r + 3) % c.data->size();
+      }
+      for (const scalar_t decay : {1.0, 0.985}) {
+        for (const scalar_t mu : {0.0, 0.4}) {
+          const std::string at = std::string(c.name) +
+                                 " batch=" + std::to_string(b) +
+                                 " decay=" + std::to_string(decay) +
+                                 " mu=" + std::to_string(mu);
+          std::vector<scalar_t> center(w0.size());
+          for (std::size_t i = 0; i < center.size(); ++i) {
+            center[i] = w0[i] * 0.5;
+          }
+          const SgdRule rule{0.05, decay, mu,
+                             mu > 0 ? ConstVecView(center) : ConstVecView()};
+          auto want = w0, got = w0;
+          std::vector<scalar_t> grad(w0.size());
+          auto ws_want = c.model->make_workspace();
+          auto ws_got = c.model->make_workspace();
+          for (int step = 0; step < 3; ++step) {
+            const scalar_t lw =
+                reference_step(*c.model, want, *c.data, batch, rule, *ws_want);
+            const scalar_t lg = c.model->sgd_step(got, *c.data, batch, rule,
+                                                  grad, *ws_got);
+            ASSERT_EQ(bits_of(lw), bits_of(lg)) << at << " step " << step;
+          }
+          for (std::size_t i = 0; i < w0.size(); ++i) {
+            ASSERT_EQ(bits_of(want[i]), bits_of(got[i])) << at << " w[" << i
+                                                         << "]";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GradCheck, DetectsBrokenGradient) {

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -139,13 +140,19 @@ TEST(SimdDispatch, ReductionKernelsBitIdentical) {
 // GEMM shapes: interiors and tails of every register tile in play
 // (generic 8x6, AVX2 4x8, AVX-512 8x16), plus degenerate edges. Chosen
 // so m % MR, n % NR, and k % VW are nonzero somewhere for every variant.
+// The m <= 8, n >= 4m rows take gemm_nt's transposed path with a panel
+// narrower than the default tile (m <= 4 on generic and AVX2, m <= 8 on
+// AVX-512), including partial lane groups; the last row is the Fig. 4
+// layer-1 forward (batch 8 by a 300x784 weight matrix).
 struct GemmShape {
   index_t m, n, k;
 };
 const GemmShape kGemmShapes[] = {
     {1, 1, 1},  {1, 1, 7},   {2, 3, 5},    {3, 17, 9},  {5, 16, 8},
     {8, 6, 12}, {9, 7, 13},  {16, 16, 16}, {17, 33, 5}, {23, 19, 31},
-    {4, 8, 64}, {33, 47, 3}, {64, 10, 11}, {1, 48, 24},
+    {4, 8, 64}, {33, 47, 3}, {64, 10, 11}, {1, 48, 24}, {1, 4, 9},
+    {2, 8, 13}, {3, 12, 7},  {4, 16, 33},  {4, 70, 10}, {5, 20, 17},
+    {5, 53, 6}, {8, 32, 19}, {8, 100, 33}, {8, 300, 784},
 };
 
 TEST(SimdDispatch, GemmVariantsBitIdentical) {
@@ -188,10 +195,10 @@ TEST(SimdDispatch, GemmVariantsBitIdentical) {
         want = fill(kk * nn, 101 + mm), got = want;
         base.gemm_tn(ConstMatView(at_mat.data(), s.m, s.k),
                      ConstMatView(bn.data(), s.m, s.n),
-                     MatView(want.data(), s.k, s.n), beta);
+                     MatView(want.data(), s.k, s.n), beta, 1);
         kt.gemm_tn(ConstMatView(at_mat.data(), s.m, s.k),
                    ConstMatView(bn.data(), s.m, s.n),
-                   MatView(got.data(), s.k, s.n), beta);
+                   MatView(got.data(), s.k, s.n), beta, 1);
         expect_vec_eq(want, got, tag + " gemm_tn" + at);
       }
 
@@ -201,6 +208,49 @@ TEST(SimdDispatch, GemmVariantsBitIdentical) {
       kt.gemv(ConstMatView(a.data(), s.m, s.k), xv, ygot, 0.25);
       expect_vec_eq(ywant, ygot, tag + " gemv" + at);
 
+    }
+  }
+}
+
+TEST(SimdDispatch, GemmTnAlphaEqualsScratchThenAxpby) {
+  // gemm_tn's alpha/beta epilogue is the fused form of the local-SGD
+  // update: writing A^T*B into scratch and then calling axpby must give
+  // the same bits on every variant, including over NaN, +-Inf and -0
+  // already in C (beta == 0 must overwrite them without reading).
+  const scalar_t inf = std::numeric_limits<scalar_t>::infinity();
+  const scalar_t specials[] = {std::numeric_limits<scalar_t>::quiet_NaN(),
+                               inf, -inf, -0.0};
+  for (const SimdLevel level : supported_levels()) {
+    const auto& kt = detail::kernel_table(level);
+    const std::string tag = simd_level_name(level);
+    for (const auto& s : kGemmShapes) {
+      const auto mm = static_cast<std::size_t>(s.m);
+      const auto nn = static_cast<std::size_t>(s.n);
+      const auto kk = static_cast<std::size_t>(s.k);
+      const auto a = fill(mm * kk, 151 + mm + nn);
+      const auto b = fill(mm * nn, 157 + mm + nn);
+      auto c0 = fill(kk * nn, 163 + kk);
+      for (std::size_t i = 0; i < c0.size(); i += 5) {
+        c0[i] = specials[(i / 5) % 4];
+      }
+      for (const scalar_t alpha : {scalar_t{1}, scalar_t{-0.03}}) {
+        for (const scalar_t beta : {scalar_t{0}, scalar_t{0.5}, scalar_t{1}}) {
+          const std::string at =
+              " m=" + std::to_string(s.m) + " n=" + std::to_string(s.n) +
+              " k=" + std::to_string(s.k) + " alpha=" + std::to_string(alpha) +
+              " beta=" + std::to_string(beta);
+          std::vector<scalar_t> scratch(kk * nn);
+          auto want = c0, got = c0;
+          kt.gemm_tn(ConstMatView(a.data(), s.m, s.k),
+                     ConstMatView(b.data(), s.m, s.n),
+                     MatView(scratch.data(), s.k, s.n), 0, 1);
+          kt.axpby(alpha, scratch, beta, want);
+          kt.gemm_tn(ConstMatView(a.data(), s.m, s.k),
+                     ConstMatView(b.data(), s.m, s.n),
+                     MatView(got.data(), s.k, s.n), beta, alpha);
+          expect_vec_eq(want, got, tag + " gemm_tn alpha" + at);
+        }
+      }
     }
   }
 }

@@ -74,6 +74,28 @@ TEST(VecOps, ProjectL2BallShrinksOnlyOutside) {
   EXPECT_NEAR(outside[0] / outside[1], 0.75, 1e-12);  // direction kept
 }
 
+TEST(VecOps, ProjectL2BallSurvivesSquaredNormOverflow) {
+  // dot(x, x) overflows to Inf for these finite coordinates; radius/Inf
+  // used to be 0, which set the whole model to zero.
+  std::vector<scalar_t> x = {3e200, -4e200, 0, 1e-300};
+  project_l2_ball(x, 2.0);
+  EXPECT_NEAR(x[0], 1.2, 1e-12);
+  EXPECT_NEAR(x[1], -1.6, 1e-12);
+  EXPECT_EQ(x[2], 0.0);
+  EXPECT_NEAR(nrm2(x), 2.0, 1e-12);
+
+  // The norm itself (about 5.7e307 * 4) exceeds the largest double.
+  std::vector<scalar_t> huge(16, std::numeric_limits<scalar_t>::max() / 8);
+  project_l2_ball(huge, 1e300);
+  for (const scalar_t v : huge) EXPECT_NEAR(v, 0.25e300, 1e288);
+
+  // Overflowing squares, but inside a huge ball: left alone.
+  std::vector<scalar_t> inside = {1e160, -1e160};
+  project_l2_ball(inside, 1e300);
+  EXPECT_EQ(inside[0], 1e160);
+  EXPECT_EQ(inside[1], -1e160);
+}
+
 TEST(VecOps, ProjectL2BallZeroRadiusIsIdentity) {
   std::vector<scalar_t> x = {100, 200};
   project_l2_ball(x, 0);  // radius <= 0 means unconstrained
@@ -346,22 +368,18 @@ TEST(KernelEquivalence, Axpy2MatchesTwoAxpysExactly) {
 }
 
 /// GEMM reference with the documented rounding sequence: each element is
-/// the k-sequential product sum; beta != 0 scales C first (beta != 1)
-/// and adds the whole accumulated sum in one rounding.
+/// the k-sequential product sum acc, then C = alpha*acc + beta*C in that
+/// order (alpha*acc alone when beta == 0). With alpha == 1 this is the
+/// scale-C-then-add-acc sequence, since 1*acc is exact.
 Matrix ref_gemm_exact(const Matrix& a, const Matrix& b, const Matrix* prior,
-                      scalar_t beta) {
+                      scalar_t beta, scalar_t alpha = 1) {
   Matrix c(a.rows(), b.cols());
   for (index_t i = 0; i < a.rows(); ++i) {
     for (index_t j = 0; j < b.cols(); ++j) {
       scalar_t acc = 0;
       for (index_t l = 0; l < a.cols(); ++l) acc += a(i, l) * b(l, j);
-      if (beta == 0) {
-        c(i, j) = acc;
-      } else {
-        const scalar_t base =
-            beta == 1 ? (*prior)(i, j) : beta * (*prior)(i, j);
-        c(i, j) = base + acc;
-      }
+      c(i, j) = beta == 0 ? alpha * acc
+                          : alpha * acc + beta * (*prior)(i, j);
     }
   }
   return c;
@@ -399,6 +417,11 @@ TEST_P(GemmExactTest, AllVariantsBitIdenticalToNaiveOrder) {
     c = prior;
     gemm_tn(at, b, c, beta);
     expect_bits_equal(c, expected, "gemm_tn", beta);
+    // The SGD-update form: C = -eta * A^T B + decay * C.
+    const Matrix scaled = ref_gemm_exact(a, b, &prior, beta, -0.03);
+    c = prior;
+    gemm_tn(at, b, c, beta, -0.03);
+    expect_bits_equal(c, scaled, "gemm_tn alpha=-0.03", beta);
   }
 }
 
@@ -411,7 +434,13 @@ INSTANTIATE_TEST_SUITE_P(
         GemmExactShape{13, 9, 7},     // row and column tails everywhere
         GemmExactShape{16, 8, 6},     // exact tile multiples
         GemmExactShape{65, 33, 19},   // multiple kMR blocks + tails
-        GemmExactShape{130, 50, 70})  // parallel row-band path
+        GemmExactShape{130, 50, 70},  // parallel row-band path
+        // gemm_nt swap path with a panel narrower than the default tile
+        // (m <= 4 on every tier, m <= 8 on AVX-512), n >= 4m.
+        GemmExactShape{1, 9, 4}, GemmExactShape{2, 13, 8},
+        GemmExactShape{3, 7, 12}, GemmExactShape{4, 33, 16},
+        GemmExactShape{5, 17, 20}, GemmExactShape{8, 19, 32},
+        GemmExactShape{8, 784, 300})  // Fig. 4 layer-1 forward
 );
 
 TEST(KernelEquivalence, GemvBitIdenticalToLaneDotsPerRow) {
