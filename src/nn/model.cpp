@@ -10,6 +10,7 @@ namespace hm::nn {
 scalar_t Model::sgd_step(VecView w, const data::Dataset& d,
                          std::span<const index_t> batch, const SgdRule& rule,
                          VecView grad, Workspace& ws) const {
+  HM_CHECK(grad.size() == w.size());
   const scalar_t loss = loss_and_grad(w, d, batch, grad, ws);
   if (rule.prox_mu > 0) {
     HM_CHECK(rule.prox_center.size() == w.size());

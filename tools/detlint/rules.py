@@ -544,15 +544,15 @@ class _ModelEntryCheckRule(Rule):
 
     NAME = "model-entry-unchecked"
     SCOPE = ("nn",)
-    METHODS = {"init_params", "loss_and_grad", "loss", "predict"}
+    METHODS = {"init_params", "loss_and_grad", "sgd_step", "loss", "predict"}
     WINDOW = 40  # lines of body scanned for a check
 
     def __init__(self):
         super().__init__(
             self.NAME,
-            "Public Model entry points (init_params, loss_and_grad, loss, "
-            "predict) must guard their span/shape preconditions with "
-            "HM_CHECK before touching caller memory.",
+            "Public Model entry points (init_params, loss_and_grad, "
+            "sgd_step, loss, predict) must guard their span/shape "
+            "preconditions with HM_CHECK before touching caller memory.",
             self._check)
 
     def _check(self, f: SourceFile) -> Iterable[Finding]:
