@@ -38,9 +38,8 @@ struct LossJob {
 
 /// One local-SGD update (Eq. 4 before projection), applied in place:
 ///   w = decay * w - eta * (grad + prox_mu * (w - prox_center)).
-/// decay is the decoupled weight-decay factor 1 - eta*lambda (1 = none);
-/// the proximal term is off at prox_mu == 0, and prox_center must then be
-/// empty or ignored.
+/// decay is the decoupled weight-decay factor 1 - eta*lambda (1 = none).
+/// prox_center (num_params() long) is read only when prox_mu > 0.
 struct SgdRule {
   scalar_t eta = 0;
   scalar_t decay = 1;
