@@ -7,6 +7,8 @@
 #   build-tsan/       HM_SANITIZE=thread       ctest -L parallel (every suite
 #                                              whose code reaches hm::parallel)
 #   build-asan-ubsan/ HM_SANITIZE=address,undefined   full ctest
+#   build-glibcxx-debug/ -D_GLIBCXX_DEBUG       test_robust, test_scenario,
+#                                              test_extensions
 #   build-tidy/       compile database only    scripts/tidy.sh
 #   .bench_build/     perfbench (Release)      perfbench/run.py --selftest
 #
@@ -14,8 +16,9 @@
 #                          [--skip-tidy] [--skip-lint]
 #
 # Default run: tier-1 + lint + TSan leg (the pre-merge gate). --matrix
-# adds the ASan+UBSan full suite, the perfbench build + self-tests and
-# the clang-tidy leg — everything the CI workflow runs, end to end.
+# adds the ASan+UBSan full suite, the libstdc++ debug-mode suites, the
+# perfbench build + self-tests and the clang-tidy leg — everything the CI
+# workflow runs, end to end.
 #
 # Sanitizer legs are probed against the host toolchain first and fail
 # fast with an actionable message instead of erroring mid-build; the
@@ -32,7 +35,7 @@ for arg in "$@"; do
     --skip-asan) SKIP_ASAN=1 ;;
     --skip-tidy) SKIP_TIDY=1 ;;
     --skip-lint) SKIP_LINT=1 ;;
-    -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) echo "verify: unknown argument: $arg (see --help)" >&2; exit 2 ;;
   esac
 done
@@ -122,6 +125,17 @@ if [[ "$MATRIX" == 1 ]]; then
     UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
       ctest --test-dir build-asan-ubsan --output-on-failure -j"$JOBS"
   fi
+
+  note "glibcxx-debug: configure + build (build-glibcxx-debug/)"
+  cmake -B build-glibcxx-debug -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_COMPILER="$CXX_BIN" -DCMAKE_CXX_FLAGS=-D_GLIBCXX_DEBUG \
+    -DHM_BUILD_BENCH=OFF -DHM_BUILD_EXAMPLES=OFF >/dev/null
+  cmake --build build-glibcxx-debug -j"$JOBS" \
+    --target test_robust test_scenario test_extensions
+  note "glibcxx-debug: robust + scenario + extensions suites"
+  for t in test_robust test_scenario test_extensions; do
+    "build-glibcxx-debug/tests/$t"
+  done
 
   note "perfbench: build + catalogue checks + self-tests (.bench_build/)"
   python3 perfbench/run.py --selftest

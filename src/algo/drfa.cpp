@@ -238,9 +238,9 @@ TrainResult train_drfa(const nn::Model& model,
       // streams, independent of evaluation order), then score them all in
       // one fused loss_many sweep at the shared checkpoint.
       std::vector<std::vector<index_t>> batches(loss_clients.size());
-      std::vector<nn::LossJob> jobs;
+      std::vector<nn::LossJob> loss_jobs;
       std::vector<std::size_t> job_slot;
-      jobs.reserve(loss_clients.size());
+      loss_jobs.reserve(loss_clients.size());
       job_slot.reserve(loss_clients.size());
       for (std::size_t j = 0; j < loss_clients.size(); ++j) {
         if (!loss_ok[j]) continue;
@@ -262,13 +262,13 @@ TrainResult train_drfa(const nn::Model& model,
         } else {
           batch = nn::all_indices(shard.size());
         }
-        jobs.push_back(nn::LossJob{checkpoint, &shard, batch});
+        loss_jobs.push_back(nn::LossJob{checkpoint, &shard, batch});
         job_slot.push_back(j);
       }
-      std::vector<scalar_t> job_losses(jobs.size());
-      model.loss_many(jobs, job_losses, *loss_ws);
-      for (std::size_t q = 0; q < jobs.size(); ++q) {
-        losses[job_slot[q]] = job_losses[q];
+      std::vector<scalar_t> job_losses(loss_jobs.size());
+      model.loss_many(loss_jobs, job_losses, *loss_ws);
+      for (std::size_t s = 0; s < loss_jobs.size(); ++s) {
+        losses[job_slot[s]] = job_losses[s];
       }
       result.comm.edge_cloud_scalars +=
           static_cast<std::uint64_t>(loss_clients.size());

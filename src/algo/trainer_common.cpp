@@ -459,15 +459,16 @@ void maybe_record(const nn::Model& model, const data::FederatedDataset& fed,
   const bool final_round = round == total_rounds;
   const bool due = eval_every > 0 && round % eval_every == 0;
   if (!final_round && !due) return;
+  HM_OBS_SPAN("eval", "algo", round, fed.num_edges());
   metrics::RoundRecord record;
   record.round = round;
   record.comm = comm;
-  record.edge_acc = metrics::per_edge_accuracy(model, w, fed, pool);
+  metrics::EdgeEvaluation eval = metrics::evaluate_edges(model, w, fed, pool);
+  record.edge_acc = std::move(eval.accuracy);
   record.summary = metrics::summarize(record.edge_acc);
-  const auto losses = metrics::per_edge_loss(model, w, fed, pool);
   scalar_t total = 0;
-  for (const scalar_t l : losses) total += l;
-  record.global_loss = total / static_cast<scalar_t>(losses.size());
+  for (const scalar_t l : eval.loss) total += l;
+  record.global_loss = total / static_cast<scalar_t>(eval.loss.size());
   history.add(std::move(record));
 }
 

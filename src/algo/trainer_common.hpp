@@ -186,6 +186,9 @@ std::vector<scalar_t> uniform_weights(index_t n);
 
 /// Append a RoundRecord (per-edge accuracy + uniform-weight loss) when
 /// the cadence says this round is due (always due at the final round).
+/// A due evaluation runs in one `eval` span (args: round, edge count) as
+/// one parallel region over every edge's loss and accuracy
+/// (metrics::evaluate_edges).
 /// Also mirrors the cumulative CommStats into the obs registry (see
 /// publish_comm_metrics), so a metrics snapshot taken after training
 /// reconciles exactly with TrainResult::comm.

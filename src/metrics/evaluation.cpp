@@ -8,6 +8,25 @@
 
 namespace hm::metrics {
 
+namespace {
+
+// One edge's evaluation tasks, each on its own workspace: a task is the
+// same computation whichever region or thread runs it.
+scalar_t edge_accuracy_task(const nn::Model& model, nn::ConstVecView w,
+                            const data::FederatedDataset& fed, index_t e) {
+  auto ws = model.make_workspace();
+  return nn::accuracy(model, w, fed.edge_test[static_cast<std::size_t>(e)],
+                      *ws);
+}
+
+scalar_t edge_loss_task(const nn::Model& model, nn::ConstVecView w,
+                        const data::FederatedDataset& fed, index_t e) {
+  auto ws = model.make_workspace();
+  return edge_loss(model, w, fed, e, *ws);
+}
+
+}  // namespace
+
 std::vector<scalar_t> per_edge_accuracy(const nn::Model& model,
                                         nn::ConstVecView w,
                                         const data::FederatedDataset& fed,
@@ -17,9 +36,8 @@ std::vector<scalar_t> per_edge_accuracy(const nn::Model& model,
   parallel::parallel_for(
       pool, 0, num_edges,
       [&](index_t e) {
-        auto ws = model.make_workspace();
-        acc[static_cast<std::size_t>(e)] = nn::accuracy(
-            model, w, fed.edge_test[static_cast<std::size_t>(e)], *ws);
+        acc[static_cast<std::size_t>(e)] =
+            edge_accuracy_task(model, w, fed, e);
       },
       /*grain=*/1);
   return acc;
@@ -128,12 +146,36 @@ std::vector<scalar_t> per_edge_loss(const nn::Model& model,
   parallel::parallel_for(
       pool, 0, num_edges,
       [&](index_t e) {
-        auto ws = model.make_workspace();
-        losses[static_cast<std::size_t>(e)] =
-            edge_loss(model, w, fed, e, *ws);
+        losses[static_cast<std::size_t>(e)] = edge_loss_task(model, w, fed, e);
       },
       /*grain=*/1);
   return losses;
+}
+
+EdgeEvaluation evaluate_edges(const nn::Model& model, nn::ConstVecView w,
+                              const data::FederatedDataset& fed,
+                              parallel::ThreadPool& pool) {
+  const index_t num_edges = fed.num_edges();
+  EdgeEvaluation out;
+  out.accuracy.assign(static_cast<std::size_t>(num_edges), 0);
+  out.loss.assign(static_cast<std::size_t>(num_edges), 0);
+  // Loss tasks first: they sweep every client shard of an edge, several
+  // times the rows of its test set, so starting them first shortens the
+  // region's tail.
+  parallel::parallel_for(
+      pool, 0, 2 * num_edges,
+      [&](index_t t) {
+        if (t < num_edges) {
+          out.loss[static_cast<std::size_t>(t)] =
+              edge_loss_task(model, w, fed, t);
+        } else {
+          const index_t e = t - num_edges;
+          out.accuracy[static_cast<std::size_t>(e)] =
+              edge_accuracy_task(model, w, fed, e);
+        }
+      },
+      /*grain=*/1);
+  return out;
 }
 
 }  // namespace hm::metrics

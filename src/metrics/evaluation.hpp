@@ -53,4 +53,18 @@ std::vector<scalar_t> per_edge_loss(const nn::Model& model,
                                     const data::FederatedDataset& fed,
                                     parallel::ThreadPool& pool);
 
+/// Per-edge test accuracy and training loss of `w`.
+struct EdgeEvaluation {
+  std::vector<scalar_t> accuracy;  // per_edge_accuracy
+  std::vector<scalar_t> loss;      // per_edge_loss
+};
+
+/// per_edge_accuracy and per_edge_loss in one parallel region of 2*N_E
+/// tasks, loss tasks first: one dispatch instead of two back-to-back ones,
+/// and the short accuracy tasks fill in behind the long loss tasks. Each
+/// value is bit-identical to the separate calls.
+EdgeEvaluation evaluate_edges(const nn::Model& model, nn::ConstVecView w,
+                              const data::FederatedDataset& fed,
+                              parallel::ThreadPool& pool);
+
 }  // namespace hm::metrics

@@ -14,13 +14,23 @@
 // row block of C — or, when A has only a handful of rows, computes the
 // transposed product with the small side packed instead, in panels of the
 // fewest whole vector lane groups that cover it (taller tiles keep the
-// accumulator count). The tile geometry is chosen from the shape alone.
+// accumulator count). When C is narrow (n within the tier's register
+// budget, at least one vector's width of rows, and n not a whole number
+// of panels), gemm_nt packs nothing: it transposes blocks of A's rows in
+// registers so the lanes hold rows, and broadcasts B. The tile geometry
+// is chosen from the shape alone.
 // Above a flop threshold the row blocks of C are split across the global
 // thread pool; writes are disjoint per row, and each C(i, j) folds its
 // k-terms in the same fixed order no matter how the rows are distributed
 // or how wide the tile is, so results are bit-identical for any pool size
 // and SIMD tier and match the naive triple loop exactly (FMA contraction
 // is disabled build-wide; see vecops.hpp for the determinism contract).
+// One exception: a NaN output's sign. x86 returns the first operand's NaN,
+// the compiler orders the operands of the unfused add and multiply, and
+// a NaN made by Inf - Inf or 0 * Inf is negative, so where such a NaN meets
+// an input NaN, the unfused kernels' NaN sign may differ by tier. The
+// fused family (gemm_nt_fma) matches NaN bits as well on every shape the
+// equivalence suites test.
 #pragma once
 
 #include <span>

@@ -2,7 +2,9 @@
 // training-history thresholds, TSV emission.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "data/generators.hpp"
@@ -123,6 +125,36 @@ TEST(Evaluation, PerfectModelScoresOneOnItsEdge) {
   const auto acc = per_edge_accuracy(model, w, fed, pool);
   const auto s = summarize(acc);
   EXPECT_GT(s.worst, 0.9);
+}
+
+TEST(Evaluation, OneRegionMatchesTheSeparateSweepsBitForBit) {
+  // evaluate_edges runs loss and accuracy tasks in one region; on a pool
+  // that really dispatches, and on one that runs inline, every value must
+  // equal the separate per_edge_loss / per_edge_accuracy calls.
+  const auto all = data::make_gaussian_classes({});
+  rng::Xoshiro256 gen(3);
+  const auto tt = data::split_train_test(all, 0.2, gen);
+  const auto fed = data::partition_one_class_per_edge(tt, 5, 2, gen);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  std::vector<scalar_t> w(static_cast<std::size_t>(model.num_params()));
+  for (auto& x : w) x = gen.normal() * 0.1;
+  parallel::ThreadPool serial(1);
+  const auto acc = per_edge_accuracy(model, w, fed, serial);
+  const auto losses = per_edge_loss(model, w, fed, serial);
+  for (const std::size_t threads : {1, 4}) {
+    parallel::ThreadPool pool(threads, /*force_region_dispatch=*/true);
+    const EdgeEvaluation eval = evaluate_edges(model, w, fed, pool);
+    ASSERT_EQ(eval.accuracy.size(), acc.size());
+    ASSERT_EQ(eval.loss.size(), losses.size());
+    for (std::size_t e = 0; e < acc.size(); ++e) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(eval.accuracy[e]),
+                std::bit_cast<std::uint64_t>(acc[e]))
+          << "threads=" << threads << " edge " << e;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(eval.loss[e]),
+                std::bit_cast<std::uint64_t>(losses[e]))
+          << "threads=" << threads << " edge " << e;
+    }
+  }
 }
 
 RoundRecord record_at(index_t round, std::uint64_t total_rounds,

@@ -64,6 +64,23 @@ void expect_vec_eq(const std::vector<scalar_t>& want,
   }
 }
 
+/// expect_vec_eq, except that a NaN matches any NaN. The unfused kernels
+/// leave the order of a commutative add or multiply to the compiler, and
+/// x86 returns the first operand's NaN, so when an input NaN meets one
+/// made by Inf - Inf or 0 * Inf the sign of the result differs by tier
+/// (the default tile shows it as well as the narrow one). Every non-NaN
+/// bit still has to match.
+void expect_vec_eq_any_nan(const std::vector<scalar_t>& want,
+                           const std::vector<scalar_t>& got,
+                           const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i]) && std::isnan(got[i])) continue;
+    ASSERT_EQ(bits(want[i]), bits(got[i]))
+        << label << "[" << i << "]: " << want[i] << " vs " << got[i];
+  }
+}
+
 // Vector lengths hitting every unroll/tail combination for the widest
 // variant (AVX-512 uses 8-lane vectors, unrolled pairs -> period 16).
 const index_t kVecLens[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64, 257};
@@ -153,7 +170,38 @@ const GemmShape kGemmShapes[] = {
     {4, 8, 64}, {33, 47, 3}, {64, 10, 11}, {1, 48, 24}, {1, 4, 9},
     {2, 8, 13}, {3, 12, 7},  {4, 16, 33},  {4, 70, 10}, {5, 20, 17},
     {5, 53, 6}, {8, 32, 19}, {8, 100, 33}, {8, 300, 784},
+    // gemm_nt's narrow-output path (n within a tier's register budget,
+    // m >= one lane block): the Fig. 3 evaluation forward and its tails.
+    {75, 10, 784}, {107, 12, 7}, {9, 17, 13},  {256, 5, 1},
 };
+
+// Narrow-output gemm_nt shapes: n around every tier's register budget and
+// panel width (kNR - 1 and kNR + 1 for NR = 6, 8, 16), m around every lane
+// block (kVW - 1, kVW, kVW + 1 for VW = 2, 4, 8) and past a row band, and
+// k with and without a whole transposed block.
+std::vector<GemmShape> narrow_shapes() {
+  std::vector<GemmShape> out;
+  for (const index_t m : {1, 2, 3, 4, 5, 7, 8, 9, 75, 107, 256}) {
+    for (const index_t n : {1, 2, 5, 7, 9, 10, 12, 15, 17}) {
+      for (const index_t k : {1, 7, 784}) out.push_back({m, n, k});
+    }
+  }
+  return out;
+}
+
+/// Fill with NaN, +Inf, -Inf and -0 planted at a stride, so every narrow
+/// tile sees each special in some lane and some k step.
+std::vector<scalar_t> fill_specials(std::size_t n, std::uint64_t seed,
+                                    std::size_t stride) {
+  const scalar_t inf = std::numeric_limits<scalar_t>::infinity();
+  const scalar_t specials[] = {std::numeric_limits<scalar_t>::quiet_NaN(),
+                               inf, -inf, -0.0};
+  auto v = fill(n, seed);
+  for (std::size_t i = seed % stride; i < n; i += stride) {
+    v[i] = specials[(i / stride) % 4];
+  }
+  return v;
+}
 
 TEST(SimdDispatch, GemmVariantsBitIdentical) {
   const auto& base = detail::kernel_table(SimdLevel::kGeneric);
@@ -263,10 +311,12 @@ TEST(SimdDispatch, GemmNtFmaBitIdenticalAcrossVariantsAndMatchesNaiveFma) {
   // rounding sequence than gemm_nt, so it gets its own reference rather
   // than a cross-check against the unfused kernels.
   const auto& base = detail::kernel_table(SimdLevel::kGeneric);
+  std::vector<GemmShape> shapes = narrow_shapes();
+  shapes.insert(shapes.end(), std::begin(kGemmShapes), std::end(kGemmShapes));
   for (const SimdLevel level : supported_levels()) {
     const auto& kt = detail::kernel_table(level);
     const std::string tag = simd_level_name(level);
-    for (const auto& s : kGemmShapes) {
+    for (const auto& s : shapes) {
       const auto mm = static_cast<std::size_t>(s.m);
       const auto nn = static_cast<std::size_t>(s.n);
       const auto kk = static_cast<std::size_t>(s.k);
@@ -298,6 +348,44 @@ TEST(SimdDispatch, GemmNtFmaBitIdenticalAcrossVariantsAndMatchesNaiveFma) {
           }
         }
         expect_vec_eq(naive, got, tag + " gemm_nt_fma vs naive fma" + at);
+      }
+    }
+  }
+}
+
+TEST(SimdDispatch, GemmNtNarrowBitIdenticalWithSpecials) {
+  // Both gemm_nt families on the narrow-output shapes, with NaN, +-Inf
+  // and -0 in A and B (sparse enough that most outputs stay finite), must
+  // agree with the generic table at 0 ULP on every tier: the transposed
+  // tile only moves values, so each element keeps its k-ordered fold. The
+  // fused family matches NaN bits too (each fma is one operation with a
+  // fixed operand order); the unfused one up to the NaN's sign (see
+  // expect_vec_eq_any_nan).
+  const auto& base = detail::kernel_table(SimdLevel::kGeneric);
+  for (const SimdLevel level : supported_levels()) {
+    const auto& kt = detail::kernel_table(level);
+    const std::string tag = simd_level_name(level);
+    for (const auto& s : narrow_shapes()) {
+      const auto mm = static_cast<std::size_t>(s.m);
+      const auto nn = static_cast<std::size_t>(s.n);
+      const auto kk = static_cast<std::size_t>(s.k);
+      const auto av = fill_specials(mm * kk, 167 + mm + nn, 97);
+      const auto bv = fill_specials(nn * kk, 173 + mm + kk, 89);
+      const ConstMatView am(av.data(), s.m, s.k), bm(bv.data(), s.n, s.k);
+      for (const scalar_t beta : {scalar_t{0}, scalar_t{0.5}}) {
+        const std::string at =
+            " m=" + std::to_string(s.m) + " n=" + std::to_string(s.n) +
+            " k=" + std::to_string(s.k) + " beta=" + std::to_string(beta);
+        const auto c0 = fill_specials(mm * nn, 179 + mm, 11);
+        auto want = c0, got = c0;
+        base.gemm_nt(am, bm, MatView(want.data(), s.m, s.n), beta);
+        kt.gemm_nt(am, bm, MatView(got.data(), s.m, s.n), beta);
+        expect_vec_eq_any_nan(want, got, tag + " narrow gemm_nt" + at);
+        want = c0;
+        got = c0;
+        base.gemm_nt_fma(am, bm, MatView(want.data(), s.m, s.n), beta);
+        kt.gemm_nt_fma(am, bm, MatView(got.data(), s.m, s.n), beta);
+        expect_vec_eq(want, got, tag + " narrow gemm_nt_fma" + at);
       }
     }
   }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <limits>
 #include <vector>
 
@@ -385,6 +387,21 @@ Matrix ref_gemm_exact(const Matrix& a, const Matrix& b, const Matrix* prior,
   return c;
 }
 
+/// The fused reference: acc = fma(a, b, acc) with k increasing, then the
+/// same epilogue as ref_gemm_exact.
+Matrix ref_gemm_fma(const Matrix& a, const Matrix& b, const Matrix* prior,
+                    scalar_t beta) {
+  Matrix c(a.rows(), b.cols());
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t j = 0; j < b.cols(); ++j) {
+      scalar_t acc = 0;
+      for (index_t l = 0; l < a.cols(); ++l) acc = std::fma(a(i, l), b(l, j), acc);
+      c(i, j) = beta == 0 ? acc : acc + beta * (*prior)(i, j);
+    }
+  }
+  return c;
+}
+
 struct GemmExactShape {
   index_t m, k, n;
 };
@@ -422,6 +439,10 @@ TEST_P(GemmExactTest, AllVariantsBitIdenticalToNaiveOrder) {
     c = prior;
     gemm_tn(at, b, c, beta, -0.03);
     expect_bits_equal(c, scaled, "gemm_tn alpha=-0.03", beta);
+    c = prior;
+    gemm_nt_fma(a, bt, c, beta);
+    expect_bits_equal(c, ref_gemm_fma(a, b, &prior, beta), "gemm_nt_fma",
+                      beta);
   }
 }
 
@@ -442,6 +463,79 @@ INSTANTIATE_TEST_SUITE_P(
         GemmExactShape{5, 17, 20}, GemmExactShape{8, 19, 32},
         GemmExactShape{8, 784, 300})  // Fig. 4 layer-1 forward
 );
+
+// gemm_nt's narrow-output path: n around every tier's register budget and
+// panel width (kNR +- 1 for NR = 6, 8, 16), m around every lane block
+// (kVW +- 1 for VW = 2, 4, 8) and past a row band, k with and without a
+// whole transposed block. The Fig. 3 evaluation forward is m x 784 x 10.
+std::vector<GemmExactShape> narrow_exact_shapes() {
+  std::vector<GemmExactShape> out;
+  for (const index_t m : {1, 2, 3, 4, 5, 7, 8, 9, 75, 107, 256}) {
+    for (const index_t k : {1, 7, 784}) {
+      for (const index_t n : {1, 2, 5, 7, 9, 10, 12, 15, 17}) {
+        out.push_back({m, k, n});
+      }
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NarrowShapes, GemmExactTest, ::testing::ValuesIn(narrow_exact_shapes()),
+    [](const ::testing::TestParamInfo<GemmExactShape>& p) {
+      return "m" + std::to_string(p.param.m) + "_k" +
+             std::to_string(p.param.k) + "_n" + std::to_string(p.param.n);
+    });
+
+TEST(GemmNarrow, SpecialValuesMatchNaiveOrder) {
+  // NaN, +-Inf and -0 in A, B and the prior C, on narrow-output shapes
+  // with row tails (m % kVW != 0 on every tier) and a k tail. The fused
+  // family matches the naive fma loop bit for bit; the unfused one up to
+  // the sign of a NaN, whose operand order the compiler may swap.
+  const scalar_t inf = std::numeric_limits<scalar_t>::infinity();
+  const scalar_t specials[] = {std::numeric_limits<scalar_t>::quiet_NaN(),
+                               inf, -inf, -0.0};
+  auto plant = [&](Matrix& x, std::size_t stride, std::size_t offset) {
+    auto flat = x.flat();
+    for (std::size_t i = offset; i < flat.size(); i += stride) {
+      flat[i] = specials[(i / stride) % 4];
+    }
+  };
+  auto same = [](scalar_t x, scalar_t y, bool any_nan) {
+    if (any_nan && std::isnan(x) && std::isnan(y)) return true;
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  };
+  rng::Xoshiro256 gen(930);
+  for (const GemmExactShape s : {GemmExactShape{75, 784, 10},
+                                 GemmExactShape{107, 13, 17},
+                                 GemmExactShape{9, 7, 5}}) {
+    Matrix a = random_matrix(s.m, s.k, gen);
+    Matrix bt = random_matrix(s.n, s.k, gen);
+    Matrix prior = random_matrix(s.m, s.n, gen);
+    plant(a, 97, 3);
+    plant(bt, 89, 5);
+    plant(prior, 11, 1);
+    const Matrix b = transpose(bt);
+    for (const scalar_t beta : {0.0, 0.5}) {
+      const Matrix plain = ref_gemm_exact(a, b, &prior, beta);
+      const Matrix fused = ref_gemm_fma(a, b, &prior, beta);
+      Matrix c = prior;
+      gemm_nt(a, bt, c, beta);
+      Matrix cf = prior;
+      gemm_nt_fma(a, bt, cf, beta);
+      for (index_t i = 0; i < s.m; ++i) {
+        for (index_t j = 0; j < s.n; ++j) {
+          EXPECT_TRUE(same(c(i, j), plain(i, j), true))
+              << "gemm_nt m=" << s.m << " beta=" << beta << " at " << i
+              << "," << j << ": " << c(i, j) << " vs " << plain(i, j);
+          EXPECT_TRUE(same(cf(i, j), fused(i, j), false))
+              << "gemm_nt_fma m=" << s.m << " beta=" << beta << " at " << i
+              << "," << j << ": " << cf(i, j) << " vs " << fused(i, j);
+        }
+      }
+    }
+  }
+}
 
 TEST(KernelEquivalence, GemvBitIdenticalToLaneDotsPerRow) {
   rng::Xoshiro256 gen(920);
