@@ -3,14 +3,14 @@
 // (cloud-region-edge-client) hierarchy, with per-round local work held
 // fixed (prod(taus) = 8 leaf iterations per round). Deeper trees push
 // synchronization further down: the top (WAN) link sees the same 2
-// rounds per training round, but each deeper level absorbs the multi-step
-// aggregation that a flat system would surface.
+// rounds per training round, while every synchronized block below the
+// areas is one client_edge round (sim::CommStats).
 //
 // Usage: bench_multilevel [--rounds K] [--dim D] [--seed S]
 #include <iomanip>
 #include <iostream>
 
-#include "algo/hierminimax_multi.hpp"
+#include "algo/hierminimax.hpp"
 #include "bench_common.hpp"
 #include "core/log.hpp"
 #include "core/stopwatch.hpp"
@@ -44,34 +44,29 @@ int run(int argc, char** argv) {
 
   std::cout << "# Multi-level HierMinimax at fixed per-round local work "
                "(8 leaf iterations)\n"
-            << "config\tavg\tworst\tvar_pct2\ttop_link_rounds\t"
-               "deeper_rounds\n";
+            << "config\tavg\tworst\tvar_pct2\tedge_cloud_rounds\t"
+               "client_edge_rounds\n";
   Stopwatch sw;
   for (const auto& config : configs) {
     const sim::MultiTopology topo(config.branching);
     HM_CHECK(topo.num_leaves() == fed.num_clients());
     const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-    algo::MultiTrainOptions opts;
+    algo::TrainOptions opts;
     opts.rounds = rounds;
     opts.taus = config.taus;
     opts.batch_size = 4;
     opts.eta_w = 0.05;
     opts.eta_p = 0.002;
-    opts.sampled_areas = 5;
+    opts.sampled_edges = 5;
     opts.eval_every = std::max<index_t>(1, rounds / 15);
     opts.seed = seed;
-    const auto result =
-        algo::train_hierminimax_multi(model, fed, topo, opts);
+    const auto result = algo::train_hierminimax(model, fed, topo, opts);
     const auto s = result.history.tail_summary(5);
-    std::uint64_t deeper = 0;
-    for (std::size_t l = 1; l < result.comm.levels.size(); ++l) {
-      deeper += result.comm.levels[l].rounds;
-    }
     std::cout << config.name << '\t' << std::fixed << std::setprecision(4)
               << s.average << '\t' << s.worst << '\t'
               << std::setprecision(2) << s.variance_pct2 << '\t'
-              << std::defaultfloat << result.comm.levels[0].rounds << '\t'
-              << deeper << '\n';
+              << std::defaultfloat << result.comm.edge_cloud_rounds << '\t'
+              << result.comm.client_edge_rounds << '\n';
   }
   log::info() << "[bench_multilevel] done in " << sw.seconds() << " s";
   return 0;

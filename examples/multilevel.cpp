@@ -8,8 +8,8 @@
 #include <iomanip>
 #include <iostream>
 
+#include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "algo/hierminimax_multi.hpp"
 #include "metrics/evaluation.hpp"
 #include "core/flags.hpp"
 #include "data/federated.hpp"
@@ -43,18 +43,18 @@ int main(int argc, char** argv) {
 
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
 
-  algo::MultiTrainOptions opts;
+  algo::TrainOptions opts;
   opts.rounds = rounds;
   opts.taus = {2, 2, 2};  // blocks per level: region, edge, local steps
   opts.batch_size = 4;
   opts.eta_w = 0.05;
   opts.eta_p = 0.005;
-  opts.sampled_areas = 3;
+  opts.sampled_edges = 3;
   opts.eval_every = std::max<index_t>(1, rounds / 10);
   opts.seed = 7;
 
-  const auto result = algo::train_hierminimax_multi(model, fed, topo, opts);
-  const auto favg = algo::train_hierfavg_multi(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts);
+  const auto favg = algo::train_hierfavg(model, fed, topo, opts);
 
   std::cout << "four-layer HierMinimax (cloud-region-edge-client), "
             << rounds << " rounds, taus = {2, 2, 2}\n\n"
@@ -63,18 +63,18 @@ int main(int argc, char** argv) {
     std::cout << r.round << '\t' << std::fixed << std::setprecision(4)
               << r.summary.average << '\t' << r.summary.worst << '\n';
   }
-  std::cout << "\nper-level communication rounds (level 0 = cloud link):\n";
-  for (std::size_t l = 0; l < result.comm.levels.size(); ++l) {
-    std::cout << "  level " << l << ": "
-              << result.comm.levels[l].rounds << " rounds, "
-              << result.comm.levels[l].models_up << " models up\n";
-  }
+  const sim::CommStats& comm = result.comm;
+  std::cout << "\ncommunication rounds (one per synchronized block):\n"
+            << "  cloud-region link: " << comm.edge_cloud_rounds
+            << " rounds, " << comm.edge_cloud_models_up << " models up\n"
+            << "  links below it:    " << comm.client_edge_rounds
+            << " rounds, " << comm.client_edge_models_up << " models up\n";
   std::cout << "\narea weights p: ";
   for (const scalar_t p : result.p) std::cout << p << ' ';
   std::cout << "\nDeeper levels absorb most synchronization; the cloud "
                "link sees only "
-            << result.comm.levels[0].rounds << " of "
-            << result.comm.total_rounds() << " total rounds.\n";
+            << comm.edge_cloud_rounds << " of " << comm.total_rounds()
+            << " total rounds.\n";
 
   // Fairness vs the L-level minimization baseline (multi-level local
   // SGD): same tree, same taus, no weight adaptation.

@@ -43,7 +43,7 @@ namespace hm::algo::detail {
 /// p ranges over (the edges of the three-layer system), leaves are the
 /// clients. A depth-l node runs taus[l-1] blocks of its children per
 /// block of its parent; a leaf runs taus.back() local SGD steps per
-/// innermost block. The flat trainers use tree {N_E, N_0} with taus
+/// innermost block; a three-layer run has tree {N_E, N_0} and taus
 /// {tau2, tau1}. `opts.tau1` is taus.back() and `opts.tau2` the number
 /// of innermost blocks per round (the product of the outer taus).
 struct Hierarchy {

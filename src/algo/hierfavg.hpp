@@ -1,6 +1,8 @@
 // HierFAVG (Liu et al., ICC'20): hierarchical federated averaging over
 // the client-edge-cloud architecture — the three-layer *minimization*
-// baseline of the paper (problem (1); no weight adaptation).
+// baseline of the paper (problem (1); no weight adaptation) — and its
+// L-level generalization (multi-level local SGD a la Castiglia et al.
+// [5]) on any sim::MultiTopology with opts.taus.
 //
 // Each round: sample m_E edges uniformly; each runs tau2 client-edge
 // aggregation blocks of tau1 local SGD steps; the cloud averages the
@@ -18,13 +20,13 @@ namespace hm::algo {
 
 TrainResult train_hierfavg(const nn::Model& model,
                            const data::FederatedDataset& fed,
-                           const sim::HierTopology& topo,
+                           const sim::MultiTopology& topo,
                            const TrainOptions& opts,
                            parallel::ThreadPool& pool);
 
 TrainResult train_hierfavg(const nn::Model& model,
                            const data::FederatedDataset& fed,
-                           const sim::HierTopology& topo,
+                           const sim::MultiTopology& topo,
                            const TrainOptions& opts);
 
 }  // namespace hm::algo

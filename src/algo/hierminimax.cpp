@@ -1,20 +1,18 @@
-// The one hierarchical round engine. train_hierminimax, train_hierfavg
-// and their L-level counterparts are the same coordinator loop over a
-// detail::Hierarchy; the entry point picks the variant:
+// The one hierarchical round engine. train_hierminimax and
+// train_hierfavg are the same coordinator loop over a detail::Hierarchy
+// (the caller's tree and taus); the entry point picks the variant:
 //
 //   variant          area sampling                checkpoint  Phase 2
 //   HierMinimax      by p, with replacement       yes         yes
 //   HierFAVG         uniform, without replacement no          no
 //
-// The flat trainers run on the depth-2 tree {N_E, N_0}, taus {tau2, tau1};
-// the *_multi trainers on the caller's depth-L tree. Every stream comes
-// from the tree path, so depth 2 is the flat derivation exactly (see
-// DESIGN.md §2, "One hierarchical round engine", for the stream rule).
+// Every stream comes from the tree path, so depth 2 with taus
+// {tau2, tau1} is Algorithm 1 exactly (see DESIGN.md §2, "One
+// hierarchical round engine", for the stream rule).
 #include "algo/hierminimax.hpp"
 
 #include "algo/edge_channel.hpp"
 #include "algo/hierfavg.hpp"
-#include "algo/hierminimax_multi.hpp"
 #include "algo/trainer_common.hpp"
 #include "core/check.hpp"
 #include "obs/obs.hpp"
@@ -29,12 +27,7 @@ namespace {
 using detail::Hierarchy;
 using detail::Participants;
 
-enum class Variant {
-  kHierMinimax,
-  kHierFavg,
-  kHierMinimaxMulti,
-  kHierFavgMulti
-};
+enum class Variant { kHierMinimax, kHierFavg };
 
 /// Per-variant constants, indexed by Variant. Span names are part of the
 /// trace schema; HierFAVG has no Phase 2 span.
@@ -51,10 +44,6 @@ constexpr VariantInfo kVariants[] = {
      "hierminimax.phase1", "hierminimax.phase2"},
     {false, detail::kAlgoHierFavg, "hierfavg.round", "hierfavg.phase1",
      nullptr},
-    {true, detail::kAlgoHierMinimaxMulti, "hierminimax_multi.round",
-     "hierminimax_multi.phase1", "hierminimax_multi.phase2"},
-    {false, detail::kAlgoHierFavgMulti, "hierfavg_multi.round",
-     "hierfavg_multi.phase1", nullptr},
 };
 
 void count_round(Variant v) {
@@ -62,12 +51,6 @@ void count_round(Variant v) {
   switch (v) {
     case Variant::kHierMinimax: HM_OBS_INC("algo.hierminimax.rounds"); break;
     case Variant::kHierFavg: HM_OBS_INC("algo.hierfavg.rounds"); break;
-    case Variant::kHierMinimaxMulti:
-      HM_OBS_INC("algo.hierminimax_multi.rounds");
-      break;
-    case Variant::kHierFavgMulti:
-      HM_OBS_INC("algo.hierfavg_multi.rounds");
-      break;
   }
 }
 
@@ -98,23 +81,6 @@ void validate_inputs(const nn::Model& model, const data::FederatedDataset& fed,
            opts.transport.rpc_backoff_ms >= 0);
 }
 
-/// The multi-level history records the three-layer CommStats shape:
-/// level-0 traffic as edge_cloud, deeper levels summed as client_edge.
-sim::CommStats flat_view(const MultiCommStats& m) {
-  sim::CommStats flat;
-  flat.edge_cloud_rounds = m.levels[0].rounds;
-  flat.edge_cloud_models_up = m.levels[0].models_up;
-  flat.edge_cloud_models_down = m.levels[0].models_down;
-  for (std::size_t l = 1; l < m.levels.size(); ++l) {
-    flat.client_edge_rounds += m.levels[l].rounds;
-    flat.client_edge_models_up += m.levels[l].models_up;
-    flat.client_edge_models_down += m.levels[l].models_down;
-  }
-  flat.client_edge_fault = m.leaf_fault;
-  flat.edge_cloud_fault = m.top_fault;
-  return flat;
-}
-
 // The coordinator half of Algorithm 1. Everything area-and-below (local
 // SGD, the per-node aggregations, Phase-2 loss scoring) lives behind the
 // EdgeChannel; the coordinator keeps sampling, the cloud hops (uplink
@@ -124,14 +90,9 @@ sim::CommStats flat_view(const MultiCommStats& m) {
 // replays the per-block delivery loops in a fixed order from pure
 // FaultPlan queries — identically whether the area computation ran
 // in-process or in forked workers.
-//
-// `levels` is the multi-level trainers' per-link meter: when set, fault
-// tallies go to it, and history and snapshots record it instead of
-// TrainResult::comm.
 TrainResult run_engine(const nn::Model& model,
                        const data::FederatedDataset& fed, const Hierarchy& h,
-                       Variant variant, parallel::ThreadPool& pool,
-                       MultiCommStats* levels) {
+                       Variant variant, parallel::ThreadPool& pool) {
   const VariantInfo& info = kVariants[static_cast<std::size_t>(variant)];
   const bool minimax = info.minimax;
   validate_inputs(model, fed, h, minimax);
@@ -156,14 +117,29 @@ TrainResult run_engine(const nn::Model& model,
   result.w_avg = result.w;
   result.p_avg = result.p;
   sim::CommStats& comm = result.comm;
-  sim::LinkFaultStats& leaf_fault =
-      levels ? levels->leaf_fault : comm.client_edge_fault;
-  sim::LinkFaultStats& top_fault =
-      levels ? levels->top_fault : comm.edge_cloud_fault;
-  if (levels) {
-    levels->levels.assign(static_cast<std::size_t>(h.tree.depth()), {});
+  sim::LinkFaultStats& leaf_fault = comm.client_edge_fault;
+  sim::LinkFaultStats& top_fault = comm.edge_cloud_fault;
+
+  // Interior links (depth >= 3) carry no faults, so their traffic per
+  // participating area is the same every round: each block of a
+  // depth-l node broadcasts to its children and collects their models,
+  // and the minimax checkpoint climbs each link once at round end. One
+  // client_edge round per synchronized block, as on the leaf link.
+  std::uint64_t interior_blocks = 0;  // client_edge rounds per round
+  std::uint64_t interior_down = 0;    // broadcasts per area and round
+  std::uint64_t interior_up = 0;      // reports per area and round
+  {
+    std::uint64_t blocks = 1;
+    for (index_t lv = 1; lv + 1 < h.tree.depth(); ++lv) {
+      blocks *= static_cast<std::uint64_t>(
+          h.taus[static_cast<std::size_t>(lv - 1)]);
+      const auto children =
+          static_cast<std::uint64_t>(h.tree.nodes_at(lv + 1) / num_edges);
+      interior_blocks += blocks;
+      interior_down += blocks * children;
+      interior_up += (blocks + (minimax ? 1 : 0)) * children;
+    }
   }
-  const auto recorded = [&]() { return levels ? flat_view(*levels) : comm; };
 
   // Per-area mirrors on the coordinator. Inner vectors start empty and
   // materialize on first touch (with area sampling most areas may never
@@ -203,20 +179,16 @@ TrainResult run_engine(const nn::Model& model,
   rs.root = &root;
   rs.w = &result.w;
   if (minimax) rs.p = &result.p;
-  if (levels) {
-    rs.multi_comm = levels;
-  } else {
-    rs.w_avg = &result.w_avg;
-    if (minimax) rs.p_avg = &result.p_avg;
-    rs.comm = &comm;
-  }
+  rs.w_avg = &result.w_avg;
+  if (minimax) rs.p_avg = &result.p_avg;
+  rs.comm = &comm;
   rs.stale = &stale;
   rs.history = &result.history;
   const index_t k0 = detail::resume_round(opts.resume_from, rs);
 
   if (k0 == 0) {
     detail::maybe_record(model, fed, pool, 0, opts.rounds, opts.eval_every,
-                         result.w, recorded(), result.history);
+                         result.w, comm, result.history);
   }
 
   for (index_t k = k0; k < opts.rounds; ++k) {
@@ -292,25 +264,11 @@ TrainResult run_engine(const nn::Model& model,
            static_cast<std::uint64_t>(t2 == c2 ? 2 : 1) *
                sim::payload_bytes(d, opts.quantize_bits));
     }
-    if (levels) {
-      // Level l carries one broadcast and one report per child for every
-      // block of every depth-l node of the areas that computed.
-      auto& lv = levels->levels;
-      lv[0].rounds += 1;
-      lv[0].models_down += participating;
-      lv[0].models_up += uploads * participating;
-      std::uint64_t nodes = 0;
-      for (const index_t e : parts.ids) nodes += edge_down(e) ? 0 : 1;
-      std::uint64_t blocks = 1;
-      for (std::size_t l = 1; l < lv.size(); ++l) {
-        blocks *= static_cast<std::uint64_t>(h.taus[l - 1]);
-        const auto fan = static_cast<std::uint64_t>(h.tree.branching()[l]);
-        lv[l].rounds += nodes * blocks;
-        lv[l].models_down += nodes * blocks * fan;
-        lv[l].models_up += nodes * blocks * fan;
-        nodes *= fan;
-      }
-    }
+    comm.client_edge_rounds += interior_blocks;
+    comm.client_edge_models_down += participating * interior_down;
+    comm.client_edge_models_up += participating * interior_up;
+    comm.client_edge_bytes += participating * (interior_down + interior_up) *
+                              sim::payload_bytes(d, 0);
 
     // Uplink quantization of the per-area aggregates (Hier-Local-QSGD
     // style: both hops compress toward the cloud). The coordinator owns
@@ -406,11 +364,6 @@ TrainResult run_engine(const nn::Model& model,
           static_cast<std::uint64_t>(losses_set.size()) *
           static_cast<std::uint64_t>(n0);
       comm.client_edge_rounds += 1;
-      if (levels) {
-        levels->levels[0].rounds += 1;
-        levels->levels[0].models_down +=
-            static_cast<std::uint64_t>(losses_set.size());
-      }
 
       std::fill(edge_losses.begin(), edge_losses.end(), scalar_t{0});
       const index_t loss_jobs = static_cast<index_t>(losses_set.size()) * n0;
@@ -532,73 +485,53 @@ TrainResult run_engine(const nn::Model& model,
     detail::update_running_average(result.w_avg, result.w, k, &pool);
     if (minimax) detail::update_running_average(result.p_avg, result.p, k);
     detail::maybe_record(model, fed, pool, k + 1, opts.rounds,
-                         opts.eval_every, result.w, recorded(),
-                         result.history);
+                         opts.eval_every, result.w, comm, result.history);
     detail::snapshot_round_end(opts.snapshot, k, rs);
   }
   return result;
 }
 
-Hierarchy flat_hierarchy(const sim::HierTopology& topo,
+/// The run's tree and per-level taus. Empty opts.taus means {tau2,
+/// tau1}; the copied options carry tau1 = taus.back() and tau2 = the
+/// innermost blocks per round (the product of the outer taus), which is
+/// what the engine and EdgeProgram read.
+Hierarchy make_hierarchy(const sim::MultiTopology& topo,
                          const TrainOptions& opts) {
-  return Hierarchy{
-      sim::MultiTopology({topo.num_edges(), topo.clients_per_edge()}),
-      {opts.tau2, opts.tau1},
-      opts};
-}
-
-MultiTrainResult run_multi(const nn::Model& model,
-                           const data::FederatedDataset& fed,
-                           const sim::MultiTopology& topo,
-                           const MultiTrainOptions& m, Variant variant,
-                           parallel::ThreadPool& pool) {
-  HM_CHECK_MSG(static_cast<index_t>(m.taus.size()) == topo.depth(),
-               "need one tau per level: " << topo.depth());
-  Hierarchy h{topo, m.taus, {}};
-  TrainOptions& o = h.opts;
-  o.rounds = m.rounds;
-  o.tau1 = m.taus.back();
-  o.tau2 = 1;
-  for (std::size_t l = 0; l + 1 < m.taus.size(); ++l) o.tau2 *= m.taus[l];
-  o.batch_size = m.batch_size;
-  o.eta_w = m.eta_w;
-  o.eta_p = m.eta_p;
-  o.sampled_edges = m.sampled_areas;
-  o.w_radius = m.w_radius;
-  o.p_set = m.p_set;
-  o.seed = m.seed;
-  o.eval_every = m.eval_every;
-  o.loss_est_batch = m.loss_est_batch;
-  o.fault = m.fault;
-  o.on_fault = m.on_fault;
-  o.stale_decay = m.stale_decay;
-  o.aggregate = m.aggregate;
-  o.trim_frac = m.trim_frac;
-  o.snapshot = m.snapshot;
-  o.resume_from = m.resume_from;
-
-  MultiTrainResult out;
-  TrainResult r = run_engine(model, fed, h, variant, pool, &out.comm);
-  out.w = std::move(r.w);
-  out.p = std::move(r.p);
-  out.history = std::move(r.history);
-  return out;
+  Hierarchy h{topo, opts.taus, opts};
+  if (h.taus.empty()) {
+    h.taus = {opts.tau2, opts.tau1};
+  } else {
+    const TrainOptions defaults;
+    HM_CHECK_MSG(opts.tau1 == defaults.tau1 && opts.tau2 == defaults.tau2,
+                 "set either taus or tau1/tau2, not both (tau1 = "
+                     << opts.tau1 << ", tau2 = " << opts.tau2 << ")");
+    h.opts.tau1 = h.taus.back();
+    h.opts.tau2 = 1;
+    for (std::size_t l = 0; l + 1 < h.taus.size(); ++l) {
+      h.opts.tau2 *= h.taus[l];
+    }
+  }
+  HM_CHECK_MSG(static_cast<index_t>(h.taus.size()) == topo.depth(),
+               "need one tau per tree level: the tree has depth "
+                   << topo.depth() << ", taus has " << h.taus.size()
+                   << " entries");
+  return h;
 }
 
 }  // namespace
 
 TrainResult train_hierminimax(const nn::Model& model,
                               const data::FederatedDataset& fed,
-                              const sim::HierTopology& topo,
+                              const sim::MultiTopology& topo,
                               const TrainOptions& opts,
                               parallel::ThreadPool& pool) {
-  return run_engine(model, fed, flat_hierarchy(topo, opts),
-                    Variant::kHierMinimax, pool, nullptr);
+  return run_engine(model, fed, make_hierarchy(topo, opts),
+                    Variant::kHierMinimax, pool);
 }
 
 TrainResult train_hierminimax(const nn::Model& model,
                               const data::FederatedDataset& fed,
-                              const sim::HierTopology& topo,
+                              const sim::MultiTopology& topo,
                               const TrainOptions& opts) {
   return train_hierminimax(model, fed, topo, opts,
                            parallel::ThreadPool::global());
@@ -606,51 +539,19 @@ TrainResult train_hierminimax(const nn::Model& model,
 
 TrainResult train_hierfavg(const nn::Model& model,
                            const data::FederatedDataset& fed,
-                           const sim::HierTopology& topo,
+                           const sim::MultiTopology& topo,
                            const TrainOptions& opts,
                            parallel::ThreadPool& pool) {
-  return run_engine(model, fed, flat_hierarchy(topo, opts),
-                    Variant::kHierFavg, pool, nullptr);
+  return run_engine(model, fed, make_hierarchy(topo, opts),
+                    Variant::kHierFavg, pool);
 }
 
 TrainResult train_hierfavg(const nn::Model& model,
                            const data::FederatedDataset& fed,
-                           const sim::HierTopology& topo,
+                           const sim::MultiTopology& topo,
                            const TrainOptions& opts) {
   return train_hierfavg(model, fed, topo, opts,
                         parallel::ThreadPool::global());
-}
-
-MultiTrainResult train_hierminimax_multi(const nn::Model& model,
-                                         const data::FederatedDataset& fed,
-                                         const sim::MultiTopology& topo,
-                                         const MultiTrainOptions& opts,
-                                         parallel::ThreadPool& pool) {
-  return run_multi(model, fed, topo, opts, Variant::kHierMinimaxMulti, pool);
-}
-
-MultiTrainResult train_hierminimax_multi(const nn::Model& model,
-                                         const data::FederatedDataset& fed,
-                                         const sim::MultiTopology& topo,
-                                         const MultiTrainOptions& opts) {
-  return train_hierminimax_multi(model, fed, topo, opts,
-                                 parallel::ThreadPool::global());
-}
-
-MultiTrainResult train_hierfavg_multi(const nn::Model& model,
-                                      const data::FederatedDataset& fed,
-                                      const sim::MultiTopology& topo,
-                                      const MultiTrainOptions& opts,
-                                      parallel::ThreadPool& pool) {
-  return run_multi(model, fed, topo, opts, Variant::kHierFavgMulti, pool);
-}
-
-MultiTrainResult train_hierfavg_multi(const nn::Model& model,
-                                      const data::FederatedDataset& fed,
-                                      const sim::MultiTopology& topo,
-                                      const MultiTrainOptions& opts) {
-  return train_hierfavg_multi(model, fed, topo, opts,
-                              parallel::ThreadPool::global());
 }
 
 }  // namespace hm::algo

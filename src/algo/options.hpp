@@ -57,6 +57,11 @@ struct TrainOptions {
   index_t tau1 = 1;              // local SGD steps per aggregation
   index_t tau2 = 1;              // client-edge aggregations per round
                                  // (three-layer methods only)
+  std::vector<index_t> taus;     // hierarchical trainers: blocks per tree
+                                 // level, outermost first, one entry per
+                                 // level (taus.back() = local steps);
+                                 // empty = {tau2, tau1}. Exclusive with a
+                                 // non-default tau1/tau2.
   index_t batch_size = 1;        // mini-batch size for local SGD
   scalar_t eta_w = 0.01;         // model learning rate
   scalar_t eta_p = 0.01;         // weight-vector learning rate

@@ -25,8 +25,4 @@ void apply_snapshot_flags(const Flags& flags, TrainOptions& opts) {
   snapshot_flags(flags, opts.snapshot, opts.resume_from);
 }
 
-void apply_snapshot_flags(const Flags& flags, MultiTrainOptions& opts) {
-  snapshot_flags(flags, opts.snapshot, opts.resume_from);
-}
-
 }  // namespace hm::algo

@@ -15,7 +15,6 @@
 
 #include <string>
 
-#include "algo/hierminimax_multi.hpp"
 #include "algo/options.hpp"
 #include "core/flags.hpp"
 #include "io/snapshot.hpp"
@@ -28,6 +27,5 @@ void snapshot_flags(const Flags& flags, io::SnapshotPolicy& policy,
 
 /// Apply the snapshot flags to `opts.snapshot` / `opts.resume_from`.
 void apply_snapshot_flags(const Flags& flags, TrainOptions& opts);
-void apply_snapshot_flags(const Flags& flags, MultiTrainOptions& opts);
 
 }  // namespace hm::algo

@@ -389,11 +389,14 @@ const data::Dataset& PoisonStore::get(const data::Dataset& shard,
 }
 
 void require_inproc(const TrainOptions& opts, const char* trainer) {
-  HM_CHECK_MSG(opts.transport.kind == net::TransportKind::kInproc,
-               trainer << " runs in-process only, got transport '"
-                       << net::to_string(opts.transport.kind)
-                       << "' (train_hierminimax and train_hierfavg "
-                          "support every backend)");
+  HM_CHECK_MSG(opts.transport.kind == net::TransportKind::kInproc &&
+                   opts.taus.empty(),
+               trainer << " is a two-layer trainer: it runs in-process on "
+                          "a flat client set, got transport '"
+                       << net::to_string(opts.transport.kind) << "' and "
+                       << opts.taus.size()
+                       << " taus (train_hierminimax and train_hierfavg "
+                          "take a tree, taus and every backend)");
 }
 
 void update_running_average(std::vector<scalar_t>& avg,
@@ -544,32 +547,6 @@ sim::CommStats decode_comm(io::ByteReader& r) {
   return c;
 }
 
-void encode_multi_comm(io::ByteWriter& w, const MultiCommStats& c) {
-  w.put_u64(c.levels.size());
-  for (const auto& l : c.levels) {
-    w.put_u64(l.rounds);
-    w.put_u64(l.models_up);
-    w.put_u64(l.models_down);
-  }
-  encode_link_fault(w, c.leaf_fault);
-  encode_link_fault(w, c.top_fault);
-}
-
-MultiCommStats decode_multi_comm(io::ByteReader& r) {
-  MultiCommStats c;
-  const std::uint64_t n = r.u64();
-  HM_CHECK_MSG(n <= 64, "multi comm stats: implausible level count " << n);
-  c.levels.resize(n);
-  for (auto& l : c.levels) {
-    l.rounds = r.u64();
-    l.models_up = r.u64();
-    l.models_down = r.u64();
-  }
-  c.leaf_fault = decode_link_fault(r);
-  c.top_fault = decode_link_fault(r);
-  return c;
-}
-
 std::vector<std::uint8_t> encode_history(
     const metrics::TrainingHistory& history) {
   io::ByteWriter w;
@@ -640,11 +617,6 @@ io::Snapshot make_run_snapshot(const RunState& st, index_t next_round) {
     io::ByteWriter w;
     encode_comm(w, *st.comm);
     s.put_bytes(kSnapComm, w.take());
-  }
-  if (st.multi_comm) {
-    io::ByteWriter w;
-    encode_multi_comm(w, *st.multi_comm);
-    s.put_bytes(kSnapMultiComm, w.take());
   }
   if (stale_live(st.stale)) {
     s.put_f64_vec_list(kSnapStaleModels, st.stale->models);
@@ -739,21 +711,6 @@ index_t resume_round(const std::string& resume_from, const RunState& st) {
     io::ByteReader r(bytes.data(), bytes.size());
     *st.comm = decode_comm(r);
     HM_CHECK_MSG(r.remaining() == 0, "comm section has trailing bytes");
-  }
-  HM_CHECK_MSG((st.multi_comm != nullptr) == s.has(kSnapMultiComm),
-               "snapshot '" << loaded->path
-                            << "' multi-comm section presence mismatch");
-  if (st.multi_comm) {
-    const auto& bytes = s.get_bytes(kSnapMultiComm);
-    io::ByteReader r(bytes.data(), bytes.size());
-    MultiCommStats mc = decode_multi_comm(r);
-    HM_CHECK_MSG(r.remaining() == 0, "multi-comm section has trailing bytes");
-    HM_CHECK_MSG(mc.levels.size() == st.multi_comm->levels.size(),
-                 "snapshot '" << loaded->path << "' has "
-                              << mc.levels.size()
-                              << " comm levels, this topology has "
-                              << st.multi_comm->levels.size());
-    *st.multi_comm = std::move(mc);
   }
 
   HM_CHECK_MSG(stale_live(st.stale) == s.has(kSnapStaleRounds),

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "algo/hierminimax_multi.hpp"
 #include "algo/options.hpp"
 #include "data/federated.hpp"
 #include "io/snapshot.hpp"
@@ -170,9 +169,10 @@ struct PoisonStore {
   const data::Dataset& get(const data::Dataset& shard, index_t client);
 };
 
-/// The two-layer trainers run in-process only (the transport ships the
-/// edge tier of the hierarchical engine). Any other opts.transport is a
-/// CheckError naming `trainer`, never silently ignored.
+/// The two-layer trainers run in-process on a flat client set: the
+/// transport ships the edge tier of the hierarchical engine, and taus
+/// shapes its tree. Any other opts.transport, or a non-empty opts.taus,
+/// is a CheckError naming `trainer`, never silently ignored.
 void require_inproc(const TrainOptions& opts, const char* trainer);
 
 /// avg <- (avg * k + value) / (k + 1); k is the number of points already
@@ -229,7 +229,6 @@ inline constexpr std::uint32_t kSnapPAvg = 0x47564150;        // "PAVG"
 inline constexpr std::uint32_t kSnapAux = 0x51585541;         // "AUXQ"
 inline constexpr std::uint32_t kSnapAuxAvg = 0x41585541;      // "AUXA"
 inline constexpr std::uint32_t kSnapComm = 0x4d4d4f43;        // "COMM"
-inline constexpr std::uint32_t kSnapMultiComm = 0x4d4f434d;   // "MCOM"
 inline constexpr std::uint32_t kSnapStaleModels = 0x4d4c5453; // "STLM"
 inline constexpr std::uint32_t kSnapStaleRounds = 0x524c5453; // "STLR"
 inline constexpr std::uint32_t kSnapHistory = 0x54534948;     // "HIST"
@@ -240,14 +239,13 @@ inline constexpr std::uint64_t kAlgoFedAvg = 1;
 inline constexpr std::uint64_t kAlgoHierFavg = 2;
 inline constexpr std::uint64_t kAlgoDrfa = 3;
 inline constexpr std::uint64_t kAlgoHierMinimax = 4;
-inline constexpr std::uint64_t kAlgoHierMinimaxMulti = 5;
-inline constexpr std::uint64_t kAlgoHierFavgMulti = 6;
+// 5 and 6 named the retired L-level entry points. Never reuse them, so
+// those runs' snapshots stay refused.
 inline constexpr std::uint64_t kAlgoQffl = 7;
 
 /// Borrowed pointers into one trainer's live round-boundary state. Null
-/// pointers mean "this trainer has no such state" (e.g. FedAvg has no λ,
-/// the multi-level trainers keep no running averages); presence in a
-/// snapshot must match, or resume_round throws.
+/// pointers mean "this trainer has no such state" (e.g. FedAvg has no λ);
+/// presence in a snapshot must match, or resume_round throws.
 struct RunState {
   std::uint64_t algo_id = 0;
   seed_t seed = 0;
@@ -258,8 +256,7 @@ struct RunState {
   std::vector<scalar_t>* p_avg = nullptr;
   std::vector<scalar_t>* aux = nullptr;       // DRFA per-client q
   std::vector<scalar_t>* aux_avg = nullptr;   // DRFA running q average
-  sim::CommStats* comm = nullptr;             // flat trainers
-  MultiCommStats* multi_comm = nullptr;       // multi-level trainers
+  sim::CommStats* comm = nullptr;
   StaleStore* stale = nullptr;                // snapshotted iff initialized
   metrics::TrainingHistory* history = nullptr;
 };

@@ -36,7 +36,7 @@
 namespace hm::io {
 
 /// Cadence and placement of durable trainer snapshots. Threaded through
-/// algo::TrainOptions / MultiTrainOptions into every trainer.
+/// algo::TrainOptions into every trainer.
 struct SnapshotPolicy {
   index_t every_k_rounds = 0;  // snapshot after every k-th round; 0 = off
   std::string dir;             // snapshot directory, created on demand

@@ -11,6 +11,10 @@
 //    the client-server link is charged as edge_cloud, since the server
 //    plays the cloud role and the clients connect to it over the
 //    wide-area (expensive) segment.
+//  * On a deeper tree (sim::MultiTopology, depth >= 3) edge_cloud is the
+//    cloud-area link and client_edge every link below it: each
+//    synchronized block of any level below the areas is one client_edge
+//    round, and its broadcasts and reports are client_edge payloads.
 #pragma once
 
 #include <cstdint>

@@ -11,7 +11,6 @@
 #include "algo/fedavg.hpp"
 #include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "algo/hierminimax_multi.hpp"
 #include "algo/qffl.hpp"
 #include "data/generators.hpp"
 #include "io/checkpoint.hpp"
@@ -24,8 +23,10 @@ namespace {
 
 using algo::TrainOptions;
 using testing_util::bits;
+using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
 using testing_util::iid_task;
+using testing_util::output_of;
 
 // ---------------------------------------------------------------- Dirichlet
 
@@ -274,9 +275,9 @@ TEST(MultiTopology, InvalidConstructionThrows) {
   EXPECT_THROW(sim::MultiTopology({3, 0}), CheckError);
 }
 
-algo::MultiTrainOptions multi_opts(std::vector<index_t> taus,
-                                   index_t rounds = 60) {
-  algo::MultiTrainOptions o;
+/// Options for a run on an explicit tree: blocks per level in `taus`.
+TrainOptions multi_opts(std::vector<index_t> taus, index_t rounds = 60) {
+  TrainOptions o;
   o.rounds = rounds;
   o.taus = std::move(taus);
   o.batch_size = 4;
@@ -292,7 +293,7 @@ TEST(MultiHierMinimax, DepthTwoLearnsIidTask) {
   const sim::MultiTopology topo({fed.num_edges(), fed.clients_per_edge});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   const auto result =
-      algo::train_hierminimax_multi(model, fed, topo, multi_opts({2, 2}));
+      algo::train_hierminimax(model, fed, topo, multi_opts({2, 2}));
   EXPECT_GT(result.history.back().summary.average, 0.85);
   scalar_t total = 0;
   for (const scalar_t p : result.p) total += p;
@@ -307,19 +308,15 @@ TEST(MultiHierMinimax, DepthThreeLearns) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = multi_opts({2, 2, 2}, 80);
   opts.eta_w = 0.05;
-  const auto result = algo::train_hierminimax_multi(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts);
   EXPECT_GT(result.history.back().summary.average, 0.6);
-  // Per-level meters: level 0 = 2 rounds per training round (both
-  // phases); level 1 = taus[0] blocks per *unique* sampled area (with-
-  // replacement sampling dedups, so only divisibility is fixed); level 2
-  // = branching[1] * taus[1] child rounds per level-1 block.
-  EXPECT_EQ(result.comm.levels.size(), 3u);
-  EXPECT_EQ(result.comm.levels[0].rounds, 2u * 80u);
-  EXPECT_EQ(result.comm.levels[1].rounds % 2, 0u);       // taus[0] = 2
-  EXPECT_GE(result.comm.levels[1].rounds, 2u * 80u);     // >= 1 area/round
-  EXPECT_LE(result.comm.levels[1].rounds, 2u * 4u * 80u);
-  EXPECT_EQ(result.comm.levels[2].rounds,
-            result.comm.levels[1].rounds * 2u * 2u);
+  // One round per synchronized block. Cloud link: both phases every
+  // round. Below it, per round: taus[0] area blocks, taus[0] * taus[1]
+  // innermost blocks, and the Phase-2 checkpoint broadcast.
+  const std::vector<index_t>& t = opts.taus;
+  EXPECT_EQ(result.comm.edge_cloud_rounds, 2u * 80u);
+  EXPECT_EQ(result.comm.client_edge_rounds,
+            static_cast<std::uint64_t>(80 * (t[0] + t[0] * t[1] + 1)));
 }
 
 TEST(MultiHierMinimax, PartialParticipationAndCappedSet) {
@@ -327,10 +324,10 @@ TEST(MultiHierMinimax, PartialParticipationAndCappedSet) {
   const sim::MultiTopology topo({4, 2});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = multi_opts({2, 2}, 30);
-  opts.sampled_areas = 2;
+  opts.sampled_edges = 2;
   opts.p_set = algo::SimplexSet{0.1, 0.5};
   opts.eta_p = 0.1;
-  const auto result = algo::train_hierminimax_multi(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts);
   for (const scalar_t p : result.p) {
     EXPECT_GE(p, 0.1 - 1e-7);
     EXPECT_LE(p, 0.5 + 1e-7);
@@ -343,8 +340,8 @@ TEST(MultiHierMinimax, DeterministicAcrossThreadCounts) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   const auto opts = multi_opts({2, 3}, 6);
   parallel::ThreadPool pool1(1), pool8(8);
-  const auto a = algo::train_hierminimax_multi(model, fed, topo, opts, pool1);
-  const auto b = algo::train_hierminimax_multi(model, fed, topo, opts, pool8);
+  const auto a = algo::train_hierminimax(model, fed, topo, opts, pool1);
+  const auto b = algo::train_hierminimax(model, fed, topo, opts, pool8);
   EXPECT_EQ(a.w, b.w);
   EXPECT_EQ(a.p, b.p);
 }
@@ -354,11 +351,19 @@ TEST(MultiHierMinimax, MismatchedTausThrow) {
   const sim::MultiTopology topo({4, 2});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   EXPECT_THROW(
-      algo::train_hierminimax_multi(model, fed, topo, multi_opts({2})),
+      algo::train_hierminimax(model, fed, topo, multi_opts({2})),
       CheckError);
   EXPECT_THROW(
-      algo::train_hierminimax_multi(model, fed, topo, multi_opts({2, 0})),
+      algo::train_hierminimax(model, fed, topo, multi_opts({2, 0})),
       CheckError);
+  // taus and a non-default tau1/tau2 are two answers to one question.
+  auto both = multi_opts({2, 2});
+  both.tau1 = 2;
+  EXPECT_THROW(algo::train_hierminimax(model, fed, topo, both), CheckError);
+  // Empty taus means {tau2, tau1}: only a depth-2 tree fits it.
+  const sim::MultiTopology deep({4, 1, 2});
+  EXPECT_THROW(algo::train_hierminimax(model, fed, deep, TrainOptions{}),
+               CheckError);
 }
 
 TEST(MultiHierFavg, DepthThreeLearnsAndHasNoWeightAdaptation) {
@@ -367,11 +372,15 @@ TEST(MultiHierFavg, DepthThreeLearnsAndHasNoWeightAdaptation) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = multi_opts({2, 2, 2}, 80);
   opts.eta_w = 0.05;
-  const auto result = algo::train_hierfavg_multi(model, fed, topo, opts);
+  const auto result = algo::train_hierfavg(model, fed, topo, opts);
   EXPECT_GT(result.history.back().summary.average, 0.6);
   for (const scalar_t p : result.p) EXPECT_DOUBLE_EQ(p, 0.25);  // fixed
-  // Top link: 1 round per training round (no phase 2).
-  EXPECT_EQ(result.comm.levels[0].rounds, 80u);
+  // No Phase 2: the cloud link syncs once per round, the links below it
+  // once per area block and once per innermost block.
+  const std::vector<index_t>& t = opts.taus;
+  EXPECT_EQ(result.comm.edge_cloud_rounds, 80u);
+  EXPECT_EQ(result.comm.client_edge_rounds,
+            static_cast<std::uint64_t>(80 * (t[0] + t[0] * t[1])));
 }
 
 TEST(MultiHierFavg, DeterministicAcrossThreadCounts) {
@@ -380,8 +389,8 @@ TEST(MultiHierFavg, DeterministicAcrossThreadCounts) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   const auto opts = multi_opts({3, 2}, 5);
   parallel::ThreadPool pool1(1), pool8(8);
-  const auto a = algo::train_hierfavg_multi(model, fed, topo, opts, pool1);
-  const auto b = algo::train_hierfavg_multi(model, fed, topo, opts, pool8);
+  const auto a = algo::train_hierfavg(model, fed, topo, opts, pool1);
+  const auto b = algo::train_hierfavg(model, fed, topo, opts, pool8);
   EXPECT_EQ(a.w, b.w);
 }
 
@@ -398,8 +407,8 @@ TEST(MultiHierMinimax, TrivialMiddleLevelCollapsesToDepthTwo) {
   auto opts3 = multi_opts({3, 1, 2}, 12);
   const sim::MultiTopology topo2({4, 4});
   const sim::MultiTopology topo3({4, 2, 2});
-  const auto a = algo::train_hierminimax_multi(model, fed, topo2, opts2);
-  const auto b = algo::train_hierminimax_multi(model, fed, topo3, opts3);
+  const auto a = algo::train_hierminimax(model, fed, topo2, opts2);
+  const auto b = algo::train_hierminimax(model, fed, topo3, opts3);
   ASSERT_EQ(a.w.size(), b.w.size());
   for (std::size_t i = 0; i < a.w.size(); ++i) {
     EXPECT_NEAR(a.w[i], b.w[i], 1e-10);
@@ -409,71 +418,31 @@ TEST(MultiHierMinimax, TrivialMiddleLevelCollapsesToDepthTwo) {
   }
 }
 
-/// The flat trainers' options for the depth-2 run of `m` (taus {tau2,
-/// tau1}): every field MultiTrainOptions carries, mapped one to one.
-TrainOptions flat_options(const algo::MultiTrainOptions& m) {
-  TrainOptions o;
-  o.rounds = m.rounds;
+/// The same depth-2 run spelled with tau2/tau1 instead of taus.
+TrainOptions flat_options(const TrainOptions& m) {
+  TrainOptions o = m;
+  o.taus.clear();
   o.tau2 = m.taus[0];
   o.tau1 = m.taus[1];
-  o.batch_size = m.batch_size;
-  o.eta_w = m.eta_w;
-  o.eta_p = m.eta_p;
-  o.sampled_edges = m.sampled_areas;
-  o.w_radius = m.w_radius;
-  o.p_set = m.p_set;
-  o.seed = m.seed;
-  o.eval_every = m.eval_every;
-  o.loss_est_batch = m.loss_est_batch;
-  o.fault = m.fault;
-  o.on_fault = m.on_fault;
-  o.stale_decay = m.stale_decay;
-  o.aggregate = m.aggregate;
-  o.trim_frac = m.trim_frac;
   return o;
 }
 
-template <typename A, typename B>
-void expect_bit_identical(const A& multi, const B& flat,
-                          const std::string& label) {
-  ASSERT_EQ(multi.w.size(), flat.w.size()) << label;
-  for (std::size_t i = 0; i < multi.w.size(); ++i) {
-    ASSERT_EQ(bits(multi.w[i]), bits(flat.w[i])) << label << " w[" << i << "]";
-  }
-  ASSERT_EQ(multi.p.size(), flat.p.size()) << label;
-  for (std::size_t i = 0; i < multi.p.size(); ++i) {
-    ASSERT_EQ(bits(multi.p[i]), bits(flat.p[i])) << label << " p[" << i << "]";
-  }
-  const auto& a = multi.history.records();
-  const auto& b = flat.history.records();
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a[r].round, b[r].round) << label;
-    EXPECT_EQ(bits(a[r].global_loss), bits(b[r].global_loss))
-        << label << " round " << a[r].round;
-    ASSERT_EQ(a[r].edge_acc.size(), b[r].edge_acc.size()) << label;
-    for (std::size_t e = 0; e < a[r].edge_acc.size(); ++e) {
-      EXPECT_EQ(bits(a[r].edge_acc[e]), bits(b[r].edge_acc[e]))
-          << label << " round " << a[r].round << " edge " << e;
-    }
-  }
-}
-
-/// Depth 2 is Algorithm 1: on the tree {N_E, N_0} with taus {tau2, tau1}
-/// both L-level trainers reproduce the flat trainers bit for bit —
-/// fault-free, under area sampling with a capped weight set, and under
-/// faults with a robust combiner and stale reuse.
+/// Depth 2 is Algorithm 1: on the tree {N_E, N_0}, taus {tau2, tau1}
+/// reproduces the tau2/tau1 spelling on a HierTopology bit for bit —
+/// model, weights, averages, comm meter and history — fault-free, under
+/// area sampling with a capped weight set, and under faults with a
+/// robust combiner and stale reuse.
 TEST(MultiHierMinimax, DepthTwoIsBitIdenticalToFlatTrainers) {
   const auto fed = heterogeneous_task(4, 3);
   const sim::MultiTopology tree({fed.num_edges(), fed.clients_per_edge});
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
 
-  std::vector<std::pair<std::string, algo::MultiTrainOptions>> cases;
+  std::vector<std::pair<std::string, TrainOptions>> cases;
   cases.emplace_back("plain", multi_opts({3, 2}, 6));
   cases.back().second.eval_every = 1;
   cases.emplace_back("sampled", cases.front().second);
-  cases.back().second.sampled_areas = 2;
+  cases.back().second.sampled_edges = 2;
   cases.back().second.p_set = algo::SimplexSet{0.1, 0.6};
   cases.back().second.eta_p = 0.05;
   cases.emplace_back("faults", cases.front().second);
@@ -488,13 +457,13 @@ TEST(MultiHierMinimax, DepthTwoIsBitIdenticalToFlatTrainers) {
     f.aggregate = algo::Aggregate::kMedian;
   }
   for (const auto& [name, m] : cases) {
-    expect_bit_identical(
-        algo::train_hierminimax_multi(model, fed, tree, m),
-        algo::train_hierminimax(model, fed, topo, flat_options(m)),
+    expect_same_output(
+        output_of(algo::train_hierminimax(model, fed, tree, m)),
+        output_of(algo::train_hierminimax(model, fed, topo, flat_options(m))),
         "hierminimax " + name);
-    expect_bit_identical(
-        algo::train_hierfavg_multi(model, fed, tree, m),
-        algo::train_hierfavg(model, fed, topo, flat_options(m)),
+    expect_same_output(
+        output_of(algo::train_hierfavg(model, fed, tree, m)),
+        output_of(algo::train_hierfavg(model, fed, topo, flat_options(m))),
         "hierfavg " + name);
   }
 }
@@ -503,9 +472,9 @@ TEST(MultiHierMinimax, DepthOneTreeIsRejected) {
   const auto fed = heterogeneous_task(4, 1);
   const sim::MultiTopology tree({4});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  EXPECT_THROW(algo::train_hierminimax_multi(model, fed, tree, multi_opts({2})),
+  EXPECT_THROW(algo::train_hierminimax(model, fed, tree, multi_opts({2})),
                CheckError);
-  EXPECT_THROW(algo::train_hierfavg_multi(model, fed, tree, multi_opts({2})),
+  EXPECT_THROW(algo::train_hierfavg(model, fed, tree, multi_opts({2})),
                CheckError);
 }
 
@@ -518,7 +487,7 @@ TEST(MultiHierMinimax, ImprovesFairnessOnHeterogeneousTask) {
   auto opts = multi_opts({2, 1, 2}, 120);
   opts.eta_w = 0.05;
   opts.eta_p = 0.01;
-  const auto result = algo::train_hierminimax_multi(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts);
   scalar_t spread = 0;
   for (const scalar_t p : result.p) spread += std::abs(p - 0.25);
   EXPECT_GT(spread, 0.02);

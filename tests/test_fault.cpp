@@ -17,7 +17,6 @@
 #include "algo/fault_config.hpp"
 #include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "algo/hierminimax_multi.hpp"
 #include "algo/trainer_common.hpp"
 #include "nn/softmax_regression.hpp"
 #include "sim/fault.hpp"
@@ -29,10 +28,12 @@ namespace {
 // Fingerprinting, fixtures, and the scenario rows live in test_util.hpp,
 // shared with the snapshot and adversarial-scenario matrices.
 using testing_util::bits;
+using testing_util::deep_task;
 using testing_util::fault_scenarios;
 using testing_util::fingerprint;
 using testing_util::heterogeneous_task;
 using testing_util::Scenario;
+using testing_util::with_taus;
 
 // ---------------------------------------------------------------------
 // The matrix axes.
@@ -57,20 +58,8 @@ TrainOptions fault_opts(const sim::FaultSpec& spec, OnFault policy) {
   return o;
 }
 
-MultiTrainOptions multi_fault_opts(const sim::FaultSpec& spec,
-                                   OnFault policy) {
-  MultiTrainOptions o;
-  o.rounds = 5;
-  o.taus = {2, 2};
-  o.batch_size = 4;
-  o.eta_w = 0.1;
-  o.eta_p = 0.02;
-  o.eval_every = 3;
-  o.seed = 5;
-  o.sampled_areas = 3;
-  o.fault = spec;
-  o.on_fault = policy;
-  return o;
+TrainOptions deep_fault_opts(const sim::FaultSpec& spec, OnFault policy) {
+  return with_taus(fault_opts(spec, policy), {2, 2, 2});
 }
 
 /// One fixture per algorithm: run under (spec, policy) and fingerprint.
@@ -144,25 +133,19 @@ std::vector<Algorithm> algorithms() {
          return train_hierminimax(model, fed, topo, fault_opts(s, p)).p;
        }});
   out.push_back(
-      {"hierminimax_multi",
+      {"hierminimax_d3",
        [](const sim::FaultSpec& s, OnFault p, bool mo) {
-         const auto& fed = shared_task();
-         const sim::MultiTopology topo({fed.num_edges(),
-                                        fed.clients_per_edge});
+         const auto& fed = deep_task();
+         const sim::MultiTopology topo({4, 2, 2});
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return fingerprint(
-             train_hierminimax_multi(model, fed, topo,
-                                     multi_fault_opts(s, p)),
-             mo);
+             train_hierminimax(model, fed, topo, deep_fault_opts(s, p)), mo);
        },
        [](const sim::FaultSpec& s, OnFault p) {
-         const auto& fed = shared_task();
-         const sim::MultiTopology topo({fed.num_edges(),
-                                        fed.clients_per_edge});
+         const auto& fed = deep_task();
+         const sim::MultiTopology topo({4, 2, 2});
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return train_hierminimax_multi(model, fed, topo,
-                                        multi_fault_opts(s, p))
-             .p;
+         return train_hierminimax(model, fed, topo, deep_fault_opts(s, p)).p;
        }});
   return out;
 }

@@ -21,7 +21,6 @@
 #include "algo/fedavg.hpp"
 #include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "algo/hierminimax_multi.hpp"
 #include "algo/qffl.hpp"
 #include "nn/mlp.hpp"
 #include "nn/softmax_regression.hpp"
@@ -33,7 +32,9 @@ namespace hm::algo {
 namespace {
 
 using testing_util::bits;
+using testing_util::deep_task;
 using testing_util::heterogeneous_task;
+using testing_util::with_taus;
 
 TrainOptions golden_opts() {
   TrainOptions o;
@@ -48,26 +49,8 @@ TrainOptions golden_opts() {
   return o;
 }
 
-MultiTrainOptions multi_golden_opts() {
-  MultiTrainOptions o;
-  o.rounds = 3;
-  o.taus = {2, 2};
-  o.batch_size = 4;
-  o.eta_w = 0.1;
-  o.eta_p = 0.02;
-  o.eval_every = 1;
-  o.seed = 5;
-  return o;
-}
-
 const data::FederatedDataset& shared_task() {
   static const data::FederatedDataset fed = heterogeneous_task(4, 2);
-  return fed;
-}
-
-/// 4 areas x (2 mid nodes x 2 leaves): the depth-3 fixture.
-const data::FederatedDataset& deep_task() {
-  static const data::FederatedDataset fed = heterogeneous_task(4, 4);
   return fed;
 }
 
@@ -78,8 +61,7 @@ struct Trajectory {
   std::vector<std::uint64_t> p;
 };
 
-template <typename Result>
-Trajectory trajectory_of(const Result& r) {
+Trajectory trajectory_of(const TrainResult& r) {
   Trajectory t;
   for (const auto& rec : r.history.records()) {
     t.loss.push_back(bits(rec.global_loss));
@@ -147,8 +129,8 @@ std::vector<Runner> runners() {
                        {fed.num_edges(), fed.clients_per_edge});
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
-                   return trajectory_of(train_hierminimax_multi(
-                       model, fed, topo, multi_golden_opts()));
+                   return trajectory_of(train_hierminimax(
+                       model, fed, topo, with_taus(golden_opts(), {2, 2})));
                  }});
   out.push_back({"hierfavg_multi", [] {
                    const auto& fed = shared_task();
@@ -156,8 +138,8 @@ std::vector<Runner> runners() {
                        {fed.num_edges(), fed.clients_per_edge});
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
-                   return trajectory_of(train_hierfavg_multi(
-                       model, fed, topo, multi_golden_opts()));
+                   return trajectory_of(train_hierfavg(
+                       model, fed, topo, with_taus(golden_opts(), {2, 2})));
                  }});
   // Depth 3 pins the L-level stream rule beyond the flat derivation:
   // interior blocks, innermost-block indices and checkpoint averaging
@@ -167,10 +149,8 @@ std::vector<Runner> runners() {
                    const sim::MultiTopology topo({4, 2, 2});
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
-                   MultiTrainOptions o = multi_golden_opts();
-                   o.taus = {2, 2, 2};
-                   return trajectory_of(
-                       train_hierminimax_multi(model, fed, topo, o));
+                   return trajectory_of(train_hierminimax(
+                       model, fed, topo, with_taus(golden_opts(), {2, 2, 2})));
                  }});
   // MLP rows: every hidden width is at least 4x the batch, so the
   // batch-sized forward GEMMs take gemm_nt's transposed (small-side

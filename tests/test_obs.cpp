@@ -15,7 +15,6 @@
 #include "algo/fedavg.hpp"
 #include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "algo/hierminimax_multi.hpp"
 #include "algo/qffl.hpp"
 #include "core/check.hpp"
 #include "nn/softmax_regression.hpp"
@@ -28,7 +27,9 @@ namespace hm::obs {
 namespace {
 
 using testing_util::bits;
+using testing_util::deep_task;
 using testing_util::heterogeneous_task;
+using testing_util::with_taus;
 
 // ——— Metrics registry ———
 
@@ -283,22 +284,11 @@ algo::TrainOptions contract_opts() {
   return o;
 }
 
-algo::MultiTrainOptions multi_contract_opts() {
-  algo::MultiTrainOptions o;
-  o.rounds = 3;
-  o.taus = {2, 2};
-  o.batch_size = 4;
-  o.eta_w = 0.1;
-  o.eta_p = 0.02;
-  o.eval_every = 1;
-  o.seed = 5;
-  return o;
-}
-
 const data::FederatedDataset& shared_task() {
   static const data::FederatedDataset fed = heterogeneous_task(4, 2);
   return fed;
 }
+
 
 /// The compared quantities: every per-round global-loss bit pattern plus
 /// the final adversarial weights p.
@@ -309,8 +299,7 @@ struct Trajectory {
   bool operator==(const Trajectory&) const = default;
 };
 
-template <typename Result>
-Trajectory trajectory_of(const Result& r) {
+Trajectory trajectory_of(const algo::TrainResult& r) {
   Trajectory t;
   for (const auto& rec : r.history.records()) {
     t.loss.push_back(bits(rec.global_loss));
@@ -365,14 +354,14 @@ std::vector<Runner> runners() {
                    return trajectory_of(algo::train_hierminimax(
                        model, fed, topo, contract_opts()));
                  }});
-  out.push_back({"hierminimax_multi", [] {
-                   const auto& fed = shared_task();
-                   const sim::MultiTopology topo(
-                       {fed.num_edges(), fed.clients_per_edge});
+  out.push_back({"hierminimax_d3", [] {
+                   const auto& fed = deep_task();
+                   const sim::MultiTopology topo({4, 2, 2});
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
-                   return trajectory_of(algo::train_hierminimax_multi(
-                       model, fed, topo, multi_contract_opts()));
+                   return trajectory_of(algo::train_hierminimax(
+                       model, fed, topo,
+                       with_taus(contract_opts(), {2, 2, 2})));
                  }});
   return out;
 }

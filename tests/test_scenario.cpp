@@ -24,7 +24,6 @@
 #include "algo/fault_config.hpp"
 #include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "algo/hierminimax_multi.hpp"
 #include "data/generators.hpp"
 #include "metrics/evaluation.hpp"
 #include "nn/softmax_regression.hpp"
@@ -36,9 +35,11 @@ namespace hm::algo {
 namespace {
 
 using testing_util::adversarial_scenarios;
+using testing_util::deep_task;
 using testing_util::fingerprint;
 using testing_util::heterogeneous_task;
 using testing_util::Scenario;
+using testing_util::with_taus;
 
 // ---------------------------------------------------------------------
 // The matrix axes: scenarios come from test_util (shared with the fault
@@ -65,21 +66,8 @@ TrainOptions scenario_opts(const sim::FaultSpec& spec, Aggregate agg) {
   return o;
 }
 
-MultiTrainOptions multi_scenario_opts(const sim::FaultSpec& spec,
-                                      Aggregate agg) {
-  MultiTrainOptions o;
-  o.rounds = 5;
-  o.taus = {2, 2};
-  o.batch_size = 4;
-  o.eta_w = 0.1;
-  o.eta_p = 0.02;
-  o.eval_every = 3;
-  o.seed = 5;
-  o.sampled_areas = 3;
-  o.fault = spec;
-  o.aggregate = agg;
-  o.trim_frac = 0.25;
-  return o;
+TrainOptions deep_scenario_opts(const sim::FaultSpec& spec, Aggregate agg) {
+  return with_taus(scenario_opts(spec, agg), {2, 2, 2});
 }
 
 const data::FederatedDataset& shared_task() {
@@ -126,15 +114,12 @@ std::vector<Algorithm> algorithms() {
              train_hierminimax(model, fed, topo, scenario_opts(s, a)), mo);
        }});
   out.push_back(
-      {"hierminimax_multi",
-       [](const sim::FaultSpec& s, Aggregate a, bool mo) {
-         const auto& fed = shared_task();
-         const sim::MultiTopology topo(
-             {fed.num_edges(), fed.clients_per_edge});
+      {"hierminimax_d3", [](const sim::FaultSpec& s, Aggregate a, bool mo) {
+         const auto& fed = deep_task();
+         const sim::MultiTopology topo({4, 2, 2});
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return fingerprint(
-             train_hierminimax_multi(model, fed, topo,
-                                     multi_scenario_opts(s, a)),
+             train_hierminimax(model, fed, topo, deep_scenario_opts(s, a)),
              mo);
        }});
   return out;

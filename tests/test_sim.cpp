@@ -20,7 +20,7 @@ TEST(Topology, Cardinalities) {
   const HierTopology topo(10, 3);
   EXPECT_EQ(topo.num_edges(), 10);
   EXPECT_EQ(topo.clients_per_edge(), 3);
-  EXPECT_EQ(topo.num_clients(), 30);
+  EXPECT_EQ(topo.num_leaves(), 30);
 }
 
 TEST(Topology, InvalidArgumentsThrow) {

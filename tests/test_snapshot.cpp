@@ -33,7 +33,6 @@
 #include "algo/fedavg.hpp"
 #include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "algo/hierminimax_multi.hpp"
 #include "algo/qffl.hpp"
 #include "algo/trainer_common.hpp"
 #include "core/check.hpp"
@@ -52,11 +51,13 @@ namespace fs = std::filesystem;
 // Fingerprinting, trajectory comparison, and fixtures live in
 // test_util.hpp, shared with the fault and adversarial-scenario matrices.
 using testing_util::bits;
+using testing_util::deep_task;
 using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
 using testing_util::output_of;
 using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
+using testing_util::with_taus;
 
 // ---------------------------------------------------------------------
 // Filesystem scaffolding. Each test gets its own directory under /tmp.
@@ -483,24 +484,8 @@ TrainOptions snap_opts(bool faulty) {
   return o;
 }
 
-MultiTrainOptions multi_snap_opts(bool faulty) {
-  MultiTrainOptions o;
-  o.rounds = 5;
-  o.taus = {2, 2};
-  o.batch_size = 4;
-  o.eta_w = 0.1;
-  o.eta_p = 0.02;
-  o.eval_every = 3;
-  o.seed = 5;
-  o.sampled_areas = 3;
-  if (faulty) {
-    o.fault.enabled = true;
-    o.fault.client_dropout_prob = 0.25;
-    o.fault.straggler_prob = 0.3;
-    o.fault.edge_loss_prob = 0.2;
-    o.on_fault = OnFault::kReuseStale;
-  }
-  return o;
+TrainOptions deep_snap_opts(bool faulty) {
+  return with_taus(snap_opts(faulty), {2, 2, 2});
 }
 
 /// One row of the matrix: run under (snapshot policy, resume dir, fault
@@ -518,9 +503,8 @@ const data::FederatedDataset& shared_task() {
   return fed;
 }
 
-template <typename Opts>
-Opts with_snapshots(Opts o, const io::SnapshotPolicy& policy,
-                    const std::string& resume) {
+TrainOptions with_snapshots(TrainOptions o, const io::SnapshotPolicy& policy,
+                            const std::string& resume) {
   o.snapshot = policy;
   o.resume_from = resume;
   return o;
@@ -582,26 +566,24 @@ std::vector<Trainer> trainers() {
              model, fed, topo, with_snapshots(snap_opts(faulty), sp, rf)));
        }});
   out.push_back(
-      {"hierminimax_multi", 5,
+      {"hierminimax_d3", 6,
        [](const io::SnapshotPolicy& sp, const std::string& rf, bool faulty) {
-         const auto& fed = shared_task();
-         const sim::MultiTopology topo(
-             {fed.num_edges(), fed.clients_per_edge});
+         const auto& fed = deep_task();
+         const sim::MultiTopology topo({4, 2, 2});
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return output_of(train_hierminimax_multi(
+         return output_of(train_hierminimax(
              model, fed, topo,
-             with_snapshots(multi_snap_opts(faulty), sp, rf)));
+             with_snapshots(deep_snap_opts(faulty), sp, rf)));
        }});
   out.push_back(
-      {"hierfavg_multi", 5,
+      {"hierfavg_d3", 6,
        [](const io::SnapshotPolicy& sp, const std::string& rf, bool faulty) {
-         const auto& fed = shared_task();
-         const sim::MultiTopology topo(
-             {fed.num_edges(), fed.clients_per_edge});
+         const auto& fed = deep_task();
+         const sim::MultiTopology topo({4, 2, 2});
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return output_of(train_hierfavg_multi(
+         return output_of(train_hierfavg(
              model, fed, topo,
-             with_snapshots(multi_snap_opts(faulty), sp, rf)));
+             with_snapshots(deep_snap_opts(faulty), sp, rf)));
        }});
   return out;
 }
@@ -699,6 +681,43 @@ TEST(SnapshotResume, WrongAlgorithmOrSeedIsRejected) {
   auto reseeded = with_snapshots(snap_opts(false), policy, dir);
   reseeded.seed = 6;
   EXPECT_THROW(train_fedavg(model, fed, reseeded), CheckError);
+}
+
+/// The L-level runs once wrote their own trainer ids (5: HierMinimax,
+/// 6: HierFAVG). Every depth now resumes under ids 4 and 2, so such a
+/// snapshot is refused by the algorithm-id check, which names its id.
+TEST(SnapshotResume, RetiredMultiLevelAlgoIdsAreRefused) {
+  const auto& fed = deep_task();
+  const sim::MultiTopology topo({4, 2, 2});
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  for (const std::uint64_t retired : {5, 6}) {
+    const std::string dir = fresh_dir("retired_" + std::to_string(retired));
+    rng::Xoshiro256 root(5);
+    std::vector<scalar_t> w(static_cast<std::size_t>(model.num_params()), 0);
+    metrics::TrainingHistory history;
+    detail::RunState st;
+    st.algo_id = retired;
+    st.seed = 5;
+    st.root = &root;
+    st.w = &w;
+    st.history = &history;
+    io::save_snapshot(dir, 2, 1, detail::make_run_snapshot(st, 1));
+    const auto opts =
+        with_snapshots(deep_snap_opts(false), io::SnapshotPolicy{}, dir);
+    try {
+      if (retired == 5) {
+        train_hierminimax(model, fed, topo, opts);
+      } else {
+        train_hierfavg(model, fed, topo, opts);
+      }
+      FAIL() << "resumed a snapshot of retired algorithm id " << retired;
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("algorithm id " + std::to_string(retired)),
+                std::string::npos)
+          << msg;
+    }
+  }
 }
 
 /// Overwrite element `i` of f64-vector section `tag` inside a serialized

@@ -8,9 +8,10 @@
 //   (c) transports: loopback echo + stats, socket retry-after-slow-start,
 //       timeout demotion, kill injection, orderly shutdown with no
 //       leaked fds and no zombie children,
-//   (d) the trainer x backend table: HierMinimax and HierFAVG over
-//       loopback and socket backends are bit-identical (w, p, history
-//       TSV, comm counters) to the in-process oracle — clean, and with a
+//   (d) the trainer x backend table: HierMinimax and HierFAVG, on the
+//       client-edge-cloud tree and on a depth-3 tree, over loopback and
+//       socket backends are bit-identical (w, p, averages, history TSV,
+//       comm counters) to the in-process oracle — clean, and with a
 //       worker SIGKILLed at each kill point under each OnFault policy,
 //       where the dead process must degrade exactly like the equivalent
 //       in-proc edge-crash fault plan; the two-layer trainers refuse
@@ -55,11 +56,13 @@
 namespace hm::algo {
 namespace {
 
+using testing_util::deep_task;
 using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
 using testing_util::output_of;
 using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
+using testing_util::with_taus;
 
 std::chrono::steady_clock::time_point in_ms(int ms) {
   return net::MonoClock::now() + std::chrono::milliseconds(ms);
@@ -543,17 +546,21 @@ TrainOptions transport_opts() {
 
 /// The trainers that run over every backend. `round1_last_tag` is the
 /// frame tag (2*round + phase - 1) of the last exchange of round 1:
-/// HierFAVG has no Phase 2.
+/// HierFAVG has no Phase 2. A `deep` row trains on the depth-3 tree
+/// {4, 2, 2} with taus {2, 2, 2}, 8-bit uplinks and weight decay.
 struct Trainer {
   const char* name;
   TrainResult (*train)(const nn::Model&, const data::FederatedDataset&,
-                       const sim::HierTopology&, const TrainOptions&);
+                       const sim::MultiTopology&, const TrainOptions&);
   std::uint64_t round1_last_tag;
+  bool deep;
 };
 
 const Trainer kTrainers[] = {
-    {"hierminimax", train_hierminimax, 3},
-    {"hierfavg", train_hierfavg, 2},
+    {"hierminimax", train_hierminimax, 3, false},
+    {"hierfavg", train_hierfavg, 2, false},
+    {"hierminimax_d3", train_hierminimax, 3, true},
+    {"hierfavg_d3", train_hierfavg, 2, true},
 };
 
 const data::FederatedDataset& transport_task() {
@@ -561,9 +568,18 @@ const data::FederatedDataset& transport_task() {
   return f;
 }
 
-RunOutput run_with(const Trainer& t, const TrainOptions& opts) {
-  const auto& fed = transport_task();
-  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+RunOutput run_with(const Trainer& t, TrainOptions opts) {
+  if (!t.deep) {
+    const auto& fed = transport_task();
+    const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+    const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+    return output_of(t.train(model, fed, topo, opts));
+  }
+  opts = with_taus(opts, {2, 2, 2});
+  opts.quantize_bits = 8;
+  opts.weight_decay = 0.01;
+  const auto& fed = deep_task();
+  const sim::MultiTopology topo({4, 2, 2});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   return output_of(t.train(model, fed, topo, opts));
 }
@@ -721,8 +737,9 @@ TEST(TransportOracle, KillMatrixMatchesTheEdgeCrashOracle) {
   EXPECT_TRUE(no_children_remain());
 }
 
-/// The two-layer trainers have no edge tier to ship: a non-inproc
-/// transport is an error that names the trainer, never silently ignored.
+/// The two-layer trainers have no edge tier to ship and no tree: a
+/// non-inproc transport or a non-empty taus is an error that names the
+/// trainer, never silently ignored.
 TEST(TransportSupport, TwoLayerTrainersRejectOtherBackends) {
   const auto& fed = transport_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
@@ -749,6 +766,13 @@ TEST(TransportSupport, TwoLayerTrainersRejectOtherBackends) {
         EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
             << e.what();
       }
+    }
+    try {
+      run(with_taus(transport_opts(), {2, 2, 2}));
+      ADD_FAILURE() << name << " accepted taus";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
     }
     TrainOptions o = transport_opts();
     o.rounds = 1;

@@ -12,9 +12,9 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "algo/hierminimax_multi.hpp"
 #include "algo/options.hpp"
 #include "data/federated.hpp"
 #include "data/generators.hpp"
@@ -80,6 +80,23 @@ inline data::FederatedDataset iid_task(index_t num_edges = 4,
   rng::Xoshiro256 gen(seed + 1);
   const auto tt = data::split_train_test(all, 0.25, gen);
   return data::partition_iid(tt, num_edges, clients_per_edge, gen);
+}
+
+/// The task of the depth-3 tree {4, 2, 2}: 4 areas x (2 mid nodes x 2
+/// leaves).
+inline const data::FederatedDataset& deep_task() {
+  static const data::FederatedDataset fed = heterogeneous_task(4, 4);
+  return fed;
+}
+
+/// `o` with the blocks per tree level given as `taus` in place of
+/// tau1/tau2.
+inline algo::TrainOptions with_taus(algo::TrainOptions o,
+                                    std::vector<index_t> taus) {
+  o.tau1 = 1;
+  o.tau2 = 1;
+  o.taus = std::move(taus);
+  return o;
 }
 
 // ---------------------------------------------------------------------
@@ -165,25 +182,6 @@ inline std::uint64_t fingerprint(const algo::TrainResult& r,
   return h;
 }
 
-inline std::uint64_t fingerprint(const algo::MultiTrainResult& r,
-                                 bool model_only) {
-  std::uint64_t h = 0;
-  h = mix_vec(h, r.w);
-  h = mix_vec(h, r.p);
-  h = mix(h, r.comm.levels.size());
-  for (const auto& l : r.comm.levels) {
-    h = mix(h, l.rounds);
-    h = mix(h, l.models_up);
-    h = mix(h, l.models_down);
-  }
-  if (!model_only) {
-    h = mix_link(h, r.comm.leaf_fault);
-    h = mix_link(h, r.comm.top_fault);
-  }
-  h = fingerprint_history(h, r.history, model_only);
-  return h;
-}
-
 // ---------------------------------------------------------------------
 // Trajectory byte-comparison (snapshot/scenario matrices).
 
@@ -215,32 +213,6 @@ inline RunOutput output_of(const algo::TrainResult& r) {
   h = mix_vec(h, r.w_avg);
   h = mix_vec(h, r.p_avg);
   h = mix_comm(h, r.comm);
-  for (const auto& rec : r.history.records()) {
-    h = mix(h, static_cast<std::uint64_t>(rec.round));
-    h = mix_comm(h, rec.comm);
-    h = mix_vec(h, rec.edge_acc);
-    h = mix(h, bits(rec.global_loss));
-  }
-  out.fp = h;
-  std::ostringstream os;
-  r.history.write_tsv(os, "run");
-  out.tsv = os.str();
-  return out;
-}
-
-inline RunOutput output_of(const algo::MultiTrainResult& r) {
-  RunOutput out;
-  out.w = r.w;
-  std::uint64_t h = 0;
-  h = mix_vec(h, r.p);
-  h = mix(h, r.comm.levels.size());
-  for (const auto& l : r.comm.levels) {
-    h = mix(h, l.rounds);
-    h = mix(h, l.models_up);
-    h = mix(h, l.models_down);
-  }
-  h = mix_link(h, r.comm.leaf_fault);
-  h = mix_link(h, r.comm.top_fault);
   for (const auto& rec : r.history.records()) {
     h = mix(h, static_cast<std::uint64_t>(rec.round));
     h = mix_comm(h, rec.comm);
