@@ -124,10 +124,13 @@ TrainResult run_engine(const nn::Model& model,
   // participating area is the same every round: each block of a
   // depth-l node broadcasts to its children and collects their models,
   // and the minimax checkpoint climbs each link once at round end. One
-  // client_edge round per synchronized block, as on the leaf link.
+  // client_edge round per synchronized block, as on the leaf link. Phase 2
+  // passes the checkpoint down through every interior node, which sends
+  // one loss scalar back up.
   std::uint64_t interior_blocks = 0;  // client_edge rounds per round
   std::uint64_t interior_down = 0;    // broadcasts per area and round
   std::uint64_t interior_up = 0;      // reports per area and round
+  std::uint64_t interior_nodes = 0;   // interior nodes per area
   {
     std::uint64_t blocks = 1;
     for (index_t lv = 1; lv + 1 < h.tree.depth(); ++lv) {
@@ -135,6 +138,7 @@ TrainResult run_engine(const nn::Model& model,
           h.taus[static_cast<std::size_t>(lv - 1)]);
       const auto children =
           static_cast<std::uint64_t>(h.tree.nodes_at(lv + 1) / num_edges);
+      interior_nodes += children;
       interior_blocks += blocks;
       interior_down += blocks * children;
       interior_up += (blocks + (minimax ? 1 : 0)) * children;
@@ -184,6 +188,8 @@ TrainResult run_engine(const nn::Model& model,
   rs.comm = &comm;
   rs.stale = &stale;
   rs.history = &result.history;
+  rs.tree.assign(h.tree.branching().begin(), h.tree.branching().end());
+  rs.tree.insert(rs.tree.end(), h.taus.begin(), h.taus.end());
   const index_t k0 = detail::resume_round(opts.resume_from, rs);
 
   if (k0 == 0) {
@@ -362,7 +368,7 @@ TrainResult run_engine(const nn::Model& model,
           static_cast<std::uint64_t>(losses_set.size());
       comm.client_edge_models_down +=
           static_cast<std::uint64_t>(losses_set.size()) *
-          static_cast<std::uint64_t>(n0);
+          (static_cast<std::uint64_t>(n0) + interior_nodes);
       comm.client_edge_rounds += 1;
 
       std::fill(edge_losses.begin(), edge_losses.end(), scalar_t{0});
@@ -448,18 +454,20 @@ TrainResult run_engine(const nn::Model& model,
       }
       comm.client_edge_scalars +=
           static_cast<std::uint64_t>(losses_set.size()) *
-          static_cast<std::uint64_t>(n0);
+          (static_cast<std::uint64_t>(n0) + interior_nodes);
       comm.edge_cloud_scalars +=
           static_cast<std::uint64_t>(losses_set.size());
       comm.edge_cloud_rounds += 1;
-      // Phase-2 bytes: checkpoint broadcasts down both hops + scalar losses.
+      // Phase-2 bytes: checkpoint broadcasts down every hop + scalar
+      // losses up (one per leaf and per interior node, which forwards its
+      // subtree's report).
       comm.edge_cloud_bytes +=
           static_cast<std::uint64_t>(losses_set.size()) *
               sim::payload_bytes(d, 0) +
           static_cast<std::uint64_t>(losses_set.size()) * 8;
       comm.client_edge_bytes +=
           static_cast<std::uint64_t>(losses_set.size()) *
-              static_cast<std::uint64_t>(n0) *
+              (static_cast<std::uint64_t>(n0) + interior_nodes) *
               (sim::payload_bytes(d, 0) + 8);
 
       // Ascent step (Eq. 7): v_e = (N_E/m_E) f_e on delivered areas, else

@@ -594,6 +594,18 @@ bool stale_live(const StaleStore* stale) {
   return stale != nullptr && !stale->last_round.empty();
 }
 
+/// "tree {4,2,2} taus {2,2,2}" for a RunState::tree (branching, then
+/// as many taus).
+std::string format_tree(const std::vector<std::int64_t>& tree) {
+  std::ostringstream os;
+  const std::size_t half = tree.size() / 2;
+  for (std::size_t i = 0; i < tree.size(); ++i) {
+    os << (i == 0 ? "tree {" : i == half ? "} taus {" : ",") << tree[i];
+  }
+  os << "}";
+  return os.str();
+}
+
 }  // namespace
 
 io::Snapshot make_run_snapshot(const RunState& st, index_t next_round) {
@@ -602,6 +614,7 @@ io::Snapshot make_run_snapshot(const RunState& st, index_t next_round) {
   s.put_u64(kSnapAlgo, st.algo_id);
   s.put_u64(kSnapSeed, st.seed);
   s.put_u64(kSnapRound, static_cast<std::uint64_t>(next_round));
+  if (!st.tree.empty()) s.put_i64_vec(kSnapTree, st.tree);
   {
     io::ByteWriter w;
     encode_stream_state(w, st.root->state());
@@ -654,6 +667,22 @@ index_t resume_round(const std::string& resume_from, const RunState& st) {
                                     << loaded->path << "' used seed " << seed
                                     << ", this run uses seed " << st.seed
                                     << " — resume would not be bit-exact");
+  // The tree and taus shape every later round but not every section's
+  // size, so they are compared outright.
+  HM_CHECK_MSG(st.tree.empty() != s.has(kSnapTree),
+               "snapshot '" << loaded->path << "' "
+                            << (s.has(kSnapTree) ? "has" : "lacks")
+                            << " a tree section but this run "
+                            << (st.tree.empty() ? "has no tree" : "does"));
+  if (s.has(kSnapTree)) {
+    const std::vector<std::int64_t> tree = s.get_i64_vec(kSnapTree);
+    HM_CHECK_MSG(tree == st.tree, "snapshot '"
+                                      << loaded->path << "' was written on "
+                                      << format_tree(tree)
+                                      << ", this run uses "
+                                      << format_tree(st.tree)
+                                      << " — resume would not be bit-exact");
+  }
   const std::uint64_t next_round = s.get_u64(kSnapRound);
   HM_CHECK_MSG(next_round >= 1 && next_round <= (1ULL << 40),
                "snapshot '" << loaded->path << "' has implausible round "

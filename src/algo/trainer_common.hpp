@@ -232,6 +232,7 @@ inline constexpr std::uint32_t kSnapComm = 0x4d4d4f43;        // "COMM"
 inline constexpr std::uint32_t kSnapStaleModels = 0x4d4c5453; // "STLM"
 inline constexpr std::uint32_t kSnapStaleRounds = 0x524c5453; // "STLR"
 inline constexpr std::uint32_t kSnapHistory = 0x54534948;     // "HIST"
+inline constexpr std::uint32_t kSnapTree = 0x45455254;        // "TREE"
 
 // Algorithm ids embedded in every snapshot so resuming with the wrong
 // trainer (or comparing λ of a min-only method) fails loudly.
@@ -259,6 +260,9 @@ struct RunState {
   sim::CommStats* comm = nullptr;
   StaleStore* stale = nullptr;                // snapshotted iff initialized
   metrics::TrainingHistory* history = nullptr;
+  // Hierarchical trainers: the tree's branching followed by the resolved
+  // taus (one per level). A resume must find the same values.
+  std::vector<std::int64_t> tree;
 };
 
 /// Encode the pointed-at state as an io::Snapshot; `next_round` is the
@@ -268,8 +272,8 @@ io::Snapshot make_run_snapshot(const RunState& st, index_t next_round);
 /// Restore state from the newest valid snapshot under `resume_from` and
 /// return the first round index to run; 0 (fresh start, state untouched)
 /// when `resume_from` is empty or holds no valid snapshot. Throws
-/// CheckError when the snapshot belongs to a different algorithm/seed or
-/// its shapes do not match the run's options/topology.
+/// CheckError when the snapshot belongs to a different algorithm, seed or
+/// tree and taus, or its shapes do not match the run's options/topology.
 index_t resume_round(const std::string& resume_from, const RunState& st);
 
 /// End-of-round hook, called as the last statement of round k's loop

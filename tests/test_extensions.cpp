@@ -317,6 +317,9 @@ TEST(MultiHierMinimax, DepthThreeLearns) {
   EXPECT_EQ(result.comm.edge_cloud_rounds, 2u * 80u);
   EXPECT_EQ(result.comm.client_edge_rounds,
             static_cast<std::uint64_t>(80 * (t[0] + t[0] * t[1] + 1)));
+  // Phase 2 scores all 4 areas: one loss scalar from each of an area's 4
+  // leaves and 2 interior nodes.
+  EXPECT_EQ(result.comm.client_edge_scalars, 80u * 4u * (4u + 2u));
 }
 
 TEST(MultiHierMinimax, PartialParticipationAndCappedSet) {

@@ -720,6 +720,51 @@ TEST(SnapshotResume, RetiredMultiLevelAlgoIdsAreRefused) {
   }
 }
 
+/// The tree and taus shape every later round without changing any
+/// section's size, so a snapshot records them and a resume into another
+/// tree or other taus is refused with both named.
+TEST(SnapshotResume, DifferentTreeOrTausIsRejected) {
+  const auto& fed = deep_task();
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  const std::string dir = fresh_dir("tree_mismatch");
+  io::SnapshotPolicy policy;
+  policy.every_k_rounds = kEveryK;
+  policy.dir = dir;
+  policy.crash_after_round = 3;
+  EXPECT_THROW(
+      train_hierminimax(model, fed, sim::MultiTopology({4, 2, 2}),
+                        with_snapshots(deep_snap_opts(false), policy, "")),
+      io::SimulatedCrash);
+
+  const auto expect_refused = [&](const sim::MultiTopology& topo,
+                                  const TrainOptions& o,
+                                  const std::string& run_tree) {
+    try {
+      train_hierminimax(model, fed, topo,
+                        with_snapshots(o, io::SnapshotPolicy{}, dir));
+      FAIL() << "resumed a {4,2,2} snapshot into " << run_tree;
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("tree {4,2,2} taus {2,2,2}"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(run_tree), std::string::npos) << msg;
+    }
+  };
+  // Depth 3 into depth 2 over the same areas and leaves.
+  auto flat = snap_opts(false);
+  flat.tau2 = 5;
+  flat.tau1 = 3;
+  expect_refused(sim::HierTopology(4, 4), flat, "tree {4,4} taus {5,3}");
+  // Same tree, other taus.
+  expect_refused(sim::MultiTopology({4, 2, 2}),
+                 with_taus(snap_opts(false), {2, 2, 3}),
+                 "tree {4,2,2} taus {2,2,3}");
+  // The matching run resumes.
+  EXPECT_NO_THROW(train_hierminimax(
+      model, fed, sim::MultiTopology({4, 2, 2}),
+      with_snapshots(deep_snap_opts(false), io::SnapshotPolicy{}, dir)));
+}
+
 /// Overwrite element `i` of f64-vector section `tag` inside a serialized
 /// snapshot and re-seal the trailing CRC, so the file still validates and
 /// only resume's content checks can catch the damage.
