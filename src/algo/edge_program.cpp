@@ -301,19 +301,11 @@ void EdgeProgram::phase2(index_t k, std::span<const index_t> edges,
     // Phase-2 loss reports are honest even for attackers (the attack
     // corrupts training, not measurement) but do follow data drift.
     const data::Dataset& shard = fed_.shard_at(k, e, i);
-    rng::Xoshiro256 gen = round_gen.split(kTagLoss)
-                              .split(static_cast<std::uint64_t>(e))
-                              .split(static_cast<std::uint64_t>(i));
     auto& batch = batches[static_cast<std::size_t>(job)];
-    if (h_.opts.loss_est_batch > 0) {
-      batch.resize(static_cast<std::size_t>(h_.opts.loss_est_batch));
-      for (auto& idx : batch) {
-        idx = static_cast<index_t>(
-            gen.uniform_index(static_cast<std::uint64_t>(shard.size())));
-      }
-    } else {
-      batch = nn::all_indices(shard.size());
-    }
+    batch = loss_batch(shard.size(), h_.opts.loss_est_batch,
+                       round_gen.split(kTagLoss)
+                           .split(static_cast<std::uint64_t>(e))
+                           .split(static_cast<std::uint64_t>(i)));
     jobs.push_back(nn::LossJob{checkpoint, &shard, batch});
     job_slot.push_back(job);
   }

@@ -19,7 +19,9 @@
 namespace hm::algo {
 
 /// Train with q-FedAvg. `q` >= 0; q = 0 is FedAvg with the normalized
-/// update rule. Uses opts.tau1 local steps, opts.sampled_clients.
+/// update rule. Uses opts.tau1 local steps, opts.sampled_clients and
+/// opts.quantize_bits; an enabled opts.fault or a non-mean
+/// opts.aggregate is a CheckError (the update is its own aggregation).
 TrainResult train_qffl(const nn::Model& model,
                        const data::FederatedDataset& fed,
                        const TrainOptions& opts, scalar_t q,

@@ -343,37 +343,6 @@ bool degraded_weighted_average(
   return true;
 }
 
-bool degraded_uniform_average(
-    const std::vector<std::vector<scalar_t>>& vectors,
-    const std::vector<index_t>& ids, const std::vector<char>& delivered,
-    OnFault policy, scalar_t stale_decay, index_t round, StaleStore& stale,
-    const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
-    const AggregateSpec& agg, parallel::ThreadPool* pool) {
-  HM_CHECK(delivered.size() == ids.size());
-  bool all_delivered = true;
-  for (const char c : delivered) all_delivered = all_delivered && c != 0;
-  if (all_delivered) {
-    if (ids.empty()) return false;
-    robust_uniform_average(vectors, ids, agg, out, pool);
-    if (policy == OnFault::kReuseStale) {
-      for (const index_t id : ids) {
-        stale.deliver(id, vectors[static_cast<std::size_t>(id)], round);
-      }
-    }
-    return true;
-  }
-  // Multiplicity-1 weighted aggregation computes the same 1/n weights in
-  // the same accumulation order, so delegating keeps the partial-failure
-  // policies in one place.
-  Participants p;
-  p.ids = ids;
-  p.multiplicity.assign(ids.size(), 1);
-  p.total = static_cast<index_t>(ids.size());
-  return degraded_weighted_average(vectors, p, delivered, policy,
-                                   stale_decay, round, stale, fallback, out,
-                                   agg, pool);
-}
-
 const data::Dataset& PoisonStore::get(const data::Dataset& shard,
                                       index_t client) {
   const auto i = static_cast<std::size_t>(client);
@@ -416,6 +385,17 @@ std::vector<scalar_t> uniform_weights(index_t n) {
   HM_CHECK(n > 0);
   return std::vector<scalar_t>(static_cast<std::size_t>(n),
                                scalar_t{1} / static_cast<scalar_t>(n));
+}
+
+std::vector<index_t> loss_batch(index_t shard_size, index_t batch_size,
+                                rng::Xoshiro256 gen) {
+  if (batch_size <= 0) return nn::all_indices(shard_size);
+  std::vector<index_t> batch(static_cast<std::size_t>(batch_size));
+  for (auto& idx : batch) {
+    idx = static_cast<index_t>(
+        gen.uniform_index(static_cast<std::uint64_t>(shard_size)));
+  }
+  return batch;
 }
 
 void publish_comm_metrics(const sim::CommStats& comm) {

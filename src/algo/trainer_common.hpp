@@ -147,15 +147,6 @@ bool degraded_weighted_average(
     const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
     const AggregateSpec& agg = {}, parallel::ThreadPool* pool = nullptr);
 
-/// Uniform-weight variant over `ids` (multiplicity 1 each); otherwise
-/// identical semantics to degraded_weighted_average.
-bool degraded_uniform_average(
-    const std::vector<std::vector<scalar_t>>& vectors,
-    const std::vector<index_t>& ids, const std::vector<char>& delivered,
-    OnFault policy, scalar_t stale_decay, index_t round, StaleStore& stale,
-    const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
-    const AggregateSpec& agg = {}, parallel::ThreadPool* pool = nullptr);
-
 /// Lazily materialized label-flipped twins of client shards, for the
 /// AttackKind::kLabelFlip arm. data::flip_labels is pure, so each twin
 /// is cached and re-flipped only when the underlying shard changes
@@ -183,6 +174,12 @@ void update_running_average(std::vector<scalar_t>& avg,
 
 /// Uniform probability vector of length n.
 std::vector<scalar_t> uniform_weights(index_t n);
+
+/// A Phase-2 loss-estimation sample of a shard: `batch_size` indices
+/// drawn uniformly with replacement from `gen`, or the whole shard when
+/// batch_size is 0.
+std::vector<index_t> loss_batch(index_t shard_size, index_t batch_size,
+                                rng::Xoshiro256 gen);
 
 /// Append a RoundRecord (per-edge accuracy + uniform-weight loss) when
 /// the cadence says this round is due (always due at the final round).

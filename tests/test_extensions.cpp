@@ -142,6 +142,47 @@ TEST(Qffl, CommAccounting) {
   EXPECT_EQ(result.comm.edge_cloud_scalars, 40u);
 }
 
+// q-FFL has no fault path and no combiner choice: options it would
+// ignore are a CheckError naming it, never a silent no-op.
+TEST(Qffl, RejectsFaultPlanAndRobustAggregate) {
+  const auto fed = heterogeneous_task(4, 2);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  TrainOptions faulty = qffl_opts(3);
+  faulty.fault.enabled = true;
+  faulty.fault.attack = sim::AttackKind::kSignFlip;
+  faulty.fault.attack_prob = 0.5;
+  faulty.fault.client_dropout_prob = 0.5;
+  faulty.fault.edge_loss_prob = 0.5;
+  TrainOptions median = qffl_opts(3);
+  median.aggregate = algo::Aggregate::kMedian;
+  for (const TrainOptions& o : {faulty, median}) {
+    try {
+      algo::train_qffl(model, fed, o, 1.0);
+      ADD_FAILURE() << "train_qffl accepted an option it ignores";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("train_qffl"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Clients quantize their uplinked models like every other trainer's, so
+// the metered bytes describe what was applied, and the quantizer's
+// streams replay bit for bit.
+TEST(Qffl, QuantizedUplinkChangesWAndReplays) {
+  const auto fed = heterogeneous_task(4, 2);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  TrainOptions o = qffl_opts(3);
+  const auto plain = algo::train_qffl(model, fed, o, 1.0);
+  o.quantize_bits = 8;
+  const auto quant = algo::train_qffl(model, fed, o, 1.0);
+  EXPECT_NE(plain.w, quant.w);
+  expect_same_output(output_of(quant),
+                     output_of(algo::train_qffl(model, fed, o, 1.0)),
+                     "q-FFL 8-bit replay");
+  EXPECT_LT(quant.comm.edge_cloud_bytes, plain.comm.edge_cloud_bytes);
+}
+
 // ----------------------------------------------------------- quantization
 
 TEST(QuantizedTraining, EightBitsStillLearns) {

@@ -311,6 +311,9 @@ Trajectory trajectory_of(const algo::TrainResult& r) {
 struct Runner {
   std::string name;
   Trajectory (*run)();
+  // Round-level trace schema: the run emits one `<algo>.round` span and
+  // one `algo.<algo>.rounds` count per round.
+  const char* algo;
 };
 
 std::vector<Runner> runners() {
@@ -321,7 +324,7 @@ std::vector<Runner> runners() {
                                                      fed.num_classes());
                    return trajectory_of(
                        algo::train_fedavg(model, fed, contract_opts()));
-                 }});
+                 }, "fedavg"});
   out.push_back({"hierfavg", [] {
                    const auto& fed = shared_task();
                    const sim::HierTopology topo(fed.num_edges(),
@@ -330,21 +333,21 @@ std::vector<Runner> runners() {
                                                      fed.num_classes());
                    return trajectory_of(algo::train_hierfavg(
                        model, fed, topo, contract_opts()));
-                 }});
+                 }, "hierfavg"});
   out.push_back({"drfa", [] {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
                        algo::train_drfa(model, fed, contract_opts()));
-                 }});
+                 }, "drfa"});
   out.push_back({"qffl", [] {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(algo::train_qffl(
                        model, fed, contract_opts(), /*q=*/2.0));
-                 }});
+                 }, "qffl"});
   out.push_back({"hierminimax", [] {
                    const auto& fed = shared_task();
                    const sim::HierTopology topo(fed.num_edges(),
@@ -353,7 +356,7 @@ std::vector<Runner> runners() {
                                                      fed.num_classes());
                    return trajectory_of(algo::train_hierminimax(
                        model, fed, topo, contract_opts()));
-                 }});
+                 }, "hierminimax"});
   out.push_back({"hierminimax_d3", [] {
                    const auto& fed = deep_task();
                    const sim::MultiTopology topo({4, 2, 2});
@@ -362,7 +365,15 @@ std::vector<Runner> runners() {
                    return trajectory_of(algo::train_hierminimax(
                        model, fed, topo,
                        with_taus(contract_opts(), {2, 2, 2})));
-                 }});
+                 }, "hierminimax"});
+  // Stochastic-AFL is DRFA on a one-step schedule and reports as drfa.
+  out.push_back({"stochastic_afl", [] {
+                   const auto& fed = shared_task();
+                   const nn::SoftmaxRegression model(fed.dim(),
+                                                     fed.num_classes());
+                   return trajectory_of(algo::train_stochastic_afl(
+                       model, fed, contract_opts()));
+                 }, "drfa"});
   return out;
 }
 
@@ -384,6 +395,38 @@ TEST(ZeroPerturbation, TraceOnVsOffIsBitIdenticalForEveryTrainer) {
 #endif
     }
     EXPECT_EQ(off, on) << r.name << ": tracer perturbed the trajectory";
+  }
+}
+
+// The round-level trace schema, pinned per trainer: exactly `rounds`
+// round spans under the trainer's name, tagged with rounds 0..K-1 in
+// order, and a round counter bumped by `rounds`.
+TEST(TraceSchema, EveryTrainerEmitsOneRoundSpanAndCountPerRound) {
+#if !HM_OBS_ENABLED
+  GTEST_SKIP() << "obs hooks compiled out (HM_OBS=OFF)";
+#endif
+  const auto rounds = static_cast<std::uint64_t>(contract_opts().rounds);
+  for (const Runner& r : runners()) {
+    SCOPED_TRACE(r.name);
+    const std::string span = std::string(r.algo) + ".round";
+    const MetricsSnapshot before = registry().snapshot();
+    std::vector<std::uint64_t> span_rounds;
+    {
+      TraceSession session(1 << 14);
+      (void)r.run();
+      ASSERT_EQ(trace_dropped(), 0u);
+      for (const SpanRecord& s : trace_spans()) {
+        if (span == s.name) span_rounds.push_back(s.a0);
+      }
+    }
+    std::vector<std::uint64_t> want(rounds);
+    for (std::uint64_t k = 0; k < rounds; ++k) want[k] = k;
+    EXPECT_EQ(span_rounds, want) << span;
+    const MetricsSnapshot delta = registry().snapshot().diff(before);
+    const std::string counter = "algo." + std::string(r.algo) + ".rounds";
+    const MetricValue* count = delta.find(counter);
+    ASSERT_NE(count, nullptr) << counter;
+    EXPECT_EQ(count->value, static_cast<std::int64_t>(rounds)) << counter;
   }
 }
 

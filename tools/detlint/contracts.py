@@ -9,8 +9,10 @@ per-file linter structurally cannot see:
     nobody bit-compares is a silent per-ISA determinism fork.
   * trainer-not-in-resume-matrix: every `train_*` entry point declared
     in src/algo must appear in the kill-and-resume matrix
-    (tests/test_snapshot.cpp). A trainer outside the matrix can corrupt
-    state across a crash without any test noticing.
+    (tests/test_snapshot.cpp) and in the golden trajectories
+    (tests/test_golden.cpp). A trainer outside the matrix can corrupt
+    state across a crash, and one without a golden row can drift, without
+    any test noticing.
   * undocumented-flag: every CLI flag read through hm::Flags in src/
     must be documented (as `--name`) in README.md or DESIGN.md. Flags
     only discoverable by reading the source rot instantly.
@@ -31,6 +33,7 @@ from .lexer import Token, string_value
 KERNEL_TABLE_HEADER = "tensor/simd.hpp"
 KERNEL_PIN_SUITE = "tests/test_simd.cpp"
 TRAINER_MATRIX_SUITE = "tests/test_snapshot.cpp"
+TRAINER_GOLDEN_SUITE = "tests/test_golden.cpp"
 DOC_FILES = ("README.md", "DESIGN.md")
 
 
@@ -124,30 +127,43 @@ def _trainer_declarations(src: SourceFile) -> Dict[str, int]:
     return out
 
 
+def _trainers_named_in(project: Project, rel: str) -> Set[str]:
+    """`train_*` identifiers anywhere in the code of test suite `rel`."""
+    suite = project.aux_file(rel)
+    if suite is None:
+        return set()
+    return {t.text for t in suite.code_tokens
+            if t.kind == "ident" and t.text.startswith("train_")}
+
+
 def _check_trainer_matrix(project: Project) -> Iterable[Finding]:
-    suite = project.aux_file(TRAINER_MATRIX_SUITE)
-    covered: Set[str] = set()
-    if suite is not None:
-        covered = {t.text for t in suite.code_tokens
-                   if t.kind == "ident" and t.text.startswith("train_")}
+    resumed = _trainers_named_in(project, TRAINER_MATRIX_SUITE)
+    pinned = _trainers_named_in(project, TRAINER_GOLDEN_SUITE)
     for src in project.src_files():
         if not src.in_dir("algo") or not src.rel.endswith(".hpp"):
             continue
         for name, line in sorted(_trainer_declarations(src).items()):
-            if name not in covered:
+            if name not in resumed:
                 yield Finding(
                     src.rel, line, "trainer-not-in-resume-matrix",
                     f"trainer '{name}' is not exercised by the "
                     f"kill-and-resume matrix ({TRAINER_MATRIX_SUITE}); "
                     f"snapshot/resume must be proven bit-exact for every "
                     f"trainer (or the gap baselined with a rationale)")
+            if name not in pinned:
+                yield Finding(
+                    src.rel, line, "trainer-not-in-resume-matrix",
+                    f"trainer '{name}' has no golden trajectory "
+                    f"({TRAINER_GOLDEN_SUITE}); every trainer's seeded "
+                    f"run must be pinned bit for bit")
 
 
 RULE_TRAINER_MATRIX = ProjectRule(
     "trainer-not-in-resume-matrix",
     "Every train_* entry point declared under src/algo must appear in "
     "tests/test_snapshot.cpp's kill-and-resume matrix, which proves "
-    "crash/resume is bit-exact per trainer.",
+    "crash/resume is bit-exact per trainer, and in tests/test_golden.cpp, "
+    "which pins each trainer's seeded trajectory.",
     _check_trainer_matrix,
 )
 

@@ -1,0 +1,6 @@
+// Mini-project fixture: the golden suite for pinned_trainer.
+#include "algo/trainers.hpp"
+
+int main() {
+  return fixture::train_alpha(3) == 7 && fixture::train_beta(3) == 9 ? 0 : 1;
+}

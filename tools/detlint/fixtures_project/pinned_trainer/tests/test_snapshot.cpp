@@ -1,0 +1,6 @@
+// Mini-project fixture: the kill-and-resume matrix for pinned_trainer.
+#include "algo/trainers.hpp"
+
+int main() {
+  return fixture::train_alpha(3) == fixture::train_beta(3) ? 0 : 1;
+}
