@@ -10,6 +10,7 @@
 #include "bench_common.hpp"
 #include "core/log.hpp"
 #include "core/stopwatch.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -26,6 +27,7 @@ void print_result_line(const std::string& label,
 
 int run(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
   const index_t rounds = flags.get_int("rounds", 250);
   const index_t dim = flags.get_int("dim", 48);
   const seed_t seed = static_cast<seed_t>(flags.get_int("seed", 5));
@@ -55,11 +57,11 @@ int run(int argc, char** argv) {
     auto on = base;
     on.use_checkpoint = true;
     print_result_line("checkpoint(Eq.6)",
-                      algo::train_hierminimax(model, fed, topo, on));
+                      algo::train_hierminimax(model, fed, topo, on, pool));
     auto off = base;
     off.use_checkpoint = false;
     print_result_line("last-iterate",
-                      algo::train_hierminimax(model, fed, topo, off));
+                      algo::train_hierminimax(model, fed, topo, off, pool));
   }
 
   std::cout << "\n# Ablation (b): tau1 x tau2 at fixed tau1*tau2*K budget\n"
@@ -72,7 +74,7 @@ int run(int argc, char** argv) {
     opts.tau2 = t2;
     opts.rounds = std::max<index_t>(1, budget / (t1 * t2));
     print_result_line(std::to_string(t1) + "x" + std::to_string(t2),
-                      algo::train_hierminimax(model, fed, topo, opts));
+                      algo::train_hierminimax(model, fed, topo, opts, pool));
   }
 
   std::cout << "\n# Ablation (c): participation m_E\n"
@@ -81,7 +83,7 @@ int run(int argc, char** argv) {
     auto opts = base;
     opts.sampled_edges = m_e;
     print_result_line(std::to_string(m_e),
-                      algo::train_hierminimax(model, fed, topo, opts));
+                      algo::train_hierminimax(model, fed, topo, opts, pool));
   }
   log::info() << "[bench_ablation] done in " << sw.seconds() << " s";
   return 0;

@@ -3,6 +3,7 @@
 #include <iomanip>
 
 #include "core/check.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/latency.hpp"
 
 namespace hm::bench {
@@ -84,13 +85,15 @@ std::vector<MethodRun> run_five_methods(const nn::Model& model,
   flat.sampled_clients = m_e * topo.clients_per_edge();
 
   std::vector<MethodRun> runs;
-  runs.push_back({"FedAvg", algo::train_fedavg(model, fed, flat)});
+  parallel::ThreadPool pool;
+  runs.push_back({"FedAvg", algo::train_fedavg(model, fed, flat, pool)});
   runs.push_back(
-      {"Stochastic-AFL", algo::train_stochastic_afl(model, fed, flat)});
-  runs.push_back({"DRFA", algo::train_drfa(model, fed, flat)});
-  runs.push_back({"HierFAVG", algo::train_hierfavg(model, fed, topo, opts)});
+      {"Stochastic-AFL", algo::train_stochastic_afl(model, fed, flat, pool)});
+  runs.push_back({"DRFA", algo::train_drfa(model, fed, flat, pool)});
+  runs.push_back({"HierFAVG", algo::train_hierfavg(model, fed, topo, opts,
+                                                   pool)});
   runs.push_back(
-      {"HierMinimax", algo::train_hierminimax(model, fed, topo, opts)});
+      {"HierMinimax", algo::train_hierminimax(model, fed, topo, opts, pool)});
   return runs;
 }
 

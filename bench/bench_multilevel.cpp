@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 #include "core/log.hpp"
 #include "core/stopwatch.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -27,6 +28,7 @@ struct Config {
 
 int run(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
   const index_t rounds = flags.get_int("rounds", 300);
   const index_t dim = flags.get_int("dim", 48);
   const seed_t seed = static_cast<seed_t>(flags.get_int("seed", 8));
@@ -60,7 +62,7 @@ int run(int argc, char** argv) {
     opts.sampled_edges = 5;
     opts.eval_every = std::max<index_t>(1, rounds / 15);
     opts.seed = seed;
-    const auto result = algo::train_hierminimax(model, fed, topo, opts);
+    const auto result = algo::train_hierminimax(model, fed, topo, opts, pool);
     const auto s = result.history.tail_summary(5);
     std::cout << config.name << '\t' << std::fixed << std::setprecision(4)
               << s.average << '\t' << s.worst << '\t'

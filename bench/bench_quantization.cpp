@@ -11,6 +11,7 @@
 #include "bench_common.hpp"
 #include "core/log.hpp"
 #include "core/stopwatch.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -18,6 +19,7 @@ using namespace hm;
 
 int run(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
   const index_t rounds = flags.get_int("rounds", 250);
   const index_t dim = flags.get_int("dim", 48);
   const seed_t seed = static_cast<seed_t>(flags.get_int("seed", 6));
@@ -47,8 +49,8 @@ int run(int argc, char** argv) {
   for (const int bits : {0, 16, 8, 6, 4, 2, 1}) {
     auto opts = base;
     opts.quantize_bits = bits;
-    const auto favg = algo::train_hierfavg(model, fed, topo, opts);
-    const auto mm = algo::train_hierminimax(model, fed, topo, opts);
+    const auto favg = algo::train_hierfavg(model, fed, topo, opts, pool);
+    const auto mm = algo::train_hierminimax(model, fed, topo, opts, pool);
     for (const auto& [name, r] :
          {std::pair<const char*, const algo::TrainResult*>{"HierFAVG", &favg},
           {"HierMinimax", &mm}}) {

@@ -19,6 +19,7 @@
 #include "nn/mlp.hpp"
 #include "nn/softmax_regression.hpp"
 #include "obs/obs.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/topology.hpp"
 
 namespace {
@@ -68,6 +69,7 @@ algo::TrainOptions fig4_opts(seed_t seed) {
 
 void BM_Fig3Round(benchmark::State& state) {
   const index_t dim = state.range(0);
+  parallel::ThreadPool pool;
   const index_t num_edges = 10, clients_per_edge = 3;
   const auto fed = bench::make_one_class_fed(bench::ImageFamily::kEmnistDigits,
                                              dim, num_edges, clients_per_edge,
@@ -77,7 +79,7 @@ void BM_Fig3Round(benchmark::State& state) {
   algo::TrainOptions opts = fig3_opts(1);
   const TraceArm arm(state.range(1) != 0);
   for (auto _ : state) {
-    auto result = algo::train_hierminimax(model, fed, topo, opts);
+    auto result = algo::train_hierminimax(model, fed, topo, opts, pool);
     benchmark::DoNotOptimize(result.w.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -90,6 +92,7 @@ BENCHMARK(BM_Fig3Round)
 
 void BM_Fig4Round(benchmark::State& state) {
   const index_t dim = state.range(0);
+  parallel::ThreadPool pool;
   const bool paper_arch = dim >= 784;
   const index_t num_edges = 10, clients_per_edge = 3;
   const auto fed = bench::make_similarity_fed(bench::ImageFamily::kFashion,
@@ -103,7 +106,7 @@ void BM_Fig4Round(benchmark::State& state) {
   algo::TrainOptions opts = fig4_opts(2);
   const TraceArm arm(state.range(1) != 0);
   for (auto _ : state) {
-    auto result = algo::train_hierminimax(model, fed, topo, opts);
+    auto result = algo::train_hierminimax(model, fed, topo, opts, pool);
     benchmark::DoNotOptimize(result.w.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

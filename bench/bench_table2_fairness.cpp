@@ -18,6 +18,7 @@
 #include "core/log.hpp"
 #include "core/stopwatch.hpp"
 #include "metrics/evaluation.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -67,6 +68,7 @@ void append_rows(std::vector<Row>& rows, const std::string& dataset,
 
 int run(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
   const index_t rounds = flags.get_int("rounds", 300);
   const index_t dim = flags.get_int("dim", 64);
   const seed_t seed = static_cast<seed_t>(flags.get_int("seed", 3));
@@ -93,8 +95,8 @@ int run(int argc, char** argv) {
                                                /*num_samples=*/8000, seed);
     const sim::HierTopology topo(10, 3);
     const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-    const auto favg = algo::train_hierfavg(model, fed, topo, opts);
-    const auto mm = algo::train_hierminimax(model, fed, topo, opts);
+    const auto favg = algo::train_hierfavg(model, fed, topo, opts, pool);
+    const auto mm = algo::train_hierminimax(model, fed, topo, opts, pool);
     append_rows(rows, bench::family_name(family), favg, mm, 1.0);
     log::info() << "[table2] " << bench::family_name(family) << " done at "
                 << sw.seconds() << " s";
@@ -112,8 +114,8 @@ int run(int argc, char** argv) {
     algo::TrainOptions adult_opts = opts;
     adult_opts.sampled_edges = 0;  // both groups participate
     adult_opts.eta_p = opts.eta_p;
-    const auto favg = algo::train_hierfavg(model, fed, topo, adult_opts);
-    const auto mm = algo::train_hierminimax(model, fed, topo, adult_opts);
+    const auto favg = algo::train_hierfavg(model, fed, topo, adult_opts, pool);
+    const auto mm = algo::train_hierminimax(model, fed, topo, adult_opts, pool);
     append_rows(rows, "Adult-like", favg, mm, 1.0);
     log::info() << "[table2] Adult-like done at " << sw.seconds() << " s";
   }
@@ -132,8 +134,8 @@ int run(int argc, char** argv) {
     li_opts.sampled_edges = 10;
     li_opts.eta_w = flags.get_double("synthetic-eta-w", 0.02);
     li_opts.eta_p = flags.get_double("synthetic-eta-p", 0.002);
-    const auto favg = algo::train_hierfavg(model, fed, topo, li_opts);
-    const auto mm = algo::train_hierminimax(model, fed, topo, li_opts);
+    const auto favg = algo::train_hierfavg(model, fed, topo, li_opts, pool);
+    const auto mm = algo::train_hierminimax(model, fed, topo, li_opts, pool);
     append_rows(rows, "Synthetic(1,1)", favg, mm, 0.10);
     log::info() << "[table2] Synthetic done at " << sw.seconds() << " s";
   }

@@ -14,11 +14,13 @@
 #include "data/federated.hpp"
 #include "data/generators.hpp"
 #include "nn/softmax_regression.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/topology.hpp"
 
 int main(int argc, char** argv) {
   using namespace hm;
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
   const index_t rounds = flags.get_int("rounds", 300);
 
   data::AdultLikeSpec spec;  // 8000 non-Doctorate vs 500 Doctorate samples
@@ -40,8 +42,8 @@ int main(int argc, char** argv) {
   opts.eval_every = 0;
   opts.seed = 17;
 
-  const auto favg = algo::train_hierfavg(model, fed, topo, opts);
-  const auto mm = algo::train_hierminimax(model, fed, topo, opts);
+  const auto favg = algo::train_hierfavg(model, fed, topo, opts, pool);
+  const auto mm = algo::train_hierminimax(model, fed, topo, opts, pool);
 
   auto report = [](const std::string& name, const algo::TrainResult& r) {
     const auto& rec = r.history.back();

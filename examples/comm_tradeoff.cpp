@@ -13,11 +13,13 @@
 #include "data/federated.hpp"
 #include "data/generators.hpp"
 #include "nn/softmax_regression.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/topology.hpp"
 
 int main(int argc, char** argv) {
   using namespace hm;
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
   const index_t budget = flags.get_int("iterations", 1600);
   const index_t dim = flags.get_int("dim", 32);
 
@@ -51,7 +53,7 @@ int main(int argc, char** argv) {
     opts.sampled_edges = 5;
     opts.eval_every = 0;
     opts.seed = 9;
-    const auto result = algo::train_hierminimax(model, fed, topo, opts);
+    const auto result = algo::train_hierminimax(model, fed, topo, opts, pool);
     const auto& s = result.history.back().summary;
     std::cout << std::left << std::setw(10)
               << (std::to_string(tau1) + "x" + std::to_string(tau2))

@@ -15,11 +15,13 @@
 #include "data/federated.hpp"
 #include "data/generators.hpp"
 #include "nn/softmax_regression.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/topology.hpp"
 
 int main(int argc, char** argv) {
   using namespace hm;
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
   const index_t rounds = flags.get_int("rounds", 300);
   const index_t dim = flags.get_int("dim", 48);
   const scalar_t similarity = flags.get_double("similarity", 0.3);
@@ -51,15 +53,16 @@ int main(int argc, char** argv) {
     algo::TrainResult result;
   };
   std::vector<Entry> entries;
-  entries.push_back({"FedAvg", algo::train_fedavg(model, fed, flat)});
+  entries.push_back({"FedAvg", algo::train_fedavg(model, fed, flat, pool)});
   entries.push_back(
-      {"Stochastic-AFL", algo::train_stochastic_afl(model, fed, flat)});
-  entries.push_back({"DRFA", algo::train_drfa(model, fed, flat)});
-  entries.push_back({"q-FFL(q=2)", algo::train_qffl(model, fed, flat, 2.0)});
+      {"Stochastic-AFL", algo::train_stochastic_afl(model, fed, flat, pool)});
+  entries.push_back({"DRFA", algo::train_drfa(model, fed, flat, pool)});
+  entries.push_back({"q-FFL(q=2)", algo::train_qffl(model, fed, flat, 2.0,
+                                                    pool)});
   entries.push_back(
-      {"HierFAVG", algo::train_hierfavg(model, fed, topo, opts)});
+      {"HierFAVG", algo::train_hierfavg(model, fed, topo, opts, pool)});
   entries.push_back(
-      {"HierMinimax", algo::train_hierminimax(model, fed, topo, opts)});
+      {"HierMinimax", algo::train_hierminimax(model, fed, topo, opts, pool)});
 
   std::cout << "similarity s=" << similarity * 100 << "%, rounds=" << rounds
             << ", 10 edges x 3 clients\n\n"

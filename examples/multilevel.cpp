@@ -15,11 +15,13 @@
 #include "data/federated.hpp"
 #include "data/generators.hpp"
 #include "nn/softmax_regression.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/multi_topology.hpp"
 
 int main(int argc, char** argv) {
   using namespace hm;
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
   const index_t rounds = flags.get_int("rounds", 150);
 
   // 4 regions x 2 edges x 2 clients = 16 clients; one region-level area
@@ -53,8 +55,8 @@ int main(int argc, char** argv) {
   opts.eval_every = std::max<index_t>(1, rounds / 10);
   opts.seed = 7;
 
-  const auto result = algo::train_hierminimax(model, fed, topo, opts);
-  const auto favg = algo::train_hierfavg(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts, pool);
+  const auto favg = algo::train_hierfavg(model, fed, topo, opts, pool);
 
   std::cout << "four-layer HierMinimax (cloud-region-edge-client), "
             << rounds << " rounds, taus = {2, 2, 2}\n\n"

@@ -53,11 +53,13 @@
 #include "data/federated.hpp"
 #include "data/generators.hpp"
 #include "nn/softmax_regression.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/topology.hpp"
 
 int main(int argc, char** argv) {
   using namespace hm;
   const Flags flags = Flags::parse(argc, argv);
+  parallel::ThreadPool pool;
 
   // 1. Data: a 10-class Gaussian classification task, split so each of 5
   //    edge areas only holds two classes' worth of data -> heterogeneous.
@@ -118,7 +120,7 @@ int main(int argc, char** argv) {
   }
 
   // 5. Train and report.
-  const auto result = algo::train_hierminimax(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts, pool);
   algo::finish_obs_run(obs_opts, algo::build_run_manifest(flags, opts));
 
   std::cout << "round\tcomm_rounds\tavg_acc\tworst_acc\n";

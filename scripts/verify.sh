@@ -104,8 +104,8 @@ else
     >/dev/null
   cmake --build build-tsan -j"$JOBS"
   note "tsan: every hm::parallel-touching suite (ctest -L parallel)"
-  # force_region_dispatch pools in the stress tests exercise the real
-  # concurrent region path even on single-CPU hosts.
+  # Every pool of 2+ threads dispatches, so the stress tests' pools
+  # exercise the real concurrent region path even on single-CPU hosts.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan -L parallel --output-on-failure -j"$JOBS"
 fi

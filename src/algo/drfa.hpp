@@ -22,18 +22,10 @@ TrainResult train_drfa(const nn::Model& model,
                        const data::FederatedDataset& fed,
                        const TrainOptions& opts, parallel::ThreadPool& pool);
 
-TrainResult train_drfa(const nn::Model& model,
-                       const data::FederatedDataset& fed,
-                       const TrainOptions& opts);
-
 /// Stochastic-AFL == DRFA with a single local step per round.
 TrainResult train_stochastic_afl(const nn::Model& model,
                                  const data::FederatedDataset& fed,
                                  const TrainOptions& opts,
                                  parallel::ThreadPool& pool);
-
-TrainResult train_stochastic_afl(const nn::Model& model,
-                                 const data::FederatedDataset& fed,
-                                 const TrainOptions& opts);
 
 }  // namespace hm::algo

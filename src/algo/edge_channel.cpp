@@ -1,6 +1,8 @@
 #include "algo/edge_channel.hpp"
 
+#include <algorithm>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "algo/edge_program.hpp"
@@ -47,11 +49,13 @@ std::vector<index_t> to_index(const std::vector<std::int64_t>& v) {
 /// Build one lane's request handler: a process-local EdgeProgram plus
 /// full-size area buffers, dispatching on the wire kind. `pool` is the
 /// pool to run on; when null (a forked socket worker) the handler owns a
-/// fresh pool — the coordinator's pool threads do not survive fork().
+/// fresh pool of `threads` threads — the coordinator's pool threads do
+/// not survive fork().
 net::Handler make_worker_handler(const nn::Model& model,
                                  const data::FederatedDataset& fed,
                                  const Hierarchy& h,
-                                 parallel::ThreadPool* pool) {
+                                 parallel::ThreadPool* pool,
+                                 std::size_t threads = 0) {
   struct Worker {
     Hierarchy h;  // stable copy EdgeProgram references
     std::unique_ptr<parallel::ThreadPool> owned_pool;
@@ -62,7 +66,7 @@ net::Handler make_worker_handler(const nn::Model& model,
   };
   auto wk = std::make_shared<Worker>(Worker{h, nullptr, nullptr, {}, {}, {}});
   if (pool == nullptr) {
-    wk->owned_pool = std::make_unique<parallel::ThreadPool>();
+    wk->owned_pool = std::make_unique<parallel::ThreadPool>(threads);
     pool = wk->owned_pool.get();
   }
   wk->program = std::make_unique<EdgeProgram>(model, fed, wk->h, *pool);
@@ -167,10 +171,15 @@ class RpcEdgeChannel final : public EdgeChannel {
     if (lanes < 1) lanes = 1;
     if (lanes > num_edges_) lanes = num_edges_;
     if (spec.kind == net::TransportKind::kSocket) {
+      // The workers share the host's cores: each gets an equal share of
+      // the hardware threads, at least one.
+      const std::size_t threads = std::max<std::size_t>(
+          1, std::thread::hardware_concurrency() /
+                 static_cast<std::size_t>(lanes));
       transport_ = net::make_socket_transport(spec, lanes, [&](index_t) {
         // Runs inside the freshly forked child: build a worker with its
         // own thread pool (null pool argument).
-        return make_worker_handler(model, fed, h, nullptr);
+        return make_worker_handler(model, fed, h, nullptr, threads);
       });
     } else {
       transport_ = net::make_loopback_transport(lanes, [&](index_t) {

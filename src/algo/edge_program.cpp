@@ -310,7 +310,7 @@ void EdgeProgram::phase2(index_t k, std::span<const index_t> edges,
     job_slot.push_back(job);
   }
   std::vector<scalar_t> job_losses(jobs.size());
-  model_.loss_many(jobs, job_losses, *ph2_ws_);
+  model_.loss_many(jobs, job_losses, *ph2_ws_, &cluster_.pool());
   for (std::size_t q = 0; q < jobs.size(); ++q) {
     client_losses[static_cast<std::size_t>(job_slot[q])] = job_losses[q];
   }

@@ -15,8 +15,4 @@ TrainResult train_fedavg(const nn::Model& model,
                          const TrainOptions& opts,
                          parallel::ThreadPool& pool);
 
-TrainResult train_fedavg(const nn::Model& model,
-                         const data::FederatedDataset& fed,
-                         const TrainOptions& opts);
-
 }  // namespace hm::algo

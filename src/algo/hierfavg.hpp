@@ -24,9 +24,4 @@ TrainResult train_hierfavg(const nn::Model& model,
                            const TrainOptions& opts,
                            parallel::ThreadPool& pool);
 
-TrainResult train_hierfavg(const nn::Model& model,
-                           const data::FederatedDataset& fed,
-                           const sim::MultiTopology& topo,
-                           const TrainOptions& opts);
-
 }  // namespace hm::algo

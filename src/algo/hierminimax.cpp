@@ -537,14 +537,6 @@ TrainResult train_hierminimax(const nn::Model& model,
                     Variant::kHierMinimax, pool);
 }
 
-TrainResult train_hierminimax(const nn::Model& model,
-                              const data::FederatedDataset& fed,
-                              const sim::MultiTopology& topo,
-                              const TrainOptions& opts) {
-  return train_hierminimax(model, fed, topo, opts,
-                           parallel::ThreadPool::global());
-}
-
 TrainResult train_hierfavg(const nn::Model& model,
                            const data::FederatedDataset& fed,
                            const sim::MultiTopology& topo,
@@ -552,14 +544,6 @@ TrainResult train_hierfavg(const nn::Model& model,
                            parallel::ThreadPool& pool) {
   return run_engine(model, fed, make_hierarchy(topo, opts),
                     Variant::kHierFavg, pool);
-}
-
-TrainResult train_hierfavg(const nn::Model& model,
-                           const data::FederatedDataset& fed,
-                           const sim::MultiTopology& topo,
-                           const TrainOptions& opts) {
-  return train_hierfavg(model, fed, topo, opts,
-                        parallel::ThreadPool::global());
 }
 
 }  // namespace hm::algo

@@ -49,10 +49,4 @@ TrainResult train_hierminimax(const nn::Model& model,
                               const TrainOptions& opts,
                               parallel::ThreadPool& pool);
 
-/// Overload on the global thread pool.
-TrainResult train_hierminimax(const nn::Model& model,
-                              const data::FederatedDataset& fed,
-                              const sim::MultiTopology& topo,
-                              const TrainOptions& opts);
-
 }  // namespace hm::algo

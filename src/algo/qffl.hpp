@@ -27,8 +27,4 @@ TrainResult train_qffl(const nn::Model& model,
                        const TrainOptions& opts, scalar_t q,
                        parallel::ThreadPool& pool);
 
-TrainResult train_qffl(const nn::Model& model,
-                       const data::FederatedDataset& fed,
-                       const TrainOptions& opts, scalar_t q);
-
 }  // namespace hm::algo

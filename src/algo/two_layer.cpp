@@ -375,7 +375,7 @@ TrainResult run_two_layer(const nn::Model& model,
         job_client.push_back(n);
       }
       std::vector<scalar_t> losses(loss_jobs.size());
-      model.loss_many(loss_jobs, losses, *loss_ws);
+      model.loss_many(loss_jobs, losses, *loss_ws, &pool);
       comm.edge_cloud_scalars +=
           static_cast<std::uint64_t>(loss_clients.size());
       comm.edge_cloud_rounds += 1;
@@ -423,22 +423,10 @@ TrainResult train_fedavg(const nn::Model& model,
   return run_two_layer(model, fed, opts, Variant::kFedAvg, 0, pool);
 }
 
-TrainResult train_fedavg(const nn::Model& model,
-                         const data::FederatedDataset& fed,
-                         const TrainOptions& opts) {
-  return train_fedavg(model, fed, opts, parallel::ThreadPool::global());
-}
-
 TrainResult train_drfa(const nn::Model& model,
                        const data::FederatedDataset& fed,
                        const TrainOptions& opts, parallel::ThreadPool& pool) {
   return run_two_layer(model, fed, opts, Variant::kDrfa, 0, pool);
-}
-
-TrainResult train_drfa(const nn::Model& model,
-                       const data::FederatedDataset& fed,
-                       const TrainOptions& opts) {
-  return train_drfa(model, fed, opts, parallel::ThreadPool::global());
 }
 
 TrainResult train_stochastic_afl(const nn::Model& model,
@@ -452,24 +440,11 @@ TrainResult train_stochastic_afl(const nn::Model& model,
                        pool);
 }
 
-TrainResult train_stochastic_afl(const nn::Model& model,
-                                 const data::FederatedDataset& fed,
-                                 const TrainOptions& opts) {
-  return train_stochastic_afl(model, fed, opts,
-                              parallel::ThreadPool::global());
-}
-
 TrainResult train_qffl(const nn::Model& model,
                        const data::FederatedDataset& fed,
                        const TrainOptions& opts, scalar_t q,
                        parallel::ThreadPool& pool) {
   return run_two_layer(model, fed, opts, Variant::kQffl, q, pool);
-}
-
-TrainResult train_qffl(const nn::Model& model,
-                       const data::FederatedDataset& fed,
-                       const TrainOptions& opts, scalar_t q) {
-  return train_qffl(model, fed, opts, q, parallel::ThreadPool::global());
 }
 
 }  // namespace hm::algo

@@ -214,7 +214,7 @@ scalar_t Mlp::loss(ConstVecView w, const data::Dataset& d,
 }
 
 void Mlp::loss_many(std::span<const LossJob> jobs, std::span<scalar_t> losses,
-                    Workspace& ws) const {
+                    Workspace& ws, parallel::ThreadPool* pool) const {
   HM_CHECK(losses.size() == jobs.size());
   auto& scratch = static_cast<MlpWorkspace&>(ws);
   const index_t layers = num_layers();
@@ -256,7 +256,7 @@ void Mlp::loss_many(std::span<const LossJob> jobs, std::span<scalar_t> losses,
             l == 0 ? x0
                    : tensor::ConstMatView(
                          scratch.activations[static_cast<std::size_t>(l)]);
-        tensor::gemm_nt_fma(in, weights(w, l), out);
+        tensor::gemm_nt_fma(in, weights(w, l), out, 0, pool);
         add_bias_rows(out, biases(w, l));
         if (l + 1 < layers) tensor::relu(out.flat());
       }

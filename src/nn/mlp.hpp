@@ -49,7 +49,8 @@ class Mlp final : public Model {
   scalar_t loss(ConstVecView w, const data::Dataset& d,
                 std::span<const index_t> batch, Workspace& ws) const override;
   void loss_many(std::span<const LossJob> jobs, std::span<scalar_t> losses,
-                 Workspace& ws) const override;
+                 Workspace& ws,
+                 parallel::ThreadPool* pool = nullptr) const override;
   void predict(ConstVecView w, const data::Dataset& d,
                std::span<const index_t> batch, std::span<index_t> out,
                Workspace& ws) const override;

@@ -23,7 +23,8 @@ scalar_t Model::sgd_step(VecView w, const data::Dataset& d,
 }
 
 void Model::loss_many(std::span<const LossJob> jobs,
-                      std::span<scalar_t> losses, Workspace& ws) const {
+                      std::span<scalar_t> losses, Workspace& ws,
+                      parallel::ThreadPool*) const {
   HM_CHECK(losses.size() == jobs.size());
   for (std::size_t g = 0; g < jobs.size(); ++g) {
     const LossJob& job = jobs[g];

@@ -15,6 +15,10 @@
 #include "rng/rng.hpp"
 #include "tensor/matrix.hpp"
 
+namespace hm::parallel {
+class ThreadPool;
+}  // namespace hm::parallel
+
 namespace hm::nn {
 
 using tensor::ConstVecView;
@@ -102,9 +106,12 @@ class Model {
   /// vector into one fused evaluation sweep (the trainers' loss-estimation
   /// phases and the per-edge evaluators all score many shards at one `w`),
   /// which amortizes operand packing and runs the kernels at full batch
-  /// throughput. The base implementation simply loops over loss().
+  /// throughput; a large stacked multiply splits its rows across `pool`
+  /// (null = serial; callers inside a parallel region pass none). The
+  /// base implementation simply loops over loss().
   virtual void loss_many(std::span<const LossJob> jobs,
-                         std::span<scalar_t> losses, Workspace& ws) const;
+                         std::span<scalar_t> losses, Workspace& ws,
+                         parallel::ThreadPool* pool = nullptr) const;
 };
 
 /// 0..n-1, the full-batch index list.

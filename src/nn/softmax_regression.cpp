@@ -137,8 +137,8 @@ scalar_t SoftmaxRegression::loss(ConstVecView w, const data::Dataset& d,
 }
 
 void SoftmaxRegression::loss_many(std::span<const LossJob> jobs,
-                                  std::span<scalar_t> losses,
-                                  Workspace& ws) const {
+                                  std::span<scalar_t> losses, Workspace& ws,
+                                  parallel::ThreadPool* pool) const {
   HM_CHECK(losses.size() == jobs.size());
   auto& scratch = static_cast<SoftmaxWorkspace&>(ws);
   // Blocked evaluation: one fused gemm per row block computes every
@@ -176,7 +176,7 @@ void SoftmaxRegression::loss_many(std::span<const LossJob> jobs,
       const tensor::ConstMatView xb = cursor.next(scratch.xb);
       const index_t mb = xb.rows();
       scratch.logit_rows.resize_for_overwrite(mb, classes_);
-      tensor::gemm_nt_fma(xb, wm, scratch.logit_rows);
+      tensor::gemm_nt_fma(xb, wm, scratch.logit_rows, 0, pool);
       for (index_t r = 0; r < mb; ++r) {
         VecView row = scratch.logit_rows.row(r);
         for (index_t c = 0; c < classes_; ++c) {

@@ -78,14 +78,6 @@ void parallel_for(ThreadPool& pool, index_t begin, index_t end, Body&& body,
       &ctx);
 }
 
-/// Convenience overload on the global pool.
-template <typename Body>
-void parallel_for(index_t begin, index_t end, Body&& body,
-                  index_t grain = kDefaultGrain) {
-  parallel_for(ThreadPool::global(), begin, end, std::forward<Body>(body),
-               grain);
-}
-
 /// Deterministic parallel reduction: result equals
 /// combine(...combine(init, partial_0)..., partial_{k-1}) where partial_c
 /// folds body(i) over chunk c in index order. The chunk count depends

@@ -1,5 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 
 #include "core/check.hpp"
@@ -18,27 +20,44 @@ struct RegionDepthGuard {
   ~RegionDepthGuard() { --tl_region_depth; }
 };
 
+/// Bumped in every child fork() creates; a pool built under another
+/// value belongs to an ancestor process and has no threads here.
+std::atomic<std::uint64_t> g_fork_generation{0};
+
+void bump_fork_generation() {
+  g_fork_generation.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// The current fork generation, with the child hook registered (once)
+/// before the first pool records it.
+std::uint64_t fork_generation() {
+  static const int atfork =
+      ::pthread_atfork(nullptr, nullptr, &bump_fork_generation);
+  HM_CHECK_MSG(atfork == 0, "pthread_atfork failed: " << atfork);
+  return g_fork_generation.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads, bool force_region_dispatch) {
-  const unsigned hc = std::thread::hardware_concurrency();
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : fork_generation_(fork_generation()) {
   if (num_threads == 0) {
-    num_threads = std::max(1u, hc);
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // hardware_concurrency() may return 0 when unknown; default to
-  // dispatching in that case rather than silently serializing.
-  dispatch_regions_ = force_region_dispatch || hc == 0 || hc > 1;
-  queues_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<TaskQueue>());
-  }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  workers_.reserve(num_threads - 1);
+  for (std::size_t i = 1; i < num_threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
+  if (fork_generation_ != fork_generation()) {
+    // A forked child's copy: the worker threads never existed here, so
+    // joining would wait forever and detaching would write into thread
+    // descriptors the child may have reused. Leak the handles instead.
+    static_cast<void>(new std::vector<std::thread>(std::move(workers_)));
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(wake_mutex_);
     stop_ = true;
@@ -49,34 +68,24 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::in_region() { return tl_region_depth > 0; }
 
-bool ThreadPool::try_run_task(std::size_t self) {
-  if (pending_tasks_.load(std::memory_order_acquire) <= 0) return false;
-  // Own queue first, then sweep the peers (cheap work stealing).
-  const std::size_t n = queues_.size();
-  for (std::size_t probe = 0; probe < n; ++probe) {
-    TaskQueue& q = *queues_[(self + probe) % n];
-    std::function<void()> task;
-    {
-      std::lock_guard<std::mutex> lock(q.mutex);
-      if (q.tasks.empty()) continue;
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-    }
-    pending_tasks_.fetch_sub(1, std::memory_order_release);
-    HM_OBS_INC("parallel.tasks_executed");
-    task();  // packaged_task captures exceptions into the future
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::work_region() {
+void ThreadPool::work_region(bool joiner) {
   RegionDepthGuard depth;
   Region& r = region_;
   HM_ASSERT(r.fn != nullptr && r.num_chunks > 0);
   for (;;) {
     const index_t c = r.next.fetch_add(1, std::memory_order_relaxed);
     if (c >= r.num_chunks) return;
+    if (joiner) {
+      // Counted before the worker's first chunk completes, so the
+      // caller's latch waits for it: a counter's first use registers it
+      // under the obs registry lock and a static-init guard, and a
+      // worker still doing that after run_region returned would leave
+      // both held in a child forked then. How many workers reach a live
+      // region races with the region finishing, hence the timing
+      // channel.
+      HM_OBS_INC_T("parallel.region_joiners");
+      joiner = false;
+    }
     try {
       r.fn(r.ctx, c);
     } catch (...) {
@@ -100,27 +109,27 @@ void ThreadPool::join_region(std::uint64_t epoch) {
   // started (odd) or finished (different even value) we must not touch
   // the region state. See the protocol note in the header.
   active_.fetch_add(1);
-  if (region_epoch_.load() == epoch) {
-    // How many workers actually reach a live region is a race with the
-    // region finishing, hence the timing channel.
-    HM_OBS_INC_T("parallel.region_joiners");
-    work_region();
-  }
+  if (region_epoch_.load() == epoch) work_region(/*joiner=*/true);
   if (active_.fetch_sub(1) == 1) active_.notify_all();
 }
 
 void ThreadPool::run_region(index_t num_chunks, RegionFn fn, void* ctx) {
   HM_CHECK(num_chunks >= 0 && fn != nullptr);
+  HM_CHECK_MSG(
+      fork_generation_ == fork_generation(),
+      "ThreadPool " << static_cast<const void*>(this) << " ("
+                    << num_threads()
+                    << " threads) was built before a fork() and has no "
+                       "threads in this process; build a pool in the child");
   if (num_chunks == 0) return;
   // Region/chunk totals are dispatch-independent (the inline and pooled
   // paths run the same chunks), so they sit on the value channel; the
-  // inline/dispatch split depends on hardware_concurrency and nesting,
-  // so it is timing.
+  // inline/dispatch split depends on the pool size and nesting, so it is
+  // timing.
   HM_OBS_INC("parallel.regions");
   HM_OBS_ADD("parallel.chunks", static_cast<std::uint64_t>(num_chunks));
   HM_OBS_HIST("parallel.region_chunks", num_chunks);
-  if (num_chunks == 1 || tl_region_depth > 0 || workers_.empty() ||
-      !dispatch_regions_) {
+  if (num_chunks == 1 || tl_region_depth > 0 || workers_.empty()) {
     HM_OBS_INC_T("parallel.regions_inlined");
     RegionDepthGuard depth;
     for (index_t c = 0; c < num_chunks; ++c) fn(ctx, c);
@@ -158,7 +167,7 @@ void ThreadPool::run_region(index_t num_chunks, RegionFn fn, void* ctx) {
   wake_cv_.notify_one();
   // Phase 3: the caller participates, then waits on the countdown latch
   // for chunks still running on workers.
-  work_region();
+  work_region(/*joiner=*/false);
   for (index_t left = r.remaining.load(std::memory_order_acquire); left != 0;
        left = r.remaining.load(std::memory_order_acquire)) {
     r.remaining.wait(left);
@@ -168,7 +177,7 @@ void ThreadPool::run_region(index_t num_chunks, RegionFn fn, void* ctx) {
   }
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   std::uint64_t last_epoch = 0;
   for (;;) {
     const std::uint64_t e = region_epoch_.load();
@@ -178,20 +187,13 @@ void ThreadPool::worker_loop(std::size_t self) {
       join_region(e);
       continue;
     }
-    if (try_run_task(self)) continue;
     std::unique_lock<std::mutex> lock(wake_mutex_);
     wake_cv_.wait(lock, [&] {
       if (stop_) return true;
-      if (pending_tasks_.load(std::memory_order_acquire) > 0) return true;
       const std::uint64_t now = region_epoch_.load();
       return (now & 1) == 0 && now != last_epoch;
     });
-    if (stop_) {
-      lock.unlock();
-      while (try_run_task(self)) {  // drain pending tasks before exit
-      }
-      return;
-    }
+    if (stop_) return;
   }
 }
 

@@ -1,20 +1,16 @@
-// Fixed-size thread pool with per-thread task queues and a low-overhead
-// parallel-region dispatcher.
+// Fixed-size, region-only thread pool.
 //
-// Two execution paths:
+// run_region() is the one execution path, underneath parallel_for /
+// parallel_reduce. A region is a fixed count of chunks executed by the
+// caller plus any workers that join; chunks are claimed from a shared
+// atomic ticket and completion is a latch-style atomic countdown the
+// caller waits on. No allocation, no futures, no per-chunk
+// packaged_task: dispatching a region costs a few atomic operations and
+// at most one wakeup chain.
 //
-//  * submit() — arbitrary void()/R() callables for coarse one-off tasks.
-//    Tasks are distributed round-robin over per-thread queues (no single
-//    hot mutex) and idle workers steal from their peers; the returned
-//    future carries the result or exception.
-//
-//  * run_region() — the steady-state path underneath parallel_for /
-//    parallel_reduce. A region is a fixed count of chunks executed by the
-//    caller plus any workers that join; chunks are claimed from a shared
-//    atomic ticket and completion is a latch-style atomic countdown the
-//    caller waits on. No allocation, no futures, no per-chunk
-//    packaged_task: dispatching a region costs a few atomic operations
-//    and at most one wakeup chain.
+// The size counts the caller: ThreadPool(n) runs regions on n threads,
+// the calling one plus n - 1 workers, so ThreadPool(1) has no workers and
+// runs every region inline on the caller.
 //
 // Region lifecycle / safety protocol (all in ThreadPool::run_region and
 // join_region): callers serialize on region_mutex_. Setup first bumps
@@ -27,16 +23,22 @@
 // even value. Nested regions (a chunk body calling parallel_for) run
 // inline and serially on the calling thread, which both avoids deadlock
 // and keeps nested reductions in their deterministic serial chunk order.
+//
+// fork() copies a pool without its worker threads, and possibly with a
+// region half set up. A pool remembers the fork generation of the
+// process that built it, and using it in a child forked later is a
+// CheckError instead of a wait that never ends. A worker can still be in
+// join_region after run_region returned, so nothing a worker does outside
+// a chunk may take a process-wide lock or first-initialize a static: a
+// child forked at that moment would find it held, and its own pool would
+// block on it.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <future>
-#include <memory>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,51 +49,19 @@ namespace hm::parallel {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>=1). Defaults to hardware concurrency.
-  /// Regions are dispatched to workers only when the hardware reports
-  /// more than one logical CPU — on a single-CPU host, handing chunks to
-  /// workers just timeshares one core and adds context-switch churn, so
-  /// the caller runs them inline instead (results are identical either
-  /// way; chunking never depends on the execution mode). Pass
-  /// `force_region_dispatch = true` to always use the concurrent path —
-  /// benchmarks measuring dispatch latency and stress tests (TSan) need
-  /// the real thing regardless of the host.
-  explicit ThreadPool(std::size_t num_threads = 0,
-                      bool force_region_dispatch = false);
+  /// A pool of `num_threads` threads counting the caller (0 = hardware
+  /// concurrency): it spawns num_threads - 1 workers.
+  explicit ThreadPool(std::size_t num_threads = 0);
 
-  /// Joins all workers; pending submitted tasks are completed first.
+  /// Joins all workers (in a forked child, which has none of them, it
+  /// only lets go of their handles).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return workers_.size(); }
-
-  /// Enqueue a task; the returned future carries its result or exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    const std::size_t slot =
-        next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-    {
-      std::lock_guard<std::mutex> lock(queues_[slot]->mutex);
-      queues_[slot]->tasks.emplace_back([task] { (*task)(); });
-    }
-    // Bump the pending count under wake_mutex_ so a worker that has just
-    // evaluated its wait predicate (pending == 0) but not yet blocked
-    // cannot miss this task: either it sees the new count before
-    // sleeping, or it is already waiting when notify_one fires. Same
-    // reasoning as the region-epoch publish in run_region().
-    {
-      std::lock_guard<std::mutex> wake_lock(wake_mutex_);
-      pending_tasks_.fetch_add(1, std::memory_order_release);
-    }
-    wake_cv_.notify_one();
-    return result;
-  }
+  /// Threads a region runs on, the caller included.
+  std::size_t num_threads() const { return workers_.size() + 1; }
 
   /// Run fn(ctx, chunk) exactly once for every chunk in [0, num_chunks).
   /// Blocks until all chunks completed; rethrows the first chunk
@@ -109,11 +79,6 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  struct TaskQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
   /// Reusable region descriptor; rewritten only while quiesced.
   struct Region {
     RegionFn fn = nullptr;
@@ -125,19 +90,15 @@ class ThreadPool {
     std::exception_ptr error;
   };
 
-  void worker_loop(std::size_t self);
-  bool try_run_task(std::size_t self);
-  /// Claim-and-run loop shared by caller and workers.
-  void work_region();
+  void worker_loop();
+  /// Claim-and-run loop shared by caller and workers (`joiner`).
+  void work_region(bool joiner);
   /// Worker-side entry: join the published region if `epoch` still
   /// current; returns after the region has no claimable chunks left.
   void join_region(std::uint64_t epoch);
 
+  const std::uint64_t fork_generation_;  // of the process that built it
   std::vector<std::thread> workers_;
-  bool dispatch_regions_ = true;
-  std::vector<std::unique_ptr<TaskQueue>> queues_;
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<std::ptrdiff_t> pending_tasks_{0};
 
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;

@@ -20,10 +20,11 @@ class ClusterSim {
   parallel::ThreadPool& pool() const { return *pool_; }
 
   /// Devices per scheduled task. grain=0 picks a size-aware default:
-  /// enough tasks to keep every worker busy with work-stealing headroom
-  /// (~4 tasks per worker), but no finer — device jobs are coarse (a whole
-  /// local-SGD run), so oversplitting only buys queue traffic. Explicit
-  /// grain wins; jobs are independent, so grain never affects results.
+  /// enough tasks to keep every thread busy with load-balancing headroom
+  /// (~4 tasks per thread, the caller included), but no finer — device
+  /// jobs are coarse (a whole local-SGD run), so oversplitting only buys
+  /// ticket traffic. Explicit grain wins; jobs are independent, so grain
+  /// never affects results.
   index_t device_grain(index_t count, index_t grain) const {
     if (grain > 0) return grain;
     const auto workers = static_cast<index_t>(pool_->num_threads());

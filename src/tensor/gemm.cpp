@@ -28,8 +28,9 @@ void gemv(ConstMatView a, ConstVecView x, VecView y, scalar_t beta) {
   detail::active_kernel_table().gemv(a, x, y, beta);
 }
 
-void gemm_nt_fma(ConstMatView a, ConstMatView b, MatView c, scalar_t beta) {
-  detail::active_kernel_table().gemm_nt_fma(a, b, c, beta);
+void gemm_nt_fma(ConstMatView a, ConstMatView b, MatView c, scalar_t beta,
+                 parallel::ThreadPool* pool) {
+  detail::active_kernel_table().gemm_nt_fma(a, b, c, beta, pool);
 }
 
 }  // namespace hm::tensor

@@ -19,12 +19,14 @@
 // of panels), gemm_nt packs nothing: it transposes blocks of A's rows in
 // registers so the lanes hold rows, and broadcasts B. The tile geometry
 // is chosen from the shape alone.
-// Above a flop threshold the row blocks of C are split across the global
-// thread pool; writes are disjoint per row, and each C(i, j) folds its
-// k-terms in the same fixed order no matter how the rows are distributed
-// or how wide the tile is, so results are bit-identical for any pool size
-// and SIMD tier and match the naive triple loop exactly (FMA contraction
-// is disabled build-wide; see vecops.hpp for the determinism contract).
+// Every kernel runs on the calling thread, except gemm_nt_fma, which
+// splits row blocks of C across the pool its caller passes (null means
+// serial) above a flop threshold. Writes are disjoint per row, and each
+// C(i, j) folds its k-terms in the same fixed order no matter how the rows
+// are distributed or how wide the tile is, so results are bit-identical
+// for any pool size and SIMD tier and match the naive triple loop exactly
+// (FMA contraction is disabled build-wide; see vecops.hpp for the
+// determinism contract).
 // One exception: a NaN output's sign. x86 returns the first operand's NaN,
 // the compiler orders the operands of the unfused add and multiply, and
 // a NaN made by Inf - Inf or 0 * Inf is negative, so where such a NaN meets
@@ -36,6 +38,10 @@
 #include <span>
 
 #include "tensor/matrix.hpp"
+
+namespace hm::parallel {
+class ThreadPool;
+}  // namespace hm::parallel
 
 namespace hm::tensor {
 
@@ -56,7 +62,7 @@ void gemm_tn(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0,
              scalar_t alpha = 1);
 
 /// y = beta*y + A * x (dense matrix-vector; rows are processed pairwise
-/// with the fused dot2 kernel and split across the pool for tall A).
+/// with the fused dot2 kernel).
 void gemv(ConstMatView a, ConstVecView x, VecView y, scalar_t beta = 0);
 
 /// C = beta*C + A * B^T with an explicitly FUSED accumulator update:
@@ -69,7 +75,9 @@ void gemv(ConstMatView a, ConstVecView x, VecView y, scalar_t beta = 0);
 /// forwards (Model::loss / Model::predict), never a gradient path whose
 /// bits an oracle comparison pins down. This is unrelated to compiler FP
 /// contraction, which remains disabled build-wide: the fusion here is
-/// requested per call site.
-void gemm_nt_fma(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0);
+/// requested per call site. A large multiply splits its row bands across
+/// `pool`; null runs it on the caller.
+void gemm_nt_fma(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0,
+                 parallel::ThreadPool* pool = nullptr);
 
 }  // namespace hm::tensor

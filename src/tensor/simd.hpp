@@ -60,7 +60,8 @@ struct KernelTable {
   void (*gemm_nt)(ConstMatView, ConstMatView, MatView, scalar_t);
   void (*gemm_tn)(ConstMatView, ConstMatView, MatView, scalar_t, scalar_t);
   void (*gemv)(ConstMatView, ConstVecView, VecView, scalar_t);
-  void (*gemm_nt_fma)(ConstMatView, ConstMatView, MatView, scalar_t);
+  void (*gemm_nt_fma)(ConstMatView, ConstMatView, MatView, scalar_t,
+                      parallel::ThreadPool*);
 };
 
 /// Table for one specific variant (the equivalence tests iterate these;

@@ -22,6 +22,7 @@ namespace {
 using testing_util::bits;
 using testing_util::heterogeneous_task;
 using testing_util::iid_task;
+using testing_util::test_pool;
 
 TEST(LocalSgd, ReducesLossOnShard) {
   const auto fed = iid_task();
@@ -175,7 +176,7 @@ TEST(LocalSgd, JobStartCopyMatchesCopyThenRun) {
     for (auto& x : s) x = 0.1 * init.normal();
   }
   const std::size_t n = 4;
-  parallel::ThreadPool pool(3, /*force_region_dispatch=*/true);
+  parallel::ThreadPool pool(3);
   const sim::ClusterSim cluster(pool);
   struct Out {
     std::vector<std::vector<scalar_t>> w, ckpt;
@@ -255,7 +256,7 @@ TEST(LocalSgd, MlpJobsOnAPoolMatchSerialRuns) {
     run_local_sgd_jobs(model, cfg, jobs, scratch, sim::ClusterSim(*pool));
     return out;
   };
-  parallel::ThreadPool pool(4, /*force_region_dispatch=*/true);
+  parallel::ThreadPool pool(4);
   const Out ref = run(nullptr);
   const Out got = run(&pool);
   for (std::size_t j = 0; j < n; ++j) {
@@ -381,9 +382,9 @@ TEST(Trainers, FedProxOptionChangesTrajectory) {
   const auto fed = heterogeneous_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(10);
-  const auto plain = train_fedavg(model, fed, opts);
+  const auto plain = train_fedavg(model, fed, opts, test_pool());
   opts.prox_mu = 1.0;
-  const auto prox = train_fedavg(model, fed, opts);
+  const auto prox = train_fedavg(model, fed, opts, test_pool());
   EXPECT_GT(tensor::dist2(plain.w, prox.w), 0);
   // Proximal runs still learn.
   EXPECT_GT(prox.history.back().summary.average, 0.5);
@@ -393,7 +394,7 @@ TEST(FedAvg, LearnsIidTask) {
   const auto fed = iid_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(60);
-  const auto result = train_fedavg(model, fed, opts);
+  const auto result = train_fedavg(model, fed, opts, test_pool());
   ASSERT_FALSE(result.history.empty());
   EXPECT_GT(result.history.back().summary.average, 0.85);
   EXPECT_GT(result.history.back().summary.worst, 0.8);
@@ -404,7 +405,7 @@ TEST(FedAvg, CommAccountingMatchesFormula) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(10);
   opts.sampled_clients = 4;
-  const auto result = train_fedavg(model, fed, opts);
+  const auto result = train_fedavg(model, fed, opts, test_pool());
   // Per round: 1 server round, m models down, m models up.
   EXPECT_EQ(result.comm.edge_cloud_rounds, 10u);
   EXPECT_EQ(result.comm.edge_cloud_models_down, 40u);
@@ -429,9 +430,9 @@ TEST(FedAvg, SeedChangesTrajectory) {
   const auto fed = iid_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(8);
-  const auto a = train_fedavg(model, fed, opts);
+  const auto a = train_fedavg(model, fed, opts, test_pool());
   opts.seed += 1;
-  const auto b = train_fedavg(model, fed, opts);
+  const auto b = train_fedavg(model, fed, opts, test_pool());
   EXPECT_GT(tensor::dist2(a.w, b.w), 0);
 }
 
@@ -439,7 +440,8 @@ TEST(HierFavg, LearnsIidTask) {
   const auto fed = iid_task();
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto result = train_hierfavg(model, fed, topo, quick_opts(40));
+  const auto result = train_hierfavg(model, fed, topo, quick_opts(40),
+                                     test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.85);
 }
 
@@ -449,7 +451,7 @@ TEST(HierFavg, CommAccountingMatchesFormula) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(10);
   opts.sampled_edges = 2;
-  const auto result = train_hierfavg(model, fed, topo, opts);
+  const auto result = train_hierfavg(model, fed, topo, opts, test_pool());
   // Per round: tau2 client-edge rounds, 1 edge-cloud round.
   EXPECT_EQ(result.comm.client_edge_rounds,
             static_cast<std::uint64_t>(10 * opts.tau2));
@@ -464,13 +466,14 @@ TEST(HierFavg, TopologyMismatchThrows) {
   const auto fed = iid_task(4, 2);
   const sim::HierTopology wrong(5, 2);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  EXPECT_THROW(train_hierfavg(model, fed, wrong, quick_opts(2)), CheckError);
+  EXPECT_THROW(train_hierfavg(model, fed, wrong, quick_opts(2),
+                              test_pool()), CheckError);
 }
 
 TEST(Drfa, LearnsIidTaskAndKeepsWeightsOnSimplex) {
   const auto fed = iid_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto result = train_drfa(model, fed, quick_opts(60));
+  const auto result = train_drfa(model, fed, quick_opts(60), test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.8);
   // Reported per-edge weights sum to 1.
   scalar_t total = 0;
@@ -488,7 +491,7 @@ TEST(Drfa, CommAccountingMatchesFormula) {
   opts.sampled_clients = 8;  // no duplicate-edge dedup effects to predict:
                              // uniform start means duplicates possible, so
                              // only round counters are exact.
-  const auto result = train_drfa(model, fed, opts);
+  const auto result = train_drfa(model, fed, opts, test_pool());
   EXPECT_EQ(result.comm.edge_cloud_rounds, 10u);  // 2 per round
   EXPECT_EQ(result.comm.edge_cloud_scalars, 40u); // m per round
   EXPECT_EQ(result.comm.client_edge_rounds, 0u);
@@ -499,10 +502,10 @@ TEST(Afl, IsSingleStepDrfa) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(10);
   opts.tau1 = 7;  // must be ignored by AFL
-  const auto afl = train_stochastic_afl(model, fed, opts);
+  const auto afl = train_stochastic_afl(model, fed, opts, test_pool());
   opts.tau1 = 1;
   opts.tau2 = 1;
-  const auto drfa1 = train_drfa(model, fed, opts);
+  const auto drfa1 = train_drfa(model, fed, opts, test_pool());
   ASSERT_EQ(afl.w.size(), drfa1.w.size());
   for (std::size_t i = 0; i < afl.w.size(); ++i) {
     EXPECT_DOUBLE_EQ(afl.w[i], drfa1.w[i]);
@@ -515,7 +518,7 @@ TEST(Drfa, WeightsShiftTowardHardClients) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(60);
   opts.eta_p = 0.05;
-  const auto result = train_drfa(model, fed, opts);
+  const auto result = train_drfa(model, fed, opts, test_pool());
   scalar_t spread = 0;
   const scalar_t uniform = 1.0 / static_cast<scalar_t>(result.p.size());
   for (const scalar_t p : result.p) spread += std::abs(p - uniform);
@@ -527,7 +530,7 @@ TEST(Trainers, HistoryCadenceRespected) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(20);
   opts.eval_every = 5;
-  const auto result = train_fedavg(model, fed, opts);
+  const auto result = train_fedavg(model, fed, opts, test_pool());
   // Records at rounds 0, 5, 10, 15, 20.
   ASSERT_EQ(result.history.size(), 5u);
   EXPECT_EQ(result.history.records()[0].round, 0);
@@ -545,10 +548,10 @@ TEST(Trainers, InvalidOptionsThrow) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts();
   opts.rounds = 0;
-  EXPECT_THROW(train_fedavg(model, fed, opts), CheckError);
+  EXPECT_THROW(train_fedavg(model, fed, opts, test_pool()), CheckError);
   opts = quick_opts();
   opts.sampled_clients = fed.num_clients() + 1;
-  EXPECT_THROW(train_fedavg(model, fed, opts), CheckError);
+  EXPECT_THROW(train_fedavg(model, fed, opts, test_pool()), CheckError);
 }
 
 }  // namespace

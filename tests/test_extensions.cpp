@@ -27,6 +27,7 @@ using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
 using testing_util::iid_task;
 using testing_util::output_of;
+using testing_util::test_pool;
 
 // ---------------------------------------------------------------- Dirichlet
 
@@ -106,7 +107,8 @@ TrainOptions qffl_opts(index_t rounds = 60) {
 TEST(Qffl, LearnsIidTask) {
   const auto fed = iid_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto result = algo::train_qffl(model, fed, qffl_opts(80), 1.0);
+  const auto result = algo::train_qffl(model, fed, qffl_opts(80), 1.0,
+                                       test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.8);
 }
 
@@ -117,8 +119,8 @@ TEST(Qffl, PositiveQImprovesWorstOverQZero) {
   opts.eta_w = 0.05;
   opts.sampled_clients = 6;
   opts.eval_every = 10;
-  const auto q0 = algo::train_qffl(model, fed, opts, 0.0);
-  const auto q5 = algo::train_qffl(model, fed, opts, 5.0);
+  const auto q0 = algo::train_qffl(model, fed, opts, 0.0, test_pool());
+  const auto q5 = algo::train_qffl(model, fed, opts, 5.0, test_pool());
   const auto s0 = q0.history.tail_summary(8);
   const auto s5 = q5.history.tail_summary(8);
   EXPECT_GE(s5.worst + 0.02, s0.worst);
@@ -128,7 +130,8 @@ TEST(Qffl, PositiveQImprovesWorstOverQZero) {
 TEST(Qffl, NegativeQThrows) {
   const auto fed = iid_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  EXPECT_THROW(algo::train_qffl(model, fed, qffl_opts(2), -1.0), CheckError);
+  EXPECT_THROW(algo::train_qffl(model, fed, qffl_opts(2), -1.0,
+                                test_pool()), CheckError);
 }
 
 TEST(Qffl, CommAccounting) {
@@ -136,7 +139,7 @@ TEST(Qffl, CommAccounting) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = qffl_opts(5);
   opts.sampled_clients = 4;
-  const auto result = algo::train_qffl(model, fed, opts, 1.0);
+  const auto result = algo::train_qffl(model, fed, opts, 1.0, test_pool());
   EXPECT_EQ(result.comm.edge_cloud_rounds, 5u);
   EXPECT_EQ(result.comm.edge_cloud_models_up, 20u);
   EXPECT_EQ(result.comm.edge_cloud_scalars, 40u);
@@ -157,7 +160,7 @@ TEST(Qffl, RejectsFaultPlanAndRobustAggregate) {
   median.aggregate = algo::Aggregate::kMedian;
   for (const TrainOptions& o : {faulty, median}) {
     try {
-      algo::train_qffl(model, fed, o, 1.0);
+      algo::train_qffl(model, fed, o, 1.0, test_pool());
       ADD_FAILURE() << "train_qffl accepted an option it ignores";
     } catch (const CheckError& e) {
       EXPECT_NE(std::string(e.what()).find("train_qffl"), std::string::npos)
@@ -173,12 +176,13 @@ TEST(Qffl, QuantizedUplinkChangesWAndReplays) {
   const auto fed = heterogeneous_task(4, 2);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   TrainOptions o = qffl_opts(3);
-  const auto plain = algo::train_qffl(model, fed, o, 1.0);
+  const auto plain = algo::train_qffl(model, fed, o, 1.0, test_pool());
   o.quantize_bits = 8;
-  const auto quant = algo::train_qffl(model, fed, o, 1.0);
+  const auto quant = algo::train_qffl(model, fed, o, 1.0, test_pool());
   EXPECT_NE(plain.w, quant.w);
   expect_same_output(output_of(quant),
-                     output_of(algo::train_qffl(model, fed, o, 1.0)),
+                     output_of(algo::train_qffl(model, fed, o, 1.0,
+                                                test_pool())),
                      "q-FFL 8-bit replay");
   EXPECT_LT(quant.comm.edge_cloud_bytes, plain.comm.edge_cloud_bytes);
 }
@@ -199,7 +203,8 @@ TEST(QuantizedTraining, EightBitsStillLearns) {
   opts.eval_every = 0;
   opts.seed = 9;
   opts.quantize_bits = 8;
-  const auto result = algo::train_hierminimax(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts,
+                                              test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.8);
 }
 
@@ -215,9 +220,10 @@ TEST(QuantizedTraining, BytesShrinkWithBits) {
   opts.eta_p = 0.005;
   opts.eval_every = 0;
   opts.seed = 9;
-  const auto full = algo::train_hierminimax(model, fed, topo, opts);
+  const auto full = algo::train_hierminimax(model, fed, topo, opts,
+                                            test_pool());
   opts.quantize_bits = 4;
-  const auto q4 = algo::train_hierminimax(model, fed, topo, opts);
+  const auto q4 = algo::train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_LT(q4.comm.edge_cloud_bytes, full.comm.edge_cloud_bytes);
   EXPECT_LT(q4.comm.client_edge_bytes, full.comm.client_edge_bytes);
   // Round/model *counts* are unchanged by compression.
@@ -233,9 +239,9 @@ TEST(QuantizedTraining, ZeroBitsIsExactlyBaseline) {
   opts.eta_w = 0.05;
   opts.eval_every = 0;
   opts.seed = 10;
-  const auto a = algo::train_fedavg(model, fed, opts);
+  const auto a = algo::train_fedavg(model, fed, opts, test_pool());
   opts.quantize_bits = 0;
-  const auto b = algo::train_fedavg(model, fed, opts);
+  const auto b = algo::train_fedavg(model, fed, opts, test_pool());
   EXPECT_EQ(a.w, b.w);
 }
 
@@ -334,7 +340,8 @@ TEST(MultiHierMinimax, DepthTwoLearnsIidTask) {
   const sim::MultiTopology topo({fed.num_edges(), fed.clients_per_edge});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   const auto result =
-      algo::train_hierminimax(model, fed, topo, multi_opts({2, 2}));
+      algo::train_hierminimax(model, fed, topo, multi_opts({2, 2}),
+                              test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.85);
   scalar_t total = 0;
   for (const scalar_t p : result.p) total += p;
@@ -349,7 +356,8 @@ TEST(MultiHierMinimax, DepthThreeLearns) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = multi_opts({2, 2, 2}, 80);
   opts.eta_w = 0.05;
-  const auto result = algo::train_hierminimax(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts,
+                                              test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.6);
   // One round per synchronized block. Cloud link: both phases every
   // round. Below it, per round: taus[0] area blocks, taus[0] * taus[1]
@@ -371,7 +379,8 @@ TEST(MultiHierMinimax, PartialParticipationAndCappedSet) {
   opts.sampled_edges = 2;
   opts.p_set = algo::SimplexSet{0.1, 0.5};
   opts.eta_p = 0.1;
-  const auto result = algo::train_hierminimax(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts,
+                                              test_pool());
   for (const scalar_t p : result.p) {
     EXPECT_GE(p, 0.1 - 1e-7);
     EXPECT_LE(p, 0.5 + 1e-7);
@@ -395,18 +404,21 @@ TEST(MultiHierMinimax, MismatchedTausThrow) {
   const sim::MultiTopology topo({4, 2});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   EXPECT_THROW(
-      algo::train_hierminimax(model, fed, topo, multi_opts({2})),
+      algo::train_hierminimax(model, fed, topo, multi_opts({2}), test_pool()),
       CheckError);
   EXPECT_THROW(
-      algo::train_hierminimax(model, fed, topo, multi_opts({2, 0})),
+      algo::train_hierminimax(model, fed, topo, multi_opts({2, 0}),
+                              test_pool()),
       CheckError);
   // taus and a non-default tau1/tau2 are two answers to one question.
   auto both = multi_opts({2, 2});
   both.tau1 = 2;
-  EXPECT_THROW(algo::train_hierminimax(model, fed, topo, both), CheckError);
+  EXPECT_THROW(algo::train_hierminimax(model, fed, topo, both,
+                                       test_pool()), CheckError);
   // Empty taus means {tau2, tau1}: only a depth-2 tree fits it.
   const sim::MultiTopology deep({4, 1, 2});
-  EXPECT_THROW(algo::train_hierminimax(model, fed, deep, TrainOptions{}),
+  EXPECT_THROW(algo::train_hierminimax(model, fed, deep, TrainOptions{},
+                                       test_pool()),
                CheckError);
 }
 
@@ -416,7 +428,7 @@ TEST(MultiHierFavg, DepthThreeLearnsAndHasNoWeightAdaptation) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = multi_opts({2, 2, 2}, 80);
   opts.eta_w = 0.05;
-  const auto result = algo::train_hierfavg(model, fed, topo, opts);
+  const auto result = algo::train_hierfavg(model, fed, topo, opts, test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.6);
   for (const scalar_t p : result.p) EXPECT_DOUBLE_EQ(p, 0.25);  // fixed
   // No Phase 2: the cloud link syncs once per round, the links below it
@@ -451,8 +463,8 @@ TEST(MultiHierMinimax, TrivialMiddleLevelCollapsesToDepthTwo) {
   auto opts3 = multi_opts({3, 1, 2}, 12);
   const sim::MultiTopology topo2({4, 4});
   const sim::MultiTopology topo3({4, 2, 2});
-  const auto a = algo::train_hierminimax(model, fed, topo2, opts2);
-  const auto b = algo::train_hierminimax(model, fed, topo3, opts3);
+  const auto a = algo::train_hierminimax(model, fed, topo2, opts2, test_pool());
+  const auto b = algo::train_hierminimax(model, fed, topo3, opts3, test_pool());
   ASSERT_EQ(a.w.size(), b.w.size());
   for (std::size_t i = 0; i < a.w.size(); ++i) {
     EXPECT_NEAR(a.w[i], b.w[i], 1e-10);
@@ -502,12 +514,14 @@ TEST(MultiHierMinimax, DepthTwoIsBitIdenticalToFlatTrainers) {
   }
   for (const auto& [name, m] : cases) {
     expect_same_output(
-        output_of(algo::train_hierminimax(model, fed, tree, m)),
-        output_of(algo::train_hierminimax(model, fed, topo, flat_options(m))),
+        output_of(algo::train_hierminimax(model, fed, tree, m, test_pool())),
+        output_of(algo::train_hierminimax(model, fed, topo, flat_options(m),
+                                          test_pool())),
         "hierminimax " + name);
     expect_same_output(
-        output_of(algo::train_hierfavg(model, fed, tree, m)),
-        output_of(algo::train_hierfavg(model, fed, topo, flat_options(m))),
+        output_of(algo::train_hierfavg(model, fed, tree, m, test_pool())),
+        output_of(algo::train_hierfavg(model, fed, topo, flat_options(m),
+                                       test_pool())),
         "hierfavg " + name);
   }
 }
@@ -516,9 +530,11 @@ TEST(MultiHierMinimax, DepthOneTreeIsRejected) {
   const auto fed = heterogeneous_task(4, 1);
   const sim::MultiTopology tree({4});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  EXPECT_THROW(algo::train_hierminimax(model, fed, tree, multi_opts({2})),
+  EXPECT_THROW(algo::train_hierminimax(model, fed, tree, multi_opts({2}),
+                                       test_pool()),
                CheckError);
-  EXPECT_THROW(algo::train_hierfavg(model, fed, tree, multi_opts({2})),
+  EXPECT_THROW(algo::train_hierfavg(model, fed, tree, multi_opts({2}),
+                                    test_pool()),
                CheckError);
 }
 
@@ -531,7 +547,8 @@ TEST(MultiHierMinimax, ImprovesFairnessOnHeterogeneousTask) {
   auto opts = multi_opts({2, 1, 2}, 120);
   opts.eta_w = 0.05;
   opts.eta_p = 0.01;
-  const auto result = algo::train_hierminimax(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts,
+                                              test_pool());
   scalar_t spread = 0;
   for (const scalar_t p : result.p) spread += std::abs(p - 0.25);
   EXPECT_GT(spread, 0.02);

@@ -33,6 +33,7 @@ using testing_util::fault_scenarios;
 using testing_util::fingerprint;
 using testing_util::heterogeneous_task;
 using testing_util::Scenario;
+using testing_util::test_pool;
 using testing_util::with_taus;
 
 // ---------------------------------------------------------------------
@@ -83,12 +84,13 @@ std::vector<Algorithm> algorithms() {
        [](const sim::FaultSpec& s, OnFault p, bool mo) {
          const auto& fed = shared_task();
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return fingerprint(train_fedavg(model, fed, fault_opts(s, p)), mo);
+         return fingerprint(train_fedavg(model, fed, fault_opts(s, p),
+                                         test_pool()), mo);
        },
        [](const sim::FaultSpec& s, OnFault p) {
          const auto& fed = shared_task();
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return train_fedavg(model, fed, fault_opts(s, p)).p;
+         return train_fedavg(model, fed, fault_opts(s, p), test_pool()).p;
        }});
   out.push_back(
       {"hierfavg",
@@ -96,26 +98,29 @@ std::vector<Algorithm> algorithms() {
          const auto& fed = shared_task();
          const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return fingerprint(train_hierfavg(model, fed, topo, fault_opts(s, p)),
+         return fingerprint(train_hierfavg(model, fed, topo, fault_opts(s, p),
+                                           test_pool()),
                             mo);
        },
        [](const sim::FaultSpec& s, OnFault p) {
          const auto& fed = shared_task();
          const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return train_hierfavg(model, fed, topo, fault_opts(s, p)).p;
+         return train_hierfavg(model, fed, topo, fault_opts(s, p),
+                               test_pool()).p;
        }});
   out.push_back(
       {"drfa",
        [](const sim::FaultSpec& s, OnFault p, bool mo) {
          const auto& fed = shared_task();
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return fingerprint(train_drfa(model, fed, fault_opts(s, p)), mo);
+         return fingerprint(train_drfa(model, fed, fault_opts(s, p),
+                                       test_pool()), mo);
        },
        [](const sim::FaultSpec& s, OnFault p) {
          const auto& fed = shared_task();
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return train_drfa(model, fed, fault_opts(s, p)).p;
+         return train_drfa(model, fed, fault_opts(s, p), test_pool()).p;
        }});
   out.push_back(
       {"hierminimax",
@@ -124,13 +129,15 @@ std::vector<Algorithm> algorithms() {
          const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return fingerprint(
-             train_hierminimax(model, fed, topo, fault_opts(s, p)), mo);
+             train_hierminimax(model, fed, topo, fault_opts(s, p),
+                               test_pool()), mo);
        },
        [](const sim::FaultSpec& s, OnFault p) {
          const auto& fed = shared_task();
          const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return train_hierminimax(model, fed, topo, fault_opts(s, p)).p;
+         return train_hierminimax(model, fed, topo, fault_opts(s, p),
+                                  test_pool()).p;
        }});
   out.push_back(
       {"hierminimax_d3",
@@ -139,13 +146,15 @@ std::vector<Algorithm> algorithms() {
          const sim::MultiTopology topo({4, 2, 2});
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return fingerprint(
-             train_hierminimax(model, fed, topo, deep_fault_opts(s, p)), mo);
+             train_hierminimax(model, fed, topo, deep_fault_opts(s, p),
+                               test_pool()), mo);
        },
        [](const sim::FaultSpec& s, OnFault p) {
          const auto& fed = deep_task();
          const sim::MultiTopology topo({4, 2, 2});
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return train_hierminimax(model, fed, topo, deep_fault_opts(s, p)).p;
+         return train_hierminimax(model, fed, topo, deep_fault_opts(s, p),
+                                  test_pool()).p;
        }});
   return out;
 }
@@ -218,8 +227,8 @@ TEST(FaultPolicy, SkipRoundUnderTotalDropoutFreezesTheModel) {
   opts3.rounds = 3;
   auto opts7 = fault_opts(all_lost, OnFault::kSkipRound);
   opts7.rounds = 7;
-  const auto r3 = train_fedavg(model, fed, opts3);
-  const auto r7 = train_fedavg(model, fed, opts7);
+  const auto r3 = train_fedavg(model, fed, opts3, test_pool());
+  const auto r7 = train_fedavg(model, fed, opts7, test_pool());
   ASSERT_EQ(r3.w.size(), r7.w.size());
   for (std::size_t i = 0; i < r3.w.size(); ++i) {
     EXPECT_EQ(bits(r3.w[i]), bits(r7.w[i])) << i;
@@ -243,7 +252,7 @@ TEST(FaultPolicy, EmptySurvivorsSkipUnderEveryPolicy) {
     auto opts = fault_opts(all_lost, policy);
     const auto r = train_hierminimax(
         model, fed, sim::HierTopology(fed.num_edges(), fed.clients_per_edge),
-        opts);
+        opts, test_pool());
     fps.push_back(fingerprint(r, /*model_only=*/true));
   }
   // With zero survivors the policies cannot diverge: all skip.
@@ -289,7 +298,7 @@ TEST(FaultAccounting, EndToEndConservation) {
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   const auto r = train_hierminimax(
-      model, fed, topo, fault_opts(spec, OnFault::kRenormalize));
+      model, fed, topo, fault_opts(spec, OnFault::kRenormalize), test_pool());
   for (const auto* link :
        {&r.comm.client_edge_fault, &r.comm.edge_cloud_fault}) {
     EXPECT_EQ(link->attempted,
@@ -314,7 +323,7 @@ TEST(FaultSmoke, HierMinimaxOneRoundHalfDropout) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = fault_opts(spec, OnFault::kRenormalize);
   opts.rounds = 1;
-  const auto r = train_hierminimax(model, fed, topo, opts);
+  const auto r = train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_EQ(r.w.size(), static_cast<std::size_t>(model.num_params()));
   EXPECT_EQ(r.comm.client_edge_fault.attempted,
             r.comm.client_edge_fault.delivered +

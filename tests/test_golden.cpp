@@ -34,6 +34,7 @@ namespace {
 using testing_util::bits;
 using testing_util::deep_task;
 using testing_util::heterogeneous_task;
+using testing_util::test_pool;
 using testing_util::with_taus;
 
 TrainOptions golden_opts() {
@@ -82,7 +83,7 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
-                       train_fedavg(model, fed, golden_opts()));
+                       train_fedavg(model, fed, golden_opts(), test_pool()));
                  }});
   out.push_back({"hierfavg", [] {
                    const auto& fed = shared_task();
@@ -91,28 +92,31 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
-                       train_hierfavg(model, fed, topo, golden_opts()));
+                       train_hierfavg(model, fed, topo, golden_opts(),
+                                      test_pool()));
                  }});
   out.push_back({"drfa", [] {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
-                       train_drfa(model, fed, golden_opts()));
+                       train_drfa(model, fed, golden_opts(), test_pool()));
                  }});
   out.push_back({"stochastic_afl", [] {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
-                       train_stochastic_afl(model, fed, golden_opts()));
+                       train_stochastic_afl(model, fed, golden_opts(),
+                                            test_pool()));
                  }});
   out.push_back({"qffl", [] {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
-                       train_qffl(model, fed, golden_opts(), /*q=*/2.0));
+                       train_qffl(model, fed, golden_opts(), /*q=*/2.0,
+                                  test_pool()));
                  }});
   out.push_back({"hierminimax", [] {
                    const auto& fed = shared_task();
@@ -121,7 +125,8 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
-                       train_hierminimax(model, fed, topo, golden_opts()));
+                       train_hierminimax(model, fed, topo, golden_opts(),
+                                         test_pool()));
                  }});
   out.push_back({"hierminimax_multi", [] {
                    const auto& fed = shared_task();
@@ -130,7 +135,8 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(train_hierminimax(
-                       model, fed, topo, with_taus(golden_opts(), {2, 2})));
+                       model, fed, topo, with_taus(golden_opts(), {2, 2}),
+                       test_pool()));
                  }});
   out.push_back({"hierfavg_multi", [] {
                    const auto& fed = shared_task();
@@ -139,7 +145,8 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(train_hierfavg(
-                       model, fed, topo, with_taus(golden_opts(), {2, 2})));
+                       model, fed, topo, with_taus(golden_opts(), {2, 2}),
+                       test_pool()));
                  }});
   // Depth 3 pins the L-level stream rule beyond the flat derivation:
   // interior blocks, innermost-block indices and checkpoint averaging
@@ -150,7 +157,8 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(train_hierminimax(
-                       model, fed, topo, with_taus(golden_opts(), {2, 2, 2})));
+                       model, fed, topo, with_taus(golden_opts(), {2, 2, 2}),
+                       test_pool()));
                  }});
   // MLP rows: every hidden width is at least 4x the batch, so the
   // batch-sized forward GEMMs take gemm_nt's transposed (small-side
@@ -165,7 +173,7 @@ std::vector<Runner> runners() {
                    o.weight_decay = 0.05;
                    o.w_radius = 9.0;
                    return trajectory_of(
-                       train_hierminimax(model, fed, topo, o));
+                       train_hierminimax(model, fed, topo, o, test_pool()));
                  }});
   out.push_back({"fedavg_mlp_prox", [] {
                    const auto& fed = shared_task();
@@ -173,7 +181,8 @@ std::vector<Runner> runners() {
                    TrainOptions o = golden_opts();
                    o.batch_size = 8;
                    o.prox_mu = 0.5;
-                   return trajectory_of(train_fedavg(model, fed, o));
+                   return trajectory_of(train_fedavg(model, fed, o,
+                                                     test_pool()));
                  }});
   return out;
 }

@@ -16,6 +16,7 @@ namespace {
 
 using testing_util::heterogeneous_task;
 using testing_util::iid_task;
+using testing_util::test_pool;
 
 TrainOptions quick_opts(index_t rounds = 40) {
   TrainOptions o;
@@ -34,7 +35,8 @@ TEST(HierMinimax, LearnsIidTask) {
   const auto fed = iid_task();
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto result = train_hierminimax(model, fed, topo, quick_opts(40));
+  const auto result = train_hierminimax(model, fed, topo, quick_opts(40),
+                                        test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.85);
 }
 
@@ -44,7 +46,7 @@ TEST(HierMinimax, WeightsStayOnSimplexEveryRound) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(30);
   opts.eta_p = 0.1;  // large steps stress the projection
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   scalar_t total = 0;
   for (const scalar_t p : result.p) {
     EXPECT_GE(p, -1e-9);
@@ -65,7 +67,7 @@ TEST(HierMinimax, RespectsCappedWeightSet) {
   auto opts = quick_opts(25);
   opts.p_set = SimplexSet{0.1, 0.5};
   opts.eta_p = 0.2;
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   for (const scalar_t p : result.p) {
     EXPECT_GE(p, 0.1 - 1e-7);
     EXPECT_LE(p, 0.5 + 1e-7);
@@ -90,7 +92,7 @@ TEST(HierMinimax, WeightMovesTowardHighLossEdge) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(50);
   opts.eta_p = 0.05;
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   // p concentrated above uniform somewhere — and the dynamics moved p.
   const scalar_t uniform = 0.25;
   scalar_t spread = 0;
@@ -110,8 +112,8 @@ TEST(HierMinimax, ImprovesWorstEdgeOverHierFavg) {
   opts.eta_p = 0.003;
   opts.sampled_edges = 3;  // partial participation
   opts.eval_every = 10;
-  const auto mm = train_hierminimax(model, fed, topo, opts);
-  const auto fa = train_hierfavg(model, fed, topo, opts);
+  const auto mm = train_hierminimax(model, fed, topo, opts, test_pool());
+  const auto fa = train_hierfavg(model, fed, topo, opts, test_pool());
   // Tail-average the last evaluations: snapshots are SGD-noisy. Allow an
   // equality margin — both can saturate on easy seeds — but minimax must
   // never be substantially worse, and variance must not explode.
@@ -128,7 +130,7 @@ TEST(HierMinimax, CommAccountingMatchesFormula) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(6);
   opts.sampled_edges = 1;
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   const auto k = 6u;
   // Rounds: tau2 client-edge (phase 1) + 1 client-edge (phase 2 loss
   // broadcast), and 2 edge-cloud (aggregate + weight update).
@@ -166,8 +168,8 @@ TEST(HierMinimax, ReproducibleForSameSeed) {
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   const auto opts = quick_opts(10);
-  const auto a = train_hierminimax(model, fed, topo, opts);
-  const auto b = train_hierminimax(model, fed, topo, opts);
+  const auto a = train_hierminimax(model, fed, topo, opts, test_pool());
+  const auto b = train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_EQ(a.w, b.w);
   EXPECT_EQ(a.p, b.p);
   EXPECT_EQ(a.comm.total_rounds(), b.comm.total_rounds());
@@ -179,7 +181,7 @@ TEST(HierMinimax, FullParticipationEqualsSampledEdgesAllButUsesAllEdges) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(4);
   opts.sampled_edges = 0;  // = all edges
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   // Phase-2 scalars: all N_E edges report each round.
   EXPECT_EQ(result.comm.edge_cloud_scalars,
             static_cast<std::uint64_t>(4 * fed.num_edges()));
@@ -192,7 +194,7 @@ TEST(HierMinimax, WRadiusConstrainsGlobalModel) {
   auto opts = quick_opts(15);
   opts.w_radius = 0.5;
   opts.eta_w = 0.3;
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_LE(tensor::nrm2(result.w), 0.5 + 1e-9);
 }
 
@@ -206,7 +208,7 @@ TEST(HierMinimax, Tau1Tau2OneMatchesPaperSpecialCase) {
   auto opts = quick_opts(80);
   opts.tau1 = 1;
   opts.tau2 = 1;
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.8);
   // Exactly K client-edge rounds from phase 1 + K from phase 2.
   EXPECT_EQ(result.comm.client_edge_rounds, 160u);
@@ -233,7 +235,7 @@ TEST(HierMinimax, CheckpointAblationStillConverges) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(40);
   opts.use_checkpoint = false;  // last-iterate loss estimation
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.85);
 }
 
@@ -243,7 +245,7 @@ TEST(HierMinimax, LossEstimationFullBatchOption) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(10);
   opts.loss_est_batch = 0;  // full client shards
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_EQ(result.history.back().round, 10);
 }
 
@@ -253,7 +255,7 @@ TEST(HierMinimax, HistoryRecordsIncludeWeights) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = quick_opts(12);
   opts.eval_every = 4;
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   ASSERT_EQ(result.history.size(), 4u);  // rounds 0, 4, 8, 12
   for (const auto& r : result.history.records()) {
     EXPECT_EQ(r.edge_acc.size(), 4u);

@@ -17,6 +17,7 @@ namespace hm::algo {
 namespace {
 
 using testing_util::heterogeneous_task;
+using testing_util::test_pool;
 
 /// A task where one-class-per-edge heterogeneity plus partial
 /// participation makes plain averaging visibly unfair.
@@ -46,10 +47,10 @@ TEST(Integration, MinimaxImprovesWorstEdgeVsMinimization) {
   auto opts = base_opts(300);
   opts.eval_every = 10;
 
-  const auto mm = train_hierminimax(model, fed, topo, opts);
-  const auto fa = train_hierfavg(model, fed, topo, opts);
-  const auto dr = train_drfa(model, fed, opts);
-  const auto fv = train_fedavg(model, fed, opts);
+  const auto mm = train_hierminimax(model, fed, topo, opts, test_pool());
+  const auto fa = train_hierfavg(model, fed, topo, opts, test_pool());
+  const auto dr = train_drfa(model, fed, opts, test_pool());
+  const auto fv = train_fedavg(model, fed, opts, test_pool());
 
   // Tail-averaged: final snapshots alone are SGD-noisy.
   const auto s_mm = mm.history.tail_summary(8);
@@ -77,9 +78,9 @@ TEST(Integration, MinimaxReducesVarianceAcrossSeeds) {
     auto opts = base_opts(200);
     opts.seed = seed;
     opts.eval_every = 10;
-    var_mm += train_hierminimax(model, fed, topo, opts)
+    var_mm += train_hierminimax(model, fed, topo, opts, test_pool())
                   .history.tail_summary(8).variance_pct2;
-    var_fa += train_hierfavg(model, fed, topo, opts)
+    var_fa += train_hierfavg(model, fed, topo, opts, test_pool())
                   .history.tail_summary(8).variance_pct2;
   }
   EXPECT_LE(var_mm, var_fa * 1.10 + 3.0);
@@ -129,7 +130,7 @@ TEST(Integration, NonConvexMlpTrainsUnderHierMinimax) {
   auto opts = base_opts(120);
   opts.sampled_edges = 2;
   opts.eta_w = 0.05;
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.7);
 }
 
@@ -141,11 +142,11 @@ TEST(Integration, CommunicationCostOrdering) {
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   const auto opts = base_opts(10);
-  const auto fv = train_fedavg(model, fed, opts);
-  const auto fa = train_hierfavg(model, fed, topo, opts);
-  const auto mm = train_hierminimax(model, fed, topo, opts);
-  const auto dr = train_drfa(model, fed, opts);
-  const auto afl = train_stochastic_afl(model, fed, opts);
+  const auto fv = train_fedavg(model, fed, opts, test_pool());
+  const auto fa = train_hierfavg(model, fed, topo, opts, test_pool());
+  const auto mm = train_hierminimax(model, fed, topo, opts, test_pool());
+  const auto dr = train_drfa(model, fed, opts, test_pool());
+  const auto afl = train_stochastic_afl(model, fed, opts, test_pool());
   EXPECT_LT(fv.comm.total_rounds(), fa.comm.total_rounds());
   EXPECT_LT(fa.comm.total_rounds(), mm.comm.total_rounds());
   EXPECT_EQ(dr.comm.total_rounds(), afl.comm.total_rounds());
@@ -159,7 +160,7 @@ TEST(Integration, ProgressIsMonotoneOnAverageLoss) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = base_opts(60);
   opts.eval_every = 20;
-  const auto result = train_hierminimax(model, fed, topo, opts);
+  const auto result = train_hierminimax(model, fed, topo, opts, test_pool());
   ASSERT_GE(result.history.size(), 2u);
   EXPECT_LT(result.history.back().global_loss,
             result.history.records().front().global_loss);

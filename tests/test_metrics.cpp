@@ -142,7 +142,7 @@ TEST(Evaluation, OneRegionMatchesTheSeparateSweepsBitForBit) {
   const auto acc = per_edge_accuracy(model, w, fed, serial);
   const auto losses = per_edge_loss(model, w, fed, serial);
   for (const std::size_t threads : {1, 4}) {
-    parallel::ThreadPool pool(threads, /*force_region_dispatch=*/true);
+    parallel::ThreadPool pool(threads);
     const EdgeEvaluation eval = evaluate_edges(model, w, fed, pool);
     ASSERT_EQ(eval.accuracy.size(), acc.size());
     ASSERT_EQ(eval.loss.size(), losses.size());

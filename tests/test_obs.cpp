@@ -29,6 +29,7 @@ namespace {
 using testing_util::bits;
 using testing_util::deep_task;
 using testing_util::heterogeneous_task;
+using testing_util::test_pool;
 using testing_util::with_taus;
 
 // ——— Metrics registry ———
@@ -323,7 +324,8 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
-                       algo::train_fedavg(model, fed, contract_opts()));
+                       algo::train_fedavg(model, fed, contract_opts(),
+                                          test_pool()));
                  }, "fedavg"});
   out.push_back({"hierfavg", [] {
                    const auto& fed = shared_task();
@@ -332,21 +334,22 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(algo::train_hierfavg(
-                       model, fed, topo, contract_opts()));
+                       model, fed, topo, contract_opts(), test_pool()));
                  }, "hierfavg"});
   out.push_back({"drfa", [] {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(
-                       algo::train_drfa(model, fed, contract_opts()));
+                       algo::train_drfa(model, fed, contract_opts(),
+                                        test_pool()));
                  }, "drfa"});
   out.push_back({"qffl", [] {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(algo::train_qffl(
-                       model, fed, contract_opts(), /*q=*/2.0));
+                       model, fed, contract_opts(), /*q=*/2.0, test_pool()));
                  }, "qffl"});
   out.push_back({"hierminimax", [] {
                    const auto& fed = shared_task();
@@ -355,7 +358,7 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(algo::train_hierminimax(
-                       model, fed, topo, contract_opts()));
+                       model, fed, topo, contract_opts(), test_pool()));
                  }, "hierminimax"});
   out.push_back({"hierminimax_d3", [] {
                    const auto& fed = deep_task();
@@ -364,7 +367,7 @@ std::vector<Runner> runners() {
                                                      fed.num_classes());
                    return trajectory_of(algo::train_hierminimax(
                        model, fed, topo,
-                       with_taus(contract_opts(), {2, 2, 2})));
+                       with_taus(contract_opts(), {2, 2, 2}), test_pool()));
                  }, "hierminimax"});
   // Stochastic-AFL is DRFA on a one-step schedule and reports as drfa.
   out.push_back({"stochastic_afl", [] {
@@ -372,7 +375,7 @@ std::vector<Runner> runners() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return trajectory_of(algo::train_stochastic_afl(
-                       model, fed, contract_opts()));
+                       model, fed, contract_opts(), test_pool()));
                  }, "drfa"});
   return out;
 }
@@ -472,7 +475,8 @@ TEST(ZeroPerturbation, DeliveryCountersReconcileWithLinkFaultStats) {
   opts.fault.edge_loss_prob = 0.3;
   opts.fault.max_retries = 2;
   opts.on_fault = algo::OnFault::kRenormalize;
-  const auto result = algo::train_hierminimax(model, fed, topo, opts);
+  const auto result = algo::train_hierminimax(model, fed, topo, opts,
+                                              test_pool());
 
   const MetricsSnapshot snap = registry().snapshot();
   const auto gauge = [&snap](const std::string& name) {

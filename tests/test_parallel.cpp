@@ -2,10 +2,15 @@
 // coverage, exception propagation, deterministic reduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -14,32 +19,45 @@
 namespace hm::parallel {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
 TEST(ThreadPool, DefaultsToHardwareConcurrency) {
   ThreadPool pool;
-  EXPECT_GE(pool.num_threads(), 1u);
+  EXPECT_EQ(pool.num_threads(),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
-TEST(ThreadPool, PropagatesTaskExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+TEST(ThreadPool, SizeOneRunsEveryChunkOnTheCaller) {
+  // The size counts the caller: a 1-thread pool has no workers.
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(256);
+  parallel_for(
+      pool, 0, 256,
+      [&](index_t i) {
+        ran[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+      },
+      /*grain=*/1);
+  for (const auto& id : ran) EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPool, ManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
+TEST(ThreadPool, SizeCountsTheCaller) {
+  // A 3-thread pool runs a region on at most 3 distinct threads.
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  std::mutex m;
+  std::set<std::thread::id> ids;
+  for (int round = 0; round < 50; ++round) {
+    parallel_for(
+        pool, 0, 64,
+        [&](index_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          std::lock_guard<std::mutex> lock(m);
+          ids.insert(std::this_thread::get_id());
+        },
+        /*grain=*/1);
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 500);
+  EXPECT_LE(ids.size(), 3u);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -113,16 +131,15 @@ TEST(ParallelReduce, EmptyRangeReturnsInit) {
 }
 
 // ---------------------------------------------------------------------
-// Stress tests for the region dispatcher. The pools force region
-// dispatch so the concurrent path (epoch handshake, chunk ticket,
-// countdown latch) is exercised even on a single-CPU host, where
-// production pools would inline regions.
+// Stress tests for the region dispatcher. Every pool of two or more
+// threads dispatches, so the concurrent path (epoch handshake, chunk
+// ticket, countdown latch) runs even on a single-CPU host.
 
 TEST(RegionStress, ReduceBitIdenticalAcrossPoolSizes) {
   // FP sums depend on combine order; the chunk-ordered reduction must be
   // bit-identical no matter how many workers claim the chunks.
   auto run = [](std::size_t threads) {
-    ThreadPool pool(threads, /*force_region_dispatch=*/true);
+    ThreadPool pool(threads);
     return parallel_reduce(
         pool, 0, 40000, 0.0,
         [](index_t i) { return std::sqrt(static_cast<double>(i)) / 3.0; },
@@ -136,7 +153,7 @@ TEST(RegionStress, ReduceBitIdenticalAcrossPoolSizes) {
 TEST(RegionStress, RepeatedRegionsOnOnePoolCoverEveryIndex) {
   // Back-to-back regions reuse the same descriptor; stragglers from
   // round r must never touch round r+1 (epoch/quiesce protocol).
-  ThreadPool pool(8, /*force_region_dispatch=*/true);
+  ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(512);
   for (int round = 0; round < 200; ++round) {
     parallel_for(pool, 0, 512, [&](index_t i) { ++hits[i]; }, /*grain=*/1);
@@ -145,7 +162,7 @@ TEST(RegionStress, RepeatedRegionsOnOnePoolCoverEveryIndex) {
 }
 
 TEST(RegionStress, EdgeCaseRangesAndGrains) {
-  ThreadPool pool(4, /*force_region_dispatch=*/true);
+  ThreadPool pool(4);
   for (const index_t n : {0, 1, 2, 3, 63, 64, 65, 1000}) {
     for (const index_t grain : {1, 7, 64, 1000}) {
       std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
@@ -155,22 +172,6 @@ TEST(RegionStress, EdgeCaseRangesAndGrains) {
       }
     }
   }
-}
-
-TEST(RegionStress, SubmittedTasksInterleaveWithRegions) {
-  // Workers serve both the task queues and regions; mixing the two paths
-  // must lose neither tasks nor chunks.
-  ThreadPool pool(4, /*force_region_dispatch=*/true);
-  std::atomic<int> task_sum{0};
-  std::vector<std::future<void>> futures;
-  std::atomic<long> region_sum{0};
-  for (int round = 0; round < 50; ++round) {
-    futures.push_back(pool.submit([&task_sum] { ++task_sum; }));
-    parallel_for(pool, 0, 64, [&](index_t) { ++region_sum; }, /*grain=*/1);
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(task_sum.load(), 50);
-  EXPECT_EQ(region_sum.load(), 50 * 64);
 }
 
 class ParallelForThreadCount : public ::testing::TestWithParam<int> {};

@@ -447,7 +447,7 @@ TEST(BlockParallelAggregation, BitIdenticalToSerialForEveryPoolSize) {
 
   const auto serial = run_all(nullptr);
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    parallel::ThreadPool pool(threads, /*force_region_dispatch=*/true);
+    parallel::ThreadPool pool(threads);
     const auto got = run_all(&pool);
     ASSERT_EQ(got.size(), serial.size());
     for (std::size_t r = 0; r < got.size(); ++r) {

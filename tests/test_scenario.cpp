@@ -39,6 +39,7 @@ using testing_util::deep_task;
 using testing_util::fingerprint;
 using testing_util::heterogeneous_task;
 using testing_util::Scenario;
+using testing_util::test_pool;
 using testing_util::with_taus;
 
 // ---------------------------------------------------------------------
@@ -88,7 +89,8 @@ std::vector<Algorithm> algorithms() {
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return fingerprint(
-                       train_fedavg(model, fed, scenario_opts(s, a)), mo);
+                       train_fedavg(model, fed, scenario_opts(s, a),
+                                    test_pool()), mo);
                  }});
   out.push_back(
       {"hierfavg", [](const sim::FaultSpec& s, Aggregate a, bool mo) {
@@ -96,14 +98,16 @@ std::vector<Algorithm> algorithms() {
          const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return fingerprint(
-             train_hierfavg(model, fed, topo, scenario_opts(s, a)), mo);
+             train_hierfavg(model, fed, topo, scenario_opts(s, a),
+                            test_pool()), mo);
        }});
   out.push_back({"drfa", [](const sim::FaultSpec& s, Aggregate a, bool mo) {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
                    return fingerprint(
-                       train_drfa(model, fed, scenario_opts(s, a)), mo);
+                       train_drfa(model, fed, scenario_opts(s, a),
+                                  test_pool()), mo);
                  }});
   out.push_back(
       {"hierminimax", [](const sim::FaultSpec& s, Aggregate a, bool mo) {
@@ -111,7 +115,8 @@ std::vector<Algorithm> algorithms() {
          const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return fingerprint(
-             train_hierminimax(model, fed, topo, scenario_opts(s, a)), mo);
+             train_hierminimax(model, fed, topo, scenario_opts(s, a),
+                               test_pool()), mo);
        }});
   out.push_back(
       {"hierminimax_d3", [](const sim::FaultSpec& s, Aggregate a, bool mo) {
@@ -119,7 +124,8 @@ std::vector<Algorithm> algorithms() {
          const sim::MultiTopology topo({4, 2, 2});
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return fingerprint(
-             train_hierminimax(model, fed, topo, deep_scenario_opts(s, a)),
+             train_hierminimax(model, fed, topo, deep_scenario_opts(s, a),
+                               test_pool()),
              mo);
        }});
   return out;
@@ -206,9 +212,8 @@ scalar_t worst_edge_loss_under(const sim::FaultSpec& spec, Aggregate agg) {
   o.fault = spec;
   o.aggregate = agg;
   o.trim_frac = 0.25;
-  const auto r = train_hierminimax(model, fed, topo, o);
-  const auto losses = metrics::per_edge_loss(
-      model, r.w, fed, parallel::ThreadPool::global());
+  const auto r = train_hierminimax(model, fed, topo, o, test_pool());
+  const auto losses = metrics::per_edge_loss(model, r.w, fed, test_pool());
   return *std::max_element(losses.begin(), losses.end());
 }
 
@@ -243,10 +248,10 @@ TEST(ScenarioChurn, AbsentClientsNeverReachTheWire) {
 
   const auto base =
       train_hierminimax(model, fed, topo,
-                        scenario_opts(zero, Aggregate::kMean));
+                        scenario_opts(zero, Aggregate::kMean), test_pool());
   const auto churned =
       train_hierminimax(model, fed, topo,
-                        scenario_opts(churn, Aggregate::kMean));
+                        scenario_opts(churn, Aggregate::kMean), test_pool());
   EXPECT_LT(churned.comm.client_edge_fault.attempted,
             base.comm.client_edge_fault.attempted);
   // Nothing was dropped in flight — absences are not delivery failures.
@@ -324,19 +329,19 @@ TEST(ScenarioDrift, MinimaxWeightsTrackTheMovingWorstGroup) {
   const nn::SoftmaxRegression model(stationary.dim(),
                                     stationary.num_classes());
   const auto control =
-      train_hierminimax(model, stationary, topo, drift_opts());
+      train_hierminimax(model, stationary, topo, drift_opts(), test_pool());
   EXPECT_EQ(argmax_p(control.p), 3);
 
   // Drift at round 8: rotation 2 makes class (3 - 2) = 1 the hard one.
   auto drifting = rotated_task(0);
   drifting.add_drift_phase(8, rotated_task(2).client_train);
   const auto drifted =
-      train_hierminimax(model, drifting, topo, drift_opts());
+      train_hierminimax(model, drifting, topo, drift_opts(), test_pool());
   EXPECT_EQ(argmax_p(drifted.p), 1);
 
   // The drifting run replays bit-identically.
   const auto replay =
-      train_hierminimax(model, drifting, topo, drift_opts());
+      train_hierminimax(model, drifting, topo, drift_opts(), test_pool());
   EXPECT_EQ(fingerprint(drifted, /*model_only=*/false),
             fingerprint(replay, /*model_only=*/false));
 }
@@ -356,8 +361,8 @@ TEST(ScenarioDrift, FutureDriftPhaseIsInvisibleBeforeItsStartRound) {
   auto drifting = rotated_task(0);
   drifting.add_drift_phase(8, rotated_task(2).client_train);
 
-  const auto a = train_hierminimax(model, stationary, topo, opts);
-  const auto b = train_hierminimax(model, drifting, topo, opts);
+  const auto a = train_hierminimax(model, stationary, topo, opts, test_pool());
+  const auto b = train_hierminimax(model, drifting, topo, opts, test_pool());
   EXPECT_EQ(fingerprint(a, /*model_only=*/false),
             fingerprint(b, /*model_only=*/false));
 }
@@ -378,7 +383,7 @@ TEST(AdversarialSmoke, HierMinimaxOneRoundSignFlipTrimmed) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = scenario_opts(spec, Aggregate::kTrimmedMean);
   opts.rounds = 1;
-  const auto r = train_hierminimax(model, fed, topo, opts);
+  const auto r = train_hierminimax(model, fed, topo, opts, test_pool());
   EXPECT_EQ(r.w.size(), static_cast<std::size_t>(model.num_params()));
   EXPECT_EQ(r.comm.client_edge_fault.attempted,
             r.comm.client_edge_fault.delivered +

@@ -330,10 +330,10 @@ TEST(SimdDispatch, GemmNtFmaBitIdenticalAcrossVariantsAndMatchesNaiveFma) {
         auto want = c0, got = c0, naive = c0;
         base.gemm_nt_fma(ConstMatView(a.data(), s.m, s.k),
                          ConstMatView(bt.data(), s.n, s.k),
-                         MatView(want.data(), s.m, s.n), beta);
+                         MatView(want.data(), s.m, s.n), beta, nullptr);
         kt.gemm_nt_fma(ConstMatView(a.data(), s.m, s.k),
                        ConstMatView(bt.data(), s.n, s.k),
-                       MatView(got.data(), s.m, s.n), beta);
+                       MatView(got.data(), s.m, s.n), beta, nullptr);
         expect_vec_eq(want, got, tag + " gemm_nt_fma" + at);
 
         for (index_t i = 0; i < s.m; ++i) {
@@ -383,8 +383,9 @@ TEST(SimdDispatch, GemmNtNarrowBitIdenticalWithSpecials) {
         expect_vec_eq_any_nan(want, got, tag + " narrow gemm_nt" + at);
         want = c0;
         got = c0;
-        base.gemm_nt_fma(am, bm, MatView(want.data(), s.m, s.n), beta);
-        kt.gemm_nt_fma(am, bm, MatView(got.data(), s.m, s.n), beta);
+        base.gemm_nt_fma(am, bm, MatView(want.data(), s.m, s.n), beta,
+                         nullptr);
+        kt.gemm_nt_fma(am, bm, MatView(got.data(), s.m, s.n), beta, nullptr);
         expect_vec_eq(want, got, tag + " narrow gemm_nt_fma" + at);
       }
     }

@@ -57,6 +57,7 @@ using testing_util::heterogeneous_task;
 using testing_util::output_of;
 using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
+using testing_util::test_pool;
 using testing_util::with_taus;
 
 // ---------------------------------------------------------------------
@@ -520,7 +521,8 @@ std::vector<Trainer> trainers() {
          const auto& fed = shared_task();
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return output_of(train_fedavg(
-             model, fed, with_snapshots(snap_opts(faulty), sp, rf)));
+             model, fed, with_snapshots(snap_opts(faulty), sp, rf),
+             test_pool()));
        }});
   out.push_back(
       {"hierfavg", 6,
@@ -529,7 +531,8 @@ std::vector<Trainer> trainers() {
          const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return output_of(train_hierfavg(
-             model, fed, topo, with_snapshots(snap_opts(faulty), sp, rf)));
+             model, fed, topo, with_snapshots(snap_opts(faulty), sp, rf),
+             test_pool()));
        }});
   out.push_back(
       {"drfa", 6,
@@ -537,7 +540,8 @@ std::vector<Trainer> trainers() {
          const auto& fed = shared_task();
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return output_of(train_drfa(
-             model, fed, with_snapshots(snap_opts(faulty), sp, rf)));
+             model, fed, with_snapshots(snap_opts(faulty), sp, rf),
+             test_pool()));
        }});
   out.push_back(
       {"stochastic_afl", 6,
@@ -545,7 +549,8 @@ std::vector<Trainer> trainers() {
          const auto& fed = shared_task();
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return output_of(train_stochastic_afl(
-             model, fed, with_snapshots(snap_opts(faulty), sp, rf)));
+             model, fed, with_snapshots(snap_opts(faulty), sp, rf),
+             test_pool()));
        }});
   out.push_back(
       {"qffl", 6,
@@ -554,7 +559,7 @@ std::vector<Trainer> trainers() {
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return output_of(train_qffl(
              model, fed, with_snapshots(snap_opts(faulty), sp, rf),
-             /*q=*/2.0));
+             /*q=*/2.0, test_pool()));
        },
        /*takes_faults=*/false});
   out.push_back(
@@ -564,7 +569,8 @@ std::vector<Trainer> trainers() {
          const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return output_of(train_hierminimax(
-             model, fed, topo, with_snapshots(snap_opts(faulty), sp, rf)));
+             model, fed, topo, with_snapshots(snap_opts(faulty), sp, rf),
+             test_pool()));
        }});
   out.push_back(
       {"hierminimax_d3", 6,
@@ -574,7 +580,7 @@ std::vector<Trainer> trainers() {
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return output_of(train_hierminimax(
              model, fed, topo,
-             with_snapshots(deep_snap_opts(faulty), sp, rf)));
+             with_snapshots(deep_snap_opts(faulty), sp, rf), test_pool()));
        }});
   out.push_back(
       {"hierfavg_d3", 6,
@@ -584,7 +590,7 @@ std::vector<Trainer> trainers() {
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
          return output_of(train_hierfavg(
              model, fed, topo,
-             with_snapshots(deep_snap_opts(faulty), sp, rf)));
+             with_snapshots(deep_snap_opts(faulty), sp, rf), test_pool()));
        }});
   return out;
 }
@@ -632,7 +638,8 @@ TEST(SnapshotResume, DamagedStoreFailsLoudlyOnResume) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   try {
     train_fedavg(model, fed,
-                 with_snapshots(snap_opts(false), io::SnapshotPolicy{}, dir));
+                 with_snapshots(snap_opts(false), io::SnapshotPolicy{}, dir),
+                 test_pool());
     FAIL() << "resume against a corrupt-only store should throw";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("none valid (corrupt or torn)"),
@@ -671,18 +678,20 @@ TEST(SnapshotResume, WrongAlgorithmOrSeedIsRejected) {
   io::SnapshotPolicy policy;
   policy.every_k_rounds = kEveryK;
   policy.dir = dir;
-  train_fedavg(model, fed, with_snapshots(snap_opts(false), policy, ""));
+  train_fedavg(model, fed, with_snapshots(snap_opts(false), policy, ""),
+               test_pool());
 
   // Same directory, different trainer: the algo id embedded in the
   // snapshot must fail the resume loudly.
   EXPECT_THROW(
-      train_drfa(model, fed, with_snapshots(snap_opts(false), policy, dir)),
+      train_drfa(model, fed, with_snapshots(snap_opts(false), policy, dir),
+                 test_pool()),
       CheckError);
 
   // Same trainer, different seed: resume would not be bit-exact.
   auto reseeded = with_snapshots(snap_opts(false), policy, dir);
   reseeded.seed = 6;
-  EXPECT_THROW(train_fedavg(model, fed, reseeded), CheckError);
+  EXPECT_THROW(train_fedavg(model, fed, reseeded, test_pool()), CheckError);
 }
 
 /// The L-level runs once wrote their own trainer ids (5: HierMinimax,
@@ -708,9 +717,9 @@ TEST(SnapshotResume, RetiredMultiLevelAlgoIdsAreRefused) {
         with_snapshots(deep_snap_opts(false), io::SnapshotPolicy{}, dir);
     try {
       if (retired == 5) {
-        train_hierminimax(model, fed, topo, opts);
+        train_hierminimax(model, fed, topo, opts, test_pool());
       } else {
-        train_hierfavg(model, fed, topo, opts);
+        train_hierfavg(model, fed, topo, opts, test_pool());
       }
       FAIL() << "resumed a snapshot of retired algorithm id " << retired;
     } catch (const CheckError& e) {
@@ -735,7 +744,8 @@ TEST(SnapshotResume, DifferentTreeOrTausIsRejected) {
   policy.crash_after_round = 3;
   EXPECT_THROW(
       train_hierminimax(model, fed, sim::MultiTopology({4, 2, 2}),
-                        with_snapshots(deep_snap_opts(false), policy, "")),
+                        with_snapshots(deep_snap_opts(false), policy, ""),
+                        test_pool()),
       io::SimulatedCrash);
 
   const auto expect_refused = [&](const sim::MultiTopology& topo,
@@ -743,7 +753,8 @@ TEST(SnapshotResume, DifferentTreeOrTausIsRejected) {
                                   const std::string& run_tree) {
     try {
       train_hierminimax(model, fed, topo,
-                        with_snapshots(o, io::SnapshotPolicy{}, dir));
+                        with_snapshots(o, io::SnapshotPolicy{}, dir),
+                        test_pool());
       FAIL() << "resumed a {4,2,2} snapshot into " << run_tree;
     } catch (const CheckError& e) {
       const std::string msg = e.what();
@@ -764,7 +775,8 @@ TEST(SnapshotResume, DifferentTreeOrTausIsRejected) {
   // The matching run resumes.
   EXPECT_NO_THROW(train_hierminimax(
       model, fed, sim::MultiTopology({4, 2, 2}),
-      with_snapshots(deep_snap_opts(false), io::SnapshotPolicy{}, dir)));
+      with_snapshots(deep_snap_opts(false), io::SnapshotPolicy{}, dir),
+      test_pool()));
 }
 
 /// Overwrite element `i` of f64-vector section `tag` inside a serialized
@@ -810,7 +822,7 @@ TEST(SnapshotResume, NonFiniteStateIsRejectedWithSectionAndIndex) {
   policy.keep = 1;
   auto opts = with_snapshots(snap_opts(false), policy, "");
   opts.rounds = kEveryK;
-  train_hierminimax(model, fed, topo, opts);
+  train_hierminimax(model, fed, topo, opts, test_pool());
   const std::string path = dir + "/snapshot.00000002";
   const auto clean = read_file(path);
   ASSERT_FALSE(clean.empty());
@@ -822,7 +834,7 @@ TEST(SnapshotResume, NonFiniteStateIsRejectedWithSectionAndIndex) {
     write_file(path, bytes);
     opts.resume_from = dir;
     try {
-      train_hierminimax(model, fed, topo, opts);
+      train_hierminimax(model, fed, topo, opts, test_pool());
       FAIL() << "resume from a non-finite '" << section << "' should throw";
     } catch (const CheckError& e) {
       const std::string msg = e.what();
@@ -847,7 +859,7 @@ TEST(SnapshotResume, NonFiniteStateIsRejectedWithSectionAndIndex) {
 
   // The untouched snapshot still resumes.
   write_file(path, clean);
-  EXPECT_NO_THROW(train_hierminimax(model, fed, topo, opts));
+  EXPECT_NO_THROW(train_hierminimax(model, fed, topo, opts, test_pool()));
 }
 
 // ---------------------------------------------------------------------
@@ -862,7 +874,8 @@ TEST(SnapshotCrashReplay, HierMinimaxKilledMidWriteResumesBitIdentically) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
 
   const RunOutput straight =
-      output_of(train_hierminimax(model, fed, topo, snap_opts(false)));
+      output_of(train_hierminimax(model, fed, topo, snap_opts(false),
+                                  test_pool()));
 
   const std::string dir = fresh_dir("smoke");
   io::SnapshotPolicy policy;
@@ -873,7 +886,7 @@ TEST(SnapshotCrashReplay, HierMinimaxKilledMidWriteResumesBitIdentically) {
   {
     auto opts = with_snapshots(snap_opts(false), policy, "");
     opts.snapshot.crash_after_round = kEveryK - 1;
-    EXPECT_THROW(train_hierminimax(model, fed, topo, opts),
+    EXPECT_THROW(train_hierminimax(model, fed, topo, opts, test_pool()),
                  io::SimulatedCrash);
     EXPECT_TRUE(fs::exists(dir + "/snapshot.00000002"));
   }
@@ -884,14 +897,16 @@ TEST(SnapshotCrashReplay, HierMinimaxKilledMidWriteResumesBitIdentically) {
     ScopedWriteFault fault({/*fail_after_bytes=*/37, /*rename_anyway=*/true});
     EXPECT_THROW(train_hierminimax(
                      model, fed, topo,
-                     with_snapshots(snap_opts(false), policy, dir)),
+                     with_snapshots(snap_opts(false), policy, dir),
+                     test_pool()),
                  io::SimulatedCrash);
     EXPECT_TRUE(fs::exists(dir + "/snapshot.00000004"));  // torn
   }
   // Life 3: the resume must reject the torn snapshot.4, fall back to
   // snapshot.2, and still finish byte-identical to the straight run.
   const RunOutput resumed = output_of(train_hierminimax(
-      model, fed, topo, with_snapshots(snap_opts(false), policy, dir)));
+      model, fed, topo, with_snapshots(snap_opts(false), policy, dir),
+      test_pool()));
   expect_same_output(straight, resumed, "killed mid-write");
 }
 

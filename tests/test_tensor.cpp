@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "tensor/activations.hpp"
 #include "tensor/gemm.hpp"
@@ -216,7 +217,8 @@ TEST(Gemm, ShapeMismatchThrows) {
 }
 
 TEST(Gemm, ParallelPathMatchesReference) {
-  // Large enough to cross the kParallelFlops threshold.
+  // Several row bands, above the flop threshold at which gemm_nt_fma
+  // would split them across a pool (gemm itself runs on the caller).
   rng::Xoshiro256 gen(77);
   const Matrix a = random_matrix(96, 80, gen);
   const Matrix b = random_matrix(80, 96, gen);
@@ -532,6 +534,32 @@ TEST(GemmNarrow, SpecialValuesMatchNaiveOrder) {
               << "gemm_nt_fma m=" << s.m << " beta=" << beta << " at " << i
               << "," << j << ": " << cf(i, j) << " vs " << fused(i, j);
         }
+      }
+    }
+  }
+}
+
+TEST(GemmNtFma, PoolSplitIsBitIdenticalForAnyPoolSize) {
+  // The Phase-2 evaluation forward of the Fig. 4 MLP (192 stacked rows
+  // against the 300 x 784 first layer) splits its row bands across the
+  // pool it is given; a batch-sized A (8 rows) splits the transposed
+  // product's bands instead. Either split must give the serial bits.
+  rng::Xoshiro256 gen(940);
+  for (const index_t m : {192, 8}) {
+    const Matrix a = random_matrix(m, 784, gen);
+    const Matrix bt = random_matrix(300, 784, gen);
+    const Matrix prior = random_matrix(m, 300, gen);
+    for (const scalar_t beta : {0.0, 0.5}) {
+      Matrix serial = prior;
+      gemm_nt_fma(a, bt, serial, beta);
+      for (const std::size_t threads : {1, 2, 4}) {
+        parallel::ThreadPool pool(threads);
+        Matrix c = prior;
+        gemm_nt_fma(a, bt, c, beta, &pool);
+        EXPECT_EQ(std::memcmp(c.data(), serial.data(),
+                              c.flat().size() * sizeof(scalar_t)),
+                  0)
+            << "m=" << m << " beta=" << beta << " threads=" << threads;
       }
     }
   }

@@ -49,6 +49,7 @@
 #include "io/snapshot.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
+#include "nn/mlp.hpp"
 #include "nn/softmax_regression.hpp"
 #include "sim/topology.hpp"
 #include "test_util.hpp"
@@ -56,12 +57,14 @@
 namespace hm::algo {
 namespace {
 
+using testing_util::bits;
 using testing_util::deep_task;
 using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
 using testing_util::output_of;
 using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
+using testing_util::test_pool;
 using testing_util::with_taus;
 
 std::chrono::steady_clock::time_point in_ms(int ms) {
@@ -551,7 +554,8 @@ TrainOptions transport_opts() {
 struct Trainer {
   const char* name;
   TrainResult (*train)(const nn::Model&, const data::FederatedDataset&,
-                       const sim::MultiTopology&, const TrainOptions&);
+                       const sim::MultiTopology&, const TrainOptions&,
+                       parallel::ThreadPool&);
   std::uint64_t round1_last_tag;
   bool deep;
 };
@@ -573,7 +577,7 @@ RunOutput run_with(const Trainer& t, TrainOptions opts) {
     const auto& fed = transport_task();
     const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
     const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-    return output_of(t.train(model, fed, topo, opts));
+    return output_of(t.train(model, fed, topo, opts, test_pool()));
   }
   opts = with_taus(opts, {2, 2, 2});
   opts.quantize_bits = 8;
@@ -581,7 +585,7 @@ RunOutput run_with(const Trainer& t, TrainOptions opts) {
   const auto& fed = deep_task();
   const sim::MultiTopology topo({4, 2, 2});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  return output_of(t.train(model, fed, topo, opts));
+  return output_of(t.train(model, fed, topo, opts, test_pool()));
 }
 
 TEST(TransportOracle, LoopbackIsBitIdenticalToInproc) {
@@ -610,6 +614,50 @@ TEST(TransportOracle, SocketIsBitIdenticalToInprocAndLeaksNothing) {
     EXPECT_EQ(open_fd_count(), fds_before) << t.name;
     EXPECT_TRUE(no_children_remain()) << t.name;
   }
+}
+
+/// One process, an in-proc train call first, then a socket run: the
+/// forked workers inherit every pool the first call used, and must build
+/// and use only their own. The 784-300-100-10 MLP with 2 sampled areas x
+/// 2 leaves x 48 rows stacks 192 rows into Phase 2's first-layer forward,
+/// which splits its row bands across a pool, in the coordinator and in
+/// each worker.
+TEST(TransportOracle, SocketAfterInprocMlpRunIsBitIdentical) {
+  data::GaussianSpec spec;
+  spec.dim = 784;
+  spec.num_classes = 10;
+  spec.num_samples = 1000;
+  spec.seed = 31;
+  const auto all = data::make_gaussian_classes(spec);
+  rng::Xoshiro256 gen(32);
+  const auto tt = data::split_train_test(all, 0.2, gen);
+  const auto fed = data::partition_iid(tt, 4, 2, gen);
+  const sim::HierTopology topo(4, 2);
+  const nn::Mlp model = nn::make_paper_mlp(fed.dim(), fed.num_classes());
+  TrainOptions o;
+  o.rounds = 2;
+  o.tau1 = 2;
+  o.tau2 = 1;
+  o.batch_size = 8;
+  o.eta_w = 0.05;
+  o.eta_p = 0.02;
+  o.sampled_edges = 2;
+  o.loss_est_batch = 48;
+  o.eval_every = 1;
+  o.seed = 11;
+  const TrainResult inproc = train_hierminimax(model, fed, topo, o,
+                                               test_pool());
+  o.transport.kind = net::TransportKind::kSocket;
+  o.transport.workers = 2;
+  const TrainResult socket = train_hierminimax(model, fed, topo, o,
+                                               test_pool());
+  ASSERT_EQ(inproc.p.size(), socket.p.size());
+  for (std::size_t e = 0; e < inproc.p.size(); ++e) {
+    EXPECT_EQ(bits(inproc.p[e]), bits(socket.p[e])) << "p[" << e << "]";
+  }
+  expect_same_output(output_of(inproc), output_of(socket),
+                     "mlp socket workers=2 after an in-proc run");
+  EXPECT_TRUE(no_children_remain());
 }
 
 /// Backends must also agree under partial edge participation (the lane
@@ -667,13 +715,14 @@ TEST(TransportOracle, LeafSlotsKeepNoStateAcrossRounds) {
     TrainOptions o = base;
     o.fault.attack = attack;
     const RunOutput oracle =
-        output_of(train_hierminimax(model, fed, topo, o));
+        output_of(train_hierminimax(model, fed, topo, o, test_pool()));
     for (const index_t workers : {index_t{1}, index_t{3}}) {
       TrainOptions lo = o;
       lo.transport.kind = net::TransportKind::kLoopback;
       lo.transport.workers = workers;
       expect_same_output(
-          oracle, output_of(train_hierminimax(model, fed, topo, lo)),
+          oracle, output_of(train_hierminimax(model, fed, topo, lo,
+                                              test_pool())),
           std::string(attack == sim::AttackKind::kSignFlip ? "sign-flip"
                                                            : "label-flip") +
               " loopback workers=" + std::to_string(workers));
@@ -746,12 +795,16 @@ TEST(TransportSupport, TwoLayerTrainersRejectOtherBackends) {
   using Run = std::function<void(const TrainOptions&)>;
   const std::pair<const char*, Run> trainers[] = {
       {"train_fedavg",
-       [&](const TrainOptions& o) { train_fedavg(model, fed, o); }},
-      {"train_drfa", [&](const TrainOptions& o) { train_drfa(model, fed, o); }},
+       [&](const TrainOptions& o) { train_fedavg(model, fed, o,
+                                                 test_pool()); }},
+      {"train_drfa", [&](const TrainOptions& o) { train_drfa(model, fed, o,
+                                                             test_pool()); }},
       {"train_stochastic_afl",
-       [&](const TrainOptions& o) { train_stochastic_afl(model, fed, o); }},
+       [&](const TrainOptions& o) { train_stochastic_afl(model, fed, o,
+                                                         test_pool()); }},
       {"train_qffl",
-       [&](const TrainOptions& o) { train_qffl(model, fed, o, 2.0); }},
+       [&](const TrainOptions& o) { train_qffl(model, fed, o, 2.0,
+                                               test_pool()); }},
   };
   for (const auto& [name, run] : trainers) {
     for (const net::TransportKind kind :

@@ -20,10 +20,19 @@
 #include "data/generators.hpp"
 #include "io/snapshot.hpp"
 #include "nn/softmax_regression.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/fault.hpp"
 #include "sim/topology.hpp"
 
 namespace hm::testing_util {
+
+/// The pool the trainers under test run on: one per test binary, sized
+/// to the host. Trajectories do not depend on its size; the
+/// DeterministicAcrossThreadCounts tests build their own pools.
+inline parallel::ThreadPool& test_pool() {
+  static parallel::ThreadPool pool;
+  return pool;
+}
 
 /// The snapshot whose serialized bytes (and frame) the codec tests pin to
 /// the values the original bytewise codec produced: one section of every

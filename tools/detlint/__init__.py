@@ -15,7 +15,7 @@ Layout:
                     separators, line splices, unterminated recovery)
   engine.py         SourceFile/Project model, suppression scoping,
                     selftest harnesses
-  rules.py          the eleven per-file rules, as token matchers
+  rules.py          the per-file rules, as token matchers
   graph.py          include-graph extraction + layering DAG enforcement
   contracts.py      cross-file contract checks
   baseline.py       checked-in accepted-findings ledger (baseline.json)

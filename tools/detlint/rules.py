@@ -532,6 +532,44 @@ RULE_RAW_TRANSPORT = _ident_rule(
 )
 
 
+class _HiddenGlobalPoolRule(Rule):
+    """ThreadPool::global() outside src/parallel.
+
+    The execution context is explicit: a trainer receives its pool and
+    hands it down (to the device jobs, the aggregations, the one kernel
+    that splits), and a null pool means serial. A call that reaches the
+    process-wide pool instead runs on threads the caller never asked
+    for: a 1-thread pool is no longer one thread, and a forked socket
+    worker that inherited the pool finds it without its threads.
+    """
+
+    NAME = "hidden-global-pool"
+    OWNER = ("parallel",)
+
+    def __init__(self):
+        super().__init__(
+            self.NAME,
+            "Work reaches a thread pool only through a pool its caller "
+            "passes; ThreadPool::global() is confined to src/parallel, "
+            "so a pool's size is the thread count and a forked worker "
+            "never touches a pool it inherited.",
+            self._check)
+
+    def _check(self, f: SourceFile) -> Iterable[Finding]:
+        if f.in_dir(*self.OWNER):
+            return
+        ts = f.code_tokens
+        for i in range(len(ts) - 2):
+            if (ts[i].kind == "ident" and ts[i].text == "ThreadPool"
+                    and ts[i + 1].kind == "punct" and ts[i + 1].text == "::"
+                    and ts[i + 2].kind == "ident"
+                    and ts[i + 2].text == "global"):
+                yield Finding(
+                    f.rel, ts[i].line, self.NAME,
+                    "ThreadPool::global() outside src/parallel; take the "
+                    "pool from the caller (null = serial)")
+
+
 class _ModelEntryCheckRule(Rule):
     """Every public Model entry point must open with HM_CHECK guards.
 
@@ -606,5 +644,6 @@ ALL_RULES: List[Rule] = [
     _ObsClockRule(),
     RULE_PERSISTENCE,
     RULE_RAW_TRANSPORT,
+    _HiddenGlobalPoolRule(),
     _ModelEntryCheckRule(),
 ]
