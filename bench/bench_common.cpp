@@ -98,8 +98,7 @@ std::vector<MethodRun> run_five_methods(const nn::Model& model,
 }
 
 void print_curves(std::ostream& os, const std::vector<MethodRun>& runs) {
-  os << "method\tround\tcomm_rounds\tclient_edge_rounds\tedge_cloud_rounds"
-        "\tedge_cloud_models\tavg_acc\tworst_acc\tvariance_pct2\tloss\n";
+  metrics::TrainingHistory::write_tsv_header(os);
   for (const auto& run : runs) {
     run.result.history.write_tsv(os, run.name);
   }

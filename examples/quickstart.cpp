@@ -42,13 +42,14 @@
 // neither changes the trajectory — the run stays bit-identical.
 // --log-level debug (or HM_LOG_LEVEL=debug) raises diagnostic verbosity.
 #include <iostream>
+#include <sstream>
 
 #include "algo/fault_config.hpp"
 #include "algo/hierminimax.hpp"
 #include "algo/obs_config.hpp"
 #include "algo/snapshot_config.hpp"
 #include "algo/transport_config.hpp"
-#include "io/checkpoint.hpp"
+#include "io/snapshot.hpp"
 #include "core/flags.hpp"
 #include "data/federated.hpp"
 #include "data/generators.hpp"
@@ -121,7 +122,8 @@ int main(int argc, char** argv) {
 
   // 5. Train and report.
   const auto result = algo::train_hierminimax(model, fed, topo, opts, pool);
-  algo::finish_obs_run(obs_opts, algo::build_run_manifest(flags, opts));
+  algo::finish_obs_run(obs_opts,
+                       algo::build_run_manifest(flags, opts, topo.branching()));
 
   std::cout << "round\tcomm_rounds\tavg_acc\tworst_acc\n";
   for (const auto& r : result.history.records()) {
@@ -132,10 +134,23 @@ int main(int argc, char** argv) {
   for (std::size_t e = 0; e < result.p.size(); ++e) {
     std::cout << "  edge " << e << ": " << result.p[e] << '\n';
   }
-  // Persist the trained model and the training curve.
-  io::save_vector("quickstart_model.bin", result.w);
-  io::save_history_csv("quickstart_history.csv", result.history);
-  std::cout << "\nwrote quickstart_model.bin and quickstart_history.csv\n";
+  // Persist the trained model as a one-section snapshot container, which
+  // io::Snapshot::parse reads back, and the training curve as the
+  // history TSV; both are written atomically.
+  constexpr std::uint32_t kTagW = 0x5f5f5f57;  // "W___", as in snapshots
+  io::Snapshot model_file;
+  model_file.put_f64_vec(kTagW, result.w);
+  const auto model_bytes = model_file.serialize();
+  io::atomic_write_file("quickstart_model.snap", model_bytes.data(),
+                        model_bytes.size());
+  std::ostringstream tsv;
+  metrics::TrainingHistory::write_tsv_header(tsv);
+  result.history.write_tsv(tsv, "HierMinimax");
+  const std::string tsv_text = tsv.str();
+  io::atomic_write_file(
+      "quickstart_history.tsv",
+      reinterpret_cast<const std::uint8_t*>(tsv_text.data()), tsv_text.size());
+  std::cout << "\nwrote quickstart_model.snap and quickstart_history.tsv\n";
 
   const auto& final_summary = result.history.back().summary;
   std::cout << "\nfinal: avg=" << final_summary.average

@@ -116,7 +116,7 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
     span[slot(lv)] = span[slot(lv) + 1] * h_.taus[slot(lv)];
   }
 
-  for (index_t b = 0; b < opts.tau2; ++b) {
+  for (index_t b = 0; b < h_.blocks_per_round(); ++b) {
     // Interior blocks starting here broadcast down, shallowest first.
     for (index_t lv = 1; lv < inner; ++lv) {
       if (b % span[slot(lv)] != 0) continue;
@@ -131,7 +131,7 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
     }
 
     LocalSgdConfig cfg;
-    cfg.steps = opts.tau1;
+    cfg.steps = h_.taus.back();
     cfg.batch_size = opts.batch_size;
     cfg.eta = opts.eta_w;
     cfg.w_radius = opts.w_radius;

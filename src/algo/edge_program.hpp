@@ -22,7 +22,9 @@
 // whichever transport carried the computation.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -44,12 +46,18 @@ namespace hm::algo::detail {
 /// clients. A depth-l node runs taus[l-1] blocks of its children per
 /// block of its parent; a leaf runs taus.back() local SGD steps per
 /// innermost block; a three-layer run has tree {N_E, N_0} and taus
-/// {tau2, tau1}. `opts.tau1` is taus.back() and `opts.tau2` the number
-/// of innermost blocks per round (the product of the outer taus).
+/// {tau2, tau1}. `taus` is resolve_taus(opts, tree depth), and the
+/// engine reads its schedule from `taus` alone, never opts.tau1/tau2.
 struct Hierarchy {
   sim::MultiTopology tree;
   std::vector<index_t> taus;
   TrainOptions opts;
+
+  /// Innermost blocks per round: the product of the outer taus.
+  index_t blocks_per_round() const {
+    return std::accumulate(taus.begin(), taus.end() - 1, index_t{1},
+                           std::multiplies<>());
+  }
 };
 
 class EdgeProgram {
@@ -58,18 +66,18 @@ class EdgeProgram {
               const Hierarchy& h, parallel::ThreadPool& pool);
 
   /// Phase 1 for the given participating areas: seed each area's model
-  /// from the broadcast `w` and run the round's opts.tau2 innermost
-  /// blocks down its subtree. Interior nodes broadcast their model at the
-  /// start of each of their blocks and take the plain mean of their
-  /// children at its end; the leaves' parents combine the leaf reports
-  /// with the robust combiner after local SGD, quantization and payload
-  /// attacks. In innermost block c2 the leaves capture the iterate after
-  /// c1 steps; the capture is averaged up to the area. c2 < 0 captures
-  /// nothing (and allocates no checkpoint buffer). The per-area results
-  /// land in edge_w / edge_ckpt / edge_has_ckpt, which are full-size
-  /// (indexed by area id); only the listed areas' slots are touched.
-  /// Uplink quantization toward the cloud is NOT applied — that is the
-  /// coordinator's hop.
+  /// from the broadcast `w` and run the round's blocks_per_round()
+  /// innermost blocks down its subtree. Interior nodes broadcast their
+  /// model at the start of each of their blocks and take the plain mean
+  /// of their children at its end; the leaves' parents combine the leaf
+  /// reports with the robust combiner after local SGD, quantization and
+  /// payload attacks. In innermost block c2 the leaves capture the
+  /// iterate after c1 steps; the capture is averaged up to the area.
+  /// c2 < 0 captures nothing (and allocates no checkpoint buffer). The
+  /// per-area results land in edge_w / edge_ckpt / edge_has_ckpt, which
+  /// are full-size (indexed by area id); only the listed areas' slots are
+  /// touched. Uplink quantization toward the cloud is NOT applied — that
+  /// is the coordinator's hop.
   void phase1(index_t k, index_t c1, index_t c2,
               std::span<const index_t> edges, const std::vector<scalar_t>& w,
               std::vector<std::vector<scalar_t>>& edge_w,

@@ -91,12 +91,14 @@ void validate_inputs(const nn::Model& model, const data::FederatedDataset& fed,
 // FaultPlan queries — identically whether the area computation ran
 // in-process or in forked workers.
 TrainResult run_engine(const nn::Model& model,
-                       const data::FederatedDataset& fed, const Hierarchy& h,
-                       Variant variant, parallel::ThreadPool& pool) {
+                       const data::FederatedDataset& fed,
+                       const sim::MultiTopology& topo,
+                       const TrainOptions& opts, Variant variant,
+                       parallel::ThreadPool& pool) {
   const VariantInfo& info = kVariants[static_cast<std::size_t>(variant)];
   const bool minimax = info.minimax;
+  const Hierarchy h{topo, resolve_taus(opts, topo.depth()), opts};
   validate_inputs(model, fed, h, minimax);
-  const TrainOptions& opts = h.opts;
   const index_t d = model.num_params();
   const index_t num_edges = h.tree.num_areas();        // N_E
   const index_t n0 = h.tree.leaves_per_area();         // N_0
@@ -179,7 +181,7 @@ TrainResult run_engine(const nn::Model& model,
 
   detail::RunState rs;
   rs.algo_id = info.algo_id;
-  rs.seed = opts.seed;
+  rs.options = options_record(opts, h.tree.branching());
   rs.root = &root;
   rs.w = &result.w;
   if (minimax) rs.p = &result.p;
@@ -188,8 +190,6 @@ TrainResult run_engine(const nn::Model& model,
   rs.comm = &comm;
   rs.stale = &stale;
   rs.history = &result.history;
-  rs.tree.assign(h.tree.branching().begin(), h.tree.branching().end());
-  rs.tree.insert(rs.tree.end(), h.taus.begin(), h.taus.end());
   const index_t k0 = detail::resume_round(opts.resume_from, rs);
 
   if (k0 == 0) {
@@ -215,9 +215,9 @@ TrainResult run_engine(const nn::Model& model,
     if (minimax) {
       rng::Xoshiro256 ckpt_gen = round_gen.split(detail::kTagCheckpoint);
       c1 = 1 + static_cast<index_t>(ckpt_gen.uniform_index(
-                   static_cast<std::uint64_t>(opts.tau1)));
+                   static_cast<std::uint64_t>(h.taus.back())));
       c2 = static_cast<index_t>(ckpt_gen.uniform_index(
-          static_cast<std::uint64_t>(opts.tau2)));
+          static_cast<std::uint64_t>(h.blocks_per_round())));
     }
 
     const auto participating =
@@ -243,7 +243,7 @@ TrainResult run_engine(const nn::Model& model,
     // Delivery metering for the leaf reports of every innermost block,
     // replayed in block, area, leaf order (fault-stat accumulation is
     // order-sensitive floating point).
-    for (index_t t2 = 0; t2 < opts.tau2; ++t2) {
+    for (index_t t2 = 0; t2 < h.blocks_per_round(); ++t2) {
       if (plan.enabled()) {
         for (const index_t e : parts.ids) {
           if (edge_down(e)) continue;
@@ -499,33 +499,6 @@ TrainResult run_engine(const nn::Model& model,
   return result;
 }
 
-/// The run's tree and per-level taus. Empty opts.taus means {tau2,
-/// tau1}; the copied options carry tau1 = taus.back() and tau2 = the
-/// innermost blocks per round (the product of the outer taus), which is
-/// what the engine and EdgeProgram read.
-Hierarchy make_hierarchy(const sim::MultiTopology& topo,
-                         const TrainOptions& opts) {
-  Hierarchy h{topo, opts.taus, opts};
-  if (h.taus.empty()) {
-    h.taus = {opts.tau2, opts.tau1};
-  } else {
-    const TrainOptions defaults;
-    HM_CHECK_MSG(opts.tau1 == defaults.tau1 && opts.tau2 == defaults.tau2,
-                 "set either taus or tau1/tau2, not both (tau1 = "
-                     << opts.tau1 << ", tau2 = " << opts.tau2 << ")");
-    h.opts.tau1 = h.taus.back();
-    h.opts.tau2 = 1;
-    for (std::size_t l = 0; l + 1 < h.taus.size(); ++l) {
-      h.opts.tau2 *= h.taus[l];
-    }
-  }
-  HM_CHECK_MSG(static_cast<index_t>(h.taus.size()) == topo.depth(),
-               "need one tau per tree level: the tree has depth "
-                   << topo.depth() << ", taus has " << h.taus.size()
-                   << " entries");
-  return h;
-}
-
 }  // namespace
 
 TrainResult train_hierminimax(const nn::Model& model,
@@ -533,8 +506,7 @@ TrainResult train_hierminimax(const nn::Model& model,
                               const sim::MultiTopology& topo,
                               const TrainOptions& opts,
                               parallel::ThreadPool& pool) {
-  return run_engine(model, fed, make_hierarchy(topo, opts),
-                    Variant::kHierMinimax, pool);
+  return run_engine(model, fed, topo, opts, Variant::kHierMinimax, pool);
 }
 
 TrainResult train_hierfavg(const nn::Model& model,
@@ -542,8 +514,7 @@ TrainResult train_hierfavg(const nn::Model& model,
                            const sim::MultiTopology& topo,
                            const TrainOptions& opts,
                            parallel::ThreadPool& pool) {
-  return run_engine(model, fed, make_hierarchy(topo, opts),
-                    Variant::kHierFavg, pool);
+  return run_engine(model, fed, topo, opts, Variant::kHierFavg, pool);
 }
 
 }  // namespace hm::algo

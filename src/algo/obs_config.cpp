@@ -39,10 +39,12 @@ ObsOptions apply_obs_flags(const Flags& flags) {
   return opts;
 }
 
-obs::Manifest build_run_manifest(const Flags& flags,
-                                 const TrainOptions& opts) {
+obs::Manifest build_run_manifest(const Flags& flags, const TrainOptions& opts,
+                                 const std::vector<index_t>& tree) {
   obs::Manifest m = obs::make_base_manifest();
-  m.set("seed", std::to_string(opts.seed));
+  for (const auto& [name, value] : options_record(opts, tree)) {
+    m.set("opt." + name, value);
+  }
   m.set("transport", net::to_string(opts.transport.kind));
   m.set("simd", tensor::simd_level_name(tensor::active_simd_level()));
   for (const std::string& name : flags.names()) {

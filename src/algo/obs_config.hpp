@@ -14,8 +14,9 @@
 //   --log-level L        debug | info | warn | error | off; overrides
 //                        the HM_LOG_LEVEL environment variable
 //
-// Both output files embed the run manifest (seed, flags, SIMD dispatch,
-// transport backend, build id), so a captured file is self-describing.
+// Both output files embed the run manifest (options record, flags, SIMD
+// dispatch, transport backend, build id), so a captured file is
+// self-describing.
 #pragma once
 
 #include <string>
@@ -40,10 +41,11 @@ struct ObsOptions {
 ObsOptions apply_obs_flags(const Flags& flags);
 
 /// Build the once-per-run manifest: base build facts (git describe,
-/// build type, hook state) + seed, transport backend, SIMD dispatch
-/// decision, and every flag seen on the command line ("flag.<name>").
-obs::Manifest build_run_manifest(const Flags& flags,
-                                 const TrainOptions& opts);
+/// build type, hook state) + the run's options_record over `tree`
+/// ("opt.<name>"), transport backend, SIMD dispatch decision, and every
+/// flag seen on the command line ("flag.<name>").
+obs::Manifest build_run_manifest(const Flags& flags, const TrainOptions& opts,
+                                 const std::vector<index_t>& tree);
 
 /// End-of-run export: write the metrics snapshot and/or the trace to
 /// the paths configured in `opts` (atomic rename, fsynced) and disable

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/projection.hpp"
@@ -61,7 +62,7 @@ struct TrainOptions {
                                  // level, outermost first, one entry per
                                  // level (taus.back() = local steps);
                                  // empty = {tau2, tau1}. Exclusive with a
-                                 // non-default tau1/tau2.
+                                 // non-default tau1/tau2 (resolve_taus).
   index_t batch_size = 1;        // mini-batch size for local SGD
   scalar_t eta_w = 0.01;         // model learning rate
   scalar_t eta_p = 0.01;         // weight-vector learning rate
@@ -100,9 +101,12 @@ struct TrainOptions {
   // the trainer writes a durable full-state snapshot after every
   // `every_k_rounds`-th round. When `resume_from` names a snapshot
   // directory, training restarts from its newest valid snapshot and the
-  // remaining trajectory is bit-identical to the uninterrupted run
-  // (options and seed must match the original run; mismatches throw
-  // CheckError). An empty/missing directory is a fresh start.
+  // remaining trajectory is bit-identical to the uninterrupted run. Every
+  // snapshot carries the run's options_record, and a resume whose record
+  // differs throws CheckError naming the first differing option. Only
+  // `snapshot`, `resume_from` and `transport` are exempt: the first two
+  // say where state is stored, and every transport is bit-identical to
+  // the in-process oracle. An empty/missing directory is a fresh start.
   io::SnapshotPolicy snapshot;
   std::string resume_from;
 
@@ -118,6 +122,21 @@ struct TrainOptions {
   // edge crash.
   net::TransportSpec transport;
 };
+
+/// The blocks per level of a depth-`depth` tree, outermost first:
+/// opts.taus, else {tau2, tau1} at depth 2 and {tau1} at depth 1 (the
+/// two-layer trainers' flat client set). Throws CheckError when taus is
+/// set beside a non-default tau1/tau2 or has not one entry per level.
+std::vector<index_t> resolve_taus(const TrainOptions& opts, index_t depth);
+
+/// A run's trajectory-shaping options as (name, canonical value) rows in
+/// the fixed order of algo/options.cpp's table: the tree branching (the
+/// two-layer trainers pass {number of clients}), resolve_taus over it,
+/// and every other option. Doubles render shortest round-trip, so equal
+/// strings mean equal bits.
+using OptionsRecord = std::vector<std::pair<std::string, std::string>>;
+OptionsRecord options_record(const TrainOptions& opts,
+                             const std::vector<index_t>& tree);
 
 struct TrainResult {
   std::vector<scalar_t> w;       // final global model w^(K)

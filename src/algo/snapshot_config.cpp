@@ -4,8 +4,8 @@
 
 namespace hm::algo {
 
-void snapshot_flags(const Flags& flags, io::SnapshotPolicy& policy,
-                    std::string& resume_from) {
+void apply_snapshot_flags(const Flags& flags, TrainOptions& opts) {
+  io::SnapshotPolicy& policy = opts.snapshot;
   policy.every_k_rounds =
       flags.get_int("snapshot-every", policy.every_k_rounds);
   HM_CHECK_MSG(policy.every_k_rounds >= 0,
@@ -17,12 +17,8 @@ void snapshot_flags(const Flags& flags, io::SnapshotPolicy& policy,
   policy.keep = flags.get_int("snapshot-keep", policy.keep);
   HM_CHECK_MSG(policy.keep >= 1,
                "--snapshot-keep must be >= 1, got " << policy.keep);
-  if (flags.get_bool("resume", false)) resume_from = policy.dir;
-  resume_from = flags.get_string("resume-from", resume_from);
-}
-
-void apply_snapshot_flags(const Flags& flags, TrainOptions& opts) {
-  snapshot_flags(flags, opts.snapshot, opts.resume_from);
+  if (flags.get_bool("resume", false)) opts.resume_from = policy.dir;
+  opts.resume_from = flags.get_string("resume-from", opts.resume_from);
 }
 
 }  // namespace hm::algo

@@ -10,20 +10,14 @@
 //   --resume-from D      resume from an explicit snapshot directory
 //
 // Resume is bit-exact: the remaining trajectory of a resumed run is
-// byte-identical to the uninterrupted run with the same options and seed.
+// byte-identical to the uninterrupted run, and a resume whose options
+// record differs from the snapshot's is refused (algo/options.hpp).
 #pragma once
-
-#include <string>
 
 #include "algo/options.hpp"
 #include "core/flags.hpp"
-#include "io/snapshot.hpp"
 
 namespace hm::algo {
-
-/// Parse the snapshot/resume flags into a policy + resume directory.
-void snapshot_flags(const Flags& flags, io::SnapshotPolicy& policy,
-                    std::string& resume_from);
 
 /// Apply the snapshot flags to `opts.snapshot` / `opts.resume_from`.
 void apply_snapshot_flags(const Flags& flags, TrainOptions& opts);

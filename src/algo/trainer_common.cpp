@@ -574,16 +574,33 @@ bool stale_live(const StaleStore* stale) {
   return stale != nullptr && !stale->last_round.empty();
 }
 
-/// "tree {4,2,2} taus {2,2,2}" for a RunState::tree (branching, then
-/// as many taus).
-std::string format_tree(const std::vector<std::int64_t>& tree) {
-  std::ostringstream os;
-  const std::size_t half = tree.size() / 2;
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    os << (i == 0 ? "tree {" : i == half ? "} taus {" : ",") << tree[i];
+/// The OPTS section: one "name=value\n" line per record row.
+std::vector<std::uint8_t> encode_options(const OptionsRecord& record) {
+  std::string text;
+  for (const auto& [name, value] : record) text += name + "=" + value + "\n";
+  return {text.begin(), text.end()};
+}
+
+OptionsRecord decode_options(const std::vector<std::uint8_t>& bytes,
+                             const std::string& path) {
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  OptionsRecord record;
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t eq = line.find('=');
+    HM_CHECK_MSG(eq != std::string::npos,
+                 "snapshot '" << path << "' has a malformed OPTS line '"
+                              << line.substr(0, 64) << "'");
+    record.emplace_back(line.substr(0, eq), line.substr(eq + 1));
   }
-  os << "}";
-  return os.str();
+  return record;
+}
+
+/// The value of option `name` in `record`, or "(none)".
+std::string option_value(const OptionsRecord& record,
+                         const std::string& name) {
+  const auto it = std::find_if(record.begin(), record.end(),
+                               [&](const auto& r) { return r.first == name; });
+  return it == record.end() ? "(none)" : it->second;
 }
 
 }  // namespace
@@ -592,9 +609,8 @@ io::Snapshot make_run_snapshot(const RunState& st, index_t next_round) {
   HM_CHECK(st.root != nullptr && st.w != nullptr && st.history != nullptr);
   io::Snapshot s;
   s.put_u64(kSnapAlgo, st.algo_id);
-  s.put_u64(kSnapSeed, st.seed);
+  if (!st.options.empty()) s.put_bytes(kSnapOpts, encode_options(st.options));
   s.put_u64(kSnapRound, static_cast<std::uint64_t>(next_round));
-  if (!st.tree.empty()) s.put_i64_vec(kSnapTree, st.tree);
   {
     io::ByteWriter w;
     encode_stream_state(w, st.root->state());
@@ -642,26 +658,31 @@ index_t resume_round(const std::string& resume_from, const RunState& st) {
                "snapshot '" << loaded->path << "' was written by algorithm id "
                             << algo << ", this run is algorithm id "
                             << st.algo_id);
-  const std::uint64_t seed = s.get_u64(kSnapSeed);
-  HM_CHECK_MSG(seed == st.seed, "snapshot '"
-                                    << loaded->path << "' used seed " << seed
-                                    << ", this run uses seed " << st.seed
-                                    << " — resume would not be bit-exact");
-  // The tree and taus shape every later round but not every section's
-  // size, so they are compared outright.
-  HM_CHECK_MSG(st.tree.empty() != s.has(kSnapTree),
-               "snapshot '" << loaded->path << "' "
-                            << (s.has(kSnapTree) ? "has" : "lacks")
-                            << " a tree section but this run "
-                            << (st.tree.empty() ? "has no tree" : "does"));
-  if (s.has(kSnapTree)) {
-    const std::vector<std::int64_t> tree = s.get_i64_vec(kSnapTree);
-    HM_CHECK_MSG(tree == st.tree, "snapshot '"
-                                      << loaded->path << "' was written on "
-                                      << format_tree(tree)
-                                      << ", this run uses "
-                                      << format_tree(st.tree)
-                                      << " — resume would not be bit-exact");
+  // Every option that shapes the trajectory is in the record, so one
+  // loop over its rows (this run's, then any only the snapshot has)
+  // compares them all.
+  HM_CHECK_MSG(s.has(kSnapOpts),
+               "snapshot '" << loaded->path
+                            << "' has no OPTS section (it predates the "
+                               "options record), so a resume cannot be "
+                               "checked to be bit-exact");
+  const OptionsRecord saved =
+      decode_options(s.get_bytes(kSnapOpts), loaded->path);
+  const auto schedule = [](const OptionsRecord& r) {
+    return "tree " + option_value(r, "tree") + " taus " +
+           option_value(r, "taus");
+  };
+  OptionsRecord rows = st.options;
+  rows.insert(rows.end(), saved.begin(), saved.end());
+  for (const auto& row : rows) {
+    const std::string was = option_value(saved, row.first);
+    const std::string now = option_value(st.options, row.first);
+    HM_CHECK_MSG(was == now,
+                 "snapshot '" << loaded->path << "' was written on "
+                              << schedule(saved) << ", this run uses "
+                              << schedule(st.options) << "; " << row.first
+                              << ": snapshot " << was << ", this run " << now
+                              << " — resume would not be bit-exact");
   }
   const std::uint64_t next_round = s.get_u64(kSnapRound);
   HM_CHECK_MSG(next_round >= 1 && next_round <= (1ULL << 40),

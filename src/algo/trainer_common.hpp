@@ -216,7 +216,7 @@ void publish_comm_metrics(const sim::CommStats& comm);
 
 // Snapshot section tags (ASCII mnemonics, little-endian FourCC).
 inline constexpr std::uint32_t kSnapAlgo = 0x4f474c41;        // "ALGO"
-inline constexpr std::uint32_t kSnapSeed = 0x44454553;        // "SEED"
+inline constexpr std::uint32_t kSnapOpts = 0x5354504f;        // "OPTS"
 inline constexpr std::uint32_t kSnapRound = 0x444e5552;       // "RUND"
 inline constexpr std::uint32_t kSnapRng = 0x53474e52;         // "RNGS"
 inline constexpr std::uint32_t kSnapW = 0x5f5f5f57;           // "W___"
@@ -229,7 +229,6 @@ inline constexpr std::uint32_t kSnapComm = 0x4d4d4f43;        // "COMM"
 inline constexpr std::uint32_t kSnapStaleModels = 0x4d4c5453; // "STLM"
 inline constexpr std::uint32_t kSnapStaleRounds = 0x524c5453; // "STLR"
 inline constexpr std::uint32_t kSnapHistory = 0x54534948;     // "HIST"
-inline constexpr std::uint32_t kSnapTree = 0x45455254;        // "TREE"
 
 // Algorithm ids embedded in every snapshot so resuming with the wrong
 // trainer (or comparing λ of a min-only method) fails loudly.
@@ -246,7 +245,9 @@ inline constexpr std::uint64_t kAlgoQffl = 7;
 /// presence in a snapshot must match, or resume_round throws.
 struct RunState {
   std::uint64_t algo_id = 0;
-  seed_t seed = 0;
+  // The run's options_record, written as the OPTS section; a resume must
+  // find the same record. Empty only in hand-built test states.
+  OptionsRecord options;
   rng::Xoshiro256* root = nullptr;            // required
   std::vector<scalar_t>* w = nullptr;         // required
   std::vector<scalar_t>* p = nullptr;
@@ -257,9 +258,6 @@ struct RunState {
   sim::CommStats* comm = nullptr;
   StaleStore* stale = nullptr;                // snapshotted iff initialized
   metrics::TrainingHistory* history = nullptr;
-  // Hierarchical trainers: the tree's branching followed by the resolved
-  // taus (one per level). A resume must find the same values.
-  std::vector<std::int64_t> tree;
 };
 
 /// Encode the pointed-at state as an io::Snapshot; `next_round` is the
@@ -269,8 +267,10 @@ io::Snapshot make_run_snapshot(const RunState& st, index_t next_round);
 /// Restore state from the newest valid snapshot under `resume_from` and
 /// return the first round index to run; 0 (fresh start, state untouched)
 /// when `resume_from` is empty or holds no valid snapshot. Throws
-/// CheckError when the snapshot belongs to a different algorithm, seed or
-/// tree and taus, or its shapes do not match the run's options/topology.
+/// CheckError when the snapshot belongs to a different algorithm, has no
+/// OPTS section or another options record (the message names the first
+/// differing option and both values), or its shapes do not match the
+/// run's topology.
 index_t resume_round(const std::string& resume_from, const RunState& st);
 
 /// End-of-round hook, called as the last statement of round k's loop

@@ -171,7 +171,7 @@ TrainResult run_two_layer(const nn::Model& model,
 
   detail::RunState rs;
   rs.algo_id = info.algo_id;
-  rs.seed = opts.seed;
+  rs.options = options_record(opts, {num_clients});
   rs.root = &root;
   rs.w = &result.w;
   rs.w_avg = &result.w_avg;

@@ -31,17 +31,6 @@ void set_threshold(Level level) {
   g_threshold.store(level, std::memory_order_relaxed);
 }
 
-const char* level_name(Level level) {
-  switch (level) {
-    case Level::kDebug: return "debug";
-    case Level::kInfo: return "info";
-    case Level::kWarn: return "warn";
-    case Level::kError: return "error";
-    case Level::kOff: return "off";
-  }
-  return "?";
-}
-
 bool parse_level(const std::string& name, Level& out) {
   std::string lower;
   lower.reserve(name.size());

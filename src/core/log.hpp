@@ -13,9 +13,6 @@ enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 Level threshold();
 void set_threshold(Level level);
 
-/// Canonical lowercase name ("debug", "info", "warn", "error", "off").
-const char* level_name(Level level);
-
 /// Parse a level name (case-insensitive; accepts "warning" for kWarn).
 /// Returns false and leaves `out` untouched on unknown input.
 bool parse_level(const std::string& name, Level& out);

@@ -20,9 +20,9 @@
 // `snapshot.<round>` that fails validation — and loading falls back to
 // the previous last-good file in both cases.
 //
-// Layering: this is the only module (with checkpoint.cpp) allowed to
-// touch the filesystem directly — detlint's `direct-persistence` rule
-// rejects ofstream/fopen/rename/remove anywhere else under src/.
+// Layering: this is the only module allowed to touch the filesystem
+// directly — detlint's `direct-persistence` rule rejects
+// ofstream/fopen/rename/remove anywhere else under src/.
 #pragma once
 
 #include <cstdint>

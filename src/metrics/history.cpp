@@ -20,14 +20,6 @@ std::optional<std::uint64_t> TrainingHistory::rounds_to_average_accuracy(
   return std::nullopt;
 }
 
-std::optional<std::uint64_t>
-TrainingHistory::edge_cloud_rounds_to_worst_accuracy(scalar_t target) const {
-  for (const auto& r : records_) {
-    if (r.summary.worst >= target) return r.comm.edge_cloud_rounds;
-  }
-  return std::nullopt;
-}
-
 std::optional<std::uint64_t> TrainingHistory::wan_payloads_to_worst_accuracy(
     scalar_t target) const {
   for (const auto& r : records_) {
@@ -72,16 +64,42 @@ AccuracySummary TrainingHistory::tail_summary(index_t window) const {
   return out;
 }
 
+namespace {
+
+/// The TSV columns after the label, in order: calls f(name, value) once
+/// per column, so the header and the rows come from this one list.
+template <typename F>
+void for_each_column(const RoundRecord& r, F&& f) {
+  f("round", r.round);
+  f("comm_rounds", r.comm.total_rounds());
+  f("client_edge_rounds", r.comm.client_edge_rounds);
+  f("edge_cloud_rounds", r.comm.edge_cloud_rounds);
+  f("edge_cloud_models", r.comm.edge_cloud_models());
+  f("msgs_delivered", r.comm.msgs_delivered());
+  f("msgs_dropped", r.comm.msgs_dropped());
+  f("msgs_straggled", r.comm.msgs_straggled());
+  f("avg_acc", r.summary.average);
+  f("worst_acc", r.summary.worst);
+  f("variance_pct2", r.summary.variance_pct2);
+  f("loss", r.global_loss);
+}
+
+}  // namespace
+
+void TrainingHistory::write_tsv_header(std::ostream& os) {
+  os << "method";
+  for_each_column(RoundRecord{},
+                  [&](const char* name, const auto&) { os << '\t' << name; });
+  os << '\n';
+}
+
 void TrainingHistory::write_tsv(std::ostream& os,
                                 const std::string& label) const {
   for (const auto& r : records_) {
-    os << label << '\t' << r.round << '\t' << r.comm.total_rounds() << '\t'
-       << r.comm.client_edge_rounds << '\t' << r.comm.edge_cloud_rounds
-       << '\t' << r.comm.edge_cloud_models() << '\t'
-       << r.comm.msgs_delivered() << '\t' << r.comm.msgs_dropped() << '\t'
-       << r.comm.msgs_straggled() << '\t' << r.summary.average << '\t'
-       << r.summary.worst << '\t' << r.summary.variance_pct2 << '\t'
-       << r.global_loss << '\n';
+    os << label;
+    for_each_column(
+        r, [&](const char*, const auto& value) { os << '\t' << value; });
+    os << '\n';
   }
 }
 

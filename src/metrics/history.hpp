@@ -41,11 +41,6 @@ class TrainingHistory {
   std::optional<std::uint64_t> rounds_to_average_accuracy(
       scalar_t target) const;
 
-  /// First cumulative edge-cloud (wide-area) rounds at which worst
-  /// accuracy >= target.
-  std::optional<std::uint64_t> edge_cloud_rounds_to_worst_accuracy(
-      scalar_t target) const;
-
   /// First cumulative edge-cloud *model payload* count at which worst
   /// accuracy >= target. This is the communication-overhead headline
   /// metric (the paper's "communication rounds" x-axis up to a constant):
@@ -69,9 +64,13 @@ class TrainingHistory {
 
   /// TSV dump: one line per record with round, comm counters, the fault
   /// delivery roll-ups (delivered/dropped/straggled, all zero without a
-  /// FaultPlan), avg/worst/variance. `label` becomes the first column
-  /// (method name).
+  /// FaultPlan), avg/worst/variance and loss. `label` becomes the first
+  /// column (method name).
   void write_tsv(std::ostream& os, const std::string& label) const;
+
+  /// The header line of write_tsv's rows, written from the same column
+  /// list: "method", then one name per column.
+  static void write_tsv_header(std::ostream& os);
 
  private:
   std::vector<RoundRecord> records_;

@@ -1,4 +1,4 @@
-// Run manifest: the once-per-run provenance record (seed, CLI flags,
+// Run manifest: the once-per-run provenance record (options, CLI flags,
 // SIMD dispatch table, transport backend, build id) emitted alongside
 // every metrics/trace export so a captured file is self-describing.
 // Values are strings on purpose — the manifest is metadata, not a

@@ -66,8 +66,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-bool ThreadPool::in_region() { return tl_region_depth > 0; }
-
 void ThreadPool::work_region(bool joiner) {
   RegionDepthGuard depth;
   Region& r = region_;

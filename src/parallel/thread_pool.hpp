@@ -71,10 +71,6 @@ class ThreadPool {
   using RegionFn = void (*)(void* ctx, index_t chunk);
   void run_region(index_t num_chunks, RegionFn fn, void* ctx);
 
-  /// True while the calling thread is executing inside a region chunk
-  /// (used by parallel_for to fall back to serial execution).
-  static bool in_region();
-
   /// Process-wide shared pool, created on first use.
   static ThreadPool& global();
 

@@ -1,11 +1,8 @@
 // Tests for the extension features: Dirichlet partitioning, q-FFL,
-// quantized training, checkpoint/CSV persistence, and the L-level
-// multi-hierarchy generalization of HierMinimax.
+// quantized training, and the L-level multi-hierarchy generalization of
+// HierMinimax.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <set>
 
 #include "algo/fedavg.hpp"
@@ -13,7 +10,6 @@
 #include "algo/hierminimax.hpp"
 #include "algo/qffl.hpp"
 #include "data/generators.hpp"
-#include "io/checkpoint.hpp"
 #include "nn/softmax_regression.hpp"
 #include "tensor/vecops.hpp"
 #include "test_util.hpp"
@@ -243,64 +239,6 @@ TEST(QuantizedTraining, ZeroBitsIsExactlyBaseline) {
   opts.quantize_bits = 0;
   const auto b = algo::train_fedavg(model, fed, opts, test_pool());
   EXPECT_EQ(a.w, b.w);
-}
-
-// -------------------------------------------------------------------- io
-
-TEST(Io, VectorRoundTrip) {
-  const std::string path = "/tmp/hm_test_ckpt.bin";
-  std::vector<scalar_t> v = {1.5, -2.25, 0.0, 1e-17, 3e200};
-  io::save_vector(path, v);
-  const auto loaded = io::load_vector(path);
-  EXPECT_EQ(loaded, v);
-  std::remove(path.c_str());
-}
-
-TEST(Io, EmptyVectorRoundTrip) {
-  const std::string path = "/tmp/hm_test_ckpt_empty.bin";
-  io::save_vector(path, {});
-  EXPECT_TRUE(io::load_vector(path).empty());
-  std::remove(path.c_str());
-}
-
-TEST(Io, RejectsCorruptFiles) {
-  const std::string path = "/tmp/hm_test_ckpt_bad.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a checkpoint at all";
-  }
-  EXPECT_THROW(io::load_vector(path), CheckError);
-  EXPECT_THROW(io::load_vector("/tmp/hm_does_not_exist.bin"), CheckError);
-  std::remove(path.c_str());
-}
-
-TEST(Io, RejectsTruncatedFiles) {
-  const std::string path = "/tmp/hm_test_ckpt_trunc.bin";
-  io::save_vector(path, {1.0, 2.0, 3.0});
-  // Chop the last 8 bytes.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 8);
-  EXPECT_THROW(io::load_vector(path), CheckError);
-  std::remove(path.c_str());
-}
-
-TEST(Io, HistoryCsvHasHeaderAndRows) {
-  metrics::TrainingHistory h;
-  metrics::RoundRecord r;
-  r.round = 3;
-  r.edge_acc = {0.5, 0.7};
-  r.summary = metrics::summarize(r.edge_acc);
-  h.add(r);
-  const std::string path = "/tmp/hm_test_history.csv";
-  io::save_history_csv(path, h);
-  std::ifstream in(path);
-  std::string header, row, extra;
-  ASSERT_TRUE(static_cast<bool>(std::getline(in, header)));
-  EXPECT_EQ(header.rfind("round,", 0), 0u);
-  ASSERT_TRUE(static_cast<bool>(std::getline(in, row)));
-  EXPECT_EQ(row.rfind("3,", 0), 0u);
-  EXPECT_FALSE(static_cast<bool>(std::getline(in, extra)));
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- multi-level hierarchy

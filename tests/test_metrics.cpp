@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/generators.hpp"
 #include "metrics/evaluation.hpp"
@@ -187,6 +190,54 @@ TEST(History, TsvHasOneLinePerRecordWithLabel) {
   const std::string out = os.str();
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
   EXPECT_EQ(out.rfind("hierminimax\t", 0), 0u);
+}
+
+/// The header comes from the rows' own column list: as many fields as a
+/// row, and each name over the value it labels, the msgs_* roll-ups
+/// included.
+TEST(History, TsvHeaderNamesEveryRowColumn) {
+  RoundRecord r;
+  r.round = 7;
+  r.comm.client_edge_rounds = 11;
+  r.comm.edge_cloud_rounds = 13;
+  r.comm.edge_cloud_models_up = 17;
+  r.comm.client_edge_fault.delivered = 19;
+  r.comm.edge_cloud_fault.dropped = 23;
+  r.comm.client_edge_fault.straggled = 29;
+  r.summary.average = 0.5;
+  r.summary.worst = 0.25;
+  r.summary.variance_pct2 = 3;
+  r.global_loss = 0.125;
+  TrainingHistory h;
+  h.add(r);
+  std::ostringstream os;
+  TrainingHistory::write_tsv_header(os);
+  h.write_tsv(os, "m");
+  std::istringstream lines(os.str());
+  const auto fields = [&] {
+    std::string line, field;
+    std::getline(lines, line);
+    std::istringstream in(line);
+    std::vector<std::string> out;
+    while (std::getline(in, field, '\t')) out.push_back(field);
+    return out;
+  };
+  const std::vector<std::string> header = fields();
+  const std::vector<std::string> row = fields();
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"method", "m"},          {"round", "7"},
+      {"comm_rounds", "24"},    {"client_edge_rounds", "11"},
+      {"edge_cloud_rounds", "13"}, {"edge_cloud_models", "17"},
+      {"msgs_delivered", "19"}, {"msgs_dropped", "23"},
+      {"msgs_straggled", "29"}, {"avg_acc", "0.5"},
+      {"worst_acc", "0.25"},    {"variance_pct2", "3"},
+      {"loss", "0.125"}};
+  ASSERT_EQ(header.size(), want.size());
+  ASSERT_EQ(row.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(header[i], want[i].first) << "column " << i;
+    EXPECT_EQ(row[i], want[i].second) << want[i].first;
+  }
 }
 
 TEST(History, TailSummaryAveragesLastWindow) {

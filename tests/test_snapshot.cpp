@@ -9,7 +9,8 @@
 //   (c) the kill-and-resume matrix: every trainer x several crash points
 //       x {fault-free, active FaultPlan}, asserting the resumed run's
 //       final model, weights, comm counters, and history TSV are
-//       byte-identical to the uninterrupted run,
+//       byte-identical to the uninterrupted run, and the options record:
+//       a resume with any recorded option changed is refused by name,
 //   (d) the CI smoke target (SnapshotCrashReplay): HierMinimax killed
 //       mid-snapshot-write, resumed past the torn file, bit-compared,
 //   (e) codec byte compatibility: the slicing-by-8 CRC32 against a
@@ -36,7 +37,6 @@
 #include "algo/qffl.hpp"
 #include "algo/trainer_common.hpp"
 #include "core/check.hpp"
-#include "io/checkpoint.hpp"
 #include "io/snapshot.hpp"
 #include "nn/softmax_regression.hpp"
 #include "sim/multi_topology.hpp"
@@ -304,20 +304,6 @@ TEST(SnapshotDecode, HostileSectionHeadersAreRejected) {
   }
 }
 
-/// Checkpoint twin of the huge-length case: a corrupted HMCK length field
-/// must be rejected against the real file size before any allocation.
-TEST(SnapshotDecode, CheckpointHugeLengthFieldIsRejectedBeforeAllocating) {
-  const std::string path = "/tmp/hm_snapshot_test_huge_len.bin";
-  io::save_vector(path, {1.0, 2.0, 3.0});
-  auto bytes = read_file(path);
-  // Length lives at offset 8 (after 4B magic + 4B version), host-endian
-  // u64 as written by save_vector.
-  const std::uint64_t huge = 1ull << 60;
-  std::memcpy(bytes.data() + 8, &huge, sizeof(huge));
-  write_file(path, bytes);
-  EXPECT_THROW(io::load_vector(path), CheckError);
-}
-
 // ---------------------------------------------------------------------
 // (b) The durable store: naming, rotation, fallback, torn writes.
 
@@ -513,6 +499,16 @@ TrainOptions with_snapshots(TrainOptions o, const io::SnapshotPolicy& policy,
   return o;
 }
 
+/// The CheckError message `run` throws, or "" when it returns normally.
+std::string check_error_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 std::vector<Trainer> trainers() {
   std::vector<Trainer> out;
   out.push_back(
@@ -691,7 +687,18 @@ TEST(SnapshotResume, WrongAlgorithmOrSeedIsRejected) {
   // Same trainer, different seed: resume would not be bit-exact.
   auto reseeded = with_snapshots(snap_opts(false), policy, dir);
   reseeded.seed = 6;
-  EXPECT_THROW(train_fedavg(model, fed, reseeded, test_pool()), CheckError);
+  std::string msg =
+      check_error_of([&] { train_fedavg(model, fed, reseeded, test_pool()); });
+  EXPECT_NE(msg.find("seed: snapshot 5, this run 6"), std::string::npos)
+      << msg;
+
+  // Same trainer and seed, another tau1: the two-layer trainers' one
+  // schedule field is the record's taus row.
+  auto retimed = with_snapshots(snap_opts(false), policy, dir);
+  retimed.tau1 = 3;
+  msg = check_error_of([&] { train_fedavg(model, fed, retimed, test_pool()); });
+  EXPECT_NE(msg.find("taus: snapshot {2}, this run {3}"), std::string::npos)
+      << msg;
 }
 
 /// The L-level runs once wrote their own trainer ids (5: HierMinimax,
@@ -708,7 +715,6 @@ TEST(SnapshotResume, RetiredMultiLevelAlgoIdsAreRefused) {
     metrics::TrainingHistory history;
     detail::RunState st;
     st.algo_id = retired;
-    st.seed = 5;
     st.root = &root;
     st.w = &w;
     st.history = &history;
@@ -748,35 +754,189 @@ TEST(SnapshotResume, DifferentTreeOrTausIsRejected) {
                         test_pool()),
       io::SimulatedCrash);
 
+  // Each refusal names both schedules and the first differing row.
   const auto expect_refused = [&](const sim::MultiTopology& topo,
                                   const TrainOptions& o,
-                                  const std::string& run_tree) {
-    try {
+                                  const std::string& run_tree,
+                                  const std::string& first_difference) {
+    const std::string msg = check_error_of([&] {
       train_hierminimax(model, fed, topo,
                         with_snapshots(o, io::SnapshotPolicy{}, dir),
                         test_pool());
-      FAIL() << "resumed a {4,2,2} snapshot into " << run_tree;
-    } catch (const CheckError& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("tree {4,2,2} taus {2,2,2}"), std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find(run_tree), std::string::npos) << msg;
+    });
+    for (const std::string& want :
+         {std::string("tree {4,2,2} taus {2,2,2}"), run_tree,
+          first_difference}) {
+      EXPECT_NE(msg.find(want), std::string::npos)
+          << "missing '" << want << "' in: " << msg;
     }
   };
   // Depth 3 into depth 2 over the same areas and leaves.
   auto flat = snap_opts(false);
   flat.tau2 = 5;
   flat.tau1 = 3;
-  expect_refused(sim::HierTopology(4, 4), flat, "tree {4,4} taus {5,3}");
+  expect_refused(sim::HierTopology(4, 4), flat, "tree {4,4} taus {5,3}",
+                 "tree: snapshot {4,2,2}, this run {4,4}");
   // Same tree, other taus.
   expect_refused(sim::MultiTopology({4, 2, 2}),
                  with_taus(snap_opts(false), {2, 2, 3}),
-                 "tree {4,2,2} taus {2,2,3}");
+                 "tree {4,2,2} taus {2,2,3}",
+                 "taus: snapshot {2,2,2}, this run {2,2,3}");
+  // Same tree and taus, another option: the schedules agree and the
+  // differing row is named.
+  auto steeper = deep_snap_opts(false);
+  steeper.eta_p *= 2;
+  expect_refused(sim::MultiTopology({4, 2, 2}), steeper,
+                 "this run uses tree {4,2,2} taus {2,2,2}",
+                 "eta_p: snapshot 0.02, this run 0.04");
   // The matching run resumes.
   EXPECT_NO_THROW(train_hierminimax(
       model, fed, sim::MultiTopology({4, 2, 2}),
       with_snapshots(deep_snap_opts(false), io::SnapshotPolicy{}, dir),
       test_pool()));
+}
+
+/// A depth-3 HierMinimax run that crashed after round 3, resumed with
+/// eta_w x10, batch_size + 3 and quantize_bits 4, would continue a
+/// trajectory neither configuration produces. The resume is refused and
+/// names the first differing option, eta_w, with both values.
+TEST(SnapshotResume, OtherOptionsAreRefusedNamingTheFirstDifference) {
+  const auto& fed = deep_task();
+  const sim::MultiTopology topo({4, 2, 2});
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  const std::string dir = fresh_dir("options_mismatch");
+  io::SnapshotPolicy policy;
+  policy.every_k_rounds = kEveryK;
+  policy.dir = dir;
+  policy.crash_after_round = 3;
+  EXPECT_THROW(
+      train_hierminimax(model, fed, topo,
+                        with_snapshots(deep_snap_opts(false), policy, ""),
+                        test_pool()),
+      io::SimulatedCrash);
+
+  auto changed =
+      with_snapshots(deep_snap_opts(false), io::SnapshotPolicy{}, dir);
+  changed.eta_w *= 10;
+  changed.batch_size += 3;
+  changed.quantize_bits = 4;
+  const std::string msg = check_error_of(
+      [&] { train_hierminimax(model, fed, topo, changed, test_pool()); });
+  EXPECT_NE(msg.find("eta_w: snapshot 0.1, this run 1 "), std::string::npos)
+      << msg;
+}
+
+/// A snapshot written before the options record has no OPTS section, so
+/// nothing can show that the resume is bit-exact: it is refused by name.
+TEST(SnapshotResume, SnapshotWithoutOptionsRecordIsRefused) {
+  const auto& fed = shared_task();
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  const std::string dir = fresh_dir("no_opts");
+  rng::Xoshiro256 root(5);
+  std::vector<scalar_t> w(static_cast<std::size_t>(model.num_params()), 0);
+  metrics::TrainingHistory history;
+  detail::RunState st;  // no options: make_run_snapshot writes no OPTS
+  st.algo_id = detail::kAlgoFedAvg;
+  st.root = &root;
+  st.w = &w;
+  st.history = &history;
+  io::save_snapshot(dir, 2, 1, detail::make_run_snapshot(st, 1));
+  const std::string msg = check_error_of([&] {
+    train_fedavg(model, fed,
+                 with_snapshots(snap_opts(false), io::SnapshotPolicy{}, dir),
+                 test_pool());
+  });
+  EXPECT_NE(msg.find("has no OPTS section"), std::string::npos) << msg;
+}
+
+/// Each row of the record renders one field: perturbing that field
+/// changes that row's value and no other row's, and the exempt fields
+/// change nothing. The list below must name every row.
+TEST(OptionsRecord, PerturbingAFieldChangesOnlyItsRow) {
+  using Perturb = void (*)(TrainOptions&);
+  const std::vector<std::pair<std::string, Perturb>> rows = {
+      {"seed", [](TrainOptions& o) { o.seed += 1; }},
+      {"taus", [](TrainOptions& o) { o.tau1 += 1; }},
+      {"eta_w",  // one ulp: shortest round-trip tells the two apart
+       [](TrainOptions& o) { o.eta_w = std::nextafter(o.eta_w, 1.0); }},
+      {"eta_p", [](TrainOptions& o) { o.eta_p *= 2; }},
+      {"sampled_edges", [](TrainOptions& o) { o.sampled_edges += 1; }},
+      {"p_set.lo", [](TrainOptions& o) { o.p_set.lo = 0.01; }},
+      {"p_set.hi", [](TrainOptions& o) { o.p_set.hi = 0.9; }},
+      {"rounds", [](TrainOptions& o) { o.rounds += 1; }},
+      {"batch_size", [](TrainOptions& o) { o.batch_size += 1; }},
+      {"sampled_clients", [](TrainOptions& o) { o.sampled_clients += 1; }},
+      {"w_radius", [](TrainOptions& o) { o.w_radius = 3; }},
+      {"weight_decay", [](TrainOptions& o) { o.weight_decay = 1e-4; }},
+      {"prox_mu", [](TrainOptions& o) { o.prox_mu = 0.1; }},
+      {"eval_every", [](TrainOptions& o) { o.eval_every += 1; }},
+      {"loss_est_batch", [](TrainOptions& o) { o.loss_est_batch += 1; }},
+      {"quantize_bits", [](TrainOptions& o) { o.quantize_bits = 8; }},
+      {"use_checkpoint", [](TrainOptions& o) { o.use_checkpoint = false; }},
+      {"fault.enabled", [](TrainOptions& o) { o.fault.enabled = true; }},
+      {"fault.client_dropout_prob",
+       [](TrainOptions& o) { o.fault.client_dropout_prob = 0.1; }},
+      {"fault.straggler_prob",
+       [](TrainOptions& o) { o.fault.straggler_prob = 0.1; }},
+      {"fault.straggler_mult_mean",
+       [](TrainOptions& o) { o.fault.straggler_mult_mean = 2; }},
+      {"fault.edge_loss_prob",
+       [](TrainOptions& o) { o.fault.edge_loss_prob = 0.1; }},
+      {"fault.max_retries", [](TrainOptions& o) { o.fault.max_retries += 1; }},
+      {"fault.client_crash_round",
+       [](TrainOptions& o) { o.fault.client_crash_round = {3}; }},
+      {"fault.edge_crash_round",
+       [](TrainOptions& o) { o.fault.edge_crash_round = {2}; }},
+      {"fault.attack",
+       [](TrainOptions& o) { o.fault.attack = sim::AttackKind::kSignFlip; }},
+      {"fault.attack_prob", [](TrainOptions& o) { o.fault.attack_prob = 0.1; }},
+      {"fault.attack_scale",
+       [](TrainOptions& o) { o.fault.attack_scale = 2; }},
+      {"fault.churn_prob", [](TrainOptions& o) { o.fault.churn_prob = 0.1; }},
+      {"fault.churn_dwell", [](TrainOptions& o) { o.fault.churn_dwell = 2; }},
+      {"fault.seed", [](TrainOptions& o) { o.fault.seed += 1; }},
+      {"on_fault", [](TrainOptions& o) { o.on_fault = OnFault::kSkipRound; }},
+      {"stale_decay", [](TrainOptions& o) { o.stale_decay = 0.25; }},
+      {"aggregate", [](TrainOptions& o) { o.aggregate = Aggregate::kMedian; }},
+      {"trim_frac", [](TrainOptions& o) { o.trim_frac = 0.1; }},
+  };
+  const TrainOptions base = snap_opts(false);
+  const std::vector<index_t> tree = {4, 4};
+  const OptionsRecord want = options_record(base, tree);
+
+  // The list covers the record, row for row; "tree" is perturbed below.
+  std::vector<std::string> names = {"tree"};
+  for (const auto& [name, perturb] : rows) names.push_back(name);
+  std::vector<std::string> record_names;
+  for (const auto& [name, value] : want) record_names.push_back(name);
+  std::sort(names.begin(), names.end());
+  std::sort(record_names.begin(), record_names.end());
+  EXPECT_EQ(names, record_names);
+
+  const auto expect_only = [&](const OptionsRecord& got,
+                               const std::string& changed) {
+    ASSERT_EQ(got.size(), want.size()) << changed;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].first, want[i].first);
+      EXPECT_EQ(got[i].second != want[i].second, got[i].first == changed)
+          << "perturbing " << changed << ": row " << got[i].first << " '"
+          << want[i].second << "' -> '" << got[i].second << "'";
+    }
+  };
+  for (const auto& [name, perturb] : rows) {
+    TrainOptions o = base;
+    perturb(o);
+    expect_only(options_record(o, tree), name);
+  }
+  expect_only(options_record(base, {4, 5}), "tree");
+
+  TrainOptions exempt = base;
+  exempt.snapshot.every_k_rounds = 5;
+  exempt.snapshot.dir = "elsewhere";
+  exempt.resume_from = "elsewhere";
+  exempt.transport.kind = net::TransportKind::kSocket;
+  exempt.transport.workers = 3;
+  expect_only(options_record(exempt, tree), "");
 }
 
 /// Overwrite element `i` of f64-vector section `tag` inside a serialized

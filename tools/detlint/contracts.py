@@ -16,6 +16,10 @@ per-file linter structurally cannot see:
   * undocumented-flag: every CLI flag read through hm::Flags in src/
     must be documented (as `--name`) in README.md or DESIGN.md. Flags
     only discoverable by reading the source rot instantly.
+  * option-not-in-record: every field of TrainOptions, FaultSpec and
+    SimplexSet must be a row of the options record (src/algo/options.cpp)
+    or an entry, with a reason, in its exempt list. A field in neither
+    could change between a snapshot and its resume unnoticed.
 
 Each finding anchors at the source line that created the obligation
 (the table field, the trainer declaration, the flag read), so inline
@@ -223,8 +227,155 @@ RULE_FLAG_DOCS = ProjectRule(
 )
 
 
+# (header, struct, row-name prefix): the structs whose fields the options
+# record must cover, and how a field's row is named there.
+OPTION_STRUCTS = (
+    ("algo/options.hpp", "TrainOptions", ""),
+    ("sim/fault.hpp", "FaultSpec", "fault."),
+    ("algo/projection.hpp", "SimplexSet", "p_set."),
+)
+OPTION_RECORD = "algo/options.cpp"
+RECORD_ROWS, RECORD_EXEMPT = "kRows", "kNoRow"
+
+
+def _matching(ts: List[Token], i: int) -> int:
+    """Index of the bracket closing the one opened at ts[i]."""
+    pairs = {"{": "}", "(": ")", "[": "]"}
+    opener, closer, depth = ts[i].text, pairs[ts[i].text], 0
+    for j in range(i, len(ts)):
+        if ts[j].kind == "punct" and ts[j].text == opener:
+            depth += 1
+        elif ts[j].kind == "punct" and ts[j].text == closer:
+            depth -= 1
+            if depth == 0:
+                return j
+    return len(ts) - 1
+
+
+def _struct_fields(src: SourceFile, struct: str) -> List[Tuple[str, int]]:
+    """(name, line) of each data member of `struct Name { ... }`: member
+    functions (a `(` before any initializer) and their bodies, nested
+    types, static members and access labels are skipped."""
+    ts = src.code_tokens
+    for i, t in enumerate(ts):
+        if (t.kind == "ident" and t.text == struct and i > 0
+                and ts[i - 1].text == "struct" and i + 1 < len(ts)
+                and ts[i + 1].text == "{"):
+            break
+    else:
+        return []
+    end = _matching(ts, i + 1)
+    fields: List[Tuple[str, int]] = []
+    stmt: List[Token] = []
+    k = i + 2
+    while k < end:
+        tk = ts[k]
+        if tk.kind == "ident" and tk.text in ("public", "private",
+                                               "protected"):
+            k += 2  # label and its ':'
+            continue
+        if tk.kind == "punct" and tk.text in ("{", "(", "["):
+            is_body = tk.text == "{" and any(x.text == "(" for x in stmt)
+            stmt.append(tk)
+            k = _matching(ts, k) + 1
+            if is_body:  # a member function's body ends its declaration
+                stmt = []
+            continue
+        if tk.kind == "punct" and tk.text == ";":
+            heads = [x for x in stmt if x.text in ("=", "{", "(", "[")]
+            head = stmt[:stmt.index(heads[0])] if heads else stmt
+            names = [x for x in head if x.kind == "ident"]
+            skip = (heads and heads[0].text == "(") or any(
+                x.text in ("static", "using", "enum", "struct", "class",
+                           "friend", "template") for x in head)
+            if names and not skip:
+                fields.append((names[-1].text, names[-1].line))
+            stmt = []
+        else:
+            stmt.append(tk)
+        k += 1
+    return fields
+
+
+def _initializer(ts: List[Token], name: str) -> List[Token]:
+    """The tokens inside the braced initializer of variable `name`."""
+    for i, t in enumerate(ts):
+        if t.kind == "ident" and t.text == name:
+            for j in range(i + 1, len(ts)):
+                if ts[j].text == ";":
+                    break
+                if ts[j].text == "{":
+                    return ts[j + 1:_matching(ts, j)]
+    return []
+
+
+def _record_rows(src: SourceFile) -> Set[str]:
+    """Row names of the record table: HM_ROW(member.path) arguments and
+    the names of hand-written `{"name", renderer}` rows."""
+    ts = _initializer(src.code_tokens, RECORD_ROWS)
+    rows: Set[str] = set()
+    for i, t in enumerate(ts):
+        if t.kind == "ident" and t.text == "HM_ROW" and i + 1 < len(ts):
+            close = _matching(ts, i + 1)
+            rows.add("".join(x.text for x in ts[i + 2:close]))
+        elif (t.text == "{" and i + 2 < len(ts) and ts[i + 1].kind == "string"
+              and ts[i + 2].text == ","):
+            rows.add(string_value(ts[i + 1]))
+    return rows
+
+
+def _record_exempt(src: SourceFile) -> List[Tuple[str, str, int]]:
+    """(name, reason, line) of each `{"name", "reason"}` exempt entry."""
+    ts = _initializer(src.code_tokens, RECORD_EXEMPT)
+    return [(string_value(ts[i + 1]), string_value(ts[i + 3]), ts[i].line)
+            for i in range(len(ts) - 4)
+            if ts[i].text == "{" and ts[i + 1].kind == "string"
+            and ts[i + 2].text == "," and ts[i + 3].kind == "string"
+            and ts[i + 4].text == "}"]
+
+
+def _check_option_record(project: Project) -> Iterable[Finding]:
+    record = project.src_file(OPTION_RECORD)
+    if record is None:
+        return
+    rows = _record_rows(record)
+    covered = set(rows)
+    for name, reason, line in _record_exempt(record):
+        covered.add(name)
+        if not reason.strip():
+            yield Finding(
+                record.rel, line, "option-not-in-record",
+                f"exempt option '{name}' gives no reason for having no "
+                f"row in the options record")
+    for rel, struct, prefix in OPTION_STRUCTS:
+        header = project.src_file(rel)
+        if header is None:
+            continue
+        for name, line in _struct_fields(header, struct):
+            path = prefix + name
+            if path in covered or any(r.startswith(path + ".")
+                                      for r in rows):
+                continue
+            yield Finding(
+                header.rel, line, "option-not-in-record",
+                f"{struct} field '{name}' has no row '{path}' in the "
+                f"options record ({OPTION_RECORD}) and no exempt entry "
+                f"with a reason; a resume could change it unnoticed")
+
+
+RULE_OPTION_RECORD = ProjectRule(
+    "option-not-in-record",
+    "Every field of TrainOptions, FaultSpec and SimplexSet must be a row "
+    "of the options record in src/algo/options.cpp (kRows) or an exempt "
+    "entry with a one-line reason (kNoRow): the record is what a resume "
+    "is checked against, so a field outside it could change unnoticed.",
+    _check_option_record,
+)
+
+
 ALL_PROJECT_RULES: List[ProjectRule] = [
     RULE_KERNEL_PINS,
     RULE_TRAINER_MATRIX,
     RULE_FLAG_DOCS,
+    RULE_OPTION_RECORD,
 ]
