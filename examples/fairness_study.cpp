@@ -57,8 +57,9 @@ int main(int argc, char** argv) {
   entries.push_back(
       {"Stochastic-AFL", algo::train_stochastic_afl(model, fed, flat, pool)});
   entries.push_back({"DRFA", algo::train_drfa(model, fed, flat, pool)});
-  entries.push_back({"q-FFL(q=2)", algo::train_qffl(model, fed, flat, 2.0,
-                                                    pool)});
+  algo::TrainOptions qffl = flat;
+  qffl.q = 2;
+  entries.push_back({"q-FFL(q=2)", algo::train_qffl(model, fed, qffl, pool)});
   entries.push_back(
       {"HierFAVG", algo::train_hierfavg(model, fed, topo, opts, pool)});
   entries.push_back(

@@ -131,8 +131,6 @@ class InprocEdgeChannel final : public EdgeChannel {
                     const Hierarchy& h, parallel::ThreadPool& pool)
       : program_(model, fed, h, pool) {}
 
-  bool can_fail() const override { return false; }
-
   void phase1(index_t k, index_t c1, index_t c2,
               const std::vector<index_t>& edges,
               const std::vector<scalar_t>& w,
@@ -187,8 +185,6 @@ class RpcEdgeChannel final : public EdgeChannel {
       });
     }
   }
-
-  bool can_fail() const override { return transport_->fallible(); }
 
   void phase1(index_t k, index_t c1, index_t c2,
               const std::vector<index_t>& edges,

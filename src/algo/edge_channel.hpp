@@ -3,11 +3,11 @@
 // bit-exact oracle) or ships the round state over a net::Transport to
 // per-lane EdgeProgram replicas (loopback or forked socket workers).
 //
-// Failure contract: a backend that can_fail() marks the edges of a dead
-// lane in the sim::EdgeLiveness ledger instead of throwing. The trainer
-// folds `live` into the same degraded-aggregation paths that planned
-// edge-crash faults take, so OnFault::{kRenormalize, kReuseStale,
-// kSkipRound} govern real process deaths too.
+// Failure contract: a backend over a fallible transport marks the edges
+// of a dead lane in the sim::EdgeLiveness ledger instead of throwing.
+// The trainer folds `live` into the same degraded-aggregation paths that
+// planned edge-crash faults take, so OnFault::{kRenormalize,
+// kReuseStale, kSkipRound} govern real process deaths too.
 #pragma once
 
 #include <memory>
@@ -24,11 +24,6 @@ namespace hm::algo::detail {
 class EdgeChannel {
  public:
   virtual ~EdgeChannel() = default;
-
-  /// Whether edges can drop out for real (worker death). When false the
-  /// trainer skips provisioning degraded-mode state for transport
-  /// failures and `live` is never touched.
-  virtual bool can_fail() const = 0;
 
   /// Run phase 1 on the participating `edges` (see EdgeProgram::phase1
   /// for the buffer contract). On a fallible backend, edges served by a

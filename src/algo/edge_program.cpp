@@ -87,13 +87,16 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   const auto slot = [](index_t id) { return static_cast<std::size_t>(id); };
   parallel::ThreadPool* pool = &cluster_.pool();
   // Leaf buffers are indexed by job slot: map `leaves` to their slots.
+  // Every node aggregation is over distinct ids, so the participants
+  // have multiplicity 1 and the weighted forms take the uniform mean
+  // (weight 1 * (1/n) == 1/n).
   const auto job_slots = [&](const std::vector<index_t>& leaves) {
     std::vector<index_t> slots(leaves.size());
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       slots[i] = leaf_job_[slot(leaves[i])];
       HM_ASSERT(slots[i] >= 0);  // only leaves whose job ran are read
     }
-    return slots;
+    return Participants::from_draws(slots);
   };
 
   // Seed every listed area with the broadcast global model. A crashed
@@ -208,33 +211,23 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
     // attackers own), and checkpoint aggregation in block c2.
     for (const index_t e : live) {
       for (const index_t n : nodes_of(inner, e)) {
-        const std::vector<index_t> leaves = children(inner, n);
-        auto& node_w = models(inner)[slot(n)];
-        if (!plan_.enabled()) {
-          const std::vector<index_t> slots = job_slots(leaves);
-          robust_uniform_average(leaf_w, slots, agg_, node_w, pool);
-          if (b == c2) {
-            uniform_average(leaf_ckpt, slots, ensure(ckpts(inner)[slot(n)]),
-                            pool);
-          }
-          continue;
-        }
         // Aggregate over whichever leaves actually reported this block
         // (a reporting leaf is never offline, so its job ran); a node
         // with zero survivors keeps its block-start model.
         std::vector<index_t> surv;
-        for (const index_t c : leaves) {
+        for (const index_t c : children(inner, n)) {
           if (plan_.client_reports(k, c)) surv.push_back(c);
         }
-        const std::vector<index_t> slots = job_slots(surv);
-        if (!slots.empty()) {
-          robust_uniform_average(leaf_w, slots, agg_, node_w, pool);
+        const Participants slots = job_slots(surv);
+        if (!slots.ids.empty()) {
+          robust_weighted_average(leaf_w, slots, agg_, models(inner)[slot(n)],
+                                  pool);
         }
         if (b == c2) {
-          has_ckpt(inner)[slot(n)] = slots.empty() ? 0 : 1;
-          if (!slots.empty()) {
-            uniform_average(leaf_ckpt, slots, ensure(ckpts(inner)[slot(n)]),
-                            pool);
+          has_ckpt(inner)[slot(n)] = slots.ids.empty() ? 0 : 1;
+          if (!slots.ids.empty()) {
+            weighted_average(leaf_ckpt, slots, ensure(ckpts(inner)[slot(n)]),
+                             pool);
           }
         }
       }
@@ -246,8 +239,9 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
       if ((b + 1) % span[slot(lv)] != 0) continue;
       for (const index_t e : live) {
         for (const index_t n : nodes_of(lv, e)) {
-          uniform_average(models(lv + 1), children(lv, n),
-                          models(lv)[slot(n)], pool);
+          weighted_average(models(lv + 1),
+                           Participants::from_draws(children(lv, n)),
+                           models(lv)[slot(n)], pool);
         }
       }
     }
@@ -265,8 +259,8 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
         }
         has_ckpt(lv)[slot(n)] = held.empty() ? 0 : 1;
         if (!held.empty()) {
-          uniform_average(ckpts(lv + 1), held, ensure(ckpts(lv)[slot(n)]),
-                          pool);
+          weighted_average(ckpts(lv + 1), Participants::from_draws(held),
+                           ensure(ckpts(lv)[slot(n)]), pool);
         }
       }
     }

@@ -11,6 +11,8 @@
 // hierarchical round engine", for the stream rule).
 #include "algo/hierminimax.hpp"
 
+#include <span>
+
 #include "algo/edge_channel.hpp"
 #include "algo/hierfavg.hpp"
 #include "algo/trainer_common.hpp"
@@ -18,7 +20,6 @@
 #include "obs/obs.hpp"
 #include "sim/liveness.hpp"
 #include "sim/quantize.hpp"
-#include "tensor/vecops.hpp"
 
 namespace hm::algo {
 
@@ -79,6 +80,31 @@ void validate_inputs(const nn::Model& model, const data::FederatedDataset& fed,
   HM_CHECK(opts.transport.rpc_timeout_ms > 0);
   HM_CHECK(opts.transport.rpc_retries >= 0 &&
            opts.transport.rpc_backoff_ms >= 0);
+}
+
+/// Meter area e's leaf reports of round k, in leaf order: offline leaves
+/// send nothing, dropped ones are lost, the rest arrive, maybe late.
+/// `ok` (empty or one per leaf) flags arrivals; returns their count.
+index_t replay_leaf_reports(const sim::FaultPlan& plan, index_t k, index_t e,
+                            index_t n0, sim::LinkFaultStats& fault,
+                            std::span<char> ok = {}) {
+  index_t arrived = 0;
+  for (index_t i = 0; i < n0; ++i) {
+    const index_t c = e * n0 + i;
+    bool arrives = false;
+    if (plan.client_offline(k, c)) {
+      // silent, never sent
+    } else if (plan.client_dropped(k, c)) {
+      fault.note_lost_report();
+    } else {
+      if (plan.enabled()) fault.note_delivered();
+      fault.note_straggle(plan.straggler_mult(k, c));
+      arrives = true;
+    }
+    if (!ok.empty()) ok[static_cast<std::size_t>(i)] = arrives ? 1 : 0;
+    arrived += arrives ? 1 : 0;
+  }
+  return arrived;
 }
 
 // The coordinator half of Algorithm 1. Everything area-and-below (local
@@ -160,11 +186,7 @@ TrainResult run_engine(const nn::Model& model,
     return v;
   };
   std::vector<scalar_t> checkpoint;
-  std::vector<scalar_t> edge_losses;
-  if (minimax) {
-    checkpoint.resize(static_cast<std::size_t>(d));
-    edge_losses.resize(static_cast<std::size_t>(num_edges));
-  }
+  if (minimax) checkpoint.resize(static_cast<std::size_t>(d));
 
   // The area-and-below computation, in-process or in worker processes.
   const std::unique_ptr<detail::EdgeChannel> channel =
@@ -173,8 +195,7 @@ TrainResult run_engine(const nn::Model& model,
   live.init(num_edges);
 
   detail::StaleStore stale;
-  if (plan.enabled() || channel->can_fail()) stale.init(num_edges);
-  const detail::AggregateSpec agg{opts.aggregate, opts.trim_frac};
+  if (opts.on_fault == OnFault::kReuseStale) stale.init(num_edges);
   // Whether area e captured a checkpoint in block c2 this round (an area
   // whose every leaf failed at that block has no fresh checkpoint).
   std::vector<char> edge_has_ckpt(static_cast<std::size_t>(num_edges), 1);
@@ -202,23 +223,14 @@ TrainResult run_engine(const nn::Model& model,
     count_round(variant);
     rng::Xoshiro256 round_gen = root.split(static_cast<std::uint64_t>(k) + 1);
 
-    // --- Phase 1: sample areas (by p^(k) with replacement, so Eq. (5) is
-    // unbiased; HierFAVG uniformly without) and the checkpoint index: the
-    // iterate after c1 local steps of innermost block c2 (HierFAVG: none).
-    rng::Xoshiro256 sample_gen = round_gen.split(detail::kTagSampleEdges);
-    const Participants parts = Participants::from_draws(
-        minimax
-            ? rng::sample_weighted_with_replacement(result.p, m_e, sample_gen)
-            : rng::sample_without_replacement(num_edges, m_e, sample_gen));
-    index_t c1 = 0;
-    index_t c2 = -1;
-    if (minimax) {
-      rng::Xoshiro256 ckpt_gen = round_gen.split(detail::kTagCheckpoint);
-      c1 = 1 + static_cast<index_t>(ckpt_gen.uniform_index(
-                   static_cast<std::uint64_t>(h.taus.back())));
-      c2 = static_cast<index_t>(ckpt_gen.uniform_index(
-          static_cast<std::uint64_t>(h.blocks_per_round())));
-    }
+    // --- Phase 1: sample areas (HierMinimax by p^(k), HierFAVG
+    // uniformly) and the checkpoint index: the iterate after c1 local
+    // steps of innermost block c2 (HierFAVG: none).
+    const detail::RoundDraw draw =
+        detail::draw_round(round_gen, minimax ? &result.p : nullptr,
+                           num_edges, m_e, h.taus.back(),
+                           h.blocks_per_round());
+    const Participants& parts = draw.parts;
 
     const auto participating =
         static_cast<std::uint64_t>(parts.ids.size());  // physical areas
@@ -229,8 +241,8 @@ TrainResult run_engine(const nn::Model& model,
     // areas in `live`.
     {
       HM_OBS_SPAN(info.phase1_span, "algo", k, parts.ids.size());
-      channel->phase1(k, c1, c2, parts.ids, result.w, edge_w, edge_ckpt,
-                      edge_has_ckpt, live);
+      channel->phase1(k, draw.c1, draw.c2, parts.ids, result.w, edge_w,
+                      edge_ckpt, edge_has_ckpt, live);
     }
 
     // An area is down when the plan says so (simulated crash) or its
@@ -241,34 +253,21 @@ TrainResult run_engine(const nn::Model& model,
     };
 
     // Delivery metering for the leaf reports of every innermost block,
-    // replayed in block, area, leaf order (fault-stat accumulation is
-    // order-sensitive floating point).
+    // replayed in block, area, leaf order.
     for (index_t t2 = 0; t2 < h.blocks_per_round(); ++t2) {
-      if (plan.enabled()) {
-        for (const index_t e : parts.ids) {
-          if (edge_down(e)) continue;
-          for (index_t c = e * n0; c < (e + 1) * n0; ++c) {
-            if (plan.client_offline(k, c)) continue;  // silent, never sent
-            if (plan.client_dropped(k, c)) {
-              leaf_fault.note_lost_report();
-              continue;
-            }
-            leaf_fault.note_delivered();
-            leaf_fault.note_straggle(plan.straggler_mult(k, c));
-          }
-        }
+      for (const index_t e : parts.ids) {
+        if (!edge_down(e)) replay_leaf_reports(plan, k, e, n0, leaf_fault);
       }
+      const std::uint64_t up = t2 == draw.c2 ? 2 : 1;  // + checkpoint
       comm.client_edge_rounds += 1;
       comm.client_edge_models_down +=
           participating * static_cast<std::uint64_t>(n0);
       comm.client_edge_models_up +=
-          participating * static_cast<std::uint64_t>(n0) *
-          (t2 == c2 ? 2 : 1);  // model + checkpoint at block c2
+          participating * static_cast<std::uint64_t>(n0) * up;
       comm.client_edge_bytes +=
           participating * static_cast<std::uint64_t>(n0) *
           (sim::payload_bytes(d, 0) +  // broadcast down, uncompressed
-           static_cast<std::uint64_t>(t2 == c2 ? 2 : 1) *
-               sim::payload_bytes(d, opts.quantize_bits));
+           up * sim::payload_bytes(d, opts.quantize_bits));
     }
     comm.client_edge_rounds += interior_blocks;
     comm.client_edge_models_down += participating * interior_down;
@@ -293,62 +292,25 @@ TrainResult run_engine(const nn::Model& model,
       }
     }
 
-    // Area-cloud aggregation: global model (Eq. 5) + checkpoint (Eq. 6).
-    // Checkpoint aggregation stays a plain weighted mean: attackers
-    // upload honest checkpoints (threat-model boundary, DESIGN.md §13).
-    bool aggregated = true;
-    if (!degraded) {
-      detail::robust_weighted_average(edge_w, parts, agg, result.w, &pool);
-      if (minimax) {
-        if (opts.use_checkpoint) {
-          detail::weighted_average(edge_ckpt, parts, checkpoint, &pool);
-        } else {
-          tensor::copy(result.w, checkpoint);  // ablation: last iterate
-        }
-      }
-      tensor::project_l2_ball(result.w, opts.w_radius);
-    } else {
-      // Each participating area uploads its report over the faulty
-      // wide-area link. A dead worker's areas simply never deliver (no
-      // link-fault query — the process is gone).
-      std::vector<char> delivered(parts.ids.size(), 0);
+    // Area-cloud aggregation (Eqs. 5-6). In a degraded round each
+    // participating area uploads its report over the faulty wide-area
+    // link; a dead worker's areas simply never deliver (no link-fault
+    // query — the process is gone).
+    std::vector<char> delivered;
+    if (degraded) {
+      delivered.assign(parts.ids.size(), 0);
       for (std::size_t j = 0; j < parts.ids.size(); ++j) {
         const index_t e = parts.ids[j];
-        if (edge_down(e)) continue;
-        if (!plan.enabled() ||
-            plan.deliver(k, sim::fault_msg(sim::kMsgModelUp, e),
-                         top_fault)) {
-          delivered[j] = 1;
-        }
+        delivered[j] =
+            !edge_down(e) &&
+            (!plan.enabled() ||
+             plan.deliver(k, sim::fault_msg(sim::kMsgModelUp, e), top_fault));
       }
-      aggregated = detail::degraded_weighted_average(
-          edge_w, parts, delivered, opts.on_fault, opts.stale_decay, k,
-          stale, result.w, result.w, agg, &pool);
-      if (aggregated && minimax) {
-        if (opts.use_checkpoint) {
-          // Checkpoints exist only for delivered areas that captured one
-          // at block c2; renormalize over those. With none surviving,
-          // fall back to the aggregate (last-iterate losses this round).
-          Participants surv;
-          for (std::size_t j = 0; j < parts.ids.size(); ++j) {
-            const index_t e = parts.ids[j];
-            if (!delivered[j] || !edge_has_ckpt[static_cast<std::size_t>(e)])
-              continue;
-            surv.ids.push_back(e);
-            surv.multiplicity.push_back(parts.multiplicity[j]);
-            surv.total += parts.multiplicity[j];
-          }
-          if (surv.ids.empty()) {
-            tensor::copy(result.w, checkpoint);
-          } else {
-            detail::weighted_average(edge_ckpt, surv, checkpoint, &pool);
-          }
-        } else {
-          tensor::copy(result.w, checkpoint);
-        }
-      }
-      if (aggregated) tensor::project_l2_ball(result.w, opts.w_radius);
     }
+    const bool aggregated = detail::cloud_aggregate(
+        edge_w, minimax ? &edge_ckpt : nullptr, edge_has_ckpt, parts,
+        degraded ? &delivered : nullptr, opts, k, stale, result.w,
+        checkpoint, &pool);
     comm.edge_cloud_rounds += 1;
     comm.edge_cloud_models_up += uploads * participating;
     comm.edge_cloud_bytes +=
@@ -364,130 +326,63 @@ TrainResult run_engine(const nn::Model& model,
       rng::Xoshiro256 uniform_gen = round_gen.split(detail::kTagSampleUniform);
       const auto losses_set =
           rng::sample_without_replacement(num_edges, m_e, uniform_gen);
-      comm.edge_cloud_models_down +=
-          static_cast<std::uint64_t>(losses_set.size());
-      comm.client_edge_models_down +=
-          static_cast<std::uint64_t>(losses_set.size()) *
-          (static_cast<std::uint64_t>(n0) + interior_nodes);
+      const auto scored = static_cast<std::uint64_t>(losses_set.size());
+      const std::uint64_t per_area =  // loss reporters per scored area
+          static_cast<std::uint64_t>(n0) + interior_nodes;
+      comm.edge_cloud_models_down += scored;
+      comm.client_edge_models_down += scored * per_area;
       comm.client_edge_rounds += 1;
 
-      std::fill(edge_losses.begin(), edge_losses.end(), scalar_t{0});
-      const index_t loss_jobs = static_cast<index_t>(losses_set.size()) * n0;
-      std::vector<scalar_t> client_losses(
-          static_cast<std::size_t>(loss_jobs), 0);
       // Loss reports ride the same faulty links as models: a leaf report
-      // can be lost on the leaf link, the per-area mean is over whichever
-      // leaves reported, and the area's scalar can be lost on the
-      // wide-area hop. Areas with nothing to report leave v_e = 0.
-      std::vector<char> edge_ok(losses_set.size(), 1);
-      std::vector<char> client_ok(static_cast<std::size_t>(loss_jobs), 1);
-      std::vector<index_t> edge_nsurv(losses_set.size(), n0);
-      std::uint64_t num_loss_edges =
-          static_cast<std::uint64_t>(losses_set.size());
-      if (degraded) {
-        for (std::size_t j = 0; j < losses_set.size(); ++j) {
-          const index_t e = losses_set[j];
-          if (edge_down(e)) {
-            edge_ok[j] = 0;
-            edge_nsurv[j] = 0;
-            for (index_t i = 0; i < n0; ++i) {
-              client_ok[j * static_cast<std::size_t>(n0) +
-                        static_cast<std::size_t>(i)] = 0;
-            }
-            num_loss_edges -= 1;
-            continue;
-          }
-          index_t nsurv = 0;
-          for (index_t i = 0; i < n0; ++i) {
-            const index_t c = e * n0 + i;
-            const std::size_t job =
-                j * static_cast<std::size_t>(n0) + static_cast<std::size_t>(i);
-            if (plan.client_offline(k, c)) {
-              client_ok[job] = 0;
-              continue;
-            }
-            if (plan.client_dropped(k, c)) {
-              leaf_fault.note_lost_report();
-              client_ok[job] = 0;
-              continue;
-            }
-            if (plan.enabled()) {
-              leaf_fault.note_delivered();
-              leaf_fault.note_straggle(plan.straggler_mult(k, c));
-            }
-            nsurv += 1;
-          }
-          edge_nsurv[j] = nsurv;
-          if (nsurv == 0 ||
-              (plan.enabled() &&
-               !plan.deliver(k, sim::fault_msg(sim::kMsgLossUp, e),
-                             top_fault))) {
-            edge_ok[j] = 0;
-            num_loss_edges -= 1;
-          }
+      // can be lost on the leaf link, the per-area mean is over the
+      // nsurv[j] leaves that reported, and the area's scalar can be lost
+      // on the wide-area hop (nsurv[j] = 0: no report, so v_e = 0).
+      const auto leaves = static_cast<std::size_t>(n0);
+      std::vector<scalar_t> client_losses(losses_set.size() * leaves, 0);
+      std::vector<char> client_ok(losses_set.size() * leaves, 0);
+      std::vector<index_t> nsurv(losses_set.size(), 0);
+      for (std::size_t j = 0; j < losses_set.size(); ++j) {
+        const index_t e = losses_set[j];
+        if (edge_down(e)) continue;
+        nsurv[j] = replay_leaf_reports(
+            plan, k, e, n0, leaf_fault,
+            std::span<char>(client_ok.data() + j * leaves, leaves));
+        if (nsurv[j] > 0 && plan.enabled() &&
+            !plan.deliver(k, sim::fault_msg(sim::kMsgLossUp, e), top_fault)) {
+          nsurv[j] = 0;
         }
       }
       // Score every surviving leaf job at the shared checkpoint,
       // wherever that leaf's compute lives.
       channel->phase2(k, losses_set, checkpoint, client_ok, client_losses,
                       live);
-      // A lane that died during Phase 2 delivered nothing: its areas'
-      // loss reports are lost exactly like a failed wide-area delivery.
-      if (channel->can_fail()) {
-        for (std::size_t j = 0; j < losses_set.size(); ++j) {
-          if (edge_ok[j] != 0 && live.down(losses_set[j])) {
-            edge_ok[j] = 0;
-            num_loss_edges -= 1;
-          }
-        }
-      }
-      for (index_t j = 0; j < static_cast<index_t>(losses_set.size()); ++j) {
-        if (!edge_ok[static_cast<std::size_t>(j)]) continue;
+      // The delivered areas' mean leaf losses f_e, in sample order. A
+      // lane that died during Phase 2 delivered nothing: its areas' loss
+      // reports are lost exactly like a failed wide-area delivery.
+      std::vector<index_t> reporters;
+      std::vector<scalar_t> f;
+      for (std::size_t j = 0; j < losses_set.size(); ++j) {
+        if (nsurv[j] == 0 || live.down(losses_set[j])) continue;
         scalar_t f_e = 0;
-        for (index_t i = 0; i < n0; ++i) {
-          f_e += client_losses[static_cast<std::size_t>(j * n0 + i)];
+        for (std::size_t i = 0; i < leaves; ++i) {
+          f_e += client_losses[j * leaves + i];
         }
-        edge_losses[static_cast<std::size_t>(
-            losses_set[static_cast<std::size_t>(j)])] =
-            f_e /
-            static_cast<scalar_t>(edge_nsurv[static_cast<std::size_t>(j)]);
+        reporters.push_back(losses_set[j]);
+        f.push_back(f_e / static_cast<scalar_t>(nsurv[j]));
       }
-      comm.client_edge_scalars +=
-          static_cast<std::uint64_t>(losses_set.size()) *
-          (static_cast<std::uint64_t>(n0) + interior_nodes);
-      comm.edge_cloud_scalars +=
-          static_cast<std::uint64_t>(losses_set.size());
+      comm.client_edge_scalars += scored * per_area;
+      comm.edge_cloud_scalars += scored;
       comm.edge_cloud_rounds += 1;
-      // Phase-2 bytes: checkpoint broadcasts down every hop + scalar
-      // losses up (one per leaf and per interior node, which forwards its
-      // subtree's report).
-      comm.edge_cloud_bytes +=
-          static_cast<std::uint64_t>(losses_set.size()) *
-              sim::payload_bytes(d, 0) +
-          static_cast<std::uint64_t>(losses_set.size()) * 8;
+      // Phase-2 bytes: checkpoint broadcasts down every hop + scalar losses
+      // up (an interior node forwards its subtree's report).
+      comm.edge_cloud_bytes += scored * (sim::payload_bytes(d, 0) + 8);
       comm.client_edge_bytes +=
-          static_cast<std::uint64_t>(losses_set.size()) *
-              (static_cast<std::uint64_t>(n0) + interior_nodes) *
-              (sim::payload_bytes(d, 0) + 8);
+          scored * per_area * (sim::payload_bytes(d, 0) + 8);
 
       // Ascent step (Eq. 7): v_e = (N_E/m_E) f_e on delivered areas, else
-      // 0, with m_E renormalized to the delivered count. The step is
-      // eta_p times the leaf iterations per round, taus.back() first.
-      if (num_loss_edges > 0) {
-        const scalar_t scale_v = static_cast<scalar_t>(num_edges) /
-                                 static_cast<scalar_t>(num_loss_edges);
-        scalar_t step = opts.eta_p;
-        for (auto t = h.taus.rbegin(); t != h.taus.rend(); ++t) {
-          step *= static_cast<scalar_t>(*t);
-        }
-        for (std::size_t j = 0; j < losses_set.size(); ++j) {
-          if (!edge_ok[j]) continue;
-          const index_t e = losses_set[j];
-          result.p[static_cast<std::size_t>(e)] +=
-              step * scale_v * edge_losses[static_cast<std::size_t>(e)];
-        }
-        project_capped_simplex(result.p, opts.p_set);
-      }
+      // 0, with m_E renormalized to the delivered count.
+      detail::ascent_step(reporters, f, opts.eta_p, h.taus, opts.p_set,
+                          result.p);
     }
 
     detail::update_running_average(result.w_avg, result.w, k, &pool);

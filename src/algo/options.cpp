@@ -59,7 +59,7 @@ const Row kRows[] = {
     HM_ROW(p_set.hi), HM_ROW(rounds), HM_ROW(batch_size),
     HM_ROW(sampled_clients), HM_ROW(w_radius), HM_ROW(weight_decay),
     HM_ROW(prox_mu), HM_ROW(eval_every), HM_ROW(loss_est_batch),
-    HM_ROW(quantize_bits), HM_ROW(use_checkpoint),
+    HM_ROW(quantize_bits), HM_ROW(use_checkpoint), HM_ROW(q),
     HM_ROW(fault.enabled), HM_ROW(fault.client_dropout_prob),
     HM_ROW(fault.straggler_prob), HM_ROW(fault.straggler_mult_mean),
     HM_ROW(fault.edge_loss_prob), HM_ROW(fault.max_retries),

@@ -79,10 +79,14 @@ struct TrainOptions {
                                  // (0 = full client shard)
   int quantize_bits = 0;         // stochastic uplink quantization (bits per
                                  // coordinate; 0 = off) a la Hier-Local-QSGD
-  bool use_checkpoint = true;    // HierMinimax only: ablation switch — when
+  bool use_checkpoint = true;    // minimax trainers (HierMinimax, DRFA,
+                                 // Stochastic-AFL): ablation switch — when
                                  // false, Phase 2 estimates losses on the
-                                 // final round model w^(k+1) instead of the
-                                 // random checkpoint of Eq. (6)
+                                 // round's aggregate w^(k+1) (before its
+                                 // projection) instead of the random
+                                 // checkpoint of Eq. (6)
+  scalar_t q = 1;                // q-FFL's fairness exponent, >= 0; q = 0
+                                 // is FedAvg with the normalized update
 
   // Fault injection (sim/fault.hpp). The default spec is disabled and the
   // trainers take their fault-free path bit-identically; an enabled spec

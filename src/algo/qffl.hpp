@@ -18,13 +18,13 @@
 
 namespace hm::algo {
 
-/// Train with q-FedAvg. `q` >= 0; q = 0 is FedAvg with the normalized
-/// update rule. Uses opts.tau1 local steps, opts.sampled_clients and
-/// opts.quantize_bits; an enabled opts.fault or a non-mean
-/// opts.aggregate is a CheckError (the update is its own aggregation).
+/// Train with q-FedAvg at fairness exponent opts.q (>= 0; q = 0 is
+/// FedAvg with the normalized update rule). Uses opts.tau1 local steps,
+/// opts.sampled_clients and opts.quantize_bits; an enabled opts.fault or
+/// a non-mean opts.aggregate is a CheckError (the update is its own
+/// aggregation).
 TrainResult train_qffl(const nn::Model& model,
                        const data::FederatedDataset& fed,
-                       const TrainOptions& opts, scalar_t q,
-                       parallel::ThreadPool& pool);
+                       const TrainOptions& opts, parallel::ThreadPool& pool);
 
 }  // namespace hm::algo

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -102,34 +103,22 @@ Participants Participants::from_draws(const std::vector<index_t>& draws) {
   return p;
 }
 
+Participants Participants::subset(const std::vector<char>& mask) const {
+  HM_CHECK(mask.size() == ids.size());
+  Participants s;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!mask[i]) continue;
+    s.ids.push_back(ids[i]);
+    s.multiplicity.push_back(multiplicity[i]);
+    s.total += multiplicity[i];
+  }
+  return s;
+}
+
 void weighted_average(const std::vector<std::vector<scalar_t>>& vectors,
                       const Participants& parts, std::vector<scalar_t>& out,
                       parallel::ThreadPool* pool) {
-  HM_CHECK(!parts.ids.empty() && parts.total > 0);
-  const scalar_t inv_total = scalar_t{1} / static_cast<scalar_t>(parts.total);
-  accumulate_weighted(
-      parts.ids.size(),
-      [&](std::size_t i) {
-        return static_cast<scalar_t>(parts.multiplicity[i]) * inv_total;
-      },
-      [&](std::size_t i) -> const std::vector<scalar_t>& {
-        return vectors[static_cast<std::size_t>(parts.ids[i])];
-      },
-      out, pool);
-}
-
-void uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
-                     const std::vector<index_t>& ids,
-                     std::vector<scalar_t>& out,
-                     parallel::ThreadPool* pool) {
-  HM_CHECK(!ids.empty());
-  const scalar_t inv = scalar_t{1} / static_cast<scalar_t>(ids.size());
-  accumulate_weighted(
-      ids.size(), [&](std::size_t) { return inv; },
-      [&](std::size_t i) -> const std::vector<scalar_t>& {
-        return vectors[static_cast<std::size_t>(ids[i])];
-      },
-      out, pool);
+  robust_weighted_average(vectors, parts, AggregateSpec{}, out, pool);
 }
 
 void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
@@ -199,39 +188,40 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
   });
 }
 
+namespace {
+
+/// Combine srcs[i] at weight mults[i] / total: the fused mean kernels for
+/// kMean, robust_combine otherwise.
+void combine(const std::vector<const std::vector<scalar_t>*>& srcs,
+             const std::vector<index_t>& mults, index_t total,
+             const AggregateSpec& agg, std::vector<scalar_t>& out,
+             parallel::ThreadPool* pool) {
+  if (agg.kind != Aggregate::kMean) {
+    robust_combine(srcs, mults, total, agg, out, pool);
+    return;
+  }
+  const scalar_t inv_total = scalar_t{1} / static_cast<scalar_t>(total);
+  accumulate_weighted(
+      srcs.size(),
+      [&](std::size_t i) {
+        return static_cast<scalar_t>(mults[i]) * inv_total;
+      },
+      [&](std::size_t i) -> const std::vector<scalar_t>& { return *srcs[i]; },
+      out, pool);
+}
+
+}  // namespace
+
 void robust_weighted_average(
     const std::vector<std::vector<scalar_t>>& vectors,
     const Participants& parts, const AggregateSpec& agg,
     std::vector<scalar_t>& out, parallel::ThreadPool* pool) {
-  if (agg.kind == Aggregate::kMean) {
-    weighted_average(vectors, parts, out, pool);
-    return;
-  }
   HM_CHECK(!parts.ids.empty() && parts.total > 0);
   std::vector<const std::vector<scalar_t>*> srcs(parts.ids.size());
   for (std::size_t i = 0; i < parts.ids.size(); ++i) {
     srcs[i] = &vectors[static_cast<std::size_t>(parts.ids[i])];
   }
-  robust_combine(srcs, parts.multiplicity, parts.total, agg, out, pool);
-}
-
-void robust_uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
-                            const std::vector<index_t>& ids,
-                            const AggregateSpec& agg,
-                            std::vector<scalar_t>& out,
-                            parallel::ThreadPool* pool) {
-  if (agg.kind == Aggregate::kMean) {
-    uniform_average(vectors, ids, out, pool);
-    return;
-  }
-  HM_CHECK(!ids.empty());
-  std::vector<const std::vector<scalar_t>*> srcs(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    srcs[i] = &vectors[static_cast<std::size_t>(ids[i])];
-  }
-  const std::vector<index_t> mults(ids.size(), 1);
-  robust_combine(srcs, mults, static_cast<index_t>(ids.size()), agg, out,
-                 pool);
+  combine(srcs, parts.multiplicity, parts.total, agg, out, pool);
 }
 
 namespace {
@@ -271,32 +261,16 @@ bool degraded_weighted_average(
     const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
     const AggregateSpec& agg, parallel::ThreadPool* pool) {
   HM_CHECK(delivered.size() == parts.ids.size());
-  bool all_delivered = true;
-  for (const char c : delivered) all_delivered = all_delivered && c != 0;
+  // Empty participant set (e.g. Participants::from_draws on zero draws):
+  // there is nothing to aggregate — every policy skips the round.
+  if (parts.ids.empty()) return false;
+  const bool all_delivered =
+      std::all_of(delivered.begin(), delivered.end(),
+                  [](char c) { return c != 0; });
+  if (!all_delivered && policy == OnFault::kSkipRound) return false;
 
-  if (all_delivered) {
-    // Empty surviving set (e.g. Participants::from_draws on zero draws):
-    // there is nothing to aggregate — every policy skips the round.
-    if (parts.ids.empty()) return false;
-    robust_weighted_average(vectors, parts, agg, out, pool);
-    if (policy == OnFault::kReuseStale) {
-      for (const index_t id : parts.ids) {
-        stale.deliver(id, vectors[static_cast<std::size_t>(id)], round);
-      }
-    }
-    return true;
-  }
-
-  if (policy == OnFault::kSkipRound) return false;
-
-  if (policy == OnFault::kRenormalize) {
-    Participants survivors;
-    for (std::size_t i = 0; i < parts.ids.size(); ++i) {
-      if (!delivered[i]) continue;
-      survivors.ids.push_back(parts.ids[i]);
-      survivors.multiplicity.push_back(parts.multiplicity[i]);
-      survivors.total += parts.multiplicity[i];
-    }
+  if (policy != OnFault::kReuseStale) {
+    const Participants survivors = parts.subset(delivered);
     if (survivors.ids.empty()) return false;  // skip-round fallback
     robust_weighted_average(vectors, survivors, agg, out, pool);
     return true;
@@ -318,22 +292,7 @@ bool degraded_weighted_average(
       srcs[i] = &stale.blend[i];
     }
   }
-  if (agg.kind == Aggregate::kMean) {
-    const scalar_t inv_total =
-        scalar_t{1} / static_cast<scalar_t>(parts.total);
-    std::vector<scalar_t> ws(parts.ids.size());
-    for (std::size_t i = 0; i < parts.ids.size(); ++i) {
-      ws[i] = static_cast<scalar_t>(parts.multiplicity[i]) * inv_total;
-    }
-    accumulate_weighted(
-        srcs.size(), [&](std::size_t i) { return ws[i]; },
-        [&](std::size_t i) -> const std::vector<scalar_t>& {
-          return *srcs[i];
-        },
-        out, pool);
-  } else {
-    robust_combine(srcs, parts.multiplicity, parts.total, agg, out, pool);
-  }
+  combine(srcs, parts.multiplicity, parts.total, agg, out, pool);
   for (std::size_t i = 0; i < parts.ids.size(); ++i) {
     if (delivered[i]) {
       stale.deliver(parts.ids[i],
@@ -341,6 +300,78 @@ bool degraded_weighted_average(
     }
   }
   return true;
+}
+
+RoundDraw draw_round(const rng::Xoshiro256& round_gen,
+                     const std::vector<scalar_t>* weights, index_t n,
+                     index_t m, index_t steps, index_t blocks) {
+  RoundDraw draw;
+  rng::Xoshiro256 sample_gen = round_gen.split(kTagSampleEdges);
+  draw.parts = Participants::from_draws(
+      weights != nullptr
+          ? rng::sample_weighted_with_replacement(*weights, m, sample_gen)
+          : rng::sample_without_replacement(n, m, sample_gen));
+  if (weights != nullptr) {
+    rng::Xoshiro256 ckpt_gen = round_gen.split(kTagCheckpoint);
+    draw.c1 = 1 + static_cast<index_t>(ckpt_gen.uniform_index(
+                      static_cast<std::uint64_t>(steps)));
+    draw.c2 = static_cast<index_t>(
+        ckpt_gen.uniform_index(static_cast<std::uint64_t>(blocks)));
+  }
+  return draw;
+}
+
+bool cloud_aggregate(const std::vector<std::vector<scalar_t>>& models,
+                     const std::vector<std::vector<scalar_t>>* ckpts,
+                     const std::vector<char>& holds_ckpt,
+                     const Participants& parts,
+                     const std::vector<char>* delivered,
+                     const TrainOptions& opts, index_t round,
+                     StaleStore& stale, std::vector<scalar_t>& w,
+                     std::vector<scalar_t>& checkpoint,
+                     parallel::ThreadPool* pool) {
+  const AggregateSpec agg{opts.aggregate, opts.trim_frac};
+  if (delivered == nullptr) {
+    robust_weighted_average(models, parts, agg, w, pool);
+  } else if (!degraded_weighted_average(models, parts, *delivered,
+                                        opts.on_fault, opts.stale_decay,
+                                        round, stale, w, w, agg, pool)) {
+    return false;
+  }
+  if (ckpts != nullptr) {
+    std::vector<char> held(parts.ids.size(), 1);
+    for (std::size_t j = 0; j < held.size(); ++j) {
+      held[j] = (delivered == nullptr || (*delivered)[j] != 0) &&
+                (holds_ckpt.empty() ||
+                 holds_ckpt[static_cast<std::size_t>(parts.ids[j])] != 0);
+    }
+    const Participants survivors = parts.subset(held);
+    if (!opts.use_checkpoint || survivors.ids.empty()) {
+      tensor::copy(w, checkpoint);
+    } else {
+      weighted_average(*ckpts, survivors, checkpoint, pool);
+    }
+  }
+  tensor::project_l2_ball(w, opts.w_radius);
+  return true;
+}
+
+void ascent_step(std::span<const index_t> ids,
+                 std::span<const scalar_t> losses, scalar_t eta_p,
+                 std::span<const index_t> taus, const SimplexSet& set,
+                 std::vector<scalar_t>& p) {
+  HM_CHECK(ids.size() == losses.size());
+  if (ids.empty()) return;
+  const scalar_t scale_v = static_cast<scalar_t>(p.size()) /
+                           static_cast<scalar_t>(ids.size());
+  scalar_t step = eta_p;
+  for (auto t = taus.rbegin(); t != taus.rend(); ++t) {
+    step *= static_cast<scalar_t>(*t);
+  }
+  for (std::size_t s = 0; s < ids.size(); ++s) {
+    p[static_cast<std::size_t>(ids[s])] += step * scale_v * losses[s];
+  }
+  project_capped_simplex(p, set);
 }
 
 const data::Dataset& PoisonStore::get(const data::Dataset& shard,
@@ -401,33 +432,14 @@ std::vector<index_t> loss_batch(index_t shard_size, index_t batch_size,
 void publish_comm_metrics(const sim::CommStats& comm) {
 #if HM_OBS_ENABLED
   auto& reg = obs::registry();
-  const auto set = [&reg](const char* name, std::uint64_t v) {
-    reg.gauge(name).set(static_cast<std::int64_t>(v));
-  };
-  set("sim.comm.client_edge.rounds", comm.client_edge_rounds);
-  set("sim.comm.client_edge.models_up", comm.client_edge_models_up);
-  set("sim.comm.client_edge.models_down", comm.client_edge_models_down);
-  set("sim.comm.client_edge.scalars", comm.client_edge_scalars);
-  set("sim.comm.client_edge.bytes", comm.client_edge_bytes);
-  set("sim.comm.edge_cloud.rounds", comm.edge_cloud_rounds);
-  set("sim.comm.edge_cloud.models_up", comm.edge_cloud_models_up);
-  set("sim.comm.edge_cloud.models_down", comm.edge_cloud_models_down);
-  set("sim.comm.edge_cloud.scalars", comm.edge_cloud_scalars);
-  set("sim.comm.edge_cloud.bytes", comm.edge_cloud_bytes);
-  const auto set_fault = [&set](const char* prefix,
-                                const sim::LinkFaultStats& f) {
-    const std::string p(prefix);
-    // Names outlive the run: the registry stores std::string keys.
-    struct Field { const char* name; std::uint64_t value; };
-    const Field fields[] = {{".attempted", f.attempted},
-                            {".delivered", f.delivered},
-                            {".dropped", f.dropped},
-                            {".in_retry", f.in_retry},
-                            {".straggled", f.straggled}};
-    for (const Field& fld : fields) set((p + fld.name).c_str(), fld.value);
-  };
-  set_fault("sim.comm.client_edge_fault", comm.client_edge_fault);
-  set_fault("sim.comm.edge_cloud_fault", comm.edge_cloud_fault);
+  // One gauge per counter; extra_rtts, a double, has none.
+  sim::for_each_counter(comm, [&reg](const char* link, const char* name,
+                                     const auto& v) {
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(v)>>) {
+      const std::string at = link != nullptr ? std::string(link) + "." : "";
+      reg.gauge("sim.comm." + at + name).set(static_cast<std::int64_t>(v));
+    }
+  });
 #else
   (void)comm;
 #endif
@@ -475,56 +487,26 @@ rng::StreamState decode_stream_state(io::ByteReader& r) {
   return st;
 }
 
-void encode_link_fault(io::ByteWriter& w, const sim::LinkFaultStats& s) {
-  w.put_u64(s.attempted);
-  w.put_u64(s.delivered);
-  w.put_u64(s.dropped);
-  w.put_u64(s.in_retry);
-  w.put_u64(s.straggled);
-  w.put_f64(s.extra_rtts);
-}
-
-sim::LinkFaultStats decode_link_fault(io::ByteReader& r) {
-  sim::LinkFaultStats s;
-  s.attempted = r.u64();
-  s.delivered = r.u64();
-  s.dropped = r.u64();
-  s.in_retry = r.u64();
-  s.straggled = r.u64();
-  s.extra_rtts = r.f64();
-  return s;
-}
-
+/// The COMM layout: every counter in for_each_counter order, as u64,
+/// and extra_rtts as f64.
 void encode_comm(io::ByteWriter& w, const sim::CommStats& c) {
-  w.put_u64(c.client_edge_rounds);
-  w.put_u64(c.edge_cloud_rounds);
-  w.put_u64(c.client_edge_models_up);
-  w.put_u64(c.client_edge_models_down);
-  w.put_u64(c.edge_cloud_models_up);
-  w.put_u64(c.edge_cloud_models_down);
-  w.put_u64(c.client_edge_scalars);
-  w.put_u64(c.edge_cloud_scalars);
-  w.put_u64(c.client_edge_bytes);
-  w.put_u64(c.edge_cloud_bytes);
-  encode_link_fault(w, c.client_edge_fault);
-  encode_link_fault(w, c.edge_cloud_fault);
+  sim::for_each_counter(c, [&w](const char*, const char*, const auto& v) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>, double>) {
+      w.put_f64(v);
+    } else {
+      w.put_u64(v);
+    }
+  });
 }
 
-sim::CommStats decode_comm(io::ByteReader& r) {
-  sim::CommStats c;
-  c.client_edge_rounds = r.u64();
-  c.edge_cloud_rounds = r.u64();
-  c.client_edge_models_up = r.u64();
-  c.client_edge_models_down = r.u64();
-  c.edge_cloud_models_up = r.u64();
-  c.edge_cloud_models_down = r.u64();
-  c.client_edge_scalars = r.u64();
-  c.edge_cloud_scalars = r.u64();
-  c.client_edge_bytes = r.u64();
-  c.edge_cloud_bytes = r.u64();
-  c.client_edge_fault = decode_link_fault(r);
-  c.edge_cloud_fault = decode_link_fault(r);
-  return c;
+void decode_comm(io::ByteReader& r, sim::CommStats& c) {
+  sim::for_each_counter(c, [&r](const char*, const char*, auto& v) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>, double>) {
+      v = r.f64();
+    } else {
+      v = r.u64();
+    }
+  });
 }
 
 std::vector<std::uint8_t> encode_history(
@@ -550,7 +532,7 @@ void decode_history(io::ByteReader& r, metrics::TrainingHistory& history) {
   for (std::uint64_t i = 0; i < n; ++i) {
     metrics::RoundRecord rec;
     rec.round = static_cast<index_t>(r.i64());
-    rec.comm = decode_comm(r);
+    decode_comm(r, rec.comm);
     const std::uint64_t accs = r.u64();
     HM_CHECK_MSG(accs * 8 <= r.remaining(),
                  "history record " << i << " declares " << accs
@@ -739,15 +721,16 @@ index_t resume_round(const std::string& resume_from, const RunState& st) {
   if (st.comm) {
     const auto& bytes = s.get_bytes(kSnapComm);
     io::ByteReader r(bytes.data(), bytes.size());
-    *st.comm = decode_comm(r);
+    decode_comm(r, *st.comm);
     HM_CHECK_MSG(r.remaining() == 0, "comm section has trailing bytes");
   }
 
   HM_CHECK_MSG(stale_live(st.stale) == s.has(kSnapStaleRounds),
                "snapshot '"
                    << loaded->path
-                   << "' stale-store presence mismatch — the run's fault "
-                      "policy differs from the snapshotted run");
+                   << "' stale-store presence mismatch: the store is kept "
+                      "iff on_fault is stale, so the snapshot was written "
+                      "under an older rule (fault plan or transport)");
   HM_CHECK_MSG(s.has(kSnapStaleModels) == s.has(kSnapStaleRounds),
                "snapshot '" << loaded->path
                             << "' has half a stale store (models without "

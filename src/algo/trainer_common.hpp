@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,10 @@ struct Participants {
   index_t total = 0;  // sum of multiplicities == number of draws
 
   static Participants from_draws(const std::vector<index_t>& draws);
+
+  /// The participants whose `mask` entry (aligned with ids) is nonzero,
+  /// in order, with their multiplicities.
+  Participants subset(const std::vector<char>& mask) const;
 };
 
 /// Coordinates per block of the block-parallel model-vector kernels (the
@@ -55,12 +60,6 @@ void copy_model(nn::ConstVecView src, nn::VecView dst,
 void weighted_average(const std::vector<std::vector<scalar_t>>& vectors,
                       const Participants& parts, std::vector<scalar_t>& out,
                       parallel::ThreadPool* pool = nullptr);
-
-/// out = mean of vectors[id] over `ids`.
-void uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
-                     const std::vector<index_t>& ids,
-                     std::vector<scalar_t>& out,
-                     parallel::ThreadPool* pool = nullptr);
 
 /// The model-report combiner and its parameters, threaded through the
 /// aggregation helpers. The default is the plain mean, which keeps every
@@ -85,24 +84,19 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
                     const AggregateSpec& agg, nn::VecView out,
                     parallel::ThreadPool* pool = nullptr);
 
-/// weighted_average with a selectable combiner: kMean delegates to
-/// weighted_average (bit-identical), the robust kinds treat each
-/// participant's multiplicity as that many weight units.
+/// weighted_average with a selectable combiner: kMean is
+/// weighted_average, the robust kinds treat each participant's
+/// multiplicity as that many weight units.
 void robust_weighted_average(
     const std::vector<std::vector<scalar_t>>& vectors,
     const Participants& parts, const AggregateSpec& agg,
     std::vector<scalar_t>& out, parallel::ThreadPool* pool = nullptr);
 
-/// uniform_average with a selectable combiner (multiplicity 1 each).
-void robust_uniform_average(const std::vector<std::vector<scalar_t>>& vectors,
-                            const std::vector<index_t>& ids,
-                            const AggregateSpec& agg,
-                            std::vector<scalar_t>& out,
-                            parallel::ThreadPool* pool = nullptr);
-
 /// Last delivered update per potential participant, for OnFault::
 /// kReuseStale. `last_round[id] < 0` means the participant never
 /// delivered; a casualty's staleness at round k is k - last_round[id].
+/// A run keeps one iff on_fault is kReuseStale (the only reader), so a
+/// snapshot holds one as its options record says, on any transport.
 struct StaleStore {
   std::vector<std::vector<scalar_t>> models;
   std::vector<index_t> last_round;
@@ -146,6 +140,46 @@ bool degraded_weighted_average(
     OnFault policy, scalar_t stale_decay, index_t round, StaleStore& stale,
     const std::vector<scalar_t>& fallback, std::vector<scalar_t>& out,
     const AggregateSpec& agg = {}, parallel::ThreadPool* pool = nullptr);
+
+// ——— The cloud step: the same whether areas or clients report ———
+
+/// Phase 1's draws from a round's stream. With `weights` (minimax): m
+/// draws by weight with replacement, so Eq. (5) is unbiased, then the
+/// checkpoint, step c1 in [1, steps] of innermost block c2 in
+/// [0, blocks), c1 drawn first. Without: m of n uniformly, no checkpoint.
+struct RoundDraw {
+  Participants parts;
+  index_t c1 = 0;
+  index_t c2 = -1;
+};
+RoundDraw draw_round(const rng::Xoshiro256& round_gen,
+                     const std::vector<scalar_t>* weights, index_t n,
+                     index_t m, index_t steps, index_t blocks);
+
+/// Eqs. (5)-(6): combine models[parts.ids[j]] into `w` (the broadcast
+/// model) by opts.aggregate, all of them in a fault-free round
+/// (`delivered` null), else by degraded_weighted_average. With `ckpts`,
+/// the checkpoint is the plain mean over the delivered reports that hold
+/// one (holds_ckpt[id], empty = all; checkpoints are honest, DESIGN.md
+/// §13), else, or without opts.use_checkpoint, the aggregate. Then w is
+/// projected. False (w, checkpoint untouched): the round is skipped.
+bool cloud_aggregate(const std::vector<std::vector<scalar_t>>& models,
+                     const std::vector<std::vector<scalar_t>>* ckpts,
+                     const std::vector<char>& holds_ckpt,
+                     const Participants& parts,
+                     const std::vector<char>* delivered,
+                     const TrainOptions& opts, index_t round,
+                     StaleStore& stale, std::vector<scalar_t>& w,
+                     std::vector<scalar_t>& checkpoint,
+                     parallel::ThreadPool* pool);
+
+/// Eq. (7) over the delivered loss reports, in order: p[ids[s]] +=
+/// eta_p * prod(taus) * (p.size() / ids.size()) * losses[s], then
+/// projection onto `set`. No reports: p is untouched.
+void ascent_step(std::span<const index_t> ids,
+                 std::span<const scalar_t> losses, scalar_t eta_p,
+                 std::span<const index_t> taus, const SimplexSet& set,
+                 std::vector<scalar_t>& p);
 
 /// Lazily materialized label-flipped twins of client shards, for the
 /// AttackKind::kLabelFlip arm. data::flip_labels is pure, so each twin

@@ -91,11 +91,10 @@ bool reaches_server(const sim::FaultPlan& plan, index_t k, index_t n,
   return true;
 }
 
-/// `q_exp` is q-FFL's fairness exponent (ignored by the other variants).
 TrainResult run_two_layer(const nn::Model& model,
                           const data::FederatedDataset& fed,
                           const TrainOptions& opts, Variant variant,
-                          scalar_t q_exp, parallel::ThreadPool& pool) {
+                          parallel::ThreadPool& pool) {
   const VariantInfo& info = kVariants[static_cast<std::size_t>(variant)];
   const bool minimax = info.minimax;
   detail::require_inproc(opts, info.trainer);
@@ -104,7 +103,7 @@ TrainResult run_two_layer(const nn::Model& model,
   if (minimax) HM_CHECK(opts.eta_p > 0);
   if (info.qffl) {
     HM_CHECK(opts.eta_w > 0);
-    HM_CHECK_MSG(q_exp >= 0, "q must be nonnegative");
+    HM_CHECK_MSG(opts.q >= 0, "q must be nonnegative, got " << opts.q);
     HM_CHECK_MSG(!opts.fault.enabled && opts.aggregate == Aggregate::kMean,
                  info.trainer
                      << " takes no fault plan and combines reports with "
@@ -161,9 +160,8 @@ TrainResult run_two_layer(const nn::Model& model,
   std::vector<ClientScratch> scratch(static_cast<std::size_t>(num_clients));
   const sim::ClusterSim cluster(pool);
   detail::StaleStore stale;
-  if (plan.enabled()) stale.init(num_clients);
+  if (opts.on_fault == OnFault::kReuseStale) stale.init(num_clients);
   detail::PoisonStore poison;
-  const detail::AggregateSpec agg{opts.aggregate, opts.trim_frac};
   // Reports per participant and round: the model, plus the checkpoint
   // (DRFA); q-FFL adds two scalars, F_k and h_k.
   const std::uint64_t uploads = minimax ? 2 : 1;
@@ -208,17 +206,12 @@ TrainResult run_two_layer(const nn::Model& model,
     count_round(variant);
     rng::Xoshiro256 round_gen = root.split(static_cast<std::uint64_t>(k) + 1);
 
-    // --- Phase 1: sample m clients (DRFA: by q with replacement, with
-    // checkpoint index c in [tau1]), local SGD, uplink.
-    rng::Xoshiro256 sample_gen = round_gen.split(detail::kTagSampleEdges);
-    const Participants parts = Participants::from_draws(
-        minimax ? rng::sample_weighted_with_replacement(q, m, sample_gen)
-                : rng::sample_without_replacement(num_clients, m, sample_gen));
-    if (minimax) {
-      rng::Xoshiro256 ckpt_gen = round_gen.split(detail::kTagCheckpoint);
-      cfg.checkpoint_step = 1 + static_cast<index_t>(ckpt_gen.uniform_index(
-                                    static_cast<std::uint64_t>(opts.tau1)));
-    }
+    // --- Phase 1: sample m clients (DRFA: by q, with checkpoint step c
+    // in [tau1]), local SGD, uplink.
+    const detail::RoundDraw draw = detail::draw_round(
+        round_gen, minimax ? &q : nullptr, num_clients, m, opts.tau1, 1);
+    const Participants& parts = draw.parts;
+    cfg.checkpoint_step = draw.c1;
     const auto participating = static_cast<std::uint64_t>(parts.ids.size());
     comm.edge_cloud_models_down += participating;
 
@@ -274,6 +267,7 @@ TrainResult run_two_layer(const nn::Model& model,
       // w <- w - sum_k F_k^q Delta w_k / sum_k (q F_k^{q-1} ||Delta w_k||^2
       // + L F_k^q), with Delta w_k = L (w - w_bar_k) and L = 1/eta_w.
       const scalar_t lipschitz = 1 / opts.eta_w;
+      const scalar_t q_exp = opts.q;
       std::fill(update.begin(), update.end(), scalar_t{0});
       scalar_t h_total = 0;
       for (const index_t n : parts.ids) {
@@ -293,39 +287,23 @@ TrainResult run_two_layer(const nn::Model& model,
       }
       HM_CHECK(h_total > 0);
       tensor::axpy(-1 / h_total, update, nn::VecView(result.w));
-    } else if (!plan.enabled()) {
-      detail::robust_weighted_average(client_w, parts, agg, result.w, &pool);
-      if (minimax) {
-        detail::weighted_average(client_ckpt, parts, checkpoint, &pool);
-      }
+      tensor::project_l2_ball(result.w, opts.w_radius);
     } else {
-      std::vector<char> delivered(parts.ids.size(), 0);
-      for (std::size_t j = 0; j < parts.ids.size(); ++j) {
-        delivered[j] = reaches_server(plan, k, parts.ids[j], sim::kMsgModelUp,
-                                      comm.edge_cloud_fault);
-      }
-      aggregated = detail::degraded_weighted_average(
-          client_w, parts, delivered, opts.on_fault, opts.stale_decay, k,
-          stale, result.w, result.w, agg, &pool);
-      if (aggregated && minimax) {
-        // Checkpoint: only delivered reports carry one; renormalize over
-        // the survivors. With no surviving checkpoint (possible under
-        // kReuseStale), estimate Phase-2 losses on the aggregate instead.
-        Participants surv;
+      // Every delivered client report carries its checkpoint (DRFA).
+      std::vector<char> delivered;
+      if (plan.enabled()) {
+        delivered.resize(parts.ids.size());
         for (std::size_t j = 0; j < parts.ids.size(); ++j) {
-          if (!delivered[j]) continue;
-          surv.ids.push_back(parts.ids[j]);
-          surv.multiplicity.push_back(parts.multiplicity[j]);
-          surv.total += parts.multiplicity[j];
-        }
-        if (surv.ids.empty()) {
-          tensor::copy(result.w, checkpoint);
-        } else {
-          detail::weighted_average(client_ckpt, surv, checkpoint, &pool);
+          delivered[j] = reaches_server(plan, k, parts.ids[j],
+                                        sim::kMsgModelUp,
+                                        comm.edge_cloud_fault);
         }
       }
+      aggregated = detail::cloud_aggregate(
+          client_w, minimax ? &client_ckpt : nullptr, {}, parts,
+          plan.enabled() ? &delivered : nullptr, opts, k, stale, result.w,
+          checkpoint, &pool);
     }
-    if (aggregated) tensor::project_l2_ball(result.w, opts.w_radius);
     comm.edge_cloud_rounds += 1;
     comm.edge_cloud_models_up += uploads * participating;
     comm.edge_cloud_scalars += scalars_up * participating;
@@ -383,16 +361,9 @@ TrainResult run_two_layer(const nn::Model& model,
           static_cast<std::uint64_t>(loss_clients.size()) *
           (sim::payload_bytes(d, 0) + 8);
 
-      if (!loss_jobs.empty()) {
-        const scalar_t scale_v = static_cast<scalar_t>(num_clients) /
-                                 static_cast<scalar_t>(loss_jobs.size());
-        const scalar_t step = opts.eta_p * static_cast<scalar_t>(opts.tau1);
-        for (std::size_t s = 0; s < loss_jobs.size(); ++s) {
-          q[static_cast<std::size_t>(job_client[s])] +=
-              step * scale_v * losses[s];
-        }
-        project_capped_simplex(q, opts.p_set);
-      }
+      detail::ascent_step(job_client, losses, opts.eta_p,
+                          std::span<const index_t>(&opts.tau1, 1),
+                          opts.p_set, q);
     }
 
     detail::update_running_average(result.w_avg, result.w, k, &pool);
@@ -420,13 +391,13 @@ TrainResult train_fedavg(const nn::Model& model,
                          const data::FederatedDataset& fed,
                          const TrainOptions& opts,
                          parallel::ThreadPool& pool) {
-  return run_two_layer(model, fed, opts, Variant::kFedAvg, 0, pool);
+  return run_two_layer(model, fed, opts, Variant::kFedAvg, pool);
 }
 
 TrainResult train_drfa(const nn::Model& model,
                        const data::FederatedDataset& fed,
                        const TrainOptions& opts, parallel::ThreadPool& pool) {
-  return run_two_layer(model, fed, opts, Variant::kDrfa, 0, pool);
+  return run_two_layer(model, fed, opts, Variant::kDrfa, pool);
 }
 
 TrainResult train_stochastic_afl(const nn::Model& model,
@@ -436,15 +407,13 @@ TrainResult train_stochastic_afl(const nn::Model& model,
   TrainOptions afl_opts = opts;
   afl_opts.tau1 = 1;  // single-step local update per round
   afl_opts.tau2 = 1;
-  return run_two_layer(model, fed, afl_opts, Variant::kStochasticAfl, 0,
-                       pool);
+  return run_two_layer(model, fed, afl_opts, Variant::kStochasticAfl, pool);
 }
 
 TrainResult train_qffl(const nn::Model& model,
                        const data::FederatedDataset& fed,
-                       const TrainOptions& opts, scalar_t q,
-                       parallel::ThreadPool& pool) {
-  return run_two_layer(model, fed, opts, Variant::kQffl, q, pool);
+                       const TrainOptions& opts, parallel::ThreadPool& pool) {
+  return run_two_layer(model, fed, opts, Variant::kQffl, pool);
 }
 
 }  // namespace hm::algo

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "core/types.hpp"
 
@@ -66,13 +67,20 @@ struct LinkFaultStats {
   /// Logical messages with a final outcome.
   std::uint64_t messages() const { return delivered + dropped; }
 
+  /// The field list: f(name, member pointer) in COMM-section order.
+  /// operator+=, the COMM codec and the sim.comm.* gauges walk it.
+  template <typename F>
+  static void for_each_field(F&& f) {
+    f("attempted", &LinkFaultStats::attempted);
+    f("delivered", &LinkFaultStats::delivered);
+    f("dropped", &LinkFaultStats::dropped);
+    f("in_retry", &LinkFaultStats::in_retry);
+    f("straggled", &LinkFaultStats::straggled);
+    f("extra_rtts", &LinkFaultStats::extra_rtts);
+  }
+
   LinkFaultStats& operator+=(const LinkFaultStats& o) {
-    attempted += o.attempted;
-    delivered += o.delivered;
-    dropped += o.dropped;
-    in_retry += o.in_retry;
-    straggled += o.straggled;
-    extra_rtts += o.extra_rtts;
+    for_each_field([&](const char*, auto field) { this->*field += o.*field; });
     return *this;
   }
 };
@@ -132,21 +140,43 @@ struct CommStats {
     return client_edge_fault.straggled + edge_cloud_fault.straggled;
   }
 
+  /// As LinkFaultStats::for_each_field; names are gauge names.
+  template <typename F>
+  static void for_each_field(F&& f) {
+    f("client_edge.rounds", &CommStats::client_edge_rounds);
+    f("edge_cloud.rounds", &CommStats::edge_cloud_rounds);
+    f("client_edge.models_up", &CommStats::client_edge_models_up);
+    f("client_edge.models_down", &CommStats::client_edge_models_down);
+    f("edge_cloud.models_up", &CommStats::edge_cloud_models_up);
+    f("edge_cloud.models_down", &CommStats::edge_cloud_models_down);
+    f("client_edge.scalars", &CommStats::client_edge_scalars);
+    f("edge_cloud.scalars", &CommStats::edge_cloud_scalars);
+    f("client_edge.bytes", &CommStats::client_edge_bytes);
+    f("edge_cloud.bytes", &CommStats::edge_cloud_bytes);
+    f("client_edge_fault", &CommStats::client_edge_fault);
+    f("edge_cloud_fault", &CommStats::edge_cloud_fault);
+  }
+
   CommStats& operator+=(const CommStats& o) {
-    client_edge_rounds += o.client_edge_rounds;
-    edge_cloud_rounds += o.edge_cloud_rounds;
-    client_edge_models_up += o.client_edge_models_up;
-    client_edge_models_down += o.client_edge_models_down;
-    edge_cloud_models_up += o.edge_cloud_models_up;
-    edge_cloud_models_down += o.edge_cloud_models_down;
-    client_edge_scalars += o.client_edge_scalars;
-    edge_cloud_scalars += o.edge_cloud_scalars;
-    client_edge_bytes += o.client_edge_bytes;
-    edge_cloud_bytes += o.edge_cloud_bytes;
-    client_edge_fault += o.client_edge_fault;
-    edge_cloud_fault += o.edge_cloud_fault;
+    for_each_field([&](const char*, auto field) { this->*field += o.*field; });
     return *this;
   }
 };
+
+/// f(link, name, value) for every scalar of `c` in COMM-section order;
+/// `link` names the enclosing LinkFaultStats member, null outside one.
+template <typename C, typename F>
+void for_each_counter(C& c, F&& f) {
+  CommStats::for_each_field([&](const char* name, auto field) {
+    auto& v = c.*field;
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                 LinkFaultStats>) {
+      LinkFaultStats::for_each_field(
+          [&](const char* leaf, auto lf) { f(name, leaf, v.*lf); });
+    } else {
+      f(nullptr, name, v);
+    }
+  });
+}
 
 }  // namespace hm::sim

@@ -284,6 +284,16 @@ TEST(Participants, WeightedAverageUsesMultiplicity) {
   EXPECT_DOUBLE_EQ(out[0], (1.0 + 3 * 3.0) / 4);
 }
 
+TEST(Participants, SubsetKeepsMaskedIdsInOrderWithMultiplicities) {
+  const auto p = detail::Participants::from_draws({3, 1, 3, 3, 2});
+  const auto s = p.subset({1, 0, 1});
+  EXPECT_EQ(s.ids, (std::vector<index_t>{3, 2}));
+  EXPECT_EQ(s.multiplicity, (std::vector<index_t>{3, 1}));
+  EXPECT_EQ(s.total, 4);
+  EXPECT_TRUE(p.subset({0, 0, 0}).ids.empty());
+  EXPECT_EQ(p.subset({1, 1, 1}).ids, p.ids);
+}
+
 TEST(Participants, ManyDrawsPreserveFirstDrawOrder) {
   // The id->slot map must keep ids in first-draw order with exact
   // multiplicities even when draws are large and repetitive.
@@ -333,6 +343,9 @@ TEST(Averages, WeightedAverageMatchesSequentialAxpyChain) {
   }
 }
 
+// The uniform mean is weighted_average over participants of
+// multiplicity 1 each (EdgeProgram's node aggregations): 1 * (1/n) ==
+// 1/n, so it matches a chain of 1/n axpy steps bit for bit.
 TEST(Averages, UniformAverageMatchesSequentialChain) {
   rng::Xoshiro256 gen(62);
   const std::size_t dim = 19;
@@ -343,7 +356,7 @@ TEST(Averages, UniformAverageMatchesSequentialChain) {
   }
   const std::vector<index_t> ids = {4, 0, 2};
   std::vector<scalar_t> out(dim, 99.0);
-  detail::uniform_average(vecs, ids, out);
+  detail::weighted_average(vecs, detail::Participants::from_draws(ids), out);
   const scalar_t inv = 1.0 / static_cast<scalar_t>(ids.size());
   std::vector<scalar_t> expected(dim, 0.0);
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -510,6 +523,21 @@ TEST(Afl, IsSingleStepDrfa) {
   for (std::size_t i = 0; i < afl.w.size(); ++i) {
     EXPECT_DOUBLE_EQ(afl.w[i], drfa1.w[i]);
   }
+}
+
+// use_checkpoint means the same for every minimax trainer: without it,
+// DRFA's Phase 2 scores the round's aggregate, not the checkpoint, so
+// the weights (and, through the sampling, the model) move elsewhere.
+TEST(Drfa, CheckpointAblationChangesTheTrajectory) {
+  const auto fed = heterogeneous_task();
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  auto opts = quick_opts(4);
+  opts.eta_p = 0.05;
+  const auto with_ckpt = train_drfa(model, fed, opts, test_pool());
+  opts.use_checkpoint = false;
+  const auto last_iterate = train_drfa(model, fed, opts, test_pool());
+  EXPECT_NE(with_ckpt.p, last_iterate.p);
+  EXPECT_NE(with_ckpt.w, last_iterate.w);
 }
 
 TEST(Drfa, WeightsShiftTowardHardClients) {

@@ -103,7 +103,7 @@ TrainOptions qffl_opts(index_t rounds = 60) {
 TEST(Qffl, LearnsIidTask) {
   const auto fed = iid_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto result = algo::train_qffl(model, fed, qffl_opts(80), 1.0,
+  const auto result = algo::train_qffl(model, fed, qffl_opts(80),
                                        test_pool());
   EXPECT_GT(result.history.back().summary.average, 0.8);
 }
@@ -115,8 +115,10 @@ TEST(Qffl, PositiveQImprovesWorstOverQZero) {
   opts.eta_w = 0.05;
   opts.sampled_clients = 6;
   opts.eval_every = 10;
-  const auto q0 = algo::train_qffl(model, fed, opts, 0.0, test_pool());
-  const auto q5 = algo::train_qffl(model, fed, opts, 5.0, test_pool());
+  opts.q = 0;
+  const auto q0 = algo::train_qffl(model, fed, opts, test_pool());
+  opts.q = 5;
+  const auto q5 = algo::train_qffl(model, fed, opts, test_pool());
   const auto s0 = q0.history.tail_summary(8);
   const auto s5 = q5.history.tail_summary(8);
   EXPECT_GE(s5.worst + 0.02, s0.worst);
@@ -126,8 +128,9 @@ TEST(Qffl, PositiveQImprovesWorstOverQZero) {
 TEST(Qffl, NegativeQThrows) {
   const auto fed = iid_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  EXPECT_THROW(algo::train_qffl(model, fed, qffl_opts(2), -1.0,
-                                test_pool()), CheckError);
+  auto opts = qffl_opts(2);
+  opts.q = -1;
+  EXPECT_THROW(algo::train_qffl(model, fed, opts, test_pool()), CheckError);
 }
 
 TEST(Qffl, CommAccounting) {
@@ -135,7 +138,7 @@ TEST(Qffl, CommAccounting) {
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   auto opts = qffl_opts(5);
   opts.sampled_clients = 4;
-  const auto result = algo::train_qffl(model, fed, opts, 1.0, test_pool());
+  const auto result = algo::train_qffl(model, fed, opts, test_pool());
   EXPECT_EQ(result.comm.edge_cloud_rounds, 5u);
   EXPECT_EQ(result.comm.edge_cloud_models_up, 20u);
   EXPECT_EQ(result.comm.edge_cloud_scalars, 40u);
@@ -156,7 +159,7 @@ TEST(Qffl, RejectsFaultPlanAndRobustAggregate) {
   median.aggregate = algo::Aggregate::kMedian;
   for (const TrainOptions& o : {faulty, median}) {
     try {
-      algo::train_qffl(model, fed, o, 1.0, test_pool());
+      algo::train_qffl(model, fed, o, test_pool());
       ADD_FAILURE() << "train_qffl accepted an option it ignores";
     } catch (const CheckError& e) {
       EXPECT_NE(std::string(e.what()).find("train_qffl"), std::string::npos)
@@ -172,13 +175,12 @@ TEST(Qffl, QuantizedUplinkChangesWAndReplays) {
   const auto fed = heterogeneous_task(4, 2);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   TrainOptions o = qffl_opts(3);
-  const auto plain = algo::train_qffl(model, fed, o, 1.0, test_pool());
+  const auto plain = algo::train_qffl(model, fed, o, test_pool());
   o.quantize_bits = 8;
-  const auto quant = algo::train_qffl(model, fed, o, 1.0, test_pool());
+  const auto quant = algo::train_qffl(model, fed, o, test_pool());
   EXPECT_NE(plain.w, quant.w);
   expect_same_output(output_of(quant),
-                     output_of(algo::train_qffl(model, fed, o, 1.0,
-                                                test_pool())),
+                     output_of(algo::train_qffl(model, fed, o, test_pool())),
                      "q-FFL 8-bit replay");
   EXPECT_LT(quant.comm.edge_cloud_bytes, plain.comm.edge_cloud_bytes);
 }

@@ -35,6 +35,7 @@ namespace hm::algo {
 namespace {
 
 using testing_util::bits;
+using testing_util::comm_counters;
 using testing_util::deep_task;
 using testing_util::heterogeneous_task;
 using testing_util::mix_vec;
@@ -73,22 +74,6 @@ TrainOptions faulty_opts(TrainOptions o, OnFault policy, Aggregate agg) {
 const data::FederatedDataset& shared_task() {
   static const data::FederatedDataset fed = heterogeneous_task(4, 2);
   return fed;
-}
-
-/// Every counter of `c` in COMM-section order; extra_rtts as its bits.
-std::vector<std::uint64_t> comm_counters(const sim::CommStats& c) {
-  std::vector<std::uint64_t> v = {
-      c.client_edge_rounds,      c.edge_cloud_rounds,
-      c.client_edge_models_up,   c.client_edge_models_down,
-      c.edge_cloud_models_up,    c.edge_cloud_models_down,
-      c.client_edge_scalars,     c.edge_cloud_scalars,
-      c.client_edge_bytes,       c.edge_cloud_bytes};
-  for (const sim::LinkFaultStats* f :
-       {&c.client_edge_fault, &c.edge_cloud_fault}) {
-    v.insert(v.end(), {f->attempted, f->delivered, f->dropped, f->in_retry,
-                       f->straggled, bits(f->extra_rtts)});
-  }
-  return v;
 }
 
 /// The pinned quantities: one u64 bit pattern per per-round global loss,
@@ -155,9 +140,10 @@ std::vector<Runner> runners() {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
+                   TrainOptions o = golden_opts();
+                   o.q = 2;
                    return trajectory_of(
-                       train_qffl(model, fed, golden_opts(), /*q=*/2.0,
-                                  test_pool()));
+                       train_qffl(model, fed, o, test_pool()));
                  }});
   out.push_back({"hierminimax", [] {
                    const auto& fed = shared_task();

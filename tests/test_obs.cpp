@@ -348,8 +348,10 @@ std::vector<Runner> runners() {
                    const auto& fed = shared_task();
                    const nn::SoftmaxRegression model(fed.dim(),
                                                      fed.num_classes());
-                   return trajectory_of(algo::train_qffl(
-                       model, fed, contract_opts(), /*q=*/2.0, test_pool()));
+                   algo::TrainOptions o = contract_opts();
+                   o.q = 2;
+                   return trajectory_of(
+                       algo::train_qffl(model, fed, o, test_pool()));
                  }, "qffl"});
   out.push_back({"hierminimax", [] {
                    const auto& fed = shared_task();
@@ -497,6 +499,27 @@ TEST(ZeroPerturbation, DeliveryCountersReconcileWithLinkFaultStats) {
   };
   check_link("sim.comm.client_edge_fault", result.comm.client_edge_fault);
   check_link("sim.comm.edge_cloud_fault", result.comm.edge_cloud_fault);
+  const sim::CommStats& c = result.comm;
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"sim.comm.client_edge.rounds", c.client_edge_rounds},
+      {"sim.comm.client_edge.models_up", c.client_edge_models_up},
+      {"sim.comm.client_edge.models_down", c.client_edge_models_down},
+      {"sim.comm.client_edge.scalars", c.client_edge_scalars},
+      {"sim.comm.client_edge.bytes", c.client_edge_bytes},
+      {"sim.comm.edge_cloud.rounds", c.edge_cloud_rounds},
+      {"sim.comm.edge_cloud.models_up", c.edge_cloud_models_up},
+      {"sim.comm.edge_cloud.models_down", c.edge_cloud_models_down},
+      {"sim.comm.edge_cloud.scalars", c.edge_cloud_scalars},
+      {"sim.comm.edge_cloud.bytes", c.edge_cloud_bytes},
+  };
+  for (const auto& [name, value] : counters) EXPECT_EQ(gauge(name), value);
+  // Those ten and the five per fault link are every sim.comm.* gauge:
+  // extra_rtts, a double, has none.
+  std::size_t comm_gauges = 0;
+  for (const auto& m : snap.metrics) {
+    comm_gauges += m.name.rfind("sim.comm.", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(comm_gauges, 20u);
   // The run actually exercised loss + retry paths.
   EXPECT_GT(result.comm.msgs_dropped(), 0u);
   EXPECT_GT(result.comm.edge_cloud_fault.in_retry, 0u);

@@ -131,13 +131,6 @@ TEST(RobustAverage, MeanKindDelegatesBitIdentically) {
   for (std::size_t c = 0; c < plain.size(); ++c) {
     EXPECT_EQ(bits(robust[c]), bits(plain[c])) << "weighted c=" << c;
   }
-
-  const std::vector<index_t> ids = {1, 3, 5};
-  detail::uniform_average(v, ids, plain);
-  detail::robust_uniform_average(v, ids, AggregateSpec{}, robust);
-  for (std::size_t c = 0; c < plain.size(); ++c) {
-    EXPECT_EQ(bits(robust[c]), bits(plain[c])) << "uniform c=" << c;
-  }
 }
 
 TEST(RobustCombine, MeanKindIsRejected) {
@@ -419,7 +412,7 @@ TEST(BlockParallelAggregation, BitIdenticalToSerialForEveryPoolSize) {
     std::vector<scalar_t> out(dim);
     detail::weighted_average(vecs, parts, out, pool);
     outs.push_back(out);
-    detail::uniform_average(vecs, ids, out, pool);
+    detail::weighted_average(vecs, Participants::from_draws(ids), out, pool);
     outs.push_back(out);
     robust_combine(ptrs(vecs), mults, 8, median, out, pool);
     outs.push_back(out);

@@ -553,9 +553,9 @@ std::vector<Trainer> trainers() {
        [](const io::SnapshotPolicy& sp, const std::string& rf, bool faulty) {
          const auto& fed = shared_task();
          const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-         return output_of(train_qffl(
-             model, fed, with_snapshots(snap_opts(faulty), sp, rf),
-             /*q=*/2.0, test_pool()));
+         TrainOptions o = with_snapshots(snap_opts(faulty), sp, rf);
+         o.q = 2;
+         return output_of(train_qffl(model, fed, o, test_pool()));
        },
        /*takes_faults=*/false});
   out.push_back(
@@ -824,6 +824,24 @@ TEST(SnapshotResume, OtherOptionsAreRefusedNamingTheFirstDifference) {
       [&] { train_hierminimax(model, fed, topo, changed, test_pool()); });
   EXPECT_NE(msg.find("eta_w: snapshot 0.1, this run 1 "), std::string::npos)
       << msg;
+
+  // q-FFL's exponent is an option like any other: a q = 2 run does not
+  // resume under q = 5.
+  const auto& flat = shared_task();
+  const nn::SoftmaxRegression flat_model(flat.dim(), flat.num_classes());
+  const std::string qdir = fresh_dir("options_mismatch_q");
+  policy.dir = qdir;
+  TrainOptions q2 = with_snapshots(snap_opts(false), policy, "");
+  q2.q = 2;
+  EXPECT_THROW(train_qffl(flat_model, flat, q2, test_pool()),
+               io::SimulatedCrash);
+  TrainOptions q5 = with_snapshots(snap_opts(false), io::SnapshotPolicy{},
+                                   qdir);
+  q5.q = 5;
+  const std::string qmsg = check_error_of(
+      [&] { train_qffl(flat_model, flat, q5, test_pool()); });
+  EXPECT_NE(qmsg.find("q: snapshot 2, this run 5 "), std::string::npos)
+      << qmsg;
 }
 
 /// A snapshot written before the options record has no OPTS section, so
@@ -873,6 +891,7 @@ TEST(OptionsRecord, PerturbingAFieldChangesOnlyItsRow) {
       {"loss_est_batch", [](TrainOptions& o) { o.loss_est_batch += 1; }},
       {"quantize_bits", [](TrainOptions& o) { o.quantize_bits = 8; }},
       {"use_checkpoint", [](TrainOptions& o) { o.use_checkpoint = false; }},
+      {"q", [](TrainOptions& o) { o.q = 2; }},
       {"fault.enabled", [](TrainOptions& o) { o.fault.enabled = true; }},
       {"fault.client_dropout_prob",
        [](TrainOptions& o) { o.fault.client_dropout_prob = 0.1; }},
@@ -1167,6 +1186,54 @@ TEST(SnapshotCodec, BulkF64MatchesPerValuePath) {
 /// The serialized bytes of pinned_codec_snapshot(), and of the same
 /// snapshot laid out field by field from the format in snapshot.hpp: the
 /// size and CRC are the values the bytewise codec produced.
+/// The COMM section's layout, pinned with a distinct value per field:
+/// the ten link counters in order as u64, then each link's fault stats
+/// (five u64 counters, extra_rtts as f64), client-edge first. A resume
+/// reads every field back.
+TEST(SnapshotCodec, CommSectionBytesArePinned) {
+  sim::CommStats c;
+  c.client_edge_rounds = 1;
+  c.edge_cloud_rounds = 2;
+  c.client_edge_models_up = 3;
+  c.client_edge_models_down = 4;
+  c.edge_cloud_models_up = 5;
+  c.edge_cloud_models_down = 6;
+  c.client_edge_scalars = 7;
+  c.edge_cloud_scalars = 8;
+  c.client_edge_bytes = 9;
+  c.edge_cloud_bytes = 10;
+  c.client_edge_fault = {11, 12, 13, 14, 15, 16.5};
+  c.edge_cloud_fault = {17, 18, 19, 20, 21, 22.5};
+  io::ByteWriter want;
+  for (std::uint64_t v = 1; v <= 15; ++v) want.put_u64(v);
+  want.put_f64(16.5);
+  for (std::uint64_t v = 17; v <= 21; ++v) want.put_u64(v);
+  want.put_f64(22.5);
+
+  rng::Xoshiro256 root(5);
+  std::vector<scalar_t> w(3, 0);
+  metrics::TrainingHistory history;
+  detail::RunState st;
+  st.algo_id = detail::kAlgoFedAvg;
+  st.options = options_record(TrainOptions{}, {8});
+  st.root = &root;
+  st.w = &w;
+  st.comm = &c;
+  st.history = &history;
+  const io::Snapshot s = detail::make_run_snapshot(st, 1);
+  EXPECT_EQ(s.get_bytes(detail::kSnapComm), want.bytes());
+
+  const std::string dir = fresh_dir("comm_pin");
+  io::save_snapshot(dir, 2, 1, s);
+  sim::CommStats back;
+  metrics::TrainingHistory back_history;
+  st.comm = &back;
+  st.history = &back_history;
+  EXPECT_EQ(detail::resume_round(dir, st), 1);
+  EXPECT_EQ(detail::make_run_snapshot(st, 1).get_bytes(detail::kSnapComm),
+            want.bytes());
+}
+
 TEST(SnapshotCodec, SerializedBytesArePinned) {
   const std::vector<std::uint8_t> bytes = pinned_codec_snapshot().serialize();
   ASSERT_EQ(bytes.size(), 16183u);

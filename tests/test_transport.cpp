@@ -786,6 +786,41 @@ TEST(TransportOracle, KillMatrixMatchesTheEdgeCrashOracle) {
   EXPECT_TRUE(no_children_remain());
 }
 
+/// Transport is exempt from the options record because every backend is
+/// bit-identical, and the stale store is kept iff on_fault is stale, so
+/// a snapshot written over one backend resumes over another and the
+/// result equals the straight in-proc run.
+TEST(TransportOracle, SnapshotsResumeAcrossTransports) {
+  for (const Trainer& t : kTrainers) {
+    for (const OnFault policy :
+         {OnFault::kRenormalize, OnFault::kReuseStale}) {
+      TrainOptions base = transport_opts();
+      base.on_fault = policy;
+      const RunOutput straight = run_with(t, base);
+      for (const bool socket_first : {true, false}) {
+        const std::string label = std::string(t.name) + "_" +
+                                  to_string(policy) +
+                                  (socket_first ? "_socket_to_inproc"
+                                                : "_inproc_to_socket");
+        const std::string dir = "/tmp/hm_transport_test/" + label;
+        std::filesystem::remove_all(dir);
+        TrainOptions first = base;
+        first.snapshot.every_k_rounds = 2;
+        first.snapshot.dir = dir;
+        first.snapshot.crash_after_round = 2;
+        TrainOptions second = base;
+        second.resume_from = dir;
+        TrainOptions& socket = socket_first ? first : second;
+        socket.transport.kind = net::TransportKind::kSocket;
+        socket.transport.workers = 2;
+        EXPECT_THROW(run_with(t, first), io::SimulatedCrash) << label;
+        expect_same_output(straight, run_with(t, second), label);
+      }
+    }
+  }
+  EXPECT_TRUE(no_children_remain());
+}
+
 /// The two-layer trainers have no edge tier to ship and no tree: a
 /// non-inproc transport or a non-empty taus is an error that names the
 /// trainer, never silently ignored.
@@ -803,8 +838,7 @@ TEST(TransportSupport, TwoLayerTrainersRejectOtherBackends) {
        [&](const TrainOptions& o) { train_stochastic_afl(model, fed, o,
                                                          test_pool()); }},
       {"train_qffl",
-       [&](const TrainOptions& o) { train_qffl(model, fed, o, 2.0,
-                                               test_pool()); }},
+       [&](const TrainOptions& o) { train_qffl(model, fed, o, test_pool()); }},
   };
   for (const auto& [name, run] : trainers) {
     for (const net::TransportKind kind :

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -130,37 +131,29 @@ inline std::uint64_t mix_vec(std::uint64_t h,
   return h;
 }
 
-inline std::uint64_t mix_link(std::uint64_t h,
-                              const sim::LinkFaultStats& f) {
-  h = mix(h, f.attempted);
-  h = mix(h, f.delivered);
-  h = mix(h, f.dropped);
-  h = mix(h, f.in_retry);
-  h = mix(h, f.straggled);
-  h = mix(h, bits(f.extra_rtts));
-  return h;
-}
-
+/// Every counter of `c` in COMM-section order, extra_rtts as its bits.
 /// `model_only` drops the fault delivery counters: an enabled
 /// zero-probability plan legitimately meters deliveries the disabled
 /// fast path never counts, while every model-visible quantity must stay
 /// bit-identical.
+inline std::vector<std::uint64_t> comm_counters(const sim::CommStats& c,
+                                                bool model_only = false) {
+  std::vector<std::uint64_t> out;
+  sim::for_each_counter(c, [&](const char* link, const char*,
+                               const auto& v) {
+    if (model_only && link != nullptr) return;
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>, double>) {
+      out.push_back(bits(v));
+    } else {
+      out.push_back(v);
+    }
+  });
+  return out;
+}
+
 inline std::uint64_t mix_comm(std::uint64_t h, const sim::CommStats& c,
                               bool model_only = false) {
-  h = mix(h, c.client_edge_rounds);
-  h = mix(h, c.edge_cloud_rounds);
-  h = mix(h, c.client_edge_models_up);
-  h = mix(h, c.client_edge_models_down);
-  h = mix(h, c.edge_cloud_models_up);
-  h = mix(h, c.edge_cloud_models_down);
-  h = mix(h, c.client_edge_scalars);
-  h = mix(h, c.edge_cloud_scalars);
-  h = mix(h, c.client_edge_bytes);
-  h = mix(h, c.edge_cloud_bytes);
-  if (!model_only) {
-    h = mix_link(h, c.client_edge_fault);
-    h = mix_link(h, c.edge_cloud_fault);
-  }
+  for (const std::uint64_t v : comm_counters(c, model_only)) h = mix(h, v);
   return h;
 }
 
