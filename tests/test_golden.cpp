@@ -1,7 +1,8 @@
 // Golden-trajectory regression test: a short seeded run of every trainer
 // is pinned to checked-in exact bit patterns (per-record global loss, the
-// final minimax weights p, a bit-hash of the final model w and every
-// CommStats counter). The degraded rows run the fault, stale-store,
+// final and time-averaged minimax weights p, bit-hashes of the final and
+// averaged model w and of every history record, and every CommStats
+// counter). The degraded rows run the fault, stale-store,
 // robust-combiner and checkpoint-ablation paths of both round loops. Any
 // change to initialization, RNG stream
 // layout, reduction order, or aggregation semantics shows up here as a
@@ -17,6 +18,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,7 @@ namespace {
 using testing_util::bits;
 using testing_util::comm_counters;
 using testing_util::deep_task;
+using testing_util::fingerprint_history;
 using testing_util::heterogeneous_task;
 using testing_util::mix_vec;
 using testing_util::test_pool;
@@ -77,12 +80,16 @@ const data::FederatedDataset& shared_task() {
 }
 
 /// The pinned quantities: one u64 bit pattern per per-round global loss,
-/// one per coordinate of the final p, a hash of the final w's bits, and
-/// every CommStats counter.
+/// one per coordinate of the final p and of the time-averaged p, bit
+/// hashes of the final w and of the running average of w, a hash of every
+/// field of every history record, and every CommStats counter.
 struct Trajectory {
   std::vector<std::uint64_t> loss;
   std::vector<std::uint64_t> p;
+  std::vector<std::uint64_t> p_avg;
   std::uint64_t w = 0;
+  std::uint64_t w_avg = 0;
+  std::uint64_t history = 0;
   std::vector<std::uint64_t> comm;
 };
 
@@ -92,7 +99,10 @@ Trajectory trajectory_of(const TrainResult& r) {
     t.loss.push_back(bits(rec.global_loss));
   }
   for (const scalar_t x : r.p) t.p.push_back(bits(x));
+  for (const scalar_t x : r.p_avg) t.p_avg.push_back(bits(x));
   t.w = mix_vec(0, r.w);
+  t.w_avg = mix_vec(0, r.w_avg);
+  t.history = fingerprint_history(0, r.history, /*model_only=*/false);
   t.comm = comm_counters(r.comm);
   return t;
 }
@@ -187,6 +197,19 @@ std::vector<Runner> runners() {
                        model, fed, topo, with_taus(golden_opts(), {2, 2, 2}),
                        test_pool()));
                  }});
+  // Depth 3 under partial participation, 8-bit uplinks and weight decay.
+  out.push_back({"hierminimax_d3_quant", [] {
+                   const auto& fed = deep_task();
+                   const sim::MultiTopology topo({4, 2, 2});
+                   const nn::SoftmaxRegression model(fed.dim(),
+                                                     fed.num_classes());
+                   TrainOptions o = with_taus(golden_opts(), {2, 2, 2});
+                   o.quantize_bits = 8;
+                   o.weight_decay = 0.01;
+                   o.sampled_edges = 3;
+                   return trajectory_of(
+                       train_hierminimax(model, fed, topo, o, test_pool()));
+                 }});
   // MLP rows: every hidden width is at least 4x the batch, so the
   // batch-sized forward GEMMs take gemm_nt's transposed (small-side
   // packed) path. The HierMinimax row runs decayed, projected steps; the
@@ -268,10 +291,7 @@ std::vector<Runner> runners() {
 
 struct GoldenRow {
   const char* name;
-  std::vector<std::uint64_t> loss;
-  std::vector<std::uint64_t> p;
-  std::uint64_t w;
-  std::vector<std::uint64_t> comm;
+  Trajectory want;
 };
 
 // Regenerate with HM_GOLDEN_PRINT=1 (see the file comment). The first
@@ -281,161 +301,242 @@ struct GoldenRow {
 const std::vector<GoldenRow>& golden() {
   static const std::vector<GoldenRow> kGolden = {
       {"fedavg",
-       {0x3ff62e42fefa39f5ull, 0x3ff37698d73f6106ull, 0x3ff169492d846874ull,
-        0x3fefee554d14f2f2ull},
-       {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
-        0x3fd0000000000000ull},
-       0xa285576033e6a8eaull,
-       {0ull, 3ull, 0ull, 0ull, 24ull, 24ull, 0ull, 0ull, 0ull, 19968ull, 0ull,
-        0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff37698d73f6106ull, 0x3ff169492d846874ull,
+         0x3fefee554d14f2f2ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        0xa285576033e6a8eaull, 0x399f8598682f7558ull, 0xf7e8d9b9e87c8e11ull,
+        {0ull, 3ull, 0ull, 0ull, 24ull, 24ull, 0ull, 0ull,
+         0ull, 19968ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       {"hierfavg",
-       {0x3ff62e42fefa39f5ull, 0x3ff24c27b3f6df52ull, 0x3fefd7b79e0ac40cull,
-        0x3fec4c773c205420ull},
-       {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
-        0x3fd0000000000000ull},
-       0xe97490e7538f106aull,
-       {6ull, 3ull, 48ull, 48ull, 12ull, 12ull, 0ull, 0ull, 39936ull, 9984ull,
-        0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
-        0ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff24c27b3f6df52ull, 0x3fefd7b79e0ac40cull,
+         0x3fec4c773c205420ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        0xe97490e7538f106aull, 0x1b6c29904a282309ull, 0x0501c6e5c1d48ff0ull,
+        {6ull, 3ull, 48ull, 48ull, 12ull, 12ull, 0ull, 0ull,
+         39936ull, 9984ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       {"drfa",
-       {0x3ff62e42fefa39f5ull, 0x3ff341bdad572d5full, 0x3ff15ce5cb2f0c1cull,
-        0x3ff012481ac47856ull},
-       {0x3fc614b3f7b48f05ull, 0x3fcea700b1fc86eeull, 0x3fd4768af52f616bull,
-        0x3fd12b9ab5f8139bull},
-       0x230298db1de7f426ull,
-       {0ull, 6ull, 0ull, 0ull, 30ull, 39ull, 0ull, 24ull, 0ull, 28896ull, 0ull,
-        0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff341bdad572d5full, 0x3ff15ce5cb2f0c1cull,
+         0x3ff012481ac47856ull},
+        {0x3fc614b3f7b48f05ull, 0x3fcea700b1fc86eeull, 0x3fd4768af52f616bull,
+         0x3fd12b9ab5f8139bull},
+        {0x3fc9ddedfd887e7bull, 0x3fcf9e17d15198c4ull, 0x3fd27913bb3637b6ull,
+         0x3fd0c8e95d5cbca8ull},
+        0x230298db1de7f426ull, 0x208c0b5ac4450034ull, 0x2cc64e90dc1fbdf4ull,
+        {0ull, 6ull, 0ull, 0ull, 30ull, 39ull, 0ull, 24ull,
+         0ull, 28896ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       {"stochastic_afl",
-       {0x3ff62e42fefa39f5ull, 0x3ff4914f3a32dddfull, 0x3ff348b2dfb8c7a2ull,
-        0x3ff22b42b3fd0734ull},
-       {0x3fcc569ff2f3b1bdull, 0x3fcf90017a73e5baull, 0x3fd16f734fb2c377ull,
-        0x3fd09d3bf99970cfull},
-       0xe4d15051c8bbdebcull,
-       {0ull, 6ull, 0ull, 0ull, 30ull, 39ull, 0ull, 24ull, 0ull, 28896ull, 0ull,
-        0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff4914f3a32dddfull, 0x3ff348b2dfb8c7a2ull,
+         0x3ff22b42b3fd0734ull},
+        {0x3fcc569ff2f3b1bdull, 0x3fcf90017a73e5baull, 0x3fd16f734fb2c377ull,
+         0x3fd09d3bf99970cfull},
+        {0x3fcda277fd3eda73ull, 0x3fcfed8104883850ull, 0x3fd0d42a69b86767ull,
+         0x3fd063d915640f38ull},
+        0xe4d15051c8bbdebcull, 0x6d96cbc559d1186cull, 0xf6be66469fa7fc7eull,
+        {0ull, 6ull, 0ull, 0ull, 30ull, 39ull, 0ull, 24ull,
+         0ull, 28896ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       {"qffl",
-       {0x3ff62e42fefa39f5ull, 0x3ff56c4aee3a7a80ull, 0x3ff4b354a2c7cc17ull,
-        0x3ff40aa5d91781b8ull},
-       {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
-        0x3fd0000000000000ull},
-       0x82b03a65a42f99faull,
-       {0ull, 3ull, 0ull, 0ull, 24ull, 24ull, 0ull, 48ull, 0ull, 20352ull, 0ull,
-        0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff56c4aee3a7a80ull, 0x3ff4b354a2c7cc17ull,
+         0x3ff40aa5d91781b8ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        0x82b03a65a42f99faull, 0x78d944374cfcb6fcull, 0x85c4316bd1925544ull,
+        {0ull, 3ull, 0ull, 0ull, 24ull, 24ull, 0ull, 48ull,
+         0ull, 20352ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       {"hierminimax",
-       {0x3ff62e42fefa39f5ull, 0x3ff205c7d64a446full, 0x3ff0a7ec6dbced9eull,
-        0x3fed272e2800a0c9ull},
-       {0x3fc6c1120383ff93ull, 0x3fc808bd341923e9ull, 0x3fd6c76904804384ull,
-        0x3fd1d3af5fb12abeull},
-       0x902c99661e6df6fdull,
-       {9ull, 6ull, 48ull, 56ull, 16ull, 20ull, 24ull, 12ull, 43456ull,
-        15072ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
-        0ull, 0ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff205c7d64a446full, 0x3ff0a7ec6dbced9eull,
+         0x3fed272e2800a0c9ull},
+        {0x3fc6c1120383ff93ull, 0x3fc808bd341923e9ull, 0x3fd6c76904804384ull,
+         0x3fd1d3af5fb12abeull},
+        {0x3fc93bc854a7a80bull, 0x3fca55eecf81dcb2ull, 0x3fd44ebaa0345e51ull,
+         0x3fd1e869cdb6df4eull},
+        0x902c99661e6df6fdull, 0x0c3b3e4446ecc64bull, 0x6863b8611b3bbbd1ull,
+        {9ull, 6ull, 48ull, 56ull, 16ull, 20ull, 24ull, 12ull,
+         43456ull, 15072ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       {"hierminimax_multi",
-       {0x3ff62e42fefa39f5ull, 0x3ff205c7d64a446full, 0x3ff0a7ec6dbced9eull,
-        0x3fed272e2800a0c9ull},
-       {0x3fc6c1120383ff93ull, 0x3fc808bd341923e9ull, 0x3fd6c76904804384ull,
-        0x3fd1d3af5fb12abeull},
-       0x902c99661e6df6fdull,
-       {9ull, 6ull, 48ull, 56ull, 16ull, 20ull, 24ull, 12ull, 43456ull,
-        15072ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
-        0ull, 0ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff205c7d64a446full, 0x3ff0a7ec6dbced9eull,
+         0x3fed272e2800a0c9ull},
+        {0x3fc6c1120383ff93ull, 0x3fc808bd341923e9ull, 0x3fd6c76904804384ull,
+         0x3fd1d3af5fb12abeull},
+        {0x3fc93bc854a7a80bull, 0x3fca55eecf81dcb2ull, 0x3fd44ebaa0345e51ull,
+         0x3fd1e869cdb6df4eull},
+        0x902c99661e6df6fdull, 0x0c3b3e4446ecc64bull, 0x6863b8611b3bbbd1ull,
+        {9ull, 6ull, 48ull, 56ull, 16ull, 20ull, 24ull, 12ull,
+         43456ull, 15072ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       {"hierfavg_multi",
-       {0x3ff62e42fefa39f5ull, 0x3ff24c27b3f6df52ull, 0x3fefd7b79e0ac40cull,
-        0x3fec4c773c205420ull},
-       {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
-        0x3fd0000000000000ull},
-       0xe97490e7538f106aull,
-       {6ull, 3ull, 48ull, 48ull, 12ull, 12ull, 0ull, 0ull, 39936ull, 9984ull,
-        0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
-        0ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff24c27b3f6df52ull, 0x3fefd7b79e0ac40cull,
+         0x3fec4c773c205420ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        0xe97490e7538f106aull, 0x1b6c29904a282309ull, 0x0501c6e5c1d48ff0ull,
+        {6ull, 3ull, 48ull, 48ull, 12ull, 12ull, 0ull, 0ull,
+         39936ull, 9984ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       // The 4x4 fixture's ln(4) record differs from the 4x2 one's in the
       // last bits: per-edge losses are averaged over other test sets.
       {"hierminimax_multi_d3",
-       {0x3ff62e42fefa39ecull, 0x3ff0f95f955de460ull, 0x3fed2277f98adca6ull,
-        0x3fea4ab3ea77e5d5ull},
-       {0x3fc4ae0cfdfd1f38ull, 0x3fb99281dc89bdb0ull, 0x3fd98bb59298535eull,
-        0x3fd5b8a37746ad9aull},
-       0x67d3496e45b6df77ull,
-       {21ull, 6ull, 182ull, 212ull, 14ull, 19ull, 72ull, 12ull, 164480ull,
-        13824ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
-        0ull, 0ull}},
+       {{0x3ff62e42fefa39ecull, 0x3ff0f95f955de460ull, 0x3fed2277f98adca6ull,
+         0x3fea4ab3ea77e5d5ull},
+        {0x3fc4ae0cfdfd1f38ull, 0x3fb99281dc89bdb0ull, 0x3fd98bb59298535eull,
+         0x3fd5b8a37746ad9aull},
+        {0x3fc2e31648a7ad60ull, 0x3fc0d284d1b621f4ull, 0x3fd842c51fe18444ull,
+         0x3fd5e26d52ef9412ull},
+        0x67d3496e45b6df77ull, 0x9fdd74123fc72ce6ull, 0x2f503d396c73bd1eull,
+        {21ull, 6ull, 182ull, 212ull, 14ull, 19ull, 72ull, 12ull,
+         164480ull, 13824ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
+      {"hierminimax_d3_quant",
+       {{0x3ff62e42fefa39ecull, 0x3ff1bd4185a75ca6ull, 0x3ff0d77411a4a95full,
+         0x3fe919be32a3377dull},
+        {0x0000000000000000ull, 0x3fc42823ae0f91bdull, 0x3fd5de5146ad7918ull,
+         0x3fe006ce71255f05ull},
+        {0x3fb4af7d716596fdull, 0x3fbc5bee0eea2f9bull, 0x3fd64bc270eff540ull,
+         0x3fdd7162aefc191aull},
+        0x863712be99c91937ull, 0x36ee7b64df1f6051ull, 0x3e940e8d0c20bd76ull,
+        {21ull, 6ull, 130ull, 154ull, 10ull, 14ull, 54ull, 9ull,
+         82976ull, 6496ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       // The MLP rows start from He-initialized weights, not from ln(4).
       {"hierminimax_mlp",
-       {0x3ffe4c7227f688b7ull, 0x3ff68df8a6187448ull, 0x3ff7e0b24260a2b6ull,
-        0x3ff2491a2c9ca20cull},
-       {0x3fd0074cde6df9edull, 0x3fc4a2f3c1fe7a8bull, 0x3fd40eaf8247736full,
-        0x3fd19889be4b555full},
-       0x43a929b7e9ce4db8ull,
-       {9ull, 6ull, 48ull, 56ull, 16ull, 20ull, 24ull, 12ull, 842176ull,
-        291552ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
-        0ull, 0ull}},
+       {{0x3ffe4c7227f688b7ull, 0x3ff68df8a6187448ull, 0x3ff7e0b24260a2b6ull,
+         0x3ff2491a2c9ca20cull},
+        {0x3fd0074cde6df9edull, 0x3fc4a2f3c1fe7a8bull, 0x3fd40eaf8247736full,
+         0x3fd19889be4b555full},
+        {0x3fcef637b4aaa206ull, 0x3fc6a63b39bc5bb2ull, 0x3fd1c27f3604f3ffull,
+         0x3fd36f4752c78d25ull},
+        0x43a929b7e9ce4db8ull, 0x9774a6e41d59e1d5ull, 0x7a3d2086c3d5fd86ull,
+        {9ull, 6ull, 48ull, 56ull, 16ull, 20ull, 24ull, 12ull,
+         842176ull, 291552ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       {"fedavg_mlp_prox",
-       {0x4003ae8f2d3ab624ull, 0x400019b77f5e8b5full, 0x3ffbb44ebfb33a0cull,
-        0x3ff803be596e523bull},
-       {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
-        0x3fd0000000000000ull},
-       0x6d1c0b4dc890fc8aull,
-       {0ull, 3ull, 0ull, 0ull, 24ull, 24ull, 0ull, 0ull, 0ull, 210432ull, 0ull,
-        0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull}},
+       {{0x4003ae8f2d3ab624ull, 0x400019b77f5e8b5full, 0x3ffbb44ebfb33a0cull,
+         0x3ff803be596e523bull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        {0x3fd0000000000000ull, 0x3fd0000000000000ull, 0x3fd0000000000000ull,
+         0x3fd0000000000000ull},
+        0x6d1c0b4dc890fc8aull, 0x1b9c0bc613d83040ull, 0xc65063cc70eff061ull,
+        {0ull, 3ull, 0ull, 0ull, 24ull, 24ull, 0ull, 0ull,
+         0ull, 210432ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
       // Degraded rows count deliveries; in hierminimax_faults_stale the
       // crashed area 1 ends at weight 0.
       {"drfa_faults_stale",
-       {0x3ff62e42fefa39f5ull, 0x3ff3b24bab7d91b0ull, 0x3ff17f334ac8543dull,
-        0x3ff0d3cab586b249ull},
-       {0x3fc84ca6b55dcf70ull, 0x3fcf07c5eb8808f3ull, 0x3fd3f7e74783c018ull,
-        0x3fd05de2680953b7ull},
-       0x31dc9c657df6c3dfull,
-       {0ull, 6ull, 0ull, 0ull, 30ull, 39ull, 0ull, 24ull, 0ull, 28896ull, 0ull,
-        0ull, 0ull, 0ull, 0ull, 0ull, 56ull, 31ull, 8ull, 17ull, 7ull,
-        4627541094106798333ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff3b24bab7d91b0ull, 0x3ff17f334ac8543dull,
+         0x3ff0d3cab586b249ull},
+        {0x3fc84ca6b55dcf70ull, 0x3fcf07c5eb8808f3ull, 0x3fd3f7e74783c018ull,
+         0x3fd05de2680953b7ull},
+        {0x3fcdcc371242874eull, 0x3fd0cef542c65af7ull, 0x3fd2fcf1f007f744ull,
+         0x3fca9bfa8820d43eull},
+        0x31dc9c657df6c3dfull, 0x0321baba0d789c9eull, 0x0a0a39364f7e61c0ull,
+        {0ull, 6ull, 0ull, 0ull, 30ull, 39ull, 0ull, 24ull,
+         0ull, 28896ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         56ull, 31ull, 8ull, 17ull, 7ull, 4627541094106798333ull}}},
       {"hierminimax_faults_stale",
-       {0x3ff62e42fefa39f5ull, 0x3ff3eb9119a646fdull, 0x3ff34c5ff09be827ull,
-        0x3ff32bab4f7c11e0ull},
-       {0x3fde9b63869a3909ull, 0x0000000000000000ull, 0x3fce2ed2325dd17cull,
-        0x3fd24d336036de39ull},
-       0xe8175b689e6c35bfull,
-       {9ull, 6ull, 42ull, 52ull, 14ull, 19ull, 24ull, 12ull, 39296ull,
-        13824ull, 40ull, 35ull, 5ull, 0ull, 4ull, 4613010552338705156ull, 22ull,
-        12ull, 3ull, 7ull, 0ull, 4619567317775286272ull}},
+       {{0x3ff62e42fefa39f5ull, 0x3ff3eb9119a646fdull, 0x3ff34c5ff09be827ull,
+         0x3ff32bab4f7c11e0ull},
+        {0x3fde9b63869a3909ull, 0x0000000000000000ull, 0x3fce2ed2325dd17cull,
+         0x3fd24d336036de39ull},
+        {0x3fd8bac15d702442ull, 0x3fb826d5d3ce3695ull, 0x3fcc565a390e7555ull,
+         0x3fd3105c1115136eull},
+        0xe8175b689e6c35bfull, 0x5a908f70ab57405bull, 0x57e39d42bf9c8b2dull,
+        {9ull, 6ull, 42ull, 52ull, 14ull, 19ull, 24ull, 12ull,
+         39296ull, 13824ull, 40ull, 35ull, 5ull, 0ull, 4ull, 4613010552338705156ull,
+         22ull, 12ull, 3ull, 7ull, 0ull, 4619567317775286272ull}}},
       {"hierminimax_d3_faults_skip",
-       {0x3ff62e42fefa39ecull, 0x3ff62e42fefa39ecull, 0x3ff63eee3fbcf9e7ull,
-        0x3ff63eee3fbcf9e7ull},
-       {0x3fd734116d4a29ddull, 0x3fd313ff55260b5bull, 0x3faa6d500eaff268ull,
-        0x3fd26a453bb9cc7dull},
-       0xb8dcfa1d4019c696ull,
-       {19ull, 4ull, 182ull, 164ull, 14ull, 11ull, 24ull, 4ull, 144128ull,
-        10432ull, 128ull, 106ull, 22ull, 0ull, 31ull, 4631344008585789810ull,
-        17ull, 8ull, 3ull, 6ull, 0ull, 4618441417868443648ull}},
+       {{0x3ff62e42fefa39ecull, 0x3ff62e42fefa39ecull, 0x3ff63eee3fbcf9e7ull,
+         0x3ff63eee3fbcf9e7ull},
+        {0x3fd734116d4a29ddull, 0x3fd313ff55260b5bull, 0x3faa6d500eaff268ull,
+         0x3fd26a453bb9cc7dull},
+        {0x3fd4cd60f386c693ull, 0x3fd20d54e36eb23cull, 0x3fbe247004e550cdull,
+         0x3fd19c2e27d132fdull},
+        0xb8dcfa1d4019c696ull, 0x54553e5534ec51adull, 0x1a3da1c5755ba035ull,
+        {19ull, 4ull, 182ull, 164ull, 14ull, 11ull, 24ull, 4ull,
+         144128ull, 10432ull, 128ull, 106ull, 22ull, 0ull, 31ull, 4631344008585789810ull,
+         17ull, 8ull, 3ull, 6ull, 0ull, 4618441417868443648ull}}},
       {"hierminimax_no_ckpt",
-       {0x3ff62e42fefa39f5ull, 0x3ff205c7d64a446full, 0x3ff0a7ec6dbced9eull,
-        0x3fed272e2800a0c9ull},
-       {0x3fc7b14477074158ull, 0x3fc796cde0ad1586ull, 0x3fd74ecba9029812ull,
-        0x3fd10d2b2b233c7eull},
-       0x902c99661e6df6fdull,
-       {9ull, 6ull, 48ull, 56ull, 16ull, 20ull, 24ull, 12ull, 43456ull,
-        15072ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
-        0ull, 0ull}},
-    };
+       {{0x3ff62e42fefa39f5ull, 0x3ff205c7d64a446full, 0x3ff0a7ec6dbced9eull,
+         0x3fed272e2800a0c9ull},
+        {0x3fc7b14477074158ull, 0x3fc796cde0ad1586ull, 0x3fd74ecba9029812ull,
+         0x3fd10d2b2b233c7eull},
+        {0x3fc9b5e1868df8c1ull, 0x3fc9d243e64387e3ull, 0x3fd4c7826820230bull,
+         0x3fd1746ae1771ca2ull},
+        0x902c99661e6df6fdull, 0x0c3b3e4446ecc64bull, 0x6863b8611b3bbbd1ull,
+        {9ull, 6ull, 48ull, 56ull, 16ull, 20ull, 24ull, 12ull,
+         43456ull, 15072ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull,
+         0ull, 0ull, 0ull, 0ull, 0ull, 0ull}}},
+  };
   return kGolden;
 }
 
+/// The pinned fields in which `got` differs from `want`, each named with
+/// its first differing entry in hex; empty when every bit matches.
+std::string pin_diff(const Trajectory& got, const Trajectory& want) {
+  std::ostringstream os;
+  os << std::hex;
+  const auto field = [&os](const char* name,
+                           const std::vector<std::uint64_t>& g,
+                           const std::vector<std::uint64_t>& w) {
+    if (g == w) return;
+    std::size_t j = 0;
+    while (j < g.size() && j < w.size() && g[j] == w[j]) ++j;
+    os << " " << name << "[" << j << "]";
+    if (j < g.size() && j < w.size()) {
+      os << " got 0x" << g[j] << " want 0x" << w[j] << ";";
+    } else {
+      os << " length " << g.size() << " vs " << w.size() << ";";
+    }
+  };
+  field("loss", got.loss, want.loss);
+  field("p", got.p, want.p);
+  field("p_avg", got.p_avg, want.p_avg);
+  field("w", {got.w}, {want.w});
+  field("w_avg", {got.w_avg}, {want.w_avg});
+  field("history", {got.history}, {want.history});
+  field("comm", got.comm, want.comm);
+  return os.str();
+}
+
+/// `v` as a braced list, `per_line` entries to a line.
+void print_u64s(const std::vector<std::uint64_t>& v, const char* fmt,
+                std::size_t per_line) {
+  std::printf("{");
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) std::printf(i % per_line == 0 ? ",\n         " : ", ");
+    std::printf(fmt, static_cast<unsigned long long>(v[i]));
+  }
+  std::printf("}");
+}
+
 void print_row(const std::string& name, const Trajectory& t) {
-  std::printf("    {\"%s\",\n     {", name.c_str());
-  for (std::size_t i = 0; i < t.loss.size(); ++i) {
-    std::printf("%s0x%016llxull", i ? ", " : "",
-                static_cast<unsigned long long>(t.loss[i]));
-  }
-  std::printf("},\n     {");
-  for (std::size_t i = 0; i < t.p.size(); ++i) {
-    std::printf("%s0x%016llxull", i ? ", " : "",
-                static_cast<unsigned long long>(t.p[i]));
-  }
-  std::printf("},\n     0x%016llxull,\n     {",
-              static_cast<unsigned long long>(t.w));
-  for (std::size_t i = 0; i < t.comm.size(); ++i) {
-    std::printf("%s%lluull", i ? ", " : "",
-                static_cast<unsigned long long>(t.comm[i]));
-  }
+  const char* hex = "0x%016llxull";
+  std::printf("      {\"%s\",\n       {", name.c_str());
+  print_u64s(t.loss, hex, 3);
+  std::printf(",\n        ");
+  print_u64s(t.p, hex, 3);
+  std::printf(",\n        ");
+  print_u64s(t.p_avg, hex, 3);
+  std::printf(",\n        0x%016llxull, 0x%016llxull, 0x%016llxull,\n        ",
+              static_cast<unsigned long long>(t.w),
+              static_cast<unsigned long long>(t.w_avg),
+              static_cast<unsigned long long>(t.history));
+  print_u64s(t.comm, "%lluull", 8);
   std::printf("}},\n");
 }
 
@@ -451,28 +552,9 @@ TEST(Golden, SeededTrajectoriesMatchPinnedBitPatterns) {
   ASSERT_EQ(golden().size(), rows.size())
       << "trainer list and golden table out of sync";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& want = golden()[i];
-    ASSERT_EQ(rows[i].name, std::string(want.name));
-    const Trajectory got = rows[i].run();
-    ASSERT_EQ(got.loss.size(), want.loss.size()) << want.name;
-    for (std::size_t j = 0; j < got.loss.size(); ++j) {
-      EXPECT_EQ(got.loss[j], want.loss[j])
-          << want.name << " loss record " << j << std::hex << " got 0x"
-          << got.loss[j] << " want 0x" << want.loss[j];
-    }
-    ASSERT_EQ(got.p.size(), want.p.size()) << want.name;
-    for (std::size_t j = 0; j < got.p.size(); ++j) {
-      EXPECT_EQ(got.p[j], want.p[j])
-          << want.name << " p[" << j << "]" << std::hex << " got 0x"
-          << got.p[j] << " want 0x" << want.p[j];
-    }
-    EXPECT_EQ(got.w, want.w) << want.name << " w hash" << std::hex
-                             << " got 0x" << got.w << " want 0x" << want.w;
-    ASSERT_EQ(got.comm.size(), want.comm.size()) << want.name;
-    for (std::size_t j = 0; j < got.comm.size(); ++j) {
-      EXPECT_EQ(got.comm[j], want.comm[j])
-          << want.name << " comm counter " << j;
-    }
+    ASSERT_EQ(rows[i].name, std::string(golden()[i].name));
+    const std::string diff = pin_diff(rows[i].run(), golden()[i].want);
+    EXPECT_TRUE(diff.empty()) << rows[i].name << ":" << diff;
   }
 }
 

@@ -167,6 +167,8 @@ inline std::uint64_t fingerprint_history(
     h = mix_vec(h, r.edge_acc);
     h = mix(h, bits(r.summary.average));
     h = mix(h, bits(r.summary.worst));
+    h = mix(h, bits(r.summary.best));
+    h = mix(h, bits(r.summary.variance_pct2));
     h = mix(h, bits(r.global_loss));
   }
   return h;
@@ -210,18 +212,7 @@ inline void expect_same_output(const RunOutput& a, const RunOutput& b,
 inline RunOutput output_of(const algo::TrainResult& r) {
   RunOutput out;
   out.w = r.w;
-  std::uint64_t h = 0;
-  h = mix_vec(h, r.p);
-  h = mix_vec(h, r.w_avg);
-  h = mix_vec(h, r.p_avg);
-  h = mix_comm(h, r.comm);
-  for (const auto& rec : r.history.records()) {
-    h = mix(h, static_cast<std::uint64_t>(rec.round));
-    h = mix_comm(h, rec.comm);
-    h = mix_vec(h, rec.edge_acc);
-    h = mix(h, bits(rec.global_loss));
-  }
-  out.fp = h;
+  out.fp = fingerprint(r, /*model_only=*/false);
   std::ostringstream os;
   r.history.write_tsv(os, "run");
   out.tsv = os.str();
