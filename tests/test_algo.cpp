@@ -426,19 +426,6 @@ TEST(FedAvg, CommAccountingMatchesFormula) {
   EXPECT_EQ(result.comm.client_edge_rounds, 0u);
 }
 
-TEST(FedAvg, DeterministicAcrossThreadCounts) {
-  const auto fed = iid_task();
-  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto opts = quick_opts(8);
-  parallel::ThreadPool pool1(1), pool8(8);
-  const auto r1 = train_fedavg(model, fed, opts, pool1);
-  const auto r8 = train_fedavg(model, fed, opts, pool8);
-  ASSERT_EQ(r1.w.size(), r8.w.size());
-  for (std::size_t i = 0; i < r1.w.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1.w[i], r8.w[i]);
-  }
-}
-
 TEST(FedAvg, SeedChangesTrajectory) {
   const auto fed = iid_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());

@@ -327,18 +327,6 @@ TEST(MultiHierMinimax, PartialParticipationAndCappedSet) {
   }
 }
 
-TEST(MultiHierMinimax, DeterministicAcrossThreadCounts) {
-  const auto fed = heterogeneous_task(4, 2);
-  const sim::MultiTopology topo({4, 2});
-  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto opts = multi_opts({2, 3}, 6);
-  parallel::ThreadPool pool1(1), pool8(8);
-  const auto a = algo::train_hierminimax(model, fed, topo, opts, pool1);
-  const auto b = algo::train_hierminimax(model, fed, topo, opts, pool8);
-  EXPECT_EQ(a.w, b.w);
-  EXPECT_EQ(a.p, b.p);
-}
-
 TEST(MultiHierMinimax, MismatchedTausThrow) {
   const auto fed = heterogeneous_task(4, 2);
   const sim::MultiTopology topo({4, 2});
@@ -377,17 +365,6 @@ TEST(MultiHierFavg, DepthThreeLearnsAndHasNoWeightAdaptation) {
   EXPECT_EQ(result.comm.edge_cloud_rounds, 80u);
   EXPECT_EQ(result.comm.client_edge_rounds,
             static_cast<std::uint64_t>(80 * (t[0] + t[0] * t[1])));
-}
-
-TEST(MultiHierFavg, DeterministicAcrossThreadCounts) {
-  const auto fed = heterogeneous_task(4, 2);
-  const sim::MultiTopology topo({4, 2});
-  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto opts = multi_opts({3, 2}, 5);
-  parallel::ThreadPool pool1(1), pool8(8);
-  const auto a = algo::train_hierfavg(model, fed, topo, opts, pool1);
-  const auto b = algo::train_hierfavg(model, fed, topo, opts, pool8);
-  EXPECT_EQ(a.w, b.w);
 }
 
 TEST(MultiHierMinimax, TrivialMiddleLevelCollapsesToDepthTwo) {

@@ -147,34 +147,6 @@ TEST(HierMinimax, CommAccountingMatchesFormula) {
             k * (static_cast<std::uint64_t>(opts.tau2) * 2 + 2));
 }
 
-TEST(HierMinimax, DeterministicAcrossThreadCounts) {
-  const auto fed = heterogeneous_task();
-  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
-  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto opts = quick_opts(8);
-  parallel::ThreadPool pool1(1), pool6(6);
-  const auto r1 = train_hierminimax(model, fed, topo, opts, pool1);
-  const auto r6 = train_hierminimax(model, fed, topo, opts, pool6);
-  for (std::size_t i = 0; i < r1.w.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1.w[i], r6.w[i]);
-  }
-  for (std::size_t i = 0; i < r1.p.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1.p[i], r6.p[i]);
-  }
-}
-
-TEST(HierMinimax, ReproducibleForSameSeed) {
-  const auto fed = heterogeneous_task();
-  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
-  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  const auto opts = quick_opts(10);
-  const auto a = train_hierminimax(model, fed, topo, opts, test_pool());
-  const auto b = train_hierminimax(model, fed, topo, opts, test_pool());
-  EXPECT_EQ(a.w, b.w);
-  EXPECT_EQ(a.p, b.p);
-  EXPECT_EQ(a.comm.total_rounds(), b.comm.total_rounds());
-}
-
 TEST(HierMinimax, FullParticipationEqualsSampledEdgesAllButUsesAllEdges) {
   const auto fed = heterogeneous_task();
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
@@ -212,21 +184,6 @@ TEST(HierMinimax, Tau1Tau2OneMatchesPaperSpecialCase) {
   EXPECT_GT(result.history.back().summary.average, 0.8);
   // Exactly K client-edge rounds from phase 1 + K from phase 2.
   EXPECT_EQ(result.comm.client_edge_rounds, 160u);
-}
-
-TEST(HierMinimax, QuantizedRunsDeterministicAcrossThreadCounts) {
-  // Quantization adds per-payload randomness; it must come from the
-  // named streams, not from scheduling.
-  const auto fed = heterogeneous_task();
-  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
-  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  auto opts = quick_opts(6);
-  opts.quantize_bits = 6;
-  parallel::ThreadPool pool1(1), pool6(6);
-  const auto a = train_hierminimax(model, fed, topo, opts, pool1);
-  const auto b = train_hierminimax(model, fed, topo, opts, pool6);
-  EXPECT_EQ(a.w, b.w);
-  EXPECT_EQ(a.p, b.p);
 }
 
 TEST(HierMinimax, CheckpointAblationStillConverges) {

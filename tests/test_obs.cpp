@@ -1,36 +1,33 @@
 // Observability subsystem suite (DESIGN.md §15): the metrics registry
 // (registration-order independence, histogram bucketing, snapshot
-// algebra), the span tracer and both exporters, and — the load-bearing
-// part — the zero-perturbation contract: every trainer's trajectory is
-// bit-identical with the tracer armed vs. disarmed, and the value
-// channel of the metrics delta is a pure function of (seed, config).
-// The compiled-out arm of the contract is covered by the CI leg that
-// rebuilds with -DHM_OBS=OFF and re-runs test_golden.
+// algebra), the span tracer and both exporters, the round-level trace
+// schema of every trainer, and the value-channel half of the
+// zero-perturbation contract: the value channel of the metrics delta is
+// a pure function of (seed, config). The trajectory half — bit-identical
+// with the tracer armed or idle, and with the hooks compiled out
+// (-DHM_OBS=OFF) — is an axis of test_golden's determinism matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "algo/drfa.hpp"
-#include "algo/fedavg.hpp"
-#include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
-#include "algo/qffl.hpp"
 #include "core/check.hpp"
 #include "nn/softmax_regression.hpp"
 #include "obs/obs.hpp"
-#include "sim/multi_topology.hpp"
 #include "sim/topology.hpp"
 #include "test_util.hpp"
 
 namespace hm::obs {
 namespace {
 
-using testing_util::bits;
-using testing_util::deep_task;
-using testing_util::heterogeneous_task;
+using testing_util::golden_opts;
+using testing_util::golden_task;
+using testing_util::Runner;
 using testing_util::test_pool;
-using testing_util::with_taus;
+using testing_util::trainer_table;
+using testing_util::TraceSession;
 
 // ——— Metrics registry ———
 
@@ -162,16 +159,6 @@ TEST(MetricsRegistry, JsonExportCarriesSchemaAndTags) {
 
 // ——— Tracer ———
 
-/// Arms the tracer for one test body and always disarms on exit, so a
-/// failing assertion can't leak an enabled tracer into later tests.
-struct TraceSession {
-  explicit TraceSession(std::size_t capacity) {
-    set_trace_capacity(capacity);
-    set_trace_enabled(true);
-  }
-  ~TraceSession() { set_trace_enabled(false); }
-};
-
 TEST(Tracer, DisabledSpansRecordNothing) {
   set_trace_enabled(false);
   {
@@ -270,138 +257,7 @@ TEST(Manifest, BaseManifestIsSelfDescribing) {
   EXPECT_NE(json.find("\"schema\":\"hm.obs/1\""), std::string::npos);
 }
 
-// ——— Zero-perturbation contract ———
-
-algo::TrainOptions contract_opts() {
-  algo::TrainOptions o;
-  o.rounds = 3;
-  o.tau1 = 2;
-  o.tau2 = 2;
-  o.batch_size = 4;
-  o.eta_w = 0.1;
-  o.eta_p = 0.02;
-  o.eval_every = 1;
-  o.seed = 5;
-  return o;
-}
-
-const data::FederatedDataset& shared_task() {
-  static const data::FederatedDataset fed = heterogeneous_task(4, 2);
-  return fed;
-}
-
-
-/// The compared quantities: every per-round global-loss bit pattern plus
-/// the final adversarial weights p.
-struct Trajectory {
-  std::vector<std::uint64_t> loss;
-  std::vector<std::uint64_t> p;
-
-  bool operator==(const Trajectory&) const = default;
-};
-
-Trajectory trajectory_of(const algo::TrainResult& r) {
-  Trajectory t;
-  for (const auto& rec : r.history.records()) {
-    t.loss.push_back(bits(rec.global_loss));
-  }
-  for (const scalar_t x : r.p) t.p.push_back(bits(x));
-  return t;
-}
-
-struct Runner {
-  std::string name;
-  Trajectory (*run)();
-  // Round-level trace schema: the run emits one `<algo>.round` span and
-  // one `algo.<algo>.rounds` count per round.
-  const char* algo;
-};
-
-std::vector<Runner> runners() {
-  std::vector<Runner> out;
-  out.push_back({"fedavg", [] {
-                   const auto& fed = shared_task();
-                   const nn::SoftmaxRegression model(fed.dim(),
-                                                     fed.num_classes());
-                   return trajectory_of(
-                       algo::train_fedavg(model, fed, contract_opts(),
-                                          test_pool()));
-                 }, "fedavg"});
-  out.push_back({"hierfavg", [] {
-                   const auto& fed = shared_task();
-                   const sim::HierTopology topo(fed.num_edges(),
-                                                fed.clients_per_edge);
-                   const nn::SoftmaxRegression model(fed.dim(),
-                                                     fed.num_classes());
-                   return trajectory_of(algo::train_hierfavg(
-                       model, fed, topo, contract_opts(), test_pool()));
-                 }, "hierfavg"});
-  out.push_back({"drfa", [] {
-                   const auto& fed = shared_task();
-                   const nn::SoftmaxRegression model(fed.dim(),
-                                                     fed.num_classes());
-                   return trajectory_of(
-                       algo::train_drfa(model, fed, contract_opts(),
-                                        test_pool()));
-                 }, "drfa"});
-  out.push_back({"qffl", [] {
-                   const auto& fed = shared_task();
-                   const nn::SoftmaxRegression model(fed.dim(),
-                                                     fed.num_classes());
-                   algo::TrainOptions o = contract_opts();
-                   o.q = 2;
-                   return trajectory_of(
-                       algo::train_qffl(model, fed, o, test_pool()));
-                 }, "qffl"});
-  out.push_back({"hierminimax", [] {
-                   const auto& fed = shared_task();
-                   const sim::HierTopology topo(fed.num_edges(),
-                                                fed.clients_per_edge);
-                   const nn::SoftmaxRegression model(fed.dim(),
-                                                     fed.num_classes());
-                   return trajectory_of(algo::train_hierminimax(
-                       model, fed, topo, contract_opts(), test_pool()));
-                 }, "hierminimax"});
-  out.push_back({"hierminimax_d3", [] {
-                   const auto& fed = deep_task();
-                   const sim::MultiTopology topo({4, 2, 2});
-                   const nn::SoftmaxRegression model(fed.dim(),
-                                                     fed.num_classes());
-                   return trajectory_of(algo::train_hierminimax(
-                       model, fed, topo,
-                       with_taus(contract_opts(), {2, 2, 2}), test_pool()));
-                 }, "hierminimax"});
-  // Stochastic-AFL is DRFA on a one-step schedule and reports as drfa.
-  out.push_back({"stochastic_afl", [] {
-                   const auto& fed = shared_task();
-                   const nn::SoftmaxRegression model(fed.dim(),
-                                                     fed.num_classes());
-                   return trajectory_of(algo::train_stochastic_afl(
-                       model, fed, contract_opts(), test_pool()));
-                 }, "drfa"});
-  return out;
-}
-
-// The tracer armed vs. disarmed must not change a single trajectory bit,
-// for every trainer. (The metrics counters have no off switch when
-// compiled in — they are exercised identically in both arms, which is
-// itself the claim: hot-path increments do not feed back into training.)
-TEST(ZeroPerturbation, TraceOnVsOffIsBitIdenticalForEveryTrainer) {
-  for (const Runner& r : runners()) {
-    SCOPED_TRACE(r.name);
-    set_trace_enabled(false);
-    const Trajectory off = r.run();
-    Trajectory on;
-    {
-      TraceSession session(1 << 14);
-      on = r.run();
-#if HM_OBS_ENABLED
-      EXPECT_FALSE(trace_spans().empty()) << r.name;
-#endif
-    }
-    EXPECT_EQ(off, on) << r.name << ": tracer perturbed the trajectory";
-  }
-}
+// ——— Trace schema and the zero-perturbation contract ———
 
 // The round-level trace schema, pinned per trainer: exactly `rounds`
 // round spans under the trainer's name, tagged with rounds 0..K-1 in
@@ -410,15 +266,15 @@ TEST(TraceSchema, EveryTrainerEmitsOneRoundSpanAndCountPerRound) {
 #if !HM_OBS_ENABLED
   GTEST_SKIP() << "obs hooks compiled out (HM_OBS=OFF)";
 #endif
-  const auto rounds = static_cast<std::uint64_t>(contract_opts().rounds);
-  for (const Runner& r : runners()) {
+  const auto rounds = static_cast<std::uint64_t>(golden_opts().rounds);
+  for (const Runner& r : trainer_table()) {
     SCOPED_TRACE(r.name);
     const std::string span = std::string(r.algo) + ".round";
     const MetricsSnapshot before = registry().snapshot();
     std::vector<std::uint64_t> span_rounds;
     {
       TraceSession session(1 << 14);
-      (void)r.run();
+      (void)r.run({});
       ASSERT_EQ(trace_dropped(), 0u);
       for (const SpanRecord& s : trace_spans()) {
         if (span == s.name) span_rounds.push_back(s.a0);
@@ -442,11 +298,15 @@ TEST(ZeroPerturbation, ValueChannelDeltaIsReproducible) {
 #if !HM_OBS_ENABLED
   GTEST_SKIP() << "obs hooks compiled out (HM_OBS=OFF)";
 #endif
-  const Runner hm_runner = runners()[4];  // hierminimax
+  const auto rows = trainer_table();
+  const auto hm_row =
+      std::find_if(rows.begin(), rows.end(),
+                   [](const Runner& r) { return r.name == "hierminimax"; });
+  ASSERT_NE(hm_row, rows.end());
   const MetricsSnapshot s0 = registry().snapshot();
-  (void)hm_runner.run();
+  (void)hm_row->run({});
   const MetricsSnapshot s1 = registry().snapshot();
-  (void)hm_runner.run();
+  (void)hm_row->run({});
   const MetricsSnapshot s2 = registry().snapshot();
   const MetricsSnapshot d1 = s1.diff(s0).value_channel();
   const MetricsSnapshot d2 = s2.diff(s1).value_channel();
@@ -467,10 +327,10 @@ TEST(ZeroPerturbation, DeliveryCountersReconcileWithLinkFaultStats) {
 #if !HM_OBS_ENABLED
   GTEST_SKIP() << "obs hooks compiled out (HM_OBS=OFF)";
 #endif
-  const auto& fed = shared_task();
+  const auto& fed = golden_task();
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
-  algo::TrainOptions opts = contract_opts();
+  algo::TrainOptions opts = golden_opts();
   opts.rounds = 6;
   opts.fault.enabled = true;
   opts.fault.client_dropout_prob = 0.3;

@@ -320,25 +320,5 @@ TEST(Fault, QueriesAreOrderIndependent) {
   }
 }
 
-// ClusterSim's fault-aware dispatch skips exactly the crashed devices.
-
-TEST(ClusterSim, FaultAwareDispatchSkipsCrashedDevices) {
-  FaultSpec spec;
-  spec.enabled = true;
-  spec.client_crash_round = {-1, 0, 2};  // device 1 dead from round 0,
-                                         // device 2 dead from round 2
-  const FaultPlan plan(spec);
-  parallel::ThreadPool pool(2);
-  const ClusterSim cluster(pool);
-  std::atomic<int> mask{0};
-  cluster.run_devices(3, plan, /*round=*/1,
-                      [&](index_t i) { mask |= 1 << i; });
-  EXPECT_EQ(mask.load(), 0b101);  // device 1 skipped, 0 and 2 ran
-  mask = 0;
-  cluster.run_devices(3, plan, /*round=*/2,
-                      [&](index_t i) { mask |= 1 << i; });
-  EXPECT_EQ(mask.load(), 0b001);  // only device 0 left
-}
-
 }  // namespace
 }  // namespace hm::sim

@@ -11,11 +11,12 @@
 //   (d) the trainer x backend table: HierMinimax and HierFAVG, on the
 //       client-edge-cloud tree and on a depth-3 tree, over loopback and
 //       socket backends are bit-identical (w, p, averages, history TSV,
-//       comm counters) to the in-process oracle — clean, and with a
-//       worker SIGKILLed at each kill point under each OnFault policy,
-//       where the dead process must degrade exactly like the equivalent
-//       in-proc edge-crash fault plan; the two-layer trainers refuse
-//       every backend but in-proc.
+//       comm counters) to the in-process oracle under sampling and
+//       faults, and with a worker SIGKILLed at each kill point under
+//       each OnFault policy, where the dead process must degrade exactly
+//       like the equivalent in-proc edge-crash fault plan; the two-layer
+//       trainers refuse every backend but in-proc. The clean backends
+//       are an axis of test_golden's determinism matrix.
 //
 // NOT labeled PARALLEL in tests/CMakeLists.txt: the socket backend forks
 // workers, and TSan does not support fork from a threaded process. The
@@ -24,10 +25,8 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -61,6 +60,8 @@ using testing_util::bits;
 using testing_util::deep_task;
 using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
+using testing_util::no_children_remain;
+using testing_util::open_fd_count;
 using testing_util::output_of;
 using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
@@ -341,22 +342,6 @@ TEST(FrameWire, CraftedPayloadLengthIsCorruptBeforeAllocating) {
 // ---------------------------------------------------------------------
 // (c) Transport backends.
 
-bool no_children_remain() {
-  int status = 0;
-  const pid_t r = ::waitpid(-1, &status, WNOHANG);
-  return r == -1 && errno == ECHILD;
-}
-
-int open_fd_count() {
-  int n = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/fd")) {
-    (void)entry;
-    ++n;
-  }
-  return n;
-}
-
 net::HandlerFactory echo_factory() {
   return [](index_t lane) {
     return [lane](std::uint64_t tag, const net::Bytes& req) {
@@ -385,7 +370,6 @@ TEST(TransportKinds, NamesParseAndPrint) {
 TEST(LoopbackTransport, EchoesThroughTheWireCodecAndMeters) {
   auto t = net::make_loopback_transport(2, echo_factory());
   EXPECT_EQ(t->lanes(), 2);
-  EXPECT_FALSE(t->fallible());
 
   std::vector<std::optional<net::RpcRequest>> reqs(2);
   reqs[0] = net::RpcRequest{7, {1, 2, 3}};
@@ -410,7 +394,6 @@ TEST(SocketTransport, ExchangeRoundTripsAndShutdownLeaksNothing) {
     net::TransportSpec spec;
     spec.kind = net::TransportKind::kSocket;
     auto t = net::make_socket_transport(spec, 3, echo_factory());
-    EXPECT_TRUE(t->fallible());
 
     std::vector<std::optional<net::RpcRequest>> reqs(3);
     for (index_t l = 0; l < 3; ++l) {
@@ -586,34 +569,6 @@ RunOutput run_with(const Trainer& t, TrainOptions opts) {
   const sim::MultiTopology topo({4, 2, 2});
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   return output_of(t.train(model, fed, topo, opts, test_pool()));
-}
-
-TEST(TransportOracle, LoopbackIsBitIdenticalToInproc) {
-  for (const Trainer& t : kTrainers) {
-    const RunOutput oracle = run_with(t, transport_opts());
-    for (const index_t workers : {index_t{0}, index_t{1}, index_t{3}}) {
-      TrainOptions o = transport_opts();
-      o.transport.kind = net::TransportKind::kLoopback;
-      o.transport.workers = workers;
-      expect_same_output(oracle, run_with(t, o),
-                         std::string(t.name) + " loopback workers=" +
-                             std::to_string(workers));
-    }
-  }
-}
-
-TEST(TransportOracle, SocketIsBitIdenticalToInprocAndLeaksNothing) {
-  for (const Trainer& t : kTrainers) {
-    const RunOutput oracle = run_with(t, transport_opts());
-    const int fds_before = open_fd_count();
-    TrainOptions o = transport_opts();
-    o.transport.kind = net::TransportKind::kSocket;
-    o.transport.workers = 3;  // uneven lane/edge split on 4 edges
-    expect_same_output(oracle, run_with(t, o),
-                       std::string(t.name) + " socket workers=3");
-    EXPECT_EQ(open_fd_count(), fds_before) << t.name;
-    EXPECT_TRUE(no_children_remain()) << t.name;
-  }
 }
 
 /// One process, an in-proc train call first, then a socket run: the

@@ -1,35 +1,50 @@
 // Shared fixtures and helpers for the algorithm-level tests: small
 // federated tasks with controlled heterogeneity that train in well under
 // a second, the bit-exact fingerprint/trajectory-comparison helpers used
-// by the fault, snapshot, and scenario matrices, the scenario
-// enumeration for the adversarial matrix, and the snapshot whose bytes
-// the codec tests pin.
+// by the fault, snapshot, and scenario matrices, the trainer table whose
+// rows the determinism matrix pins (test_golden) and whose trace schema
+// test_obs checks, the scenario enumeration for the adversarial matrix,
+// and the snapshot whose bytes the codec tests pin.
 #pragma once
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "algo/drfa.hpp"
+#include "algo/fedavg.hpp"
+#include "algo/hierfavg.hpp"
+#include "algo/hierminimax.hpp"
 #include "algo/options.hpp"
+#include "algo/qffl.hpp"
 #include "data/federated.hpp"
 #include "data/generators.hpp"
 #include "io/snapshot.hpp"
+#include "nn/mlp.hpp"
 #include "nn/softmax_regression.hpp"
+#include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/fault.hpp"
+#include "sim/multi_topology.hpp"
 #include "sim/topology.hpp"
 
 namespace hm::testing_util {
 
 /// The pool the trainers under test run on: one per test binary, sized
-/// to the host. Trajectories do not depend on its size; the
-/// DeterministicAcrossThreadCounts tests build their own pools.
+/// to the host. Trajectories do not depend on its size; the determinism
+/// matrix (test_golden) runs its cells on pools of 1 and 4 threads.
 inline parallel::ThreadPool& test_pool() {
   static parallel::ThreadPool pool;
   return pool;
@@ -216,6 +231,266 @@ inline RunOutput output_of(const algo::TrainResult& r) {
   std::ostringstream os;
   r.history.write_tsv(os, "run");
   out.tsv = os.str();
+  return out;
+}
+
+// ---------------------------------------------------------------------
+// Process hygiene of the socket backend.
+
+inline bool no_children_remain() {
+  int status = 0;
+  const pid_t r = ::waitpid(-1, &status, WNOHANG);
+  return r == -1 && errno == ECHILD;
+}
+
+inline int open_fd_count() {
+  int n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// Arms the tracer for its lifetime and always disarms on exit, so a
+/// failing assertion can't leak an enabled tracer into later tests.
+struct TraceSession {
+  explicit TraceSession(std::size_t capacity) {
+    obs::set_trace_capacity(capacity);
+    obs::set_trace_enabled(true);
+  }
+  ~TraceSession() { obs::set_trace_enabled(false); }
+  TraceSession(const TraceSession&) = delete;
+  TraceSession& operator=(const TraceSession&) = delete;
+};
+
+// ---------------------------------------------------------------------
+// The trainer table: a short seeded run of every trainer, including the
+// fault, stale-store, robust-combiner and checkpoint-ablation paths of
+// both round loops.
+
+inline algo::TrainOptions golden_opts() {
+  algo::TrainOptions o;
+  o.rounds = 3;
+  o.tau1 = 2;
+  o.tau2 = 2;
+  o.batch_size = 4;
+  o.eta_w = 0.1;
+  o.eta_p = 0.02;
+  o.eval_every = 1;  // a loss record every round
+  o.seed = 5;
+  return o;
+}
+
+/// `o` under a seeded fault plan: client dropout, lossy wide-area links
+/// with a one-retry budget, stragglers, and area 1 crashing at round 1,
+/// degraded by `policy` and combined by `agg`.
+inline algo::TrainOptions faulty_opts(algo::TrainOptions o,
+                                      algo::OnFault policy,
+                                      algo::Aggregate agg) {
+  o.fault.enabled = true;
+  o.fault.client_dropout_prob = 0.25;
+  o.fault.edge_loss_prob = 0.4;
+  o.fault.max_retries = 1;
+  o.fault.straggler_prob = 0.3;
+  o.fault.edge_crash_round = {-1, 1};
+  o.fault.seed = 11;
+  o.on_fault = policy;
+  o.aggregate = agg;
+  return o;
+}
+
+inline const data::FederatedDataset& golden_task() {
+  static const data::FederatedDataset fed = heterogeneous_task(4, 2);
+  return fed;
+}
+
+/// One cell of the determinism matrix: the execution axes a trajectory
+/// must not depend on (DESIGN.md §6). The default cell is a straight,
+/// untraced in-proc run on test_pool().
+struct Cell {
+  parallel::ThreadPool* pool = nullptr;  // null: test_pool()
+  net::TransportKind transport = net::TransportKind::kInproc;
+  index_t workers = 0;     // transport lanes; 0 = the backend's default
+  bool armed = false;      // tracer armed for the whole run
+  std::string resume_dir;  // set: killed after round 1, resumed from here
+};
+
+/// `train(opts, pool)` under `cell`. A resume cell snapshots after every
+/// round into a fresh `cell.resume_dir`, dies after round 1 and resumes
+/// from the snapshot that round left.
+template <typename Train>
+algo::TrainResult run_in_cell(const Cell& cell, algo::TrainOptions o,
+                              const Train& train) {
+  parallel::ThreadPool& pool =
+      cell.pool != nullptr ? *cell.pool : test_pool();
+  o.transport.kind = cell.transport;
+  o.transport.workers = cell.workers;
+  std::optional<TraceSession> session;
+  if (cell.armed) session.emplace(std::size_t{1} << 14);
+  if (!cell.resume_dir.empty()) {
+    std::filesystem::remove_all(cell.resume_dir);
+    algo::TrainOptions first = o;
+    first.snapshot.every_k_rounds = 1;
+    first.snapshot.dir = cell.resume_dir;
+    first.snapshot.crash_after_round = 1;
+    EXPECT_THROW(train(first, pool), io::SimulatedCrash) << cell.resume_dir;
+    o.resume_from = cell.resume_dir;
+  }
+  return train(o, pool);
+}
+
+using TwoLayerTrain = algo::TrainResult (*)(const nn::Model&,
+                                            const data::FederatedDataset&,
+                                            const algo::TrainOptions&,
+                                            parallel::ThreadPool&);
+using TreeTrain = algo::TrainResult (*)(const nn::Model&,
+                                        const data::FederatedDataset&,
+                                        const sim::MultiTopology&,
+                                        const algo::TrainOptions&,
+                                        parallel::ThreadPool&);
+
+/// Softmax regression when `hidden` is empty, else an MLP with those
+/// hidden widths.
+inline std::unique_ptr<nn::Model> make_model(
+    const data::FederatedDataset& fed, std::vector<index_t> hidden) {
+  if (hidden.empty()) {
+    return std::make_unique<nn::SoftmaxRegression>(fed.dim(),
+                                                   fed.num_classes());
+  }
+  hidden.insert(hidden.begin(), fed.dim());
+  hidden.push_back(fed.num_classes());
+  return std::make_unique<nn::Mlp>(std::move(hidden));
+}
+
+/// One trainer table row. `algo` names its trace output: one
+/// `<algo>.round` span and one `algo.<algo>.rounds` count per round.
+/// Only `hierarchical` rows run over every transport; the two-layer
+/// trainers run in-proc only.
+struct Runner {
+  std::string name;
+  const char* algo;
+  bool hierarchical;
+  std::function<algo::TrainResult(const Cell&)> run;
+};
+
+/// A two-layer trainer on golden_task().
+inline Runner two_layer_row(std::string name, const char* algo,
+                            TwoLayerTrain train, algo::TrainOptions o,
+                            std::vector<index_t> hidden = {}) {
+  return {std::move(name), algo, false, [=](const Cell& cell) {
+            const auto& fed = golden_task();
+            const auto model = make_model(fed, hidden);
+            return run_in_cell(cell, o, [&](const algo::TrainOptions& oo,
+                                            parallel::ThreadPool& pool) {
+              return train(*model, fed, oo, pool);
+            });
+          }};
+}
+
+/// A hierarchical trainer: on golden_task()'s client-edge-cloud tree,
+/// or with `deep` on deep_task()'s tree {4, 2, 2}.
+inline Runner tree_row(std::string name, const char* algo, TreeTrain train,
+                       algo::TrainOptions o, bool deep = false,
+                       std::vector<index_t> hidden = {}) {
+  return {std::move(name), algo, true, [=](const Cell& cell) {
+            const auto& fed = deep ? deep_task() : golden_task();
+            const sim::MultiTopology topo(
+                deep ? std::vector<index_t>{4, 2, 2}
+                     : std::vector<index_t>{fed.num_edges(),
+                                            fed.clients_per_edge});
+            const auto model = make_model(fed, hidden);
+            return run_in_cell(cell, o, [&](const algo::TrainOptions& oo,
+                                            parallel::ThreadPool& pool) {
+              return train(*model, fed, topo, oo, pool);
+            });
+          }};
+}
+
+/// Every trainer, in the order of test_golden's pinned table.
+inline std::vector<Runner> trainer_table() {
+  using algo::Aggregate;
+  using algo::OnFault;
+  const algo::TrainOptions base = golden_opts();
+  std::vector<Runner> out;
+  out.push_back(two_layer_row("fedavg", "fedavg", algo::train_fedavg, base));
+  out.push_back(
+      tree_row("hierfavg", "hierfavg", algo::train_hierfavg, base));
+  out.push_back(two_layer_row("drfa", "drfa", algo::train_drfa, base));
+  // Stochastic-AFL is DRFA on a one-step schedule and reports as drfa.
+  out.push_back(two_layer_row("stochastic_afl", "drfa",
+                              algo::train_stochastic_afl, base));
+  {
+    algo::TrainOptions o = base;
+    o.q = 2;
+    out.push_back(two_layer_row("qffl", "qffl", algo::train_qffl, o));
+  }
+  out.push_back(
+      tree_row("hierminimax", "hierminimax", algo::train_hierminimax, base));
+  out.push_back(tree_row("hierminimax_multi", "hierminimax",
+                         algo::train_hierminimax, with_taus(base, {2, 2})));
+  out.push_back(tree_row("hierfavg_multi", "hierfavg", algo::train_hierfavg,
+                         with_taus(base, {2, 2})));
+  // Depth 3 pins the L-level stream rule beyond the flat derivation:
+  // interior blocks, innermost-block indices and checkpoint averaging up
+  // two levels.
+  out.push_back(tree_row("hierminimax_multi_d3", "hierminimax",
+                         algo::train_hierminimax,
+                         with_taus(base, {2, 2, 2}), /*deep=*/true));
+  // Depth 3 under partial participation, 8-bit uplinks and weight decay.
+  {
+    algo::TrainOptions o = with_taus(base, {2, 2, 2});
+    o.quantize_bits = 8;
+    o.weight_decay = 0.01;
+    o.sampled_edges = 3;
+    out.push_back(tree_row("hierminimax_d3_quant", "hierminimax",
+                           algo::train_hierminimax, o, /*deep=*/true));
+  }
+  // MLP rows: every hidden width is at least 4x the batch, so the
+  // batch-sized forward GEMMs take gemm_nt's transposed (small-side
+  // packed) path. The HierMinimax row runs decayed, projected steps; the
+  // FedAvg row adds a proximal term.
+  {
+    algo::TrainOptions o = base;
+    o.weight_decay = 0.05;
+    o.w_radius = 9.0;
+    out.push_back(tree_row("hierminimax_mlp", "hierminimax",
+                           algo::train_hierminimax, o, false, {32, 16}));
+  }
+  {
+    algo::TrainOptions o = base;
+    o.batch_size = 8;
+    o.prox_mu = 0.5;
+    out.push_back(two_layer_row("fedavg_mlp_prox", "fedavg",
+                                algo::train_fedavg, o, {32}));
+  }
+  // Degraded rows: casualties on both links, substituted from the stale
+  // store (kReuseStale) or abandoning the round (kSkipRound), under the
+  // robust combiners, and the last-iterate checkpoint ablation.
+  out.push_back(two_layer_row(
+      "drfa_faults_stale", "drfa", algo::train_drfa,
+      faulty_opts(base, OnFault::kReuseStale, Aggregate::kTrimmedMean)));
+  out.push_back(tree_row(
+      "hierminimax_faults_stale", "hierminimax", algo::train_hierminimax,
+      faulty_opts(base, OnFault::kReuseStale, Aggregate::kTrimmedMean)));
+  {
+    // No crash and rarer wide-area losses than the stale rows, so some
+    // rounds aggregate and some skip.
+    algo::TrainOptions o =
+        faulty_opts(base, OnFault::kSkipRound, Aggregate::kMedian);
+    o.fault.edge_crash_round.clear();
+    o.fault.edge_loss_prob = 0.3;
+    out.push_back(tree_row("hierminimax_d3_faults_skip", "hierminimax",
+                           algo::train_hierminimax,
+                           with_taus(o, {2, 2, 2}), /*deep=*/true));
+  }
+  {
+    algo::TrainOptions o = base;
+    o.use_checkpoint = false;
+    out.push_back(tree_row("hierminimax_no_ckpt", "hierminimax",
+                           algo::train_hierminimax, o));
+  }
   return out;
 }
 

@@ -9,10 +9,10 @@ per-file linter structurally cannot see:
     nobody bit-compares is a silent per-ISA determinism fork.
   * trainer-not-in-resume-matrix: every `train_*` entry point declared
     in src/algo must appear in the kill-and-resume matrix
-    (tests/test_snapshot.cpp) and in the golden trajectories
-    (tests/test_golden.cpp). A trainer outside the matrix can corrupt
-    state across a crash, and one without a golden row can drift, without
-    any test noticing.
+    (tests/test_snapshot.cpp) and in the trainer table
+    (tests/test_util.hpp) whose rows tests/test_golden.cpp pins. A
+    trainer outside the matrix can corrupt state across a crash, and one
+    without a golden row can drift, without any test noticing.
   * undocumented-flag: every CLI flag read through hm::Flags in src/
     must be documented (as `--name`) in README.md or DESIGN.md. Flags
     only discoverable by reading the source rot instantly.
@@ -37,7 +37,7 @@ from .lexer import Token, string_value
 KERNEL_TABLE_HEADER = "tensor/simd.hpp"
 KERNEL_PIN_SUITE = "tests/test_simd.cpp"
 TRAINER_MATRIX_SUITE = "tests/test_snapshot.cpp"
-TRAINER_GOLDEN_SUITE = "tests/test_golden.cpp"
+TRAINER_GOLDEN_SUITE = "tests/test_util.hpp"  # test_golden pins its rows
 DOC_FILES = ("README.md", "DESIGN.md")
 
 
@@ -166,8 +166,9 @@ RULE_TRAINER_MATRIX = ProjectRule(
     "trainer-not-in-resume-matrix",
     "Every train_* entry point declared under src/algo must appear in "
     "tests/test_snapshot.cpp's kill-and-resume matrix, which proves "
-    "crash/resume is bit-exact per trainer, and in tests/test_golden.cpp, "
-    "which pins each trainer's seeded trajectory.",
+    "crash/resume is bit-exact per trainer, and in the trainer table of "
+    "tests/test_util.hpp, whose seeded trajectories tests/test_golden.cpp "
+    "pins.",
     _check_trainer_matrix,
 )
 

@@ -1,5 +1,5 @@
 // Mini-project fixture (pinned_trainer): two trainer entry points, each
-// in the kill-and-resume matrix and the golden suite. The case must lint
+// in the kill-and-resume matrix and the trainer table. The case must lint
 // clean.
 #pragma once
 

@@ -1,4 +1,4 @@
-// Mini-project fixture: the golden suite for pinned_trainer.
+// Mini-project fixture: the trainer table for pinned_trainer.
 #include "algo/trainers.hpp"
 
 int main() {

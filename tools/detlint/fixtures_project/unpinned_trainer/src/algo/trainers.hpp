@@ -1,6 +1,7 @@
 // Mini-project fixture (unpinned_trainer): two trainer entry points, both
-// in the kill-and-resume matrix, of which tests/test_golden.cpp pins only
-// train_alpha. train_beta must be flagged at its own line.
+// in the kill-and-resume matrix, of which the trainer table in
+// tests/test_util.hpp holds only train_alpha. train_beta must be flagged
+// at its own line.
 #pragma once
 
 namespace fixture {

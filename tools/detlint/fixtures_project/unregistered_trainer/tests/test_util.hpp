@@ -1,4 +1,4 @@
-// Mini-project fixture: the golden suite for unregistered_trainer pins
+// Mini-project fixture: the trainer table for unregistered_trainer holds
 // both trainers, so only the resume-matrix gap is left to catch.
 #include "algo/trainers.hpp"
 
