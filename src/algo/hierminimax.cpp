@@ -247,7 +247,6 @@ TrainResult run_engine(const nn::Model& model,
 
     // An area is down when the plan says so (simulated crash) or its
     // worker process actually died — both take the same degraded paths.
-    const bool degraded = plan.enabled() || live.any_down();
     const auto edge_down = [&](index_t e) {
       return plan.edge_crashed(k, e) || live.down(e);
     };
@@ -292,25 +291,21 @@ TrainResult run_engine(const nn::Model& model,
       }
     }
 
-    // Area-cloud aggregation (Eqs. 5-6). In a degraded round each
-    // participating area uploads its report over the faulty wide-area
-    // link; a dead worker's areas simply never deliver (no link-fault
-    // query — the process is gone).
-    std::vector<char> delivered;
-    if (degraded) {
-      delivered.assign(parts.ids.size(), 0);
-      for (std::size_t j = 0; j < parts.ids.size(); ++j) {
-        const index_t e = parts.ids[j];
-        delivered[j] =
-            !edge_down(e) &&
-            (!plan.enabled() ||
-             plan.deliver(k, sim::fault_msg(sim::kMsgModelUp, e), top_fault));
-      }
+    // Area-cloud aggregation (Eqs. 5-6). Each participating area uploads
+    // its report over the wide-area link, faulty under an enabled plan; a
+    // dead worker's areas simply never deliver (no link-fault query — the
+    // process is gone).
+    std::vector<char> delivered(parts.ids.size());
+    for (std::size_t j = 0; j < parts.ids.size(); ++j) {
+      const index_t e = parts.ids[j];
+      delivered[j] =
+          !edge_down(e) &&
+          (!plan.enabled() ||
+           plan.deliver(k, sim::fault_msg(sim::kMsgModelUp, e), top_fault));
     }
     const bool aggregated = detail::cloud_aggregate(
         edge_w, minimax ? &edge_ckpt : nullptr, edge_has_ckpt, parts,
-        degraded ? &delivered : nullptr, opts, k, stale, result.w,
-        checkpoint, &pool);
+        delivered, opts, k, stale, result.w, checkpoint, &pool);
     comm.edge_cloud_rounds += 1;
     comm.edge_cloud_models_up += uploads * participating;
     comm.edge_cloud_bytes +=

@@ -325,23 +325,20 @@ bool cloud_aggregate(const std::vector<std::vector<scalar_t>>& models,
                      const std::vector<std::vector<scalar_t>>* ckpts,
                      const std::vector<char>& holds_ckpt,
                      const Participants& parts,
-                     const std::vector<char>* delivered,
+                     const std::vector<char>& delivered,
                      const TrainOptions& opts, index_t round,
                      StaleStore& stale, std::vector<scalar_t>& w,
                      std::vector<scalar_t>& checkpoint,
                      parallel::ThreadPool* pool) {
-  const AggregateSpec agg{opts.aggregate, opts.trim_frac};
-  if (delivered == nullptr) {
-    robust_weighted_average(models, parts, agg, w, pool);
-  } else if (!degraded_weighted_average(models, parts, *delivered,
-                                        opts.on_fault, opts.stale_decay,
-                                        round, stale, w, w, agg, pool)) {
+  if (!degraded_weighted_average(models, parts, delivered, opts.on_fault,
+                                 opts.stale_decay, round, stale, w, w,
+                                 {opts.aggregate, opts.trim_frac}, pool)) {
     return false;
   }
   if (ckpts != nullptr) {
     std::vector<char> held(parts.ids.size(), 1);
     for (std::size_t j = 0; j < held.size(); ++j) {
-      held[j] = (delivered == nullptr || (*delivered)[j] != 0) &&
+      held[j] = delivered[j] != 0 &&
                 (holds_ckpt.empty() ||
                  holds_ckpt[static_cast<std::size_t>(parts.ids[j])] != 0);
     }

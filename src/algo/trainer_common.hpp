@@ -157,17 +157,19 @@ RoundDraw draw_round(const rng::Xoshiro256& round_gen,
                      index_t m, index_t steps, index_t blocks);
 
 /// Eqs. (5)-(6): combine models[parts.ids[j]] into `w` (the broadcast
-/// model) by opts.aggregate, all of them in a fault-free round
-/// (`delivered` null), else by degraded_weighted_average. With `ckpts`,
-/// the checkpoint is the plain mean over the delivered reports that hold
-/// one (holds_ckpt[id], empty = all; checkpoints are honest, DESIGN.md
-/// §13), else, or without opts.use_checkpoint, the aggregate. Then w is
-/// projected. False (w, checkpoint untouched): the round is skipped.
+/// model) by opts.aggregate and degraded_weighted_average over the
+/// reports `delivered` flags — all of them in a round nothing can fail,
+/// which is bit-identical to the plain aggregate and still refreshes the
+/// stale store. With `ckpts`, the checkpoint is the plain mean over the
+/// delivered reports that hold one (holds_ckpt[id], empty = all;
+/// checkpoints are honest, DESIGN.md §13), else, or without
+/// opts.use_checkpoint, the aggregate. Then w is projected. False (w,
+/// checkpoint untouched): the round is skipped.
 bool cloud_aggregate(const std::vector<std::vector<scalar_t>>& models,
                      const std::vector<std::vector<scalar_t>>* ckpts,
                      const std::vector<char>& holds_ckpt,
                      const Participants& parts,
-                     const std::vector<char>* delivered,
+                     const std::vector<char>& delivered,
                      const TrainOptions& opts, index_t round,
                      StaleStore& stale, std::vector<scalar_t>& w,
                      std::vector<scalar_t>& checkpoint,

@@ -290,9 +290,8 @@ TrainResult run_two_layer(const nn::Model& model,
       tensor::project_l2_ball(result.w, opts.w_radius);
     } else {
       // Every delivered client report carries its checkpoint (DRFA).
-      std::vector<char> delivered;
+      std::vector<char> delivered(parts.ids.size(), 1);
       if (plan.enabled()) {
-        delivered.resize(parts.ids.size());
         for (std::size_t j = 0; j < parts.ids.size(); ++j) {
           delivered[j] = reaches_server(plan, k, parts.ids[j],
                                         sim::kMsgModelUp,
@@ -300,9 +299,8 @@ TrainResult run_two_layer(const nn::Model& model,
         }
       }
       aggregated = detail::cloud_aggregate(
-          client_w, minimax ? &client_ckpt : nullptr, {}, parts,
-          plan.enabled() ? &delivered : nullptr, opts, k, stale, result.w,
-          checkpoint, &pool);
+          client_w, minimax ? &client_ckpt : nullptr, {}, parts, delivered,
+          opts, k, stale, result.w, checkpoint, &pool);
     }
     comm.edge_cloud_rounds += 1;
     comm.edge_cloud_models_up += uploads * participating;

@@ -15,22 +15,14 @@ namespace hm::sim {
 /// Monotone down-set over edge ids: an edge marked down stays down (a
 /// crashed worker process is never restarted mid-run).
 struct EdgeLiveness {
-  void init(index_t n) {
-    down_.assign(static_cast<std::size_t>(n), 0);
-    any_ = false;
-  }
-  void mark_down(index_t edge) {
-    down_[static_cast<std::size_t>(edge)] = 1;
-    any_ = true;
-  }
+  void init(index_t n) { down_.assign(static_cast<std::size_t>(n), 0); }
+  void mark_down(index_t edge) { down_[static_cast<std::size_t>(edge)] = 1; }
   bool down(index_t edge) const {
     return !down_.empty() && down_[static_cast<std::size_t>(edge)] != 0;
   }
-  bool any_down() const { return any_; }
 
  private:
   std::vector<char> down_;
-  bool any_ = false;
 };
 
 }  // namespace hm::sim

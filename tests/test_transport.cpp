@@ -60,6 +60,7 @@ using testing_util::bits;
 using testing_util::deep_task;
 using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
+using testing_util::mix_vec;
 using testing_util::no_children_remain;
 using testing_util::open_fd_count;
 using testing_util::output_of;
@@ -738,6 +739,44 @@ TEST(TransportOracle, KillMatrixMatchesTheEdgeCrashOracle) {
       }
     }
   }
+  EXPECT_TRUE(no_children_remain());
+}
+
+/// A worker death needs no fault plan to degrade as DESIGN.md §9 says:
+/// under kReuseStale the dead lane's areas are substituted by their last
+/// delivered reports, so fault-free rounds must refresh the stale store
+/// too. Lane 1 is killed before handling round 3's Phase 1; the run must
+/// equal the same kill under an enabled zero-probability plan in every
+/// model-visible value (only an enabled plan meters deliveries, so the
+/// comm counters are not compared).
+TEST(TransportOracle, PlanlessSocketKillReusesStaleReports) {
+  const auto& fed = transport_task();
+  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  TrainOptions o = transport_opts();
+  o.rounds = 6;
+  o.on_fault = OnFault::kReuseStale;
+  o.transport.kind = net::TransportKind::kSocket;
+  o.transport.workers = 2;
+  o.transport.kill = net::KillSpec{1, /*round 3, Phase 1*/ 6,
+                                   net::KillPoint::kPreHandle};
+  const TrainResult planless = train_hierminimax(model, fed, topo, o,
+                                                 test_pool());
+  o.fault.enabled = true;
+  const TrainResult planned = train_hierminimax(model, fed, topo, o,
+                                                test_pool());
+  const auto losses = [](const TrainResult& r) {
+    std::vector<std::uint64_t> out;
+    for (const auto& rec : r.history.records()) {
+      out.push_back(bits(rec.global_loss));
+    }
+    return out;
+  };
+  EXPECT_EQ(mix_vec(0, planless.w), mix_vec(0, planned.w));
+  EXPECT_EQ(mix_vec(0, planless.p), mix_vec(0, planned.p));
+  EXPECT_EQ(mix_vec(0, planless.w_avg), mix_vec(0, planned.w_avg));
+  EXPECT_EQ(mix_vec(0, planless.p_avg), mix_vec(0, planned.p_avg));
+  EXPECT_EQ(losses(planless), losses(planned));
   EXPECT_TRUE(no_children_remain());
 }
 
