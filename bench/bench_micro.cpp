@@ -55,21 +55,6 @@ void BM_GemmNt(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNt)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_Gemv(benchmark::State& state) {
-  const index_t n = state.range(0);
-  rng::Xoshiro256 gen(7);
-  tensor::Matrix a(n, n);
-  for (auto& v : a.flat()) v = gen.normal();
-  std::vector<scalar_t> x(static_cast<std::size_t>(n), 1.0);
-  std::vector<scalar_t> y(static_cast<std::size_t>(n), 0.0);
-  for (auto _ : state) {
-    tensor::gemv(a, x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * n * n);
-}
-BENCHMARK(BM_Gemv)->Arg(128)->Arg(512);
-
 void BM_FusedUpdate(benchmark::State& state) {
   // The decayed SGD update w = -eta*g + decay*w: one fused axpby pass
   // versus the scale+axpy pair it replaced.

@@ -24,10 +24,6 @@ void gemm_tn(ConstMatView a, ConstMatView b, MatView c, scalar_t beta,
   detail::active_kernel_table().gemm_tn(a, b, c, beta, alpha);
 }
 
-void gemv(ConstMatView a, ConstVecView x, VecView y, scalar_t beta) {
-  detail::active_kernel_table().gemv(a, x, y, beta);
-}
-
 void gemm_nt_fma(ConstMatView a, ConstMatView b, MatView c, scalar_t beta,
                  parallel::ThreadPool* pool) {
   detail::active_kernel_table().gemm_nt_fma(a, b, c, beta, pool);

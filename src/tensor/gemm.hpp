@@ -61,10 +61,6 @@ void gemm_nt(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0);
 void gemm_tn(ConstMatView a, ConstMatView b, MatView c, scalar_t beta = 0,
              scalar_t alpha = 1);
 
-/// y = beta*y + A * x (dense matrix-vector; rows are processed pairwise
-/// with the fused dot2 kernel).
-void gemv(ConstMatView a, ConstVecView x, VecView y, scalar_t beta = 0);
-
 /// C = beta*C + A * B^T with an explicitly FUSED accumulator update:
 /// acc = fma(a, b, acc), one rounding per term instead of two. IEEE-754
 /// fusedMultiplyAdd is exactly specified, so this kernel family is still

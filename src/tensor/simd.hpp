@@ -52,14 +52,9 @@ struct KernelTable {
   void (*axpy2)(scalar_t, ConstVecView, scalar_t, ConstVecView, VecView);
   void (*scale)(scalar_t, VecView);
   scalar_t (*dot)(ConstVecView, ConstVecView);
-  void (*dot2)(ConstVecView, ConstVecView, ConstVecView, scalar_t&,
-               scalar_t&);
-  scalar_t (*sum)(ConstVecView);
-  scalar_t (*dist2)(ConstVecView, ConstVecView);
   void (*gemm)(ConstMatView, ConstMatView, MatView, scalar_t);
   void (*gemm_nt)(ConstMatView, ConstMatView, MatView, scalar_t);
   void (*gemm_tn)(ConstMatView, ConstMatView, MatView, scalar_t, scalar_t);
-  void (*gemv)(ConstMatView, ConstVecView, VecView, scalar_t);
   void (*gemm_nt_fma)(ConstMatView, ConstMatView, MatView, scalar_t,
                       parallel::ThreadPool*);
 };

@@ -34,16 +34,7 @@ scalar_t dot(ConstVecView x, ConstVecView y) {
   return detail::active_kernel_table().dot(x, y);
 }
 
-void dot2(ConstVecView x, ConstVecView y0, ConstVecView y1, scalar_t& r0,
-          scalar_t& r1) {
-  detail::active_kernel_table().dot2(x, y0, y1, r0, r1);
-}
-
 scalar_t nrm2(ConstVecView x) { return std::sqrt(dot(x, x)); }
-
-scalar_t dist2(ConstVecView x, ConstVecView y) {
-  return detail::active_kernel_table().dist2(x, y);
-}
 
 void copy(ConstVecView x, VecView y) {
   HM_CHECK(x.size() == y.size());
@@ -51,8 +42,6 @@ void copy(ConstVecView x, VecView y) {
 }
 
 void set_zero(VecView x) { std::fill(x.begin(), x.end(), scalar_t{0}); }
-
-scalar_t sum(ConstVecView x) { return detail::active_kernel_table().sum(x); }
 
 scalar_t max(ConstVecView x) {
   HM_CHECK(!x.empty());

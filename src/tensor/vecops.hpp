@@ -9,10 +9,10 @@
 //  * Elementwise kernels (axpy, axpby, axpy2, scale, copy) perform exactly
 //    one rounding sequence per element, identical to the obvious scalar
 //    loop, so they are bit-identical to a naive reference on any ISA.
-//  * Reduction kernels (dot, dot2, sum, dist2) accumulate into kLanes = 8
-//    fixed lanes — lane j folds the elements with index ≡ j (mod 8), in
-//    increasing index order — and combine the lanes with the fixed pairwise
-//    tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). The lane count is a
+//  * The reduction kernel (dot, and nrm2 through it) accumulates into
+//    kLanes = 8 fixed lanes — lane j folds the elements with index ≡ j
+//    (mod 8), in increasing index order — and combines the lanes with the
+//    fixed pairwise tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). The lane count is a
 //    source-level constant, so results do not depend on the vector width
 //    the compiler targets, on -march flags, or on thread count.
 //  * The build disables FMA contraction (-ffp-contract=off) so a*b+c is
@@ -50,25 +50,14 @@ void scale(scalar_t alpha, VecView x);
 /// <x, y> (8-lane fixed-order reduction; see header contract)
 scalar_t dot(ConstVecView x, ConstVecView y);
 
-/// r0 = <x, y0>, r1 = <x, y1> in a single pass over x. Each result is
-/// bit-identical to the corresponding dot() call; x is loaded once.
-void dot2(ConstVecView x, ConstVecView y0, ConstVecView y1, scalar_t& r0,
-          scalar_t& r1);
-
 /// ||x||_2
 scalar_t nrm2(ConstVecView x);
-
-/// ||x - y||_2
-scalar_t dist2(ConstVecView x, ConstVecView y);
 
 /// y = x (sizes must match)
 void copy(ConstVecView x, VecView y);
 
 /// x = 0
 void set_zero(VecView x);
-
-/// sum of entries (8-lane fixed-order reduction)
-scalar_t sum(ConstVecView x);
 
 /// max entry (requires non-empty)
 scalar_t max(ConstVecView x);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/federated.hpp"
@@ -17,6 +18,13 @@
 
 namespace hm::data {
 namespace {
+
+/// ||a - b||_2.
+scalar_t distance(tensor::ConstVecView a, tensor::ConstVecView b) {
+  std::vector<scalar_t> diff(a.begin(), a.end());
+  tensor::axpy(-1.0, b, diff);
+  return tensor::nrm2(diff);
+}
 
 Dataset tiny_dataset() {
   Dataset d;
@@ -130,7 +138,7 @@ TEST(Gaussian, SeparationControlsOverlap) {
       scalar_t best = 1e30;
       index_t best_c = -1;
       for (index_t c = 0; c < d.num_classes; ++c) {
-        const scalar_t dist = tensor::dist2(d.x.row(i), means.row(c));
+        const scalar_t dist = distance(d.x.row(i), means.row(c));
         if (dist < best) {
           best = dist;
           best_c = c;

@@ -136,20 +136,8 @@ TEST(SimdDispatch, ReductionKernelsBitIdentical) {
       const auto sz = static_cast<std::size_t>(n);
       const auto x = fill(sz, 53 + sz);
       const auto y = fill(sz, 59 + sz);
-      const auto z = fill(sz, 61 + sz);
-      const std::string at = " n=" + std::to_string(n);
-
       EXPECT_EQ(bits(base.dot(x, y)), bits(kt.dot(x, y)))
-          << tag << " dot" << at;
-      EXPECT_EQ(bits(base.sum(x)), bits(kt.sum(x))) << tag << " sum" << at;
-      EXPECT_EQ(bits(base.dist2(x, y)), bits(kt.dist2(x, y)))
-          << tag << " dist2" << at;
-
-      scalar_t w0 = 0, w1 = 0, g0 = 0, g1 = 0;
-      base.dot2(x, y, z, w0, w1);
-      kt.dot2(x, y, z, g0, g1);
-      EXPECT_EQ(bits(w0), bits(g0)) << tag << " dot2.0" << at;
-      EXPECT_EQ(bits(w1), bits(g1)) << tag << " dot2.1" << at;
+          << tag << " dot n=" << n;
     }
   }
 }
@@ -249,13 +237,6 @@ TEST(SimdDispatch, GemmVariantsBitIdentical) {
                    MatView(got.data(), s.k, s.n), beta, 1);
         expect_vec_eq(want, got, tag + " gemm_tn" + at);
       }
-
-      auto ywant = fill(mm, 103 + mm), ygot = ywant;
-      const auto xv = fill(kk, 107 + kk);
-      base.gemv(ConstMatView(a.data(), s.m, s.k), xv, ywant, 0.25);
-      kt.gemv(ConstMatView(a.data(), s.m, s.k), xv, ygot, 0.25);
-      expect_vec_eq(ywant, ygot, tag + " gemv" + at);
-
     }
   }
 }
