@@ -181,7 +181,6 @@ class SocketTransport final : public Transport {
   index_t lanes() const override {
     return static_cast<index_t>(lanes_.size());
   }
-  bool fallible() const override { return true; }
   bool lane_up(index_t lane) const override {
     return lanes_[static_cast<std::size_t>(lane)].up;
   }

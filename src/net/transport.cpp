@@ -46,7 +46,6 @@ class LoopbackTransport final : public Transport {
   index_t lanes() const override {
     return static_cast<index_t>(handlers_.size());
   }
-  bool fallible() const override { return false; }
   bool lane_up(index_t) const override { return true; }
 
   std::vector<std::optional<Bytes>> exchange(

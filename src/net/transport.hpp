@@ -109,10 +109,6 @@ class Transport {
 
   virtual index_t lanes() const = 0;
 
-  /// Whether the backend can lose lanes at all (socket: yes). Callers
-  /// use this to decide whether to provision degraded-mode state.
-  virtual bool fallible() const = 0;
-
   /// Liveness as of the last exchange()/check_liveness() call.
   virtual bool lane_up(index_t lane) const = 0;
 

@@ -1,12 +1,12 @@
-// Blocked parallel-for and deterministic parallel reduction on top of
-// ThreadPool::run_region. The iteration space [begin, end) is split into
-// contiguous chunks; `body(i)` runs exactly once per index.
+// Blocked parallel-for on top of ThreadPool::run_region. The iteration
+// space [begin, end) is split into contiguous chunks; `body(i)` runs
+// exactly once per index.
 //
 // Chunking is a pure function of (range length, grain) — never of the
-// pool's thread count — and reductions combine per-chunk partials in
-// chunk order after the region completes. Results are therefore
-// bit-identical for any pool size (1, 2, 8, ...) and any scheduling of
-// chunks onto threads, which is the reproducibility guarantee the
+// pool's thread count. Bodies write disjoint outputs, and any reduction
+// over them runs in a fixed order after the region completes, so results
+// are bit-identical for any pool size (1, 2, 8, ...) and any scheduling
+// of chunks onto threads, which is the reproducibility guarantee the
 // trainers rely on.
 //
 // Dispatch is the low-overhead region path: no futures, no per-chunk
@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <type_traits>
-#include <vector>
 
 #include "core/check.hpp"
 #include "core/types.hpp"
@@ -28,8 +27,8 @@ namespace hm::parallel {
 inline constexpr index_t kDefaultGrain = 64;
 
 /// Upper bound on chunks per region. Fixed (not scaled by thread count)
-/// so that chunk boundaries — and with them every chunk-ordered FP
-/// reduction — are identical no matter how many workers the pool has.
+/// so that chunk boundaries are identical no matter how many workers the
+/// pool has.
 inline constexpr index_t kMaxChunks = 64;
 
 namespace detail {
@@ -76,46 +75,6 @@ void parallel_for(ThreadPool& pool, index_t begin, index_t end, Body&& body,
         for (index_t i = lo; i < hi; ++i) (*s.body)(i);
       },
       &ctx);
-}
-
-/// Deterministic parallel reduction: result equals
-/// combine(...combine(init, partial_0)..., partial_{k-1}) where partial_c
-/// folds body(i) over chunk c in index order. The chunk count depends
-/// only on (n, grain), so the result is bit-identical for every pool
-/// size, including the serial fallback.
-template <typename T, typename Body, typename Combine>
-T parallel_reduce(ThreadPool& pool, index_t begin, index_t end, T init,
-                  Body&& body, Combine&& combine,
-                  index_t grain = kDefaultGrain) {
-  HM_CHECK(begin <= end);
-  const index_t n = end - begin;
-  if (n == 0) return init;
-  const index_t chunk = detail::chunk_size_for(n, grain);
-  const index_t num_chunks = (n + chunk - 1) / chunk;
-  std::vector<T> partials(static_cast<std::size_t>(num_chunks));
-  struct Ctx {
-    std::remove_reference_t<Body>* body;
-    std::remove_reference_t<Combine>* combine;
-    T* partials;
-    index_t begin, end, chunk;
-  } ctx{&body, &combine, partials.data(), begin, end, chunk};
-  auto chunk_fn = [](void* p, index_t c) {
-    auto& s = *static_cast<Ctx*>(p);
-    const index_t lo = s.begin + c * s.chunk;
-    const index_t hi = std::min(s.end, lo + s.chunk);
-    HM_ASSERT(lo < hi);  // the lo-seeded fold below needs >= 1 element
-    T acc = (*s.body)(lo);
-    for (index_t i = lo + 1; i < hi; ++i) acc = (*s.combine)(acc, (*s.body)(i));
-    s.partials[c] = std::move(acc);
-  };
-  if (num_chunks <= 1) {
-    chunk_fn(&ctx, 0);  // same fold as the region path, minus dispatch
-  } else {
-    pool.run_region(num_chunks, chunk_fn, &ctx);
-  }
-  T acc = std::move(init);
-  for (auto& partial : partials) acc = combine(std::move(acc), partial);
-  return acc;
 }
 
 }  // namespace hm::parallel

@@ -1,8 +1,8 @@
 // Fixed-size, region-only thread pool.
 //
-// run_region() is the one execution path, underneath parallel_for /
-// parallel_reduce. A region is a fixed count of chunks executed by the
-// caller plus any workers that join; chunks are claimed from a shared
+// run_region() is the one execution path, underneath parallel_for. A
+// region is a fixed count of chunks executed by the caller plus any
+// workers that join; chunks are claimed from a shared
 // atomic ticket and completion is a latch-style atomic countdown the
 // caller waits on. No allocation, no futures, no per-chunk
 // packaged_task: dispatching a region costs a few atomic operations and

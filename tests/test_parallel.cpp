@@ -1,5 +1,5 @@
 // Unit tests for hm::parallel: thread pool semantics, parallel_for
-// coverage, exception propagation, deterministic reduction.
+// coverage, exception propagation, region stress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,56 +99,10 @@ TEST(ParallelFor, InvalidRangeThrows) {
   EXPECT_THROW(parallel_for(pool, 10, 5, [](index_t) {}), CheckError);
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
-  ThreadPool pool(4);
-  const index_t n = 100000;
-  const auto result = parallel_reduce(
-      pool, 0, n, 0.0, [](index_t i) { return static_cast<double>(i); },
-      std::plus<double>(), /*grain=*/64);
-  EXPECT_DOUBLE_EQ(result, static_cast<double>(n) * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, DeterministicAcrossRuns) {
-  // Floating-point sums depend on combine order; the chunked scheme must
-  // give bit-identical results run-to-run.
-  ThreadPool pool(7);
-  auto run = [&] {
-    return parallel_reduce(
-        pool, 0, 50000, 0.0,
-        [](index_t i) { return 1.0 / static_cast<double>(i + 1); },
-        std::plus<double>(), /*grain=*/16);
-  };
-  const double a = run();
-  const double b = run();
-  EXPECT_EQ(a, b);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const auto result = parallel_reduce(
-      pool, 3, 3, 123.0, [](index_t) { return 1.0; }, std::plus<double>());
-  EXPECT_DOUBLE_EQ(result, 123.0);
-}
-
 // ---------------------------------------------------------------------
 // Stress tests for the region dispatcher. Every pool of two or more
 // threads dispatches, so the concurrent path (epoch handshake, chunk
 // ticket, countdown latch) runs even on a single-CPU host.
-
-TEST(RegionStress, ReduceBitIdenticalAcrossPoolSizes) {
-  // FP sums depend on combine order; the chunk-ordered reduction must be
-  // bit-identical no matter how many workers claim the chunks.
-  auto run = [](std::size_t threads) {
-    ThreadPool pool(threads);
-    return parallel_reduce(
-        pool, 0, 40000, 0.0,
-        [](index_t i) { return std::sqrt(static_cast<double>(i)) / 3.0; },
-        std::plus<double>(), /*grain=*/8);
-  };
-  const double one = run(1);
-  EXPECT_EQ(one, run(2));
-  EXPECT_EQ(one, run(8));
-}
 
 TEST(RegionStress, RepeatedRegionsOnOnePoolCoverEveryIndex) {
   // Back-to-back regions reuse the same descriptor; stragglers from
