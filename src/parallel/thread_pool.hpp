@@ -2,11 +2,10 @@
 //
 // run_region() is the one execution path, underneath parallel_for. A
 // region is a fixed count of chunks executed by the caller plus any
-// workers that join; chunks are claimed from a shared
-// atomic ticket and completion is a latch-style atomic countdown the
-// caller waits on. No allocation, no futures, no per-chunk
-// packaged_task: dispatching a region costs a few atomic operations and
-// at most one wakeup chain.
+// workers that join; chunks are claimed from a shared atomic ticket and
+// completion is a latch-style atomic countdown the caller waits on. No
+// allocation, no futures, no per-chunk packaged_task: dispatching a
+// region costs a few atomic operations and at most one wakeup chain.
 //
 // The size counts the caller: ThreadPool(n) runs regions on n threads,
 // the calling one plus n - 1 workers, so ThreadPool(1) has no workers and

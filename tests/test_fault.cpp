@@ -31,8 +31,8 @@ using testing_util::bits;
 using testing_util::deep_task;
 using testing_util::fault_scenarios;
 using testing_util::fingerprint;
-using testing_util::heterogeneous_task;
 using testing_util::Scenario;
+using testing_util::shared_task;
 using testing_util::test_pool;
 using testing_util::with_taus;
 
@@ -71,11 +71,6 @@ struct Algorithm {
   std::uint64_t (*run)(const sim::FaultSpec&, OnFault, bool model_only);
   std::vector<scalar_t> (*weights)(const sim::FaultSpec&, OnFault);
 };
-
-const data::FederatedDataset& shared_task() {
-  static const data::FederatedDataset fed = heterogeneous_task(4, 2);
-  return fed;
-}
 
 std::vector<Algorithm> algorithms() {
   std::vector<Algorithm> out;

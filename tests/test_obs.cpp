@@ -23,8 +23,8 @@ namespace hm::obs {
 namespace {
 
 using testing_util::golden_opts;
-using testing_util::golden_task;
 using testing_util::Runner;
+using testing_util::shared_task;
 using testing_util::test_pool;
 using testing_util::trainer_table;
 using testing_util::TraceSession;
@@ -327,7 +327,7 @@ TEST(ZeroPerturbation, DeliveryCountersReconcileWithLinkFaultStats) {
 #if !HM_OBS_ENABLED
   GTEST_SKIP() << "obs hooks compiled out (HM_OBS=OFF)";
 #endif
-  const auto& fed = golden_task();
+  const auto& fed = shared_task();
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   algo::TrainOptions opts = golden_opts();

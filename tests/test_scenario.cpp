@@ -37,8 +37,8 @@ namespace {
 using testing_util::adversarial_scenarios;
 using testing_util::deep_task;
 using testing_util::fingerprint;
-using testing_util::heterogeneous_task;
 using testing_util::Scenario;
+using testing_util::shared_task;
 using testing_util::test_pool;
 using testing_util::with_taus;
 
@@ -69,11 +69,6 @@ TrainOptions scenario_opts(const sim::FaultSpec& spec, Aggregate agg) {
 
 TrainOptions deep_scenario_opts(const sim::FaultSpec& spec, Aggregate agg) {
   return with_taus(scenario_opts(spec, agg), {2, 2, 2});
-}
-
-const data::FederatedDataset& shared_task() {
-  static const data::FederatedDataset fed = heterogeneous_task(4, 2);
-  return fed;
 }
 
 /// One fixture per algorithm: run under (spec, combiner) and fingerprint.

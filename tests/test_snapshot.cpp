@@ -53,10 +53,10 @@ namespace fs = std::filesystem;
 using testing_util::bits;
 using testing_util::deep_task;
 using testing_util::expect_same_output;
-using testing_util::heterogeneous_task;
 using testing_util::output_of;
 using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
+using testing_util::shared_task;
 using testing_util::test_pool;
 using testing_util::with_taus;
 
@@ -486,11 +486,6 @@ struct Trainer {
       run;
   bool takes_faults = true;
 };
-
-const data::FederatedDataset& shared_task() {
-  static const data::FederatedDataset fed = heterogeneous_task(4, 2);
-  return fed;
-}
 
 TrainOptions with_snapshots(TrainOptions o, const io::SnapshotPolicy& policy,
                             const std::string& resume) {

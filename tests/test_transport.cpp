@@ -66,6 +66,7 @@ using testing_util::open_fd_count;
 using testing_util::output_of;
 using testing_util::pinned_codec_snapshot;
 using testing_util::RunOutput;
+using testing_util::shared_task;
 using testing_util::test_pool;
 using testing_util::with_taus;
 
@@ -551,14 +552,9 @@ const Trainer kTrainers[] = {
     {"hierfavg_d3", train_hierfavg, 2, true},
 };
 
-const data::FederatedDataset& transport_task() {
-  static const data::FederatedDataset f = heterogeneous_task(4, 2);
-  return f;
-}
-
 RunOutput run_with(const Trainer& t, TrainOptions opts) {
   if (!t.deep) {
-    const auto& fed = transport_task();
+    const auto& fed = shared_task();
     const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
     const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
     return output_of(t.train(model, fed, topo, opts, test_pool()));
@@ -750,7 +746,7 @@ TEST(TransportOracle, KillMatrixMatchesTheEdgeCrashOracle) {
 /// model-visible value (only an enabled plan meters deliveries, so the
 /// comm counters are not compared).
 TEST(TransportOracle, PlanlessSocketKillReusesStaleReports) {
-  const auto& fed = transport_task();
+  const auto& fed = shared_task();
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   TrainOptions o = transport_opts();
@@ -819,7 +815,7 @@ TEST(TransportOracle, SnapshotsResumeAcrossTransports) {
 /// non-inproc transport or a non-empty taus is an error that names the
 /// trainer, never silently ignored.
 TEST(TransportSupport, TwoLayerTrainersRejectOtherBackends) {
-  const auto& fed = transport_task();
+  const auto& fed = shared_task();
   const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
   using Run = std::function<void(const TrainOptions&)>;
   const std::pair<const char*, Run> trainers[] = {

@@ -301,7 +301,8 @@ inline algo::TrainOptions faulty_opts(algo::TrainOptions o,
   return o;
 }
 
-inline const data::FederatedDataset& golden_task() {
+/// The 4-area, 2-clients-per-area task the trainer-level matrices share.
+inline const data::FederatedDataset& shared_task() {
   static const data::FederatedDataset fed = heterogeneous_task(4, 2);
   return fed;
 }
@@ -375,12 +376,12 @@ struct Runner {
   std::function<algo::TrainResult(const Cell&)> run;
 };
 
-/// A two-layer trainer on golden_task().
+/// A two-layer trainer on shared_task().
 inline Runner two_layer_row(std::string name, const char* algo,
                             TwoLayerTrain train, algo::TrainOptions o,
                             std::vector<index_t> hidden = {}) {
   return {std::move(name), algo, false, [=](const Cell& cell) {
-            const auto& fed = golden_task();
+            const auto& fed = shared_task();
             const auto model = make_model(fed, hidden);
             return run_in_cell(cell, o, [&](const algo::TrainOptions& oo,
                                             parallel::ThreadPool& pool) {
@@ -389,13 +390,13 @@ inline Runner two_layer_row(std::string name, const char* algo,
           }};
 }
 
-/// A hierarchical trainer: on golden_task()'s client-edge-cloud tree,
+/// A hierarchical trainer: on shared_task()'s client-edge-cloud tree,
 /// or with `deep` on deep_task()'s tree {4, 2, 2}.
 inline Runner tree_row(std::string name, const char* algo, TreeTrain train,
                        algo::TrainOptions o, bool deep = false,
                        std::vector<index_t> hidden = {}) {
   return {std::move(name), algo, true, [=](const Cell& cell) {
-            const auto& fed = deep ? deep_task() : golden_task();
+            const auto& fed = deep ? deep_task() : shared_task();
             const sim::MultiTopology topo(
                 deep ? std::vector<index_t>{4, 2, 2}
                      : std::vector<index_t>{fed.num_edges(),
