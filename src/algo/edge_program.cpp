@@ -27,8 +27,7 @@ EdgeProgram::EdgeProgram(const nn::Model& model,
       root_(h.opts.seed),
       plan_(h.opts.fault),
       cluster_(pool),
-      agg_{h.opts.aggregate, h.opts.trim_frac},
-      leaf_job_(static_cast<std::size_t>(h.tree.num_leaves()), -1) {
+      agg_{h.opts.aggregate, h.opts.trim_frac} {
   const index_t depth = h.tree.depth();
   node_w_.resize(static_cast<std::size_t>(depth) + 1);
   node_ckpt_.resize(static_cast<std::size_t>(depth) + 1);
@@ -62,6 +61,7 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   const std::vector<index_t>& fan = h_.tree.branching();
   const index_t leaf_fan = fan.back();
   const index_t lpa = h_.tree.leaves_per_area();
+  const index_t blocks = h_.blocks_per_round();
   rng::Xoshiro256 round_gen =
       root_.split(static_cast<std::uint64_t>(k) + 1);
 
@@ -86,18 +86,6 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   };
   const auto slot = [](index_t id) { return static_cast<std::size_t>(id); };
   parallel::ThreadPool* pool = &cluster_.pool();
-  // Leaf buffers are indexed by job slot: map `leaves` to their slots.
-  // Every node aggregation is over distinct ids, so the participants
-  // have multiplicity 1 and the weighted forms take the uniform mean
-  // (weight 1 * (1/n) == 1/n).
-  const auto job_slots = [&](const std::vector<index_t>& leaves) {
-    std::vector<index_t> slots(leaves.size());
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-      slots[i] = leaf_job_[slot(leaves[i])];
-      HM_ASSERT(slots[i] >= 0);  // only leaves whose job ran are read
-    }
-    return Participants::from_draws(slots);
-  };
 
   // Seed every listed area with the broadcast global model. A crashed
   // area server takes its whole subtree offline: its model stays the
@@ -118,56 +106,79 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   for (index_t lv = inner - 1; lv >= 1; --lv) {
     span[slot(lv)] = span[slot(lv) + 1] * h_.taus[slot(lv)];
   }
-
-  for (index_t b = 0; b < h_.blocks_per_round(); ++b) {
-    // Interior blocks starting here broadcast down, shallowest first.
+  // Interior blocks of area e starting at innermost block b broadcast
+  // down, shallowest first.
+  const auto broadcast = [&](index_t e, index_t b, parallel::ThreadPool* p) {
     for (index_t lv = 1; lv < inner; ++lv) {
       if (b % span[slot(lv)] != 0) continue;
-      for (const index_t e : live) {
-        for (const index_t n : nodes_of(lv, e)) {
-          for (const index_t c : children(lv, n)) {
-            copy_model(models(lv)[slot(n)], ensure(models(lv + 1)[slot(c)]),
-                       pool);
-          }
+      for (const index_t n : nodes_of(lv, e)) {
+        for (const index_t c : children(lv, n)) {
+          copy_model(models(lv)[slot(n)], ensure(models(lv + 1)[slot(c)]), p);
         }
       }
     }
+  };
 
-    LocalSgdConfig cfg;
-    cfg.steps = h_.taus.back();
-    cfg.batch_size = opts.batch_size;
-    cfg.eta = opts.eta_w;
-    cfg.w_radius = opts.w_radius;
-    cfg.weight_decay = opts.weight_decay;
-    cfg.prox_mu = opts.prox_mu;
-    cfg.checkpoint_step = b == c2 ? c1 : 0;
-    // One job per leaf that computes this block; job j trains in leaf
-    // slot j from its parent's model, copied inside the device task.
-    std::vector<LocalSgdJob> jobs;
-    std::vector<rng::Xoshiro256> gens;
-    std::vector<index_t> job_leaf;
-    const std::size_t max_jobs = live.size() * static_cast<std::size_t>(lpa);
-    jobs.reserve(max_jobs);
-    gens.reserve(max_jobs);
-    job_leaf.reserve(max_jobs);
-    auto& leaf_w = node_w_[static_cast<std::size_t>(depth)];
-    auto& leaf_ckpt = node_ckpt_[static_cast<std::size_t>(depth)];
-    if (leaf_w.size() < max_jobs) {
-      leaf_w.resize(max_jobs);
-      leaf_ckpt.resize(max_jobs);
-      scratch_.resize(max_jobs);
-    }
-    for (const index_t e : live) {
+  // Leaf buffers and scratch live in fixed slots, one per (live area,
+  // leaf): leaf i of live[g] is slot g * lpa + i in every block.
+  const std::size_t slots = live.size() * static_cast<std::size_t>(lpa);
+  auto& leaf_w = node_w_[static_cast<std::size_t>(depth)];
+  auto& leaf_ckpt = node_ckpt_[static_cast<std::size_t>(depth)];
+  if (leaf_w.size() < slots) {
+    leaf_w.resize(slots);
+    leaf_ckpt.resize(slots);
+    scratch_.resize(slots);
+  }
+  const auto leaf_slot = [&](index_t g, index_t leaf) {
+    return g * lpa + leaf % lpa;
+  };
+
+  // Block 0's broadcasts come first: they also materialize the leaf
+  // parents' models that the jobs' start views point into. The leaf
+  // parents' checkpoints are materialized here too, on this thread, so a
+  // close inside the region allocates no model-sized buffer.
+  for (const index_t e : live) {
+    broadcast(e, 0, pool);
+    if (c2 < 0) continue;
+    for (const index_t n : nodes_of(inner, e)) ensure(ckpts(inner)[slot(n)]);
+  }
+
+  LocalSgdConfig cfg;
+  cfg.steps = h_.taus.back();
+  cfg.batch_size = opts.batch_size;
+  cfg.eta = opts.eta_w;
+  cfg.w_radius = opts.w_radius;
+  cfg.weight_decay = opts.weight_decay;
+  cfg.prox_mu = opts.prox_mu;
+  cfg.checkpoint_step = c2 >= 0 ? c1 : 0;  // only block c2's jobs capture
+  // Every block's jobs, block-major: one job per leaf that computes
+  // (offline hardware, churned away, computes nothing this round; dropped
+  // clients still compute, only their report is lost). A job trains in
+  // its leaf's slot from its parent's model, copied inside the device
+  // task once the area closed the previous block.
+  std::vector<LocalSgdJob> jobs;
+  std::vector<rng::Xoshiro256> gens;
+  std::vector<index_t> job_leaf, job_group, job_block;
+  const std::size_t max_jobs = slots * static_cast<std::size_t>(blocks);
+  jobs.reserve(max_jobs);
+  gens.reserve(max_jobs);  // never reallocates under the jobs' pointers
+  job_leaf.reserve(max_jobs);
+  job_group.reserve(max_jobs);
+  job_block.reserve(max_jobs);
+  // Area g's jobs of block b are the area_jobs[g] jobs from
+  // first_job[g * blocks + b] on.
+  std::vector<std::size_t> first_job(live.size() * slot(blocks));
+  std::vector<std::size_t> area_jobs(live.size(), 0);
+  for (index_t b = 0; b < blocks; ++b) {
+    for (std::size_t g = 0; g < live.size(); ++g) {
+      const index_t e = live[g];
+      first_job[g * slot(blocks) + slot(b)] = jobs.size();
       for (index_t i = 0; i < lpa; ++i) {
         const index_t leaf = e * lpa + i;
-        // Offline hardware (churned away) computes nothing this round.
-        // (Dropped clients still compute — only their report is lost.)
-        if (plan_.client_offline(k, leaf)) {
-          leaf_job_[slot(leaf)] = -1;
-          continue;
-        }
-        const std::size_t j = jobs.size();
-        leaf_job_[slot(leaf)] = static_cast<index_t>(j);
+        if (plan_.client_offline(k, leaf)) continue;
+        if (b == 0) ++area_jobs[g];
+        const auto s = static_cast<std::size_t>(
+            leaf_slot(static_cast<index_t>(g), leaf));
         gens.push_back(round_gen.split(kTagLocal)
                            .split(static_cast<std::uint64_t>(e))
                            .split(static_cast<std::uint64_t>(b))
@@ -177,20 +188,33 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
           shard = &poison_.get(*shard, leaf);
         }
         const nn::VecView ckpt =
-            b == c2 ? nn::VecView(ensure(leaf_ckpt[j])) : nn::VecView();
-        jobs.push_back({shard, ensure(leaf_w[j]), ckpt, &gens.back(),
-                        static_cast<index_t>(j),
+            b == c2 ? nn::VecView(ensure(leaf_ckpt[s])) : nn::VecView();
+        jobs.push_back({shard, ensure(leaf_w[s]), ckpt, &gens.back(),
+                        static_cast<index_t>(s),
                         models(inner)[slot(leaf / leaf_fan)]});
         job_leaf.push_back(leaf);
+        job_group.push_back(static_cast<index_t>(g));
+        job_block.push_back(b);
       }
     }
-    run_local_sgd_jobs(model_, cfg, jobs, scratch_, cluster_);
+  }
+  // Area g's share of closing innermost block b, in the engine's order:
+  // quantize the leaf reports, apply payload attacks, combine each leaf
+  // parent's survivors with the robust combiner (and the checkpoints in
+  // block c2), average interior blocks that end here up, deepest first,
+  // and broadcast the interior blocks that start next. It touches only
+  // area g's nodes and slots, so areas close in any order, anywhere.
+  const auto close = [&](index_t g, index_t b, parallel::ThreadPool* p) {
+    const index_t e = live[static_cast<std::size_t>(g)];
+    const std::size_t j0 = first_job[slot(g) * slot(blocks) + slot(b)];
+    const std::size_t j1 = j0 + area_jobs[slot(g)];
     if (opts.quantize_bits > 0) {
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        const std::size_t s = slot(jobs[j].scratch_id);
         rng::Xoshiro256 qgen = gens[j].split(kTagQuant);
-        sim::quantize_payload(leaf_w[j], opts.quantize_bits, qgen);
+        sim::quantize_payload(leaf_w[s], opts.quantize_bits, qgen);
         if (b == c2) {
-          sim::quantize_payload(leaf_ckpt[j], opts.quantize_bits, qgen);
+          sim::quantize_payload(leaf_ckpt[s], opts.quantize_bits, qgen);
         }
       }
     }
@@ -199,52 +223,63 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
       // under it started from — the sign-flip reflection reference. The
       // checkpoint upload stays honest: it is variance-reduction
       // scaffolding for Phase 2, not a model report (DESIGN.md §13).
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (std::size_t j = j0; j < j1; ++j) {
         const index_t c = job_leaf[j];
         if (!plan_.client_attacker(k, c)) continue;
         plan_.corrupt_payload(k, c, models(inner)[slot(c / leaf_fan)].data(),
-                              leaf_w[j].data(), d);
+                              leaf_w[slot(jobs[j].scratch_id)].data(), d);
       }
     }
-
-    // Leaf-parent aggregation with the robust combiner (the one hop
-    // attackers own), and checkpoint aggregation in block c2.
-    for (const index_t e : live) {
-      for (const index_t n : nodes_of(inner, e)) {
-        // Aggregate over whichever leaves actually reported this block
-        // (a reporting leaf is never offline, so its job ran); a node
-        // with zero survivors keeps its block-start model.
-        std::vector<index_t> surv;
-        for (const index_t c : children(inner, n)) {
-          if (plan_.client_reports(k, c)) surv.push_back(c);
-        }
-        const Participants slots = job_slots(surv);
-        if (!slots.ids.empty()) {
-          robust_weighted_average(leaf_w, slots, agg_, models(inner)[slot(n)],
-                                  pool);
-        }
-        if (b == c2) {
-          has_ckpt(inner)[slot(n)] = slots.ids.empty() ? 0 : 1;
-          if (!slots.ids.empty()) {
-            weighted_average(leaf_ckpt, slots, ensure(ckpts(inner)[slot(n)]),
-                             pool);
-          }
+    for (const index_t n : nodes_of(inner, e)) {
+      // Aggregate over whichever leaves actually reported this block (a
+      // reporting leaf is never offline, so its job ran); a node with
+      // zero survivors keeps its block-start model. Every aggregation is
+      // over distinct slots, so the participants have multiplicity 1 and
+      // the weighted forms take the uniform mean (1 * (1/n) == 1/n).
+      std::vector<index_t> surv;
+      for (const index_t c : children(inner, n)) {
+        if (plan_.client_reports(k, c)) surv.push_back(leaf_slot(g, c));
+      }
+      const Participants reports = Participants::from_draws(surv);
+      if (!reports.ids.empty()) {
+        robust_weighted_average(leaf_w, reports, agg_,
+                                models(inner)[slot(n)], p);
+      }
+      if (b == c2) {
+        has_ckpt(inner)[slot(n)] = reports.ids.empty() ? 0 : 1;
+        if (!reports.ids.empty()) {
+          weighted_average(leaf_ckpt, reports, ensure(ckpts(inner)[slot(n)]),
+                           p);
         }
       }
     }
-
-    // Interior blocks ending here average up, deepest first. Interior
-    // servers are reliable and take the plain mean of all children.
+    // Interior servers are reliable and take the plain mean of all
+    // children.
     for (index_t lv = inner - 1; lv >= 1; --lv) {
       if ((b + 1) % span[slot(lv)] != 0) continue;
-      for (const index_t e : live) {
-        for (const index_t n : nodes_of(lv, e)) {
-          weighted_average(models(lv + 1),
-                           Participants::from_draws(children(lv, n)),
-                           models(lv)[slot(n)], pool);
-        }
+      for (const index_t n : nodes_of(lv, e)) {
+        weighted_average(models(lv + 1),
+                         Participants::from_draws(children(lv, n)),
+                         models(lv)[slot(n)], p);
       }
     }
+    if (b + 1 < blocks) broadcast(e, b + 1, p);
+  };
+
+  // One device region for the whole round: an area's block b + 1 starts
+  // as soon as the last of its own block-b jobs closed the block, while
+  // other areas' jobs keep the remaining threads busy. Closes inside the
+  // region run their model-vector kernels inline on the closing thread.
+  BlockPipeline pipe;
+  pipe.group = job_group;
+  pipe.block = job_block;
+  pipe.num_groups = static_cast<index_t>(live.size());
+  pipe.num_blocks = blocks;
+  pipe.close = [&](index_t g, index_t b) { close(g, b, pool); };
+  run_local_sgd_jobs(model_, cfg, jobs, scratch_, cluster_, &pipe);
+  // The last block closes after the region, its kernels split on the pool.
+  for (index_t g = 0; g < static_cast<index_t>(live.size()); ++g) {
+    close(g, blocks - 1, pool);
   }
 
   // Average the captured checkpoint up to the areas, over the children

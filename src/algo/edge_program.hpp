@@ -8,10 +8,11 @@
 // run options): all randomness comes from non-advancing splits of a
 // root generator rebuilt from opts.seed, the fault plan is a pure
 // function of (fault seed, round, entity), and per-node buffers are
-// written before every read within a round. Leaf buffers belong to job
-// slots, not to leaves: slot j holds whichever leaf ran as job j of the
-// current innermost block, so a program keeps one model per job of its
-// largest block rather than one per leaf. Two EdgeProgram instances —
+// written before every read within a round. Leaf buffers belong to
+// slots, not to leaves: leaf i of the g-th live area of a round trains in
+// slot g * N_0 + i in every block, so a program keeps one model per leaf
+// of its largest round rather than one per leaf of the tree. Two
+// EdgeProgram instances —
 // in different processes — therefore produce bit-identical per-area
 // results for any partition of the area set (run_local_sgd_jobs and
 // Model::loss_many are bit-identical per job regardless of grouping).
@@ -67,7 +68,10 @@ class EdgeProgram {
 
   /// Phase 1 for the given participating areas: seed each area's model
   /// from the broadcast `w` and run the round's blocks_per_round()
-  /// innermost blocks down its subtree. Interior nodes broadcast their
+  /// innermost blocks down its subtree, as one device region: each area
+  /// runs its blocks back to back, its last leaf to finish a block closes
+  /// it (the aggregations below) on its own thread, and no barrier joins
+  /// the areas before the last block. Interior nodes broadcast their
   /// model at the start of each of their blocks and take the plain mean
   /// of their children at its end; the leaves' parents combine the leaf
   /// reports with the robust combiner after local SGD, quantization and
@@ -107,13 +111,11 @@ class EdgeProgram {
   // Per-depth node buffers, indexed [depth][node id at that depth] and
   // materialized on first touch. Depth 1 lives in the caller's per-area
   // arrays, so slots 0 and 1 stay empty. Depth L holds the leaves and is
-  // indexed by job slot instead; leaf_job_ maps each leaf of the current
-  // block to its slot (-1: offline, no job).
+  // indexed by leaf slot instead (see the header comment).
   std::vector<std::vector<std::vector<scalar_t>>> node_w_;
   std::vector<std::vector<std::vector<scalar_t>>> node_ckpt_;
   std::vector<std::vector<char>> node_has_ckpt_;
-  std::vector<index_t> leaf_job_;
-  std::vector<ClientScratch> scratch_;  // by job slot
+  std::vector<ClientScratch> scratch_;  // by leaf slot
   PoisonStore poison_;
   std::unique_ptr<nn::Workspace> ph2_ws_;  // created by the first phase2
 };

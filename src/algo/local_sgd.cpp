@@ -1,9 +1,22 @@
 #include "algo/local_sgd.hpp"
 
+#include <atomic>
+#include <limits>
+
 #include "core/check.hpp"
 #include "tensor/vecops.hpp"
 
 namespace hm::algo {
+
+namespace {
+
+/// Gate polls before a pipelined job sleeps on std::atomic::wait.
+constexpr int kGateSpins = 1 << 12;
+
+/// Gate value of a failed run: every waiting job passes and skips.
+constexpr int kGateAborted = std::numeric_limits<int>::max();
+
+}  // namespace
 
 void run_local_sgd(const nn::Model& model, const data::Dataset& shard,
                    const LocalSgdConfig& config, nn::VecView w,
@@ -45,14 +58,92 @@ void run_local_sgd(const nn::Model& model, const data::Dataset& shard,
 void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
                         std::span<const LocalSgdJob> jobs,
                         std::vector<ClientScratch>& scratch,
-                        const sim::ClusterSim& cluster) {
-  if (jobs.empty()) return;
-  cluster.run_devices(static_cast<index_t>(jobs.size()), [&](index_t j) {
+                        const sim::ClusterSim& cluster,
+                        const BlockPipeline* pipe) {
+  LocalSgdConfig no_capture = config;
+  no_capture.checkpoint_step = 0;
+  const auto run_job = [&](index_t j) {
     const LocalSgdJob& job = jobs[static_cast<std::size_t>(j)];
     if (!job.start.empty()) tensor::copy(job.start, job.w);
-    run_local_sgd(model, *job.shard, config, job.w, job.checkpoint, *job.gen,
+    run_local_sgd(model, *job.shard,
+                  job.checkpoint.empty() ? no_capture : config, job.w,
+                  job.checkpoint, *job.gen,
                   scratch[static_cast<std::size_t>(job.scratch_id)]);
-  });
+  };
+  const auto count = static_cast<index_t>(jobs.size());
+  if (pipe == nullptr) {
+    if (count > 0) cluster.run_devices(count, run_job);
+    return;
+  }
+
+  const index_t groups = pipe->num_groups;
+  const index_t blocks = pipe->num_blocks;
+  HM_CHECK(pipe->group.size() == jobs.size() &&
+           pipe->block.size() == jobs.size());
+  HM_CHECK(groups >= 0 && blocks >= 1 && pipe->close);
+  const auto at = [](std::span<const index_t> v, index_t j) {
+    return v[static_cast<std::size_t>(j)];
+  };
+  // left[g * blocks + b]: jobs of group g's block b still running.
+  // gate[g]: blocks of group g closed so far (kGateAborted once failed).
+  std::vector<std::atomic<int>> left(static_cast<std::size_t>(groups * blocks));
+  std::vector<std::atomic<int>> gate(static_cast<std::size_t>(groups));
+  std::vector<char> has_jobs(static_cast<std::size_t>(groups), 0);
+  for (index_t j = 0; j < count; ++j) {
+    const index_t g = at(pipe->group, j), b = at(pipe->block, j);
+    HM_CHECK(g >= 0 && g < groups && b >= 0 && b < blocks);
+    HM_CHECK_MSG(j == 0 || b >= at(pipe->block, j - 1),
+                 "pipelined jobs must be listed block-major");
+    left[static_cast<std::size_t>(g * blocks + b)].fetch_add(
+        1, std::memory_order_relaxed);
+    has_jobs[static_cast<std::size_t>(g)] = 1;
+  }
+  std::atomic<bool> failed{false};
+
+  if (count > 0) {
+    cluster.run_devices(count, [&](index_t j) {
+      const index_t g = at(pipe->group, j), b = at(pipe->block, j);
+      std::atomic<int>& open = gate[static_cast<std::size_t>(g)];
+      // Wait for the group's previous block: spin briefly (a close is
+      // short next to a job), then sleep on the gate. Never a timed
+      // sleep.
+      int v = open.load(std::memory_order_acquire);
+      for (int s = 0; v < b && s < kGateSpins; ++s) {
+        v = open.load(std::memory_order_acquire);
+      }
+      while (v < b) {
+        open.wait(v, std::memory_order_acquire);
+        v = open.load(std::memory_order_acquire);
+      }
+      if (failed.load(std::memory_order_acquire)) return;
+      try {
+        run_job(j);
+        const int was = left[static_cast<std::size_t>(g * blocks + b)]
+                            .fetch_sub(1, std::memory_order_acq_rel);
+        if (was == 1 && b + 1 < blocks) {
+          pipe->close(g, b);
+          // Only this thread moves the gate past b; a failed run has
+          // already opened it for good, so never move it back.
+          int expect = static_cast<int>(b);
+          open.compare_exchange_strong(expect, static_cast<int>(b) + 1,
+                                       std::memory_order_release,
+                                       std::memory_order_relaxed);
+          open.notify_all();
+        }
+      } catch (...) {
+        failed.store(true, std::memory_order_release);
+        for (auto& o : gate) {
+          o.store(kGateAborted, std::memory_order_release);
+          o.notify_all();
+        }
+        throw;
+      }
+    });
+  }
+  for (index_t g = 0; g < groups; ++g) {
+    if (has_jobs[static_cast<std::size_t>(g)]) continue;
+    for (index_t b = 0; b + 1 < blocks; ++b) pipe->close(g, b);
+  }
 }
 
 }  // namespace hm::algo

@@ -3,6 +3,9 @@
 // and DRFA need.
 #pragma once
 
+#include <functional>
+#include <span>
+
 #include "core/check.hpp"
 #include "data/dataset.hpp"
 #include "nn/model.hpp"
@@ -61,15 +64,40 @@ struct LocalSgdJob {
   nn::ConstVecView start;  // empty: run from w as it stands
 };
 
+/// Several dependent blocks in one run_local_sgd_jobs call. Jobs are
+/// listed block-major (every job of block b before any of block b + 1),
+/// and job j belongs to group group[j] (an area) and block block[j]. A
+/// job of block b >= 1 starts only once its group's block b - 1 is
+/// closed: the last job of a (group, block) to finish calls
+/// close(group, block) on its own thread, then releases the group's next
+/// block. The last block is never closed here (the caller closes it after
+/// the run, on the pool), and a group with no jobs at all is closed for
+/// every other block after the region, in block order. A job only ever
+/// waits on lower-numbered jobs, which the scheduler claims first, so the
+/// run cannot deadlock on any pool, a 1-thread one included. A throwing
+/// job or close releases every waiting job, which then skips its work;
+/// the run rethrows the first error.
+struct BlockPipeline {
+  std::span<const index_t> group;  // per job, in [0, num_groups)
+  std::span<const index_t> block;  // per job, non-decreasing
+  index_t num_groups = 0;
+  index_t num_blocks = 1;
+  std::function<void(index_t group, index_t block)> close;
+};
+
 /// Run one local-SGD block for every job (all sharing `config`): one
 /// device task per job on the cluster scheduler
 /// (sim::ClusterSim::run_devices), each an optional start copy and a
-/// run_local_sgd call. The result is bit-identical to copying every
-/// start into its w first and then running.
+/// run_local_sgd call. A job whose checkpoint is empty never captures,
+/// whatever config.checkpoint_step says. The result is bit-identical to
+/// copying every start into its w first and then running. With `pipe`,
+/// the jobs span several blocks (see BlockPipeline); a start copy then
+/// reads the start model after the job's gate opened.
 void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
                         std::span<const LocalSgdJob> jobs,
                         std::vector<ClientScratch>& scratch,
-                        const sim::ClusterSim& cluster);
+                        const sim::ClusterSim& cluster,
+                        const BlockPipeline* pipe = nullptr);
 
 /// Compatibility shim for perfbench/cpp/layers.cpp, the one caller of the
 /// former batched-engine signature. It exists only for perfbench and goes
