@@ -108,12 +108,12 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   }
   // Interior blocks of area e starting at innermost block b broadcast
   // down, shallowest first.
-  const auto broadcast = [&](index_t e, index_t b, parallel::ThreadPool* p) {
+  const auto broadcast = [&](index_t e, index_t b, ModelSplit split) {
     for (index_t lv = 1; lv < inner; ++lv) {
       if (b % span[slot(lv)] != 0) continue;
       for (const index_t n : nodes_of(lv, e)) {
         for (const index_t c : children(lv, n)) {
-          copy_model(models(lv)[slot(n)], ensure(models(lv + 1)[slot(c)]), p);
+          copy_model(models(lv)[slot(n)], models(lv + 1)[slot(c)], split);
         }
       }
     }
@@ -129,18 +129,47 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
     leaf_ckpt.resize(slots);
     scratch_.resize(slots);
   }
-  const auto leaf_slot = [&](index_t g, index_t leaf) {
-    return g * lpa + leaf % lpa;
+  const auto leaf_slot = [&](std::size_t g, index_t leaf) {
+    return g * slot(lpa) + slot(leaf % lpa);
   };
 
-  // Block 0's broadcasts come first: they also materialize the leaf
-  // parents' models that the jobs' start views point into. The leaf
-  // parents' checkpoints are materialized here too, on this thread, so a
-  // close inside the region allocates no model-sized buffer.
-  for (const index_t e : live) {
+  // Everything the region writes is materialized here, on this thread,
+  // so no task allocates a model-sized buffer or races on one: every
+  // node model (block 0's broadcasts touch them all) and, with a capture,
+  // every node checkpoint. The survivors of each leaf parent and the
+  // checkpoint flags are pure functions of the fault plan, so they are
+  // fixed here too (reports[g][m]: the leaf slots that report to the
+  // m-th leaf parent of live[g], the same in every block).
+  std::vector<std::vector<Participants>> reports(live.size());
+  for (std::size_t g = 0; g < live.size(); ++g) {
+    const index_t e = live[g];
+    for (index_t lv = 2; lv <= inner; ++lv) {
+      for (const index_t n : nodes_of(lv, e)) ensure(models(lv)[slot(n)]);
+    }
     broadcast(e, 0, pool);
+    for (const index_t n : nodes_of(inner, e)) {
+      std::vector<index_t> surv;
+      for (const index_t c : children(inner, n)) {
+        if (plan_.client_reports(k, c)) {
+          surv.push_back(static_cast<index_t>(leaf_slot(g, c)));
+        }
+      }
+      reports[g].push_back(Participants::from_draws(surv));
+      if (c2 < 0) continue;
+      has_ckpt(inner)[slot(n)] = surv.empty() ? 0 : 1;
+      ensure(ckpts(inner)[slot(n)]);
+    }
     if (c2 < 0) continue;
-    for (const index_t n : nodes_of(inner, e)) ensure(ckpts(inner)[slot(n)]);
+    for (index_t lv = inner - 1; lv >= 1; --lv) {
+      for (const index_t n : nodes_of(lv, e)) {
+        char held = 0;
+        for (const index_t c : children(lv, n)) {
+          held = static_cast<char>(held | has_ckpt(lv + 1)[slot(c)]);
+        }
+        has_ckpt(lv)[slot(n)] = held;
+        ensure(ckpts(lv)[slot(n)]);
+      }
+    }
   }
 
   LocalSgdConfig cfg;
@@ -151,11 +180,11 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   cfg.weight_decay = opts.weight_decay;
   cfg.prox_mu = opts.prox_mu;
   cfg.checkpoint_step = c2 >= 0 ? c1 : 0;  // only block c2's jobs capture
-  // Every block's jobs, block-major: one job per leaf that computes
-  // (offline hardware, churned away, computes nothing this round; dropped
-  // clients still compute, only their report is lost). A job trains in
-  // its leaf's slot from its parent's model, copied inside the device
-  // task once the area closed the previous block.
+  // Every block's jobs, block-major, then area by area: one job per leaf
+  // that computes (offline hardware, churned away, computes nothing this
+  // round; dropped clients still compute, only their report is lost). A
+  // job trains in its leaf's slot from its parent's model, copied inside
+  // the device task once the area closed the previous block.
   std::vector<LocalSgdJob> jobs;
   std::vector<rng::Xoshiro256> gens;
   std::vector<index_t> job_leaf, job_group, job_block;
@@ -165,20 +194,13 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
   job_leaf.reserve(max_jobs);
   job_group.reserve(max_jobs);
   job_block.reserve(max_jobs);
-  // Area g's jobs of block b are the area_jobs[g] jobs from
-  // first_job[g * blocks + b] on.
-  std::vector<std::size_t> first_job(live.size() * slot(blocks));
-  std::vector<std::size_t> area_jobs(live.size(), 0);
   for (index_t b = 0; b < blocks; ++b) {
     for (std::size_t g = 0; g < live.size(); ++g) {
       const index_t e = live[g];
-      first_job[g * slot(blocks) + slot(b)] = jobs.size();
       for (index_t i = 0; i < lpa; ++i) {
         const index_t leaf = e * lpa + i;
         if (plan_.client_offline(k, leaf)) continue;
-        if (b == 0) ++area_jobs[g];
-        const auto s = static_cast<std::size_t>(
-            leaf_slot(static_cast<index_t>(g), leaf));
+        const std::size_t s = leaf_slot(g, leaf);
         gens.push_back(round_gen.split(kTagLocal)
                            .split(static_cast<std::uint64_t>(e))
                            .split(static_cast<std::uint64_t>(b))
@@ -198,108 +220,89 @@ void EdgeProgram::phase1(index_t k, index_t c1, index_t c2,
       }
     }
   }
-  // Area g's share of closing innermost block b, in the engine's order:
-  // quantize the leaf reports, apply payload attacks, combine each leaf
-  // parent's survivors with the robust combiner (and the checkpoints in
-  // block c2), average interior blocks that end here up, deepest first,
-  // and broadcast the interior blocks that start next. It touches only
-  // area g's nodes and slots, so areas close in any order, anywhere.
-  const auto close = [&](index_t g, index_t b, parallel::ThreadPool* p) {
-    const index_t e = live[static_cast<std::size_t>(g)];
-    const std::size_t j0 = first_job[slot(g) * slot(blocks) + slot(b)];
-    const std::size_t j1 = j0 + area_jobs[slot(g)];
-    if (opts.quantize_bits > 0) {
-      for (std::size_t j = j0; j < j1; ++j) {
-        const std::size_t s = slot(jobs[j].scratch_id);
-        rng::Xoshiro256 qgen = gens[j].split(kTagQuant);
-        sim::quantize_payload(leaf_w[s], opts.quantize_bits, qgen);
-        if (b == c2) {
-          sim::quantize_payload(leaf_ckpt[s], opts.quantize_bits, qgen);
-        }
-      }
-    }
-    if (plan_.payload_attack()) {
-      // A leaf's parent still holds the block-start model every leaf
-      // under it started from — the sign-flip reflection reference. The
-      // checkpoint upload stays honest: it is variance-reduction
-      // scaffolding for Phase 2, not a model report (DESIGN.md §13).
-      for (std::size_t j = j0; j < j1; ++j) {
-        const index_t c = job_leaf[j];
-        if (!plan_.client_attacker(k, c)) continue;
-        plan_.corrupt_payload(k, c, models(inner)[slot(c / leaf_fan)].data(),
-                              leaf_w[slot(jobs[j].scratch_id)].data(), d);
-      }
-    }
-    for (const index_t n : nodes_of(inner, e)) {
-      // Aggregate over whichever leaves actually reported this block (a
-      // reporting leaf is never offline, so its job ran); a node with
-      // zero survivors keeps its block-start model. Every aggregation is
-      // over distinct slots, so the participants have multiplicity 1 and
-      // the weighted forms take the uniform mean (1 * (1/n) == 1/n).
-      std::vector<index_t> surv;
-      for (const index_t c : children(inner, n)) {
-        if (plan_.client_reports(k, c)) surv.push_back(leaf_slot(g, c));
-      }
-      const Participants reports = Participants::from_draws(surv);
-      if (!reports.ids.empty()) {
-        robust_weighted_average(leaf_w, reports, agg_,
-                                models(inner)[slot(n)], p);
-      }
-      if (b == c2) {
-        has_ckpt(inner)[slot(n)] = reports.ids.empty() ? 0 : 1;
-        if (!reports.ids.empty()) {
-          weighted_average(leaf_ckpt, reports, ensure(ckpts(inner)[slot(n)]),
-                           p);
-        }
-      }
-    }
-    // Interior servers are reliable and take the plain mean of all
-    // children.
-    for (index_t lv = inner - 1; lv >= 1; --lv) {
-      if ((b + 1) % span[slot(lv)] != 0) continue;
-      for (const index_t n : nodes_of(lv, e)) {
-        weighted_average(models(lv + 1),
-                         Participants::from_draws(children(lv, n)),
-                         models(lv)[slot(n)], p);
-      }
-    }
-    if (b + 1 < blocks) broadcast(e, b + 1, p);
-  };
 
-  // One device region for the whole round: an area's block b + 1 starts
-  // as soon as the last of its own block-b jobs closed the block, while
-  // other areas' jobs keep the remaining threads busy. Closes inside the
-  // region run their model-vector kernels inline on the closing thread.
   BlockPipeline pipe;
   pipe.group = job_group;
   pipe.block = job_block;
   pipe.num_groups = static_cast<index_t>(live.size());
   pipe.num_blocks = blocks;
-  pipe.close = [&](index_t g, index_t b) { close(g, b, pool); };
-  run_local_sgd_jobs(model_, cfg, jobs, scratch_, cluster_, &pipe);
-  // The last block closes after the region, its kernels split on the pool.
-  for (index_t g = 0; g < static_cast<index_t>(live.size()); ++g) {
-    close(g, blocks - 1, pool);
-  }
-
-  // Average the captured checkpoint up to the areas, over the children
-  // that hold one.
-  if (c2 < 0) return;
-  for (index_t lv = inner - 1; lv >= 1; --lv) {
-    for (const index_t e : live) {
+  pipe.pieces = std::max<index_t>(
+      1, (d + static_cast<index_t>(kModelBlock) - 1) /
+             static_cast<index_t>(kModelBlock));
+  // A leaf's own report, on its job's thread: uplink quantization, then
+  // a payload attack. The leaf's parent still holds the block-start model
+  // every leaf under it started from (its close has not begun) — the
+  // sign-flip reflection reference. The checkpoint upload stays honest:
+  // it is variance-reduction scaffolding for Phase 2, not a model report
+  // (DESIGN.md §13).
+  pipe.finish = [&](index_t j) {
+    const LocalSgdJob& job = jobs[slot(j)];
+    const std::size_t s = slot(job.scratch_id);
+    if (opts.quantize_bits > 0) {
+      rng::Xoshiro256 qgen = gens[slot(j)].split(kTagQuant);
+      sim::quantize_payload(leaf_w[s], opts.quantize_bits, qgen);
+      if (!job.checkpoint.empty()) {
+        sim::quantize_payload(leaf_ckpt[s], opts.quantize_bits, qgen);
+      }
+    }
+    const index_t c = job_leaf[slot(j)];
+    if (plan_.payload_attack() && plan_.client_attacker(k, c)) {
+      plan_.corrupt_payload(k, c, models(inner)[slot(c / leaf_fan)].data(),
+                            leaf_w[s].data(), d);
+    }
+  };
+  // One coordinate piece of area g's close of innermost block b: combine
+  // each leaf parent's survivors with the robust combiner (the one hop
+  // attackers own; a parent with no survivors keeps its block-start
+  // model) and, in block c2, their checkpoints; average the interior
+  // blocks that end here up, deepest first (interior servers are
+  // reliable and take the plain mean of all children); broadcast the
+  // interior blocks that start next; after the last block, average the
+  // checkpoint up to the area over the children that hold one. Every
+  // step is coordinate-wise, so the pieces are independent, and each
+  // touches only area g's nodes and slots.
+  pipe.close = [&](index_t g, index_t b, index_t piece) {
+    const index_t e = live[slot(g)];
+    const std::size_t lo = slot(piece) * kModelBlock;
+    const ModelSplit split = ModelSplit::piece(lo, lo + kModelBlock);
+    const std::vector<index_t> parents = nodes_of(inner, e);
+    for (std::size_t m = 0; m < parents.size(); ++m) {
+      const Participants& rep = reports[slot(g)][m];
+      if (rep.ids.empty()) continue;
+      const index_t n = parents[m];
+      robust_weighted_average(leaf_w, rep, agg_, models(inner)[slot(n)],
+                              split);
+      if (b == c2) {
+        weighted_average(leaf_ckpt, rep, ckpts(inner)[slot(n)], split);
+      }
+    }
+    for (index_t lv = inner - 1; lv >= 1; --lv) {
+      if ((b + 1) % span[slot(lv)] != 0) continue;
+      for (const index_t n : nodes_of(lv, e)) {
+        weighted_average(models(lv + 1),
+                         Participants::from_draws(children(lv, n)),
+                         models(lv)[slot(n)], split);
+      }
+    }
+    if (b + 1 < blocks) broadcast(e, b + 1, split);
+    if (b + 1 < blocks || c2 < 0) return;
+    for (index_t lv = inner - 1; lv >= 1; --lv) {
       for (const index_t n : nodes_of(lv, e)) {
         std::vector<index_t> held;
         for (const index_t c : children(lv, n)) {
           if (has_ckpt(lv + 1)[slot(c)]) held.push_back(c);
         }
-        has_ckpt(lv)[slot(n)] = held.empty() ? 0 : 1;
         if (!held.empty()) {
           weighted_average(ckpts(lv + 1), Participants::from_draws(held),
-                           ensure(ckpts(lv)[slot(n)]), pool);
+                           ckpts(lv)[slot(n)], split);
         }
       }
     }
-  }
+  };
+  // One device region for the whole round: an area's block b + 1 starts
+  // as soon as its own block b is closed, while other areas' jobs keep
+  // the remaining threads busy, and idle threads share the closes.
+  run_local_sgd_jobs(model_, cfg, jobs, scratch_, cluster_, &pipe);
 }
 
 void EdgeProgram::phase2(index_t k, std::span<const index_t> edges,

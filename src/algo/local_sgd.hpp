@@ -65,24 +65,29 @@ struct LocalSgdJob {
 };
 
 /// Several dependent blocks in one run_local_sgd_jobs call. Jobs are
-/// listed block-major (every job of block b before any of block b + 1),
-/// and job j belongs to group group[j] (an area) and block block[j]. A
-/// job of block b >= 1 starts only once its group's block b - 1 is
-/// closed: the last job of a (group, block) to finish calls
-/// close(group, block) on its own thread, then releases the group's next
-/// block. The last block is never closed here (the caller closes it after
-/// the run, on the pool), and a group with no jobs at all is closed for
-/// every other block after the region, in block order. A job only ever
-/// waits on lower-numbered jobs, which the scheduler claims first, so the
-/// run cannot deadlock on any pool, a 1-thread one included. A throwing
-/// job or close releases every waiting job, which then skips its work;
-/// the run rethrows the first error.
+/// listed block-major and, within a block, group by group; job j belongs
+/// to group group[j] (an area) and block block[j]. Closing block b of
+/// group g (the area's aggregation) is split into `pieces` independent
+/// tasks close(g, b, piece), each on its own slice of the coordinates.
+/// The run is one device region whose tickets are, for each block b and
+/// each group g in turn, the pieces closing (g, b - 1) and then g's jobs
+/// of block b; the pieces closing the last block come last. A job of
+/// block b waits until every piece closing (g, b - 1) finished; a piece
+/// closing (g, b) waits until g's jobs of block b finished. finish(j)
+/// runs on job j's thread right after its local SGD. Every (group, block)
+/// is closed, a group with no jobs included. A ticket only ever waits on
+/// lower tickets, which the scheduler claims first, so the run cannot
+/// deadlock on any pool, a 1-thread one included. A throwing job, finish
+/// or piece releases every waiting ticket, which then skips its work; the
+/// run rethrows the first error.
 struct BlockPipeline {
   std::span<const index_t> group;  // per job, in [0, num_groups)
-  std::span<const index_t> block;  // per job, non-decreasing
+  std::span<const index_t> block;  // per job, in [0, num_blocks)
   index_t num_groups = 0;
   index_t num_blocks = 1;
-  std::function<void(index_t group, index_t block)> close;
+  index_t pieces = 1;  // close pieces per (group, block)
+  std::function<void(index_t job)> finish;
+  std::function<void(index_t group, index_t block, index_t piece)> close;
 };
 
 /// Run one local-SGD block for every job (all sharing `config`): one
@@ -92,7 +97,7 @@ struct BlockPipeline {
 /// whatever config.checkpoint_step says. The result is bit-identical to
 /// copying every start into its w first and then running. With `pipe`,
 /// the jobs span several blocks (see BlockPipeline); a start copy then
-/// reads the start model after the job's gate opened.
+/// reads the start model once the previous block is closed.
 void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
                         std::span<const LocalSgdJob> jobs,
                         std::vector<ClientScratch>& scratch,

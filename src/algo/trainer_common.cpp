@@ -19,18 +19,23 @@ namespace hm::algo::detail {
 namespace {
 
 /// Run body(lo, hi) over [0, n) in kModelBlock coordinate blocks across
-/// `pool`. A null pool, or a vector of at most one block, is one inline
-/// body(0, n) call.
+/// the split's pool. A null pool, or a vector of at most one block, is one
+/// inline body(0, n) call; a piece is one inline call over its
+/// coordinates (clamped to n).
 template <typename Body>
-void for_model_blocks(parallel::ThreadPool* pool, std::size_t n,
+void for_model_blocks(const ModelSplit& split, std::size_t n,
                       const Body& body) {
+  if (split.lo != 0 || split.hi < n) {
+    body(std::min(split.lo, n), std::min(split.hi, n));
+    return;
+  }
   const std::size_t blocks = (n + kModelBlock - 1) / kModelBlock;
-  if (pool == nullptr || blocks <= 1) {
+  if (split.pool == nullptr || blocks <= 1) {
     body(std::size_t{0}, n);
     return;
   }
   parallel::parallel_for(
-      *pool, 0, static_cast<index_t>(blocks),
+      *split.pool, 0, static_cast<index_t>(blocks),
       [&](index_t b) {
         const std::size_t lo = static_cast<std::size_t>(b) * kModelBlock;
         body(lo, std::min(n, lo + kModelBlock));
@@ -47,12 +52,12 @@ template <typename WeightAt, typename SourceAt>
 void accumulate_weighted(std::size_t count, const WeightAt& weight_at,
                          const SourceAt& source_at,
                          std::vector<scalar_t>& out,
-                         parallel::ThreadPool* pool) {
+                         const ModelSplit& split) {
   HM_CHECK(count > 0);
   for (std::size_t i = 0; i < count; ++i) {
     HM_CHECK(source_at(i).size() == out.size());
   }
-  for_model_blocks(pool, out.size(), [&](std::size_t lo, std::size_t hi) {
+  for_model_blocks(split, out.size(), [&](std::size_t lo, std::size_t hi) {
     const auto src = [&](std::size_t i) {
       return nn::ConstVecView(source_at(i)).subspan(lo, hi - lo);
     };
@@ -78,10 +83,9 @@ std::uint64_t order_key(scalar_t v) {
 
 }  // namespace
 
-void copy_model(nn::ConstVecView src, nn::VecView dst,
-                parallel::ThreadPool* pool) {
+void copy_model(nn::ConstVecView src, nn::VecView dst, ModelSplit split) {
   HM_CHECK(src.size() == dst.size());
-  for_model_blocks(pool, dst.size(), [&](std::size_t lo, std::size_t hi) {
+  for_model_blocks(split, dst.size(), [&](std::size_t lo, std::size_t hi) {
     tensor::copy(src.subspan(lo, hi - lo), dst.subspan(lo, hi - lo));
   });
 }
@@ -117,14 +121,14 @@ Participants Participants::subset(const std::vector<char>& mask) const {
 
 void weighted_average(const std::vector<std::vector<scalar_t>>& vectors,
                       const Participants& parts, std::vector<scalar_t>& out,
-                      parallel::ThreadPool* pool) {
-  robust_weighted_average(vectors, parts, AggregateSpec{}, out, pool);
+                      ModelSplit split) {
+  robust_weighted_average(vectors, parts, AggregateSpec{}, out, split);
 }
 
 void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
                     const std::vector<index_t>& mults, index_t total,
                     const AggregateSpec& agg, nn::VecView out,
-                    parallel::ThreadPool* pool) {
+                    ModelSplit split) {
   HM_CHECK(agg.kind != Aggregate::kMean);
   HM_CHECK(!srcs.empty() && mults.size() == srcs.size() && total > 0);
   HM_CHECK_MSG(agg.trim_frac >= 0 && agg.trim_frac < scalar_t{0.5},
@@ -146,7 +150,7 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
   // The index tiebreak pins the order among equal keys, and the sorted
   // order is also the accumulation order for the trimmed mean. Each
   // coordinate is independent, so blocks of them can run anywhere.
-  for_model_blocks(pool, dim, [&](std::size_t first, std::size_t last) {
+  for_model_blocks(split, dim, [&](std::size_t first, std::size_t last) {
     std::vector<std::pair<std::uint64_t, std::size_t>> order(m);
     for (std::size_t c = first; c < last; ++c) {
       for (std::size_t i = 0; i < m; ++i) {
@@ -195,9 +199,9 @@ namespace {
 void combine(const std::vector<const std::vector<scalar_t>*>& srcs,
              const std::vector<index_t>& mults, index_t total,
              const AggregateSpec& agg, std::vector<scalar_t>& out,
-             parallel::ThreadPool* pool) {
+             const ModelSplit& split) {
   if (agg.kind != Aggregate::kMean) {
-    robust_combine(srcs, mults, total, agg, out, pool);
+    robust_combine(srcs, mults, total, agg, out, split);
     return;
   }
   const scalar_t inv_total = scalar_t{1} / static_cast<scalar_t>(total);
@@ -207,7 +211,7 @@ void combine(const std::vector<const std::vector<scalar_t>*>& srcs,
         return static_cast<scalar_t>(mults[i]) * inv_total;
       },
       [&](std::size_t i) -> const std::vector<scalar_t>& { return *srcs[i]; },
-      out, pool);
+      out, split);
 }
 
 }  // namespace
@@ -215,13 +219,13 @@ void combine(const std::vector<const std::vector<scalar_t>*>& srcs,
 void robust_weighted_average(
     const std::vector<std::vector<scalar_t>>& vectors,
     const Participants& parts, const AggregateSpec& agg,
-    std::vector<scalar_t>& out, parallel::ThreadPool* pool) {
+    std::vector<scalar_t>& out, ModelSplit split) {
   HM_CHECK(!parts.ids.empty() && parts.total > 0);
   std::vector<const std::vector<scalar_t>*> srcs(parts.ids.size());
   for (std::size_t i = 0; i < parts.ids.size(); ++i) {
     srcs[i] = &vectors[static_cast<std::size_t>(parts.ids[i])];
   }
-  combine(srcs, parts.multiplicity, parts.total, agg, out, pool);
+  combine(srcs, parts.multiplicity, parts.total, agg, out, split);
 }
 
 namespace {

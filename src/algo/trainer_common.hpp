@@ -50,16 +50,34 @@ struct Participants {
 /// §7, "Model-vector traffic").
 inline constexpr std::size_t kModelBlock = 8192;
 
-/// dst = src, block-parallel on `pool` (sizes must match).
-void copy_model(nn::ConstVecView src, nn::VecView dst,
-                parallel::ThreadPool* pool);
+/// Where a block-parallel model-vector kernel runs. Built from a pool
+/// pointer (implicitly): split into kModelBlock blocks on the pool, or one
+/// inline call when it is null. Built by piece(): only coordinates
+/// [lo, hi), inline on the caller — one piece of a split the caller
+/// schedules itself. Every coordinate's arithmetic is the same either way.
+struct ModelSplit {
+  ModelSplit(parallel::ThreadPool* p = nullptr) : pool(p) {}  // NOLINT
+  static ModelSplit piece(std::size_t lo, std::size_t hi) {
+    ModelSplit s;
+    s.lo = lo;
+    s.hi = hi;
+    return s;
+  }
+  parallel::ThreadPool* pool = nullptr;
+  std::size_t lo = 0;
+  std::size_t hi = static_cast<std::size_t>(-1);  // whole vector
+};
+
+/// dst = src, block-parallel on `split` (sizes must match).
+void copy_model(nn::ConstVecView src, nn::VecView dst, ModelSplit split);
 
 /// out = sum_i weights[i] * vectors[ids[i]] with weights normalized to 1.
-/// `pool` splits the coordinates into kModelBlock blocks (null: serial
-/// on the caller); the result is bit-identical either way.
+/// `split` splits the coordinates into kModelBlock blocks on a pool
+/// (null: serial on the caller) or picks one piece; the result is
+/// bit-identical either way.
 void weighted_average(const std::vector<std::vector<scalar_t>>& vectors,
                       const Participants& parts, std::vector<scalar_t>& out,
-                      parallel::ThreadPool* pool = nullptr);
+                      ModelSplit split = {});
 
 /// The model-report combiner and its parameters, threaded through the
 /// aggregation helpers. The default is the plain mean, which keeps every
@@ -77,12 +95,12 @@ struct AggregateSpec {
 /// +0 and every NaN sorts above +Inf, so any input, finite or not, has
 /// a defined result. kMean is rejected here (callers
 /// dispatch it to the fused mean kernels). `out` may alias a source:
-/// each coordinate is fully read before it is written. `pool` as in
+/// each coordinate is fully read before it is written. `split` as in
 /// weighted_average.
 void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
                     const std::vector<index_t>& mults, index_t total,
                     const AggregateSpec& agg, nn::VecView out,
-                    parallel::ThreadPool* pool = nullptr);
+                    ModelSplit split = {});
 
 /// weighted_average with a selectable combiner: kMean is
 /// weighted_average, the robust kinds treat each participant's
@@ -90,7 +108,7 @@ void robust_combine(const std::vector<const std::vector<scalar_t>*>& srcs,
 void robust_weighted_average(
     const std::vector<std::vector<scalar_t>>& vectors,
     const Participants& parts, const AggregateSpec& agg,
-    std::vector<scalar_t>& out, parallel::ThreadPool* pool = nullptr);
+    std::vector<scalar_t>& out, ModelSplit split = {});
 
 /// Last delivered update per potential participant, for OnFault::
 /// kReuseStale. `last_round[id] < 0` means the participant never

@@ -23,12 +23,24 @@ class ClusterSim {
   /// rethrows the first job exception. Device jobs are coarse (a whole
   /// local-SGD run), so a task holds enough devices for about 4 tasks per
   /// thread, the caller included: load-balancing headroom without ticket
-  /// traffic. Jobs are independent, so the grain never affects results.
-  void run_devices(index_t count,
-                   const std::function<void(index_t)>& job) const {
+  /// traffic. With `one_per_task`, every job is its own task instead, and
+  /// tasks are claimed in index order, so a job may wait on lower-numbered
+  /// jobs (never on higher ones) without deadlock. The task split never
+  /// affects results.
+  void run_devices(index_t count, const std::function<void(index_t)>& job,
+                   bool one_per_task = false) const {
     HM_OBS_SPAN("run_devices", "sim", count, 0);
     HM_OBS_INC("sim.device_batches");
     HM_OBS_ADD("sim.device_jobs", count);
+    if (one_per_task) {
+      pool_->run_region(
+          count,
+          [](void* fn, index_t i) {
+            (*static_cast<const std::function<void(index_t)>*>(fn))(i);
+          },
+          const_cast<std::function<void(index_t)>*>(&job));
+      return;
+    }
     const auto threads = static_cast<index_t>(pool_->num_threads());
     parallel::parallel_for(*pool_, 0, count, job,
                            std::max(index_t{1}, count / (threads * 4)));
