@@ -218,6 +218,8 @@ TrainResult run_engine(const nn::Model& model,
                          result.w, comm, result.history);
   }
 
+  // A due snapshot is written while the next round runs (DESIGN.md §10).
+  io::SnapshotWriter writer(opts.snapshot.dir, opts.snapshot.keep);
   for (index_t k = k0; k < opts.rounds; ++k) {
     HM_OBS_SPAN(info.round_span, "algo", k, 0);
     count_round(variant);
@@ -384,8 +386,9 @@ TrainResult run_engine(const nn::Model& model,
     if (minimax) detail::update_running_average(result.p_avg, result.p, k);
     detail::maybe_record(model, fed, pool, k + 1, opts.rounds,
                          opts.eval_every, result.w, comm, result.history);
-    detail::snapshot_round_end(opts.snapshot, k, rs);
+    detail::snapshot_round_end(opts.snapshot, k, rs, writer);
   }
+  writer.wait();
   return result;
 }
 

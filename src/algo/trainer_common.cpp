@@ -588,9 +588,13 @@ std::string option_value(const OptionsRecord& record,
 
 }  // namespace
 
-io::Snapshot make_run_snapshot(const RunState& st, index_t next_round) {
+namespace {
+
+/// Put the pointed-at state into `s`, an io::Snapshot or an
+/// io::SnapshotEncoder: both lay the same sections out in the same order.
+template <typename Sink>
+void put_run_state(const RunState& st, index_t next_round, Sink& s) {
   HM_CHECK(st.root != nullptr && st.w != nullptr && st.history != nullptr);
-  io::Snapshot s;
   s.put_u64(kSnapAlgo, st.algo_id);
   if (!st.options.empty()) s.put_bytes(kSnapOpts, encode_options(st.options));
   s.put_u64(kSnapRound, static_cast<std::uint64_t>(next_round));
@@ -617,6 +621,13 @@ io::Snapshot make_run_snapshot(const RunState& st, index_t next_round) {
     s.put_i64_vec(kSnapStaleRounds, rounds);
   }
   s.put_bytes(kSnapHistory, encode_history(*st.history));
+}
+
+}  // namespace
+
+io::Snapshot make_run_snapshot(const RunState& st, index_t next_round) {
+  io::Snapshot s;
+  put_run_state(st, next_round, s);
   return s;
 }
 
@@ -769,12 +780,16 @@ index_t resume_round(const std::string& resume_from, const RunState& st) {
 }
 
 void snapshot_round_end(const io::SnapshotPolicy& policy, index_t k,
-                        const RunState& st) {
+                        const RunState& st, io::SnapshotWriter& writer) {
+  // Round k - 1's write, if any, is joined here at the latest.
+  writer.wait();
   if (policy.enabled() && (k + 1) % policy.every_k_rounds == 0) {
-    io::save_snapshot(policy.dir, policy.keep, k + 1,
-                      make_run_snapshot(st, k + 1));
+    writer.save(k + 1, [&](io::SnapshotEncoder& enc) {
+      put_run_state(st, k + 1, enc);
+    });
   }
   if (policy.crash_after_round >= 0 && k == policy.crash_after_round) {
+    writer.wait();  // the crash comes after this round's snapshot is durable
     std::ostringstream os;
     os << "simulated crash after round " << k;
     throw io::SimulatedCrash(os.str());

@@ -328,10 +328,14 @@ io::Snapshot make_run_snapshot(const RunState& st, index_t next_round);
 index_t resume_round(const std::string& resume_from, const RunState& st);
 
 /// End-of-round hook, called as the last statement of round k's loop
-/// body: writes `snapshot.<k+1>` when the policy cadence is due, then
-/// throws io::SimulatedCrash when the crash-replay harness scheduled a
-/// kill after round k.
+/// body with the run's one `writer` (built from the policy before the
+/// loop; the loop calls writer.wait() after its last round). It joins the
+/// previous round's write, rethrowing its error, then, when the policy
+/// cadence is due, copies the state into the writer's buffer and starts
+/// writing `snapshot.<k+1>` on the writer thread, which overlaps round
+/// k + 1. It throws io::SimulatedCrash when the crash-replay harness
+/// scheduled a kill after round k, once that round's snapshot is durable.
 void snapshot_round_end(const io::SnapshotPolicy& policy, index_t k,
-                        const RunState& st);
+                        const RunState& st, io::SnapshotWriter& writer);
 
 }  // namespace hm::algo::detail

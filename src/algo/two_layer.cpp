@@ -201,6 +201,8 @@ TrainResult run_two_layer(const nn::Model& model,
   jobs.reserve(static_cast<std::size_t>(m));
   gens.reserve(static_cast<std::size_t>(m));
 
+  // A due snapshot is written while the next round runs (DESIGN.md §10).
+  io::SnapshotWriter writer(opts.snapshot.dir, opts.snapshot.keep);
   for (index_t k = k0; k < opts.rounds; ++k) {
     HM_OBS_SPAN(info.round_span, "algo", k, 0);
     count_round(variant);
@@ -368,8 +370,9 @@ TrainResult run_two_layer(const nn::Model& model,
     if (minimax) detail::update_running_average(q_avg, q, k);
     detail::maybe_record(model, fed, pool, k + 1, opts.rounds,
                          opts.eval_every, result.w, comm, result.history);
-    detail::snapshot_round_end(opts.snapshot, k, rs);
+    detail::snapshot_round_end(opts.snapshot, k, rs, writer);
   }
+  writer.wait();
 
   if (minimax) {
     result.p =

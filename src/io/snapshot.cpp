@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "core/check.hpp"
 #include "core/log.hpp"
@@ -366,24 +367,95 @@ std::size_t Snapshot::serialized_size() const {
 }
 
 std::vector<std::uint8_t> Snapshot::serialize() const {
-  const std::size_t total = serialized_size();
-  ByteWriter out;
-  out.reserve(total);
-  out.put_bytes(kMagic, sizeof(kMagic));
-  out.put_u32(kVersion);
-  out.put_u32(static_cast<std::uint32_t>(sections_.size()));
-  out.put_u32(0);  // reserved
-  out.put_u64(total - kHeaderBytes - kCrcBytes);
+  ByteWriter buf;
+  buf.reserve(serialized_size());
+  SnapshotEncoder enc(buf.take());
   for (const auto& s : sections_) {
-    out.put_u32(s.tag);
-    out.put_u32(s.kind);
-    out.put_u64(s.payload.size());
-    out.put_bytes(s.payload.data(), s.payload.size());
+    enc.begin(s.tag, s.kind, s.payload.size());
+    enc.out_.put_bytes(s.payload.data(), s.payload.size());
   }
-  const std::uint32_t crc = crc32(out.bytes().data(), out.bytes().size());
-  out.put_u32(crc);
-  HM_CHECK(out.bytes().size() == total);
-  return out.take();
+  std::vector<std::uint8_t> out = enc.finish();
+  seal(out);
+  HM_CHECK(out.size() == serialized_size());
+  return out;
+}
+
+SnapshotEncoder::SnapshotEncoder(std::vector<std::uint8_t> buf)
+    : out_(std::move(buf)) {
+  out_.put_bytes(kMagic, sizeof(kMagic));
+  out_.put_u32(kVersion);
+  out_.put_u32(0);  // section count, set by finish()
+  out_.put_u32(0);  // reserved
+  out_.put_u64(0);  // payload bytes, set by finish()
+}
+
+void SnapshotEncoder::begin(std::uint32_t tag, std::uint32_t kind,
+                            std::size_t len) {
+  for (const std::uint32_t t : tags_) {
+    HM_CHECK_MSG(t != tag, "duplicate snapshot section tag 0x" << std::hex
+                                                              << tag);
+  }
+  tags_.push_back(tag);
+  out_.put_u32(tag);
+  out_.put_u32(kind);
+  out_.put_u64(len);
+}
+
+void SnapshotEncoder::put_u64(std::uint32_t tag, std::uint64_t v) {
+  begin(tag, Snapshot::kKindU64, 8);
+  out_.put_u64(v);
+}
+
+void SnapshotEncoder::put_f64_vec(std::uint32_t tag,
+                                  const std::vector<scalar_t>& v) {
+  begin(tag, Snapshot::kKindF64Vec, 8 + 8 * v.size());
+  out_.put_u64(v.size());
+  out_.put_f64s(v.data(), v.size());
+}
+
+void SnapshotEncoder::put_f64_vec_list(
+    std::uint32_t tag, const std::vector<std::vector<scalar_t>>& v) {
+  std::size_t bytes = 8;
+  for (const auto& row : v) bytes += 8 + 8 * row.size();
+  begin(tag, Snapshot::kKindF64VecList, bytes);
+  out_.put_u64(v.size());
+  for (const auto& row : v) {
+    out_.put_u64(row.size());
+    out_.put_f64s(row.data(), row.size());
+  }
+}
+
+void SnapshotEncoder::put_i64_vec(std::uint32_t tag,
+                                  const std::vector<std::int64_t>& v) {
+  begin(tag, Snapshot::kKindI64Vec, 8 + 8 * v.size());
+  out_.put_u64(v.size());
+  for (const std::int64_t x : v) out_.put_i64(x);
+}
+
+void SnapshotEncoder::put_bytes(std::uint32_t tag,
+                                const std::vector<std::uint8_t>& payload) {
+  begin(tag, Snapshot::kKindBytes, payload.size());
+  out_.put_bytes(payload.data(), payload.size());
+}
+
+std::vector<std::uint8_t> SnapshotEncoder::finish() {
+  std::vector<std::uint8_t> bytes = out_.take();
+  HM_CHECK(bytes.size() >= kHeaderBytes);
+  const auto store = [&](std::size_t at, std::uint64_t v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  store(8, tags_.size(), 4);
+  store(16, bytes.size() - kHeaderBytes, 8);
+  return bytes;
+}
+
+void seal(std::vector<std::uint8_t>& bytes) {
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size());
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
 }
 
 Snapshot Snapshot::parse(const std::uint8_t* data, std::size_t n) {
@@ -504,12 +576,16 @@ void atomic_write_file(const std::string& path, const std::uint8_t* data,
   }
 }
 
-std::string save_snapshot(const std::string& dir, index_t keep,
-                          index_t round, const Snapshot& snap) {
+namespace {
+
+/// Write sealed snapshot bytes as `<dir>/snapshot.<round>` and prune (the
+/// body of save_snapshot after serialization). Returns the final path.
+std::string write_snapshot_file(const std::string& dir, index_t keep,
+                                index_t round,
+                                const std::vector<std::uint8_t>& bytes) {
   HM_CHECK_MSG(!dir.empty(), "snapshot directory must be non-empty");
   HM_CHECK_MSG(keep >= 1, "snapshot keep=" << keep << " must be >= 1");
   HM_CHECK_MSG(round >= 0, "snapshot round=" << round << " must be >= 0");
-  HM_OBS_SPAN("snapshot.save", "io", round, snap.serialized_size());
 
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -523,7 +599,6 @@ std::string save_snapshot(const std::string& dir, index_t keep,
   name << round;
   const std::string path = (fs::path(dir) / name.str()).string();
 
-  const std::vector<std::uint8_t> bytes = snap.serialize();
   atomic_write_file(path, bytes.data(), bytes.size());
   HM_OBS_INC("io.snapshot.writes");
   HM_OBS_ADD("io.snapshot.bytes_written", bytes.size());
@@ -548,6 +623,46 @@ std::string save_snapshot(const std::string& dir, index_t keep,
     }
   }
   return path;
+}
+
+}  // namespace
+
+std::string save_snapshot(const std::string& dir, index_t keep,
+                          index_t round, const Snapshot& snap) {
+  HM_OBS_SPAN("snapshot.save", "io", round, snap.serialized_size());
+  return write_snapshot_file(dir, keep, round, snap.serialize());
+}
+
+SnapshotWriter::SnapshotWriter(std::string dir, index_t keep)
+    : dir_(std::move(dir)), keep_(keep) {}
+
+SnapshotWriter::~SnapshotWriter() {
+  if (thread_.joinable()) thread_.join();
+}
+
+void SnapshotWriter::wait() {
+  if (thread_.joinable()) thread_.join();
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void SnapshotWriter::save(
+    index_t round, const std::function<void(SnapshotEncoder&)>& fill) {
+  wait();
+  {
+    HM_OBS_SPAN("snapshot.handoff", "io", round, buf_.capacity());
+    SnapshotEncoder enc(std::move(buf_));
+    fill(enc);
+    buf_ = enc.finish();
+  }
+  thread_ = std::thread([this, round] {
+    try {
+      HM_OBS_SPAN("snapshot.save", "io", round, buf_.size() + 4);
+      seal(buf_);
+      write_snapshot_file(dir_, keep_, round, buf_);
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+  });
 }
 
 std::optional<LoadedSnapshot> load_latest_snapshot(const std::string& dir,

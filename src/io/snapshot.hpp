@@ -26,9 +26,12 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/types.hpp"
@@ -84,6 +87,11 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
 /// non-finite double.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Write into `buf`, cleared first (its capacity is kept).
+  explicit ByteWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {
+    buf_.clear();
+  }
   void reserve(std::size_t n) { buf_.reserve(n); }
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
@@ -124,6 +132,41 @@ class ByteReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
+
+/// Streams the container layout straight into a byte buffer, one section
+/// per put_* call: finish() returns exactly what Snapshot::serialize()
+/// returns for the same put_* calls, minus the trailing CRC, which seal()
+/// appends. Each section's data is copied once, into the buffer, so a
+/// caller that reuses the buffer (SnapshotWriter) allocates nothing per
+/// snapshot. Tags must be unique, as in Snapshot.
+class SnapshotEncoder {
+ public:
+  /// Encode into `buf`, which is cleared first (its capacity is kept).
+  explicit SnapshotEncoder(std::vector<std::uint8_t> buf = {});
+
+  void put_u64(std::uint32_t tag, std::uint64_t v);
+  void put_f64_vec(std::uint32_t tag, const std::vector<scalar_t>& v);
+  void put_f64_vec_list(std::uint32_t tag,
+                        const std::vector<std::vector<scalar_t>>& v);
+  void put_i64_vec(std::uint32_t tag, const std::vector<std::int64_t>& v);
+  void put_bytes(std::uint32_t tag, const std::vector<std::uint8_t>& payload);
+
+  /// Fill in the header's section count and payload size and hand the
+  /// bytes back (still without their CRC).
+  std::vector<std::uint8_t> finish();
+
+ private:
+  friend class Snapshot;
+  /// Start a section of `len` payload bytes; the caller writes them.
+  void begin(std::uint32_t tag, std::uint32_t kind, std::size_t len);
+
+  ByteWriter out_;
+  std::vector<std::uint32_t> tags_;
+};
+
+/// Append the CRC32 of `bytes` (an encoder's finished output), which
+/// completes the file.
+void seal(std::vector<std::uint8_t>& bytes);
 
 /// The tagged-section container. Tags are caller-chosen u32 constants and
 /// must be unique within one snapshot; getters throw CheckError on a
@@ -194,6 +237,39 @@ void atomic_write_file(const std::string& path, const std::uint8_t* data,
 /// (plus any orphaned temp files). Returns the final path.
 std::string save_snapshot(const std::string& dir, index_t keep,
                           index_t round, const Snapshot& snap);
+
+/// A run's durable snapshots, written while the run goes on. save()
+/// encodes the state on the calling thread into one buffer the writer
+/// reuses for every save, then a writer thread seals it, writes it as
+/// `<dir>/snapshot.<round>` through atomic_write_file and prunes to the
+/// `keep` newest, as save_snapshot does. At most one write is in flight:
+/// save() and wait() join the previous one first and rethrow its error
+/// (SimulatedCrash included) on the calling thread. The destructor joins
+/// too but drops an error nobody collected (a caller leaving by an
+/// exception already has one in flight). The writer thread is the only
+/// thread src/ starts outside a ThreadPool, and none outlives the writer.
+class SnapshotWriter {
+ public:
+  SnapshotWriter(std::string dir, index_t keep);
+  ~SnapshotWriter();
+
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+
+  /// Join the write in flight, if any, and rethrow its error.
+  void wait();
+
+  /// wait(), then encode round `round`'s snapshot with fill(encoder) on
+  /// this thread and start writing it on the writer thread.
+  void save(index_t round, const std::function<void(SnapshotEncoder&)>& fill);
+
+ private:
+  std::string dir_;
+  index_t keep_;
+  std::vector<std::uint8_t> buf_;  // owned by the writer thread while it runs
+  std::thread thread_;
+  std::exception_ptr error_;
+};
 
 struct LoadedSnapshot {
   Snapshot snapshot;

@@ -17,9 +17,11 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "nn/model.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/vecops.hpp"
 
@@ -57,8 +59,11 @@ class EvalBlockCursor {
   std::size_t job() const { return cj_; }
   index_t row() const { return cr_; }
 
-  /// Produce the next block and advance the cursor past its rows.
-  tensor::ConstMatView next(tensor::Matrix& scratch) {
+  /// Produce the next block and advance the cursor past its rows. A
+  /// gathered block copies its rows on `pool` (null: on the caller), in
+  /// fixed row chunks; the copy is exact, so the block is the same bytes.
+  tensor::ConstMatView next(tensor::Matrix& scratch,
+                            parallel::ThreadPool* pool = nullptr) {
     const LossJob& head = jobs_[cj_];
     const auto n = static_cast<index_t>(head.batch.size());
     const index_t first = head.batch[static_cast<std::size_t>(cr_)];
@@ -82,24 +87,36 @@ class EvalBlockCursor {
     }
     const index_t dim = head.data->dim();
     scratch.resize_for_overwrite(block_rows_, dim);
-    index_t mb = 0;
-    while (mb < block_rows_ && cj_ < last_) {
+    rows_.clear();
+    while (static_cast<index_t>(rows_.size()) < block_rows_ && cj_ < last_) {
       const LossJob& job = jobs_[cj_];
-      tensor::copy(job.data->x.row(job.batch[static_cast<std::size_t>(cr_)]),
-                   scratch.row(mb));
-      ++mb;
+      rows_.push_back(
+          job.data->x.row(job.batch[static_cast<std::size_t>(cr_)]));
       advance(jobs_, cj_, cr_);
+    }
+    const auto mb = static_cast<index_t>(rows_.size());
+    const auto copy_row = [&](index_t r) {
+      tensor::copy(rows_[static_cast<std::size_t>(r)], scratch.row(r));
+    };
+    if (pool != nullptr) {
+      parallel::parallel_for(*pool, 0, mb, copy_row, kGatherGrain);
+    } else {
+      for (index_t r = 0; r < mb; ++r) copy_row(r);
     }
     return tensor::ConstMatView(scratch.data(), mb, dim);
   }
 
  private:
+  /// Rows per gather chunk: a pool splits a 192-row block in 12.
+  static constexpr index_t kGatherGrain = 16;
+
   std::span<const LossJob> jobs_;
   std::size_t cj_;
   std::size_t last_;
   index_t cr_ = 0;
   index_t block_rows_;
   index_t min_view_rows_;
+  std::vector<tensor::ConstVecView> rows_;  // the block being gathered
 };
 
 }  // namespace hm::nn::detail

@@ -247,7 +247,8 @@ void Mlp::loss_many(std::span<const LossJob> jobs, std::span<scalar_t> losses,
     while (!cursor.done()) {
       std::size_t wj = cursor.job();
       index_t wr = cursor.row();
-      const tensor::ConstMatView x0 = cursor.next(scratch.activations[0]);
+      const tensor::ConstMatView x0 =
+          cursor.next(scratch.activations[0], pool);
       const index_t mb = x0.rows();
       for (index_t l = 0; l < layers; ++l) {
         auto& out = scratch.activations[static_cast<std::size_t>(l) + 1];

@@ -173,7 +173,7 @@ void SoftmaxRegression::loss_many(std::span<const LossJob> jobs,
     while (!cursor.done()) {
       std::size_t wj = cursor.job();
       index_t wr = cursor.row();
-      const tensor::ConstMatView xb = cursor.next(scratch.xb);
+      const tensor::ConstMatView xb = cursor.next(scratch.xb, pool);
       const index_t mb = xb.rows();
       scratch.logit_rows.resize_for_overwrite(mb, classes_);
       tensor::gemm_nt_fma(xb, wm, scratch.logit_rows, 0, pool);

@@ -509,6 +509,49 @@ TEST(GemmNtFma, PoolSplitIsBitIdenticalForAnyPoolSize) {
   }
 }
 
+TEST(GemmNtFma, GridSplitIsBitIdenticalForAnyPoolSize) {
+  // Shapes with fewer row bands than a pooled region wants take the
+  // bands x column-panels grid, packing B inside the region: ragged M and
+  // N (partial bands, partial last strip), one band, and the Fig. 4
+  // Phase-2 layers, with NaN, +-Inf and -0 planted in A, B and C. Every
+  // pool size gives the serial call's bits.
+  const scalar_t inf = std::numeric_limits<scalar_t>::infinity();
+  const scalar_t specials[] = {std::numeric_limits<scalar_t>::quiet_NaN(),
+                               inf, -inf, -0.0};
+  auto plant = [&](Matrix& x, std::size_t stride, std::size_t offset) {
+    auto flat = x.flat();
+    for (std::size_t i = offset; i < flat.size(); i += stride) {
+      flat[i] = specials[(i / stride) % 4];
+    }
+  };
+  rng::Xoshiro256 gen(950);
+  for (const GemmExactShape s :
+       {GemmExactShape{192, 784, 300}, GemmExactShape{192, 300, 100},
+        GemmExactShape{67, 129, 37}, GemmExactShape{130, 65, 201},
+        GemmExactShape{40, 300, 97}}) {
+    Matrix a = random_matrix(s.m, s.k, gen);
+    Matrix bt = random_matrix(s.n, s.k, gen);
+    Matrix prior = random_matrix(s.m, s.n, gen);
+    plant(a, 331, 7);
+    plant(bt, 293, 11);
+    plant(prior, 37, 2);
+    for (const scalar_t beta : {0.0, 0.5}) {
+      Matrix serial = prior;
+      gemm_nt_fma(a, bt, serial, beta);
+      for (const std::size_t threads : {1, 2, 3, 4, 5}) {
+        parallel::ThreadPool pool(threads);
+        Matrix c = prior;
+        gemm_nt_fma(a, bt, c, beta, &pool);
+        EXPECT_EQ(std::memcmp(c.data(), serial.data(),
+                              c.flat().size() * sizeof(scalar_t)),
+                  0)
+            << "m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " beta=" << beta << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(Activations, ReluClampsNegatives) {
   std::vector<scalar_t> x = {-1, 0, 2, -0.5};
   relu(x);
