@@ -321,6 +321,10 @@ class RpcEdgeChannel final : public EdgeChannel {
     }
   }
 
+  std::uint64_t unplanned_deaths() const override {
+    return transport_->stats().unplanned_deaths;
+  }
+
  private:
   index_t lane_of(index_t e) const { return e % transport_->lanes(); }
 

@@ -46,6 +46,9 @@ class EdgeChannel {
                       const std::vector<char>& client_ok,
                       std::vector<scalar_t>& client_losses,
                       sim::EdgeLiveness& live) = 0;
+
+  /// Worker deaths so far that no KillSpec planned (0 in-process).
+  virtual std::uint64_t unplanned_deaths() const { return 0; }
 };
 
 /// Build the channel selected by h.opts.transport.kind. For kSocket the

@@ -389,6 +389,7 @@ TrainResult run_engine(const nn::Model& model,
     detail::snapshot_round_end(opts.snapshot, k, rs, writer);
   }
   writer.wait();
+  result.unplanned_deaths = channel->unplanned_deaths();
   return result;
 }
 

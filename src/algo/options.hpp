@@ -149,6 +149,9 @@ struct TrainResult {
   std::vector<scalar_t> p_avg;   // time-averaged weights (the p̂ of §5.1)
   metrics::TrainingHistory history;
   sim::CommStats comm;
+  // Socket worker deaths the transport's KillSpec did not plan (always 0
+  // in-process); the on_fault policy still decides how training degrades.
+  std::uint64_t unplanned_deaths = 0;
 };
 
 }  // namespace hm::algo

@@ -381,6 +381,8 @@ class SocketTransport final : public Transport {
     pid_t pid = -1;
     int fd = -1;
     bool up = false;
+    bool sent = false;          // a request reached the lane's socket
+    std::uint64_t last_tag = 0;  // the last such request's tag
   };
 
   /// Reap every worker that exited since the last sweep and demote its
@@ -395,7 +397,7 @@ class SocketTransport final : public Transport {
         log::warn() << "net: worker lane " << lane << " (pid " << ln.pid
                     << ") exited; marking the lane down";
         ln.pid = -1;
-        close_lane(ln);
+        close_lane(lane);
       }
     }
   }
@@ -408,18 +410,36 @@ class SocketTransport final : public Transport {
       ::waitpid(ln.pid, nullptr, 0);
       ln.pid = -1;
     }
-    close_lane(ln);
+    close_lane(lane);
   }
 
-  void close_lane(Lane& ln) {
+  void close_lane(index_t lane) {
+    auto& ln = lanes_[static_cast<std::size_t>(lane)];
     if (ln.fd != -1) {
       ::close(ln.fd);
       ln.fd = -1;
     }
-    if (ln.up) {
-      ln.up = false;
-      stats_.worker_deaths += 1;
-      HM_OBS_INC_T("net.socket.worker_deaths");
+    if (!ln.up) return;
+    ln.up = false;
+    stats_.worker_deaths += 1;
+    HM_OBS_INC_T("net.socket.worker_deaths");
+    // Planned: the armed kill's lane, with the kill tag the last request
+    // it was sent (a post-reply kill is found after its reply arrived).
+    const KillSpec& kill = spec_.kill;
+    if (kill.armed() && kill.worker == lane && ln.sent &&
+        ln.last_tag == kill.tag) {
+      return;
+    }
+    stats_.unplanned_deaths += 1;
+    HM_OBS_INC_T("net.socket.unplanned_deaths");
+    auto line = log::error();
+    line << "net: worker lane " << lane << " died unplanned";
+    if (ln.sent) {
+      // Trainer tags are 2 * round + (phase - 1).
+      line << " in round " << ln.last_tag / 2 << " phase "
+           << ln.last_tag % 2 + 1 << " (tag " << ln.last_tag << ")";
+    } else {
+      line << " before its first request";
     }
   }
 
@@ -440,6 +460,8 @@ class SocketTransport final : public Transport {
       demote(lane);
       return false;
     }
+    ln.last_tag = req.tag;
+    ln.sent = true;
     stats_.frames_sent += 1;
     stats_.bytes_sent += kFrameHeaderBytes + f.payload.size();
     HM_OBS_INC_T("net.socket.frames_sent");

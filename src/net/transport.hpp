@@ -84,6 +84,9 @@ struct TransportStats {
   std::uint64_t retries = 0;        // retransmitted requests
   std::uint64_t timeouts = 0;       // lanes declared dead by deadline
   std::uint64_t worker_deaths = 0;  // lanes declared dead by EOF/waitpid
+  // Of those, deaths the armed KillSpec did not plan: any death of
+  // another lane, or of its lane before the kill tag was sent to it.
+  std::uint64_t unplanned_deaths = 0;
 };
 
 using Bytes = std::vector<std::uint8_t>;

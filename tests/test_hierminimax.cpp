@@ -3,11 +3,17 @@
 // and the checkpoint mechanism.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <stdexcept>
 
 #include "algo/hierfavg.hpp"
 #include "algo/hierminimax.hpp"
+#include "io/snapshot.hpp"
 #include "nn/softmax_regression.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "tensor/vecops.hpp"
 #include "test_util.hpp"
 
@@ -145,6 +151,71 @@ TEST(HierMinimax, CommAccountingMatchesFormula) {
   // Client-edge models up: tau2 blocks x N0 models, +N0 checkpoints once.
   EXPECT_EQ(result.comm.client_edge_models_up,
             k * (static_cast<std::uint64_t>(opts.tau2) * 2 + 2));
+}
+
+TEST(HierMinimax, ThrowingLocalStepFailsTheRunWithoutHanging) {
+  // The pipelined Phase 1 makes later blocks wait on earlier ones: a job
+  // that throws in block 0 must release them, on an inline pool and a
+  // dispatching one, and leave the pool usable.
+  const auto fed = heterogeneous_task();
+  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+  const nn::SoftmaxRegression inner(fed.dim(), fed.num_classes());
+  for (const std::size_t threads : {1, 4}) {
+    parallel::ThreadPool pool(threads);
+    std::atomic<int> steps{0};
+    // Block 0 of round 0 has every area's leaves x tau1 steps; the 3rd
+    // step is one of them, whatever the schedule.
+    const testing_util::HookedModel model(inner, [&](const data::Dataset&) {
+      if (steps.fetch_add(1) + 1 == 3) {
+        throw std::runtime_error("injected sgd_step failure");
+      }
+    });
+    auto opts = quick_opts(3);
+    opts.sampled_edges = 0;
+    EXPECT_THROW(train_hierminimax(model, fed, topo, opts, pool),
+                 std::runtime_error)
+        << "threads=" << threads;
+    const auto after = train_hierminimax(inner, fed, topo, opts, pool);
+    EXPECT_EQ(after.history.size(), 1u) << "threads=" << threads;
+  }
+}
+
+TEST(HierMinimax, OneDeviceRegionPerRound) {
+  // Phase 1 is one device region per round, whatever the blocks per
+  // round: a per-block barrier would show as more batches.
+  if (!HM_OBS_ENABLED) GTEST_SKIP() << "obs hooks compiled out";
+  const auto fed = heterogeneous_task();
+  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  auto opts = quick_opts(5);
+  opts.tau2 = 3;
+  const auto batches = [] {
+    const obs::MetricValue* v =
+        obs::registry().snapshot().find("sim.device_batches");
+    return v == nullptr ? std::int64_t{0} : v->value;
+  };
+  const std::int64_t before = batches();
+  train_hierminimax(model, fed, topo, opts, test_pool());
+  EXPECT_EQ(batches() - before, opts.rounds);
+}
+
+TEST(HierMinimax, SnapshotWriterLeavesNoThreadBehind) {
+  // Snapshot writes overlap the next round on a writer thread, which the
+  // trainer joins before it returns.
+  const auto fed = heterogeneous_task();
+  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  const std::string dir = "/tmp/hm_hierminimax_test/writer_threads";
+  std::filesystem::remove_all(dir);
+  auto opts = quick_opts(6);
+  opts.snapshot.every_k_rounds = 1;
+  opts.snapshot.dir = dir;
+  parallel::ThreadPool& pool = test_pool();
+  const int before = testing_util::thread_count();
+  train_hierminimax(model, fed, topo, opts, pool);
+  EXPECT_LE(testing_util::thread_count(), before);
+  EXPECT_TRUE(io::load_latest_snapshot(dir).has_value());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(HierMinimax, FullParticipationEqualsSampledEdgesAllButUsesAllEdges) {

@@ -60,6 +60,7 @@ using testing_util::bits;
 using testing_util::deep_task;
 using testing_util::expect_same_output;
 using testing_util::heterogeneous_task;
+using testing_util::HookedModel;
 using testing_util::mix_vec;
 using testing_util::no_children_remain;
 using testing_util::open_fd_count;
@@ -511,9 +512,43 @@ TEST(SocketTransport, KillInjectionDemotesOnlyTheTargetLane) {
     EXPECT_FALSE(t->lane_up(0));
     EXPECT_TRUE(t->lane_up(1));
     EXPECT_GE(t->stats().worker_deaths, 1u);
+    EXPECT_EQ(t->stats().unplanned_deaths, 0u);
     t->shutdown();
     EXPECT_TRUE(no_children_remain());
   }
+}
+
+TEST(SocketTransport, DeathOutsideTheKillSpecIsUnplanned) {
+  // Lane 0's handler exits on its own at tag 7 (round 3, Phase 2) while
+  // the armed kill waits for lane 1 at a tag that never comes: one death,
+  // unplanned, logged at error level with its round, phase and lane.
+  net::TransportSpec spec;
+  spec.kind = net::TransportKind::kSocket;
+  spec.kill = net::KillSpec{1, 99, net::KillPoint::kPreHandle};
+  auto t = net::make_socket_transport(spec, 2, [](index_t lane) {
+    return [lane](std::uint64_t tag, const net::Bytes& req) {
+      if (lane == 0 && tag == 7) ::_exit(3);
+      return req;
+    };
+  });
+  std::vector<std::optional<net::RpcRequest>> reqs(2);
+  reqs[0] = net::RpcRequest{7, net::Bytes(8, 1)};
+  reqs[1] = net::RpcRequest{7, net::Bytes(8, 2)};
+  testing::internal::CaptureStderr();
+  const auto replies = t->exchange(reqs);
+  t->check_liveness();
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(replies[0].has_value());
+  ASSERT_TRUE(replies[1].has_value());
+  EXPECT_FALSE(t->lane_up(0));
+  EXPECT_TRUE(t->lane_up(1));
+  EXPECT_EQ(t->stats().worker_deaths, 1u);
+  EXPECT_EQ(t->stats().unplanned_deaths, 1u);
+  EXPECT_NE(log.find("worker lane 0 died unplanned in round 3 phase 2"),
+            std::string::npos)
+      << log;
+  t->shutdown();
+  EXPECT_TRUE(no_children_remain());
 }
 
 // ---------------------------------------------------------------------
@@ -729,12 +764,36 @@ TEST(TransportOracle, KillMatrixMatchesTheEdgeCrashOracle) {
         s.transport.workers = 2;
         s.transport.kill = net::KillSpec{
             1, kc.last_of_round1 ? t.round1_last_tag : 2, kc.point};
-        expect_same_output(oracles.at(key), run_with(t, s),
-                           std::string(t.name) + " kill=" + kc.name +
-                               " policy=" + to_string(policy));
+        const RunOutput killed = run_with(t, s);
+        const std::string label = std::string(t.name) + " kill=" + kc.name +
+                                  " policy=" + to_string(policy);
+        expect_same_output(oracles.at(key), killed, label);
+        EXPECT_EQ(killed.unplanned_deaths, 0u) << label;
       }
     }
   }
+  EXPECT_TRUE(no_children_remain());
+}
+
+TEST(TransportOracle, UnplannedWorkerDeathReachesTheTrainResult) {
+  // A worker process that exits inside local SGD of area 1 (lane 1 of 2
+  // serves the odd areas), with no KillSpec armed: the run degrades as
+  // for any lane death and reports exactly one unplanned death.
+  const auto& fed = shared_task();
+  const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
+  const nn::SoftmaxRegression inner(fed.dim(), fed.num_classes());
+  const pid_t coordinator = ::getpid();
+  const data::Dataset* doomed = &fed.client_train[static_cast<std::size_t>(
+      1 * fed.clients_per_edge)];
+  const HookedModel model(inner, [=](const data::Dataset& shard) {
+    if (::getpid() != coordinator && &shard == doomed) ::_exit(3);
+  });
+  TrainOptions o = transport_opts();
+  o.sampled_edges = 0;  // every area, area 1 included, every round
+  o.transport.kind = net::TransportKind::kSocket;
+  o.transport.workers = 2;
+  const TrainResult r = train_hierminimax(model, fed, topo, o, test_pool());
+  EXPECT_EQ(r.unplanned_deaths, 1u);
   EXPECT_TRUE(no_children_remain());
 }
 

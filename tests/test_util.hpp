@@ -211,6 +211,7 @@ struct RunOutput {
   std::vector<scalar_t> w;
   std::uint64_t fp = 0;  // p, averages, comm counters, history records
   std::string tsv;
+  std::uint64_t unplanned_deaths = 0;
 };
 
 inline void expect_same_output(const RunOutput& a, const RunOutput& b,
@@ -228,6 +229,7 @@ inline RunOutput output_of(const algo::TrainResult& r) {
   RunOutput out;
   out.w = r.w;
   out.fp = fingerprint(r, /*model_only=*/false);
+  out.unplanned_deaths = r.unplanned_deaths;
   std::ostringstream os;
   r.history.write_tsv(os, "run");
   out.tsv = os.str();
@@ -252,6 +254,68 @@ inline int open_fd_count() {
   }
   return n;
 }
+
+inline int thread_count() {
+  int n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// A model that forwards everything to `inner`, but first calls
+/// `on_step(shard)` in every sgd_step, from whichever thread or process
+/// runs it: the failure-path tests throw or _exit from there.
+class HookedModel final : public nn::Model {
+ public:
+  HookedModel(const nn::Model& inner,
+              std::function<void(const data::Dataset&)> on_step)
+      : inner_(inner), on_step_(std::move(on_step)) {}
+
+  index_t num_params() const override { return inner_.num_params(); }
+  index_t num_classes() const override { return inner_.num_classes(); }
+  index_t input_dim() const override { return inner_.input_dim(); }
+  bool is_convex() const override { return inner_.is_convex(); }
+  std::unique_ptr<nn::Workspace> make_workspace() const override {
+    return inner_.make_workspace();
+  }
+  void init_params(nn::VecView w, rng::Xoshiro256& gen) const override {
+    inner_.init_params(w, gen);
+  }
+  scalar_t loss_and_grad(nn::ConstVecView w, const data::Dataset& d,
+                         std::span<const index_t> batch, nn::VecView grad,
+                         nn::Workspace& ws) const override {
+    return inner_.loss_and_grad(w, d, batch, grad, ws);
+  }
+  scalar_t sgd_step(nn::VecView w, const data::Dataset& d,
+                    std::span<const index_t> batch, const nn::SgdRule& rule,
+                    nn::VecView grad_scratch,
+                    nn::Workspace& ws) const override {
+    on_step_(d);
+    return inner_.sgd_step(w, d, batch, rule, grad_scratch, ws);
+  }
+  scalar_t loss(nn::ConstVecView w, const data::Dataset& d,
+                std::span<const index_t> batch,
+                nn::Workspace& ws) const override {
+    return inner_.loss(w, d, batch, ws);
+  }
+  void predict(nn::ConstVecView w, const data::Dataset& d,
+               std::span<const index_t> batch, std::span<index_t> out,
+               nn::Workspace& ws) const override {
+    inner_.predict(w, d, batch, out, ws);
+  }
+  void loss_many(std::span<const nn::LossJob> jobs,
+                 std::span<scalar_t> losses, nn::Workspace& ws,
+                 parallel::ThreadPool* pool) const override {
+    inner_.loss_many(jobs, losses, ws, pool);
+  }
+
+ private:
+  const nn::Model& inner_;
+  std::function<void(const data::Dataset&)> on_step_;
+};
 
 /// Arms the tracer for its lifetime and always disarms on exit, so a
 /// failing assertion can't leak an enabled tracer into later tests.
