@@ -629,6 +629,54 @@ class _ModelEntryCheckRule(Rule):
                     f"the first {self.WINDOW} lines of its body")
 
 
+class _RawThreadRule(Rule):
+    """Constructing a std::thread / std::jthread, or calling std::async,
+    outside src/parallel and the snapshot writer (io/snapshot.*).
+    std::thread::hardware_concurrency() and other static members are
+    fine: they start nothing."""
+
+    NAME = "raw-thread"
+    ALLOWED = ("parallel/", "io/snapshot.")
+
+    def __init__(self):
+        super().__init__(
+            self.NAME,
+            "Threads come from a ThreadPool (src/parallel) or, for a "
+            "snapshot write overlapping the next round, from the run's "
+            "io::SnapshotWriter. Fork safety rests on that: a pool is "
+            "refused in a forked child, and the writer is the only other "
+            "thread and is joined before a trainer returns. A thread "
+            "started anywhere else can hold a lock across the socket "
+            "backend's fork() and can outlive the run.",
+            self._check)
+
+    def _check(self, f: SourceFile) -> Iterable[Finding]:
+        if any(f.rel.startswith(a) for a in self.ALLOWED):
+            return
+        ts = f.code_tokens
+        for i, t in enumerate(ts):
+            if t.kind != "ident" or i < 2:
+                continue
+            if not (ts[i - 1].kind == "punct" and ts[i - 1].text == "::"
+                    and ts[i - 2].kind == "ident"
+                    and ts[i - 2].text == "std"):
+                continue
+            nxt = _next(ts, i)
+            if t.text in ("thread", "jthread"):
+                if nxt is not None and nxt.kind == "punct" \
+                        and nxt.text == "::":
+                    continue  # a static member, e.g. hardware_concurrency
+                yield Finding(f.rel, t.line, self.NAME,
+                              f"std::{t.text} outside src/parallel; run "
+                              f"the work on the ThreadPool the caller "
+                              f"passes")
+            elif t.text == "async" and _is_call(ts, i):
+                yield Finding(f.rel, t.line, self.NAME,
+                              "std::async starts an unmanaged thread; run "
+                              "the work on the ThreadPool the caller "
+                              "passes")
+
+
 ALL_RULES: List[Rule] = [
     RULE_RANDOM_DEVICE,
     RULE_C_RANDOM,
@@ -646,4 +694,5 @@ ALL_RULES: List[Rule] = [
     RULE_RAW_TRANSPORT,
     _HiddenGlobalPoolRule(),
     _ModelEntryCheckRule(),
+    _RawThreadRule(),
 ]
