@@ -641,7 +641,10 @@ SnapshotWriter::~SnapshotWriter() {
 }
 
 void SnapshotWriter::wait() {
-  if (thread_.joinable()) thread_.join();
+  if (thread_.joinable()) {
+    HM_OBS_SPAN("snapshot.wait", "io", 0, 0);
+    thread_.join();
+  }
   if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
