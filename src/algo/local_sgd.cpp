@@ -111,8 +111,8 @@ void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
   tickets.reserve(static_cast<std::size_t>(count + groups * blocks * pieces));
   for (index_t b = 0; b <= blocks; ++b) {
     for (index_t g = 0; g < groups; ++g) {
-      if (b > 0) {
-        for (index_t p = 0; p < pieces; ++p) tickets.push_back({-1, g, b - 1, p});
+      for (index_t p = 0; b > 0 && p < pieces; ++p) {
+        tickets.push_back({-1, g, b - 1, p});
       }
       if (b == blocks) continue;
       for (index_t j = 0; j < jobs_in[gb(g, b)]; ++j) {
@@ -123,8 +123,8 @@ void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
 
   // stage[g]: 2b while group g's block-b jobs may run, 2b + 1 once they
   // all finished (its close may run), 2 * blocks when closed for good;
-  // kStageAborted once the run failed. left[gb(g, b)]: jobs, then close
-  // pieces, of (g, b) still running.
+  // kStageAborted once the run failed. jobs_left / pieces_left[gb(g, b)]:
+  // the jobs and the close pieces of (g, b) still running.
   std::vector<std::atomic<int>> stage(static_cast<std::size_t>(groups));
   std::vector<std::atomic<index_t>> jobs_left(gb(groups, 0));
   std::vector<std::atomic<index_t>> pieces_left(gb(groups, 0));
