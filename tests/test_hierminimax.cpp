@@ -190,8 +190,8 @@ TEST(HierMinimax, OneDeviceRegionPerRound) {
   auto opts = quick_opts(5);
   opts.tau2 = 3;
   const auto batches = [] {
-    const obs::MetricValue* v =
-        obs::registry().snapshot().find("sim.device_batches");
+    const obs::MetricsSnapshot snap = obs::registry().snapshot();
+    const obs::MetricValue* v = snap.find("sim.device_batches");
     return v == nullptr ? std::int64_t{0} : v->value;
   };
   const std::int64_t before = batches();
