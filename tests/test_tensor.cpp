@@ -532,6 +532,7 @@ TEST(GemmNtFma, GridSplitIsBitIdenticalForAnyPoolSize) {
     Matrix a = random_matrix(s.m, s.k, gen);
     Matrix bt = random_matrix(s.n, s.k, gen);
     Matrix prior = random_matrix(s.m, s.n, gen);
+    const Matrix decoy = random_matrix(s.n, s.k, gen);
     plant(a, 331, 7);
     plant(bt, 293, 11);
     plant(prior, 37, 2);
@@ -540,6 +541,10 @@ TEST(GemmNtFma, GridSplitIsBitIdenticalForAnyPoolSize) {
       gemm_nt_fma(a, bt, serial, beta);
       for (const std::size_t threads : {1, 2, 3, 4, 5}) {
         parallel::ThreadPool pool(threads);
+        // Leave another B in this thread's pack buffer, so a panel the
+        // split failed to pack cannot pass on the serial call's packing.
+        Matrix scratch = prior;
+        gemm_nt_fma(a, decoy, scratch, beta);
         Matrix c = prior;
         gemm_nt_fma(a, bt, c, beta, &pool);
         EXPECT_EQ(std::memcmp(c.data(), serial.data(),
