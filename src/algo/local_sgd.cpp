@@ -191,8 +191,7 @@ void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
           }
           throw;
         }
-      },
-      /*one_per_task=*/true);
+      });
 }
 
 }  // namespace hm::algo

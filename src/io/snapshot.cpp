@@ -228,6 +228,38 @@ void Snapshot::add(std::uint32_t tag, std::uint32_t kind,
   sections_.push_back({tag, kind, std::move(payload)});
 }
 
+namespace {
+
+// Section payload layouts, shared by Snapshot and SnapshotEncoder: a
+// vector is its u64 length, then its values; a list is its u64 row
+// count, then each row as a vector.
+
+std::size_t vec_bytes(std::size_t n) { return 8 + 8 * n; }
+
+std::size_t vec_list_bytes(const std::vector<std::vector<scalar_t>>& v) {
+  std::size_t bytes = 8;
+  for (const auto& row : v) bytes += vec_bytes(row.size());
+  return bytes;
+}
+
+void write_f64_vec(ByteWriter& w, const std::vector<scalar_t>& v) {
+  w.put_u64(v.size());
+  w.put_f64s(v.data(), v.size());
+}
+
+void write_f64_vec_list(ByteWriter& w,
+                        const std::vector<std::vector<scalar_t>>& v) {
+  w.put_u64(v.size());
+  for (const auto& row : v) write_f64_vec(w, row);
+}
+
+void write_i64_vec(ByteWriter& w, const std::vector<std::int64_t>& v) {
+  w.put_u64(v.size());
+  for (const std::int64_t x : v) w.put_i64(x);
+}
+
+}  // namespace
+
 void Snapshot::put_u64(std::uint32_t tag, std::uint64_t v) {
   ByteWriter w;
   w.put_u64(v);
@@ -237,31 +269,23 @@ void Snapshot::put_u64(std::uint32_t tag, std::uint64_t v) {
 void Snapshot::put_f64_vec(std::uint32_t tag,
                            const std::vector<scalar_t>& v) {
   ByteWriter w;
-  w.reserve(8 + 8 * v.size());
-  w.put_u64(v.size());
-  w.put_f64s(v.data(), v.size());
+  w.reserve(vec_bytes(v.size()));
+  write_f64_vec(w, v);
   add(tag, kKindF64Vec, w.take());
 }
 
 void Snapshot::put_f64_vec_list(
     std::uint32_t tag, const std::vector<std::vector<scalar_t>>& v) {
-  std::size_t bytes = 8;
-  for (const auto& row : v) bytes += 8 + 8 * row.size();
   ByteWriter w;
-  w.reserve(bytes);
-  w.put_u64(v.size());
-  for (const auto& row : v) {
-    w.put_u64(row.size());
-    w.put_f64s(row.data(), row.size());
-  }
+  w.reserve(vec_list_bytes(v));
+  write_f64_vec_list(w, v);
   add(tag, kKindF64VecList, w.take());
 }
 
 void Snapshot::put_i64_vec(std::uint32_t tag,
                            const std::vector<std::int64_t>& v) {
   ByteWriter w;
-  w.put_u64(v.size());
-  for (const std::int64_t x : v) w.put_i64(x);
+  write_i64_vec(w, v);
   add(tag, kKindI64Vec, w.take());
 }
 
@@ -408,28 +432,20 @@ void SnapshotEncoder::put_u64(std::uint32_t tag, std::uint64_t v) {
 
 void SnapshotEncoder::put_f64_vec(std::uint32_t tag,
                                   const std::vector<scalar_t>& v) {
-  begin(tag, Snapshot::kKindF64Vec, 8 + 8 * v.size());
-  out_.put_u64(v.size());
-  out_.put_f64s(v.data(), v.size());
+  begin(tag, Snapshot::kKindF64Vec, vec_bytes(v.size()));
+  write_f64_vec(out_, v);
 }
 
 void SnapshotEncoder::put_f64_vec_list(
     std::uint32_t tag, const std::vector<std::vector<scalar_t>>& v) {
-  std::size_t bytes = 8;
-  for (const auto& row : v) bytes += 8 + 8 * row.size();
-  begin(tag, Snapshot::kKindF64VecList, bytes);
-  out_.put_u64(v.size());
-  for (const auto& row : v) {
-    out_.put_u64(row.size());
-    out_.put_f64s(row.data(), row.size());
-  }
+  begin(tag, Snapshot::kKindF64VecList, vec_list_bytes(v));
+  write_f64_vec_list(out_, v);
 }
 
 void SnapshotEncoder::put_i64_vec(std::uint32_t tag,
                                   const std::vector<std::int64_t>& v) {
-  begin(tag, Snapshot::kKindI64Vec, 8 + 8 * v.size());
-  out_.put_u64(v.size());
-  for (const std::int64_t x : v) out_.put_i64(x);
+  begin(tag, Snapshot::kKindI64Vec, vec_bytes(v.size()));
+  write_i64_vec(out_, v);
 }
 
 void SnapshotEncoder::put_bytes(std::uint32_t tag,
@@ -638,6 +654,17 @@ SnapshotWriter::SnapshotWriter(std::string dir, index_t keep)
 
 SnapshotWriter::~SnapshotWriter() {
   if (thread_.joinable()) thread_.join();
+  if (!error_) return;
+  try {
+    std::rethrow_exception(error_);
+  } catch (const std::exception& e) {
+    log::error() << "snapshot write under '" << dir_
+                 << "' failed while the run was already failing: "
+                 << e.what();
+  } catch (...) {
+    log::error() << "snapshot write under '" << dir_
+                 << "' failed while the run was already failing";
+  }
 }
 
 void SnapshotWriter::wait() {

@@ -245,8 +245,8 @@ std::string save_snapshot(const std::string& dir, index_t keep,
 /// `keep` newest, as save_snapshot does. At most one write is in flight:
 /// save() and wait() join the previous one first and rethrow its error
 /// (SimulatedCrash included) on the calling thread. The destructor joins
-/// too but drops an error nobody collected (a caller leaving by an
-/// exception already has one in flight). The writer thread is the only
+/// too and logs an error nobody collected instead of throwing it (a
+/// caller leaving by an exception already has one in flight). The writer thread is the only
 /// thread src/ starts outside a ThreadPool, and none outlives the writer.
 class SnapshotWriter {
  public:
@@ -267,8 +267,8 @@ class SnapshotWriter {
   std::string dir_;
   index_t keep_;
   std::vector<std::uint8_t> buf_;  // owned by the writer thread while it runs
-  std::thread thread_;
-  std::exception_ptr error_;
+  std::exception_ptr error_;       // set by the writer thread
+  std::thread thread_;             // after everything it uses
 };
 
 struct LoadedSnapshot {

@@ -1,14 +1,13 @@
 // Parallel execution harness for the simulated cluster: runs one job per
-// (selected) client on the shared thread pool. Jobs receive the client id
-// and must be mutually independent; determinism comes from per-client RNG
-// streams, not from scheduling order.
+// (selected) client on the shared thread pool. Jobs receive the client id;
+// determinism comes from per-client RNG streams, not from scheduling
+// order.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 
 #include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace hm::sim {
 
@@ -20,30 +19,23 @@ class ClusterSim {
 
   /// Run `job(i)` for i in [0, count) across the pool; each i is one
   /// simulated device doing local work. Blocks until all jobs finish and
-  /// rethrows the first job exception. Device jobs are coarse (a whole
-  /// local-SGD run), so a task holds enough devices for about 4 tasks per
-  /// thread, the caller included: load-balancing headroom without ticket
-  /// traffic. With `one_per_task`, every job is its own task instead, and
-  /// tasks are claimed in index order, so a job may wait on lower-numbered
-  /// jobs (never on higher ones) without deadlock. The task split never
+  /// rethrows the first job exception. Every job is its own region chunk
+  /// (jobs are coarse, so a ticket per job costs nothing that matters),
+  /// and chunks are claimed in index order, so a job may wait on
+  /// lower-numbered jobs, never on higher ones, without deadlock: the
+  /// lowest waiting job waits on jobs that are running. The split never
   /// affects results.
-  void run_devices(index_t count, const std::function<void(index_t)>& job,
-                   bool one_per_task = false) const {
+  void run_devices(index_t count,
+                   const std::function<void(index_t)>& job) const {
     HM_OBS_SPAN("run_devices", "sim", count, 0);
     HM_OBS_INC("sim.device_batches");
     HM_OBS_ADD("sim.device_jobs", count);
-    if (one_per_task) {
-      pool_->run_region(
-          count,
-          [](void* fn, index_t i) {
-            (*static_cast<const std::function<void(index_t)>*>(fn))(i);
-          },
-          const_cast<std::function<void(index_t)>*>(&job));
-      return;
-    }
-    const auto threads = static_cast<index_t>(pool_->num_threads());
-    parallel::parallel_for(*pool_, 0, count, job,
-                           std::max(index_t{1}, count / (threads * 4)));
+    pool_->run_region(
+        count,
+        [](void* fn, index_t i) {
+          (*static_cast<const std::function<void(index_t)>*>(fn))(i);
+        },
+        const_cast<void*>(static_cast<const void*>(&job)));
   }
 
  private:
