@@ -401,6 +401,37 @@ TEST(SnapshotStore, MissReportSeparatesFreshStartFromDamagedStore) {
 /// Kill the writer at every interesting byte offset, in both crash
 /// modes. Invariant: the directory is never left unloadable — the
 /// previous snapshot always survives and loads.
+TEST(SnapshotStore, WriterWritesWhatSaveSnapshotWritesAndRethrows) {
+  // The writer encodes with SnapshotEncoder into a reused buffer, which
+  // must give save_snapshot's bytes, and its thread's errors surface on
+  // the caller at the next wait().
+  const auto fill = [](io::SnapshotEncoder& enc) {
+    enc.put_u64(0x31474154, 42);
+    enc.put_f64_vec(0x32474154, {1.5, -0.0, 2e-308, 3.14159});
+    enc.put_f64_vec_list(0x33474154, {{1.0, 2.0}, {}, {7.0}});
+    enc.put_i64_vec(0x34474154, {-3, 0, 1ll << 40});
+    enc.put_bytes(0x35474154, {0xde, 0xad, 0xbe, 0xef});
+  };
+  const std::string ref = fresh_dir("writer_ref");
+  const std::string dir = fresh_dir("writer");
+  io::save_snapshot(ref, /*keep=*/2, /*round=*/1, sample_snapshot());
+  io::SnapshotWriter writer(dir, /*keep=*/2);
+  for (const index_t round : {1, 2, 3}) writer.save(round, fill);
+  writer.wait();
+  const auto want = read_file(ref + "/snapshot.00000001");
+  EXPECT_EQ(read_file(dir + "/snapshot.00000003"), want);
+  EXPECT_FALSE(fs::exists(dir + "/snapshot.00000001"));  // pruned, keep 2
+  {
+    ScopedWriteFault fault({7, /*rename_anyway=*/false});
+    writer.save(4, fill);
+    EXPECT_THROW(writer.wait(), io::SimulatedCrash);
+  }
+  writer.wait();  // the error was collected once
+  const auto loaded = io::load_latest_snapshot(dir);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->round, 3);
+}
+
 TEST(SnapshotStore, TornWriteAtAnyOffsetNeverLosesTheLastGood) {
   const io::Snapshot snap = sample_snapshot();
   const std::size_t total = snap.serialize().size();
