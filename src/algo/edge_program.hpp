@@ -69,11 +69,12 @@ class EdgeProgram {
   /// Phase 1 for the given participating areas: seed each area's model
   /// from the broadcast `w` and run the round's blocks_per_round()
   /// innermost blocks down its subtree, as one device region: each area
-  /// runs its blocks back to back, its last leaf to finish a block closes
-  /// it (the aggregations below) on its own thread, and no barrier joins
-  /// the areas before the last block. Interior nodes broadcast their
-  /// model at the start of each of their blocks and take the plain mean
-  /// of their children at its end; the leaves' parents combine the leaf
+  /// runs its blocks back to back, a block's close (the aggregations
+  /// below) runs as coordinate pieces that any free thread takes once the
+  /// area's jobs of that block finished, and no barrier joins the areas.
+  /// Interior nodes broadcast their model at the start of each of their
+  /// blocks and take the plain mean of their children at its end; the
+  /// leaves' parents combine the leaf
   /// reports with the robust combiner after local SGD, quantization and
   /// payload attacks. In innermost block c2 the leaves capture the
   /// iterate after c1 steps; the capture is averaged up to the area.

@@ -391,9 +391,9 @@ std::size_t Snapshot::serialized_size() const {
 }
 
 std::vector<std::uint8_t> Snapshot::serialize() const {
-  ByteWriter buf;
+  std::vector<std::uint8_t> buf;
   buf.reserve(serialized_size());
-  SnapshotEncoder enc(buf.take());
+  SnapshotEncoder enc(std::move(buf));
   for (const auto& s : sections_) {
     enc.begin(s.tag, s.kind, s.payload.size());
     enc.out_.put_bytes(s.payload.data(), s.payload.size());

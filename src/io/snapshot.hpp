@@ -246,8 +246,9 @@ std::string save_snapshot(const std::string& dir, index_t keep,
 /// save() and wait() join the previous one first and rethrow its error
 /// (SimulatedCrash included) on the calling thread. The destructor joins
 /// too and logs an error nobody collected instead of throwing it (a
-/// caller leaving by an exception already has one in flight). The writer thread is the only
-/// thread src/ starts outside a ThreadPool, and none outlives the writer.
+/// caller leaving by an exception already has one in flight). The writer
+/// thread is the only thread src/ starts outside a ThreadPool, and none
+/// outlives the writer.
 class SnapshotWriter {
  public:
   SnapshotWriter(std::string dir, index_t keep);
