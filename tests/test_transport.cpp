@@ -673,11 +673,12 @@ TEST(TransportOracle, BackendsAgreeUnderSamplingAndFaults) {
   EXPECT_TRUE(no_children_remain());
 }
 
-/// Leaf buffers belong to job slots, and each lane's EdgeProgram numbers
-/// its jobs differently: the in-proc program numbers the leaves of every
-/// sampled area, a lane only those of its own areas. Sampling, churn,
-/// crashes and dropout change the job set from block to block, so any
-/// state a slot carried across blocks or rounds would split the backends.
+/// Leaf buffers belong to slots, and each lane's EdgeProgram numbers its
+/// slots differently: the in-proc program numbers the leaves of every
+/// live sampled area, a lane only those of its own areas. Sampling,
+/// churn, crashes and dropout change the job set from round to round, so
+/// any state a slot carried across blocks or rounds would split the
+/// backends.
 /// Attackers, quantization and the median combiner read and rewrite the
 /// slots after the jobs; both attack families run.
 TEST(TransportOracle, LeafSlotsKeepNoStateAcrossRounds) {
