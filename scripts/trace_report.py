@@ -2,7 +2,7 @@
 """Explain a trace: where each span's time went, and what each round did.
 
 Usage:
-  scripts/trace_report.py TRACE [--round-span NAME]
+  scripts/trace_report.py TRACE
 
 TRACE is a trace export of any HierMinimax program (`--trace-out`): the
 chrome format (the default) or JSONL (`--trace-format jsonl`), told
@@ -11,9 +11,10 @@ apart by content. Two tables go to stdout:
   * self time per span name: count, inclusive and self milliseconds in
     total and per round, where a span's self time is its duration minus
     the union of its direct children;
-  * per round: the round span's duration and its direct children (the
-    phases, evaluation, the snapshot hand-off), summed by name, plus the
-    time no child covered.
+  * per round, one table per round span name (every name ending in
+    `.round`, one per trainer): the round span's duration and its direct
+    children (the phases, evaluation, the snapshot hand-off), summed by
+    name, plus the time no child covered.
 
 Spans nest only within one thread (`tid`): a span's parent is the
 innermost span of the same thread that encloses it. A span that runs on
@@ -46,9 +47,12 @@ def load_spans(path: str) -> List[Span]:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     spans: List[Span] = []
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"traceEvents"' in text[:4096]:
-        for e in json.loads(text)["traceEvents"]:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None  # JSONL: one record per line
+    if isinstance(doc, dict) and "traceEvents" in doc:
+        for e in doc["traceEvents"]:
             if e.get("ph") != "X":
                 continue
             start = float(e["ts"])
@@ -112,16 +116,14 @@ def parents(spans: List[Span]) -> List[int]:
     return parent
 
 
-def report(spans: List[Span], round_name: Optional[str]) -> str:
+def report(spans: List[Span]) -> str:
     parent = parents(spans)
     children: Dict[int, List[int]] = defaultdict(list)
     for i, p in enumerate(parent):
         if p >= 0:
             children[p].append(i)
-    if round_name is None:
-        names = sorted({s.name for s in spans if s.name.endswith(".round")})
-        round_name = names[0] if names else ""
-    rounds = [i for i, s in enumerate(spans) if s.name == round_name]
+    rounds = [i for i, s in enumerate(spans) if s.name.endswith(".round")]
+    round_names = sorted({spans[r].name for r in rounds})
     per_round = max(1, len(rounds))
 
     # Self time per span name.
@@ -135,8 +137,8 @@ def report(spans: List[Span], round_name: Optional[str]) -> str:
         count[s.name] += 1
         incl[s.name] += dur
         self_t[s.name] += max(0.0, dur - covered)
-    out = [f"spans: {len(spans)}, rounds ({round_name or 'none'}): "
-           f"{len(rounds)}", "",
+    out = [f"spans: {len(spans)}, rounds ({', '.join(round_names) or 'none'}"
+           f"): {len(rounds)}", "",
            "self time per span name (ms; per round = total / rounds)",
            f"{'span':<28} {'count':>7} {'incl':>10} {'self':>10} "
            f"{'incl/rnd':>9} {'self/rnd':>9}"]
@@ -146,14 +148,16 @@ def report(spans: List[Span], round_name: Optional[str]) -> str:
                    f"{incl[name] / 1e3 / per_round:>9.3f} "
                    f"{self_t[name] / 1e3 / per_round:>9.3f}")
 
-    # Per-round phase breakdown: direct children of each round span.
-    if rounds:
-        kids = sorted({spans[c].name for r in rounds for c in children[r]})
+    # Per-round phase breakdown: direct children of each round span, one
+    # table per round span name.
+    for round_name in round_names:
+        named = [r for r in rounds if spans[r].name == round_name]
+        kids = sorted({spans[c].name for r in named for c in children[r]})
         out += ["", f"per round (ms): {round_name} and its direct children",
                 " ".join([f"{'round':>5}", f"{'total':>8}"] +
                          [f"{k:>{max(8, len(k))}}" for k in kids] +
                          [f"{'uncovered':>9}"])]
-        for n, r in enumerate(sorted(rounds, key=lambda i: spans[i].start)):
+        for n, r in enumerate(sorted(named, key=lambda i: spans[i].start)):
             dur = spans[r].end - spans[r].start
             by: Dict[str, float] = defaultdict(float)
             for c in children[r]:
@@ -191,9 +195,6 @@ def report(spans: List[Span], round_name: Optional[str]) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("trace")
-    ap.add_argument("--round-span",
-                    help="round span name (default: the first span name "
-                         "ending in '.round')")
     args = ap.parse_args(argv)
     try:
         spans = load_spans(args.trace)
@@ -201,7 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"trace_report: cannot read {args.trace}: {err}",
               file=sys.stderr)
         return 2
-    print(report(spans, args.round_span))
+    print(report(spans))
     return 0
 
 

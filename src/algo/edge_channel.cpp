@@ -224,7 +224,7 @@ class RpcEdgeChannel final : public EdgeChannel {
       req.put_i64_vec(kWireEdges, to_i64(mine));
       req.put_f64_vec(kWireW, w);
       requests[static_cast<std::size_t>(lane)] =
-          net::RpcRequest{phase1_tag(k), req.serialize()};
+          net::RpcRequest{net::round_tag(k, 1), req.serialize()};
     }
     const auto replies = transport_->exchange(requests);
     for (index_t lane = 0; lane < lanes; ++lane) {
@@ -293,7 +293,7 @@ class RpcEdgeChannel final : public EdgeChannel {
       req.put_i64_vec(kWireEdges, to_i64(lane_edges[s]));
       req.put_f64_vec(kWireW, checkpoint);
       req.put_i64_vec(kWireOk, ok);
-      requests[s] = net::RpcRequest{phase2_tag(k), req.serialize()};
+      requests[s] = net::RpcRequest{net::round_tag(k, 2), req.serialize()};
     }
     const auto replies = transport_->exchange(requests);
     for (index_t lane = 0; lane < lanes; ++lane) {
@@ -352,13 +352,6 @@ class RpcEdgeChannel final : public EdgeChannel {
         (*edge_has_ckpt)[static_cast<std::size_t>(e)] = 0;
       }
     }
-  }
-
-  static std::uint64_t phase1_tag(index_t k) {
-    return 2 * static_cast<std::uint64_t>(k);
-  }
-  static std::uint64_t phase2_tag(index_t k) {
-    return 2 * static_cast<std::uint64_t>(k) + 1;
   }
 
   index_t num_edges_;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/check.hpp"
+#include "obs/obs.hpp"
 #include "tensor/vecops.hpp"
 
 namespace hm::algo {
@@ -71,6 +72,7 @@ void run_local_sgd_jobs(const nn::Model& model, const LocalSgdConfig& config,
                   scratch[static_cast<std::size_t>(job.scratch_id)]);
   };
   const auto count = static_cast<index_t>(jobs.size());
+  HM_OBS_ADD("sim.device_jobs", count);
   if (pipe == nullptr) {
     if (count > 0) cluster.run_devices(count, run_job);
     return;

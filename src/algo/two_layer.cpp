@@ -219,6 +219,7 @@ TrainResult run_two_layer(const nn::Model& model,
 
     if (info.qffl) {
       // F_k at the broadcast model (full shard — exact, cheap here).
+      HM_OBS_ADD("sim.device_jobs", parts.ids.size());
       cluster.run_devices(
           static_cast<index_t>(parts.ids.size()), [&](index_t j) {
             const index_t n = parts.ids[static_cast<std::size_t>(j)];

@@ -383,6 +383,7 @@ class SocketTransport final : public Transport {
     bool up = false;
     bool sent = false;          // a request reached the lane's socket
     std::uint64_t last_tag = 0;  // the last such request's tag
+    bool kill_sent = false;     // the armed kill's request reached it
   };
 
   /// Reap every worker that exited since the last sweep and demote its
@@ -423,21 +424,16 @@ class SocketTransport final : public Transport {
     ln.up = false;
     stats_.worker_deaths += 1;
     HM_OBS_INC_T("net.socket.worker_deaths");
-    // Planned: the armed kill's lane, with the kill tag the last request
-    // it was sent (a post-reply kill is found after its reply arrived).
-    const KillSpec& kill = spec_.kill;
-    if (kill.armed() && kill.worker == lane && ln.sent &&
-        ln.last_tag == kill.tag) {
-      return;
-    }
+    // Planned: the armed kill's lane, once the kill tag was sent to it. A
+    // post-reply kill may land after the lane's next request went out.
+    if (ln.kill_sent) return;
     stats_.unplanned_deaths += 1;
     HM_OBS_INC_T("net.socket.unplanned_deaths");
     auto line = log::error();
     line << "net: worker lane " << lane << " died unplanned";
     if (ln.sent) {
-      // Trainer tags are 2 * round + (phase - 1).
-      line << " in round " << ln.last_tag / 2 << " phase "
-           << ln.last_tag % 2 + 1 << " (tag " << ln.last_tag << ")";
+      line << " in round " << tag_round(ln.last_tag) << " phase "
+           << tag_phase(ln.last_tag) << " (tag " << ln.last_tag << ")";
     } else {
       line << " before its first request";
     }
@@ -462,6 +458,10 @@ class SocketTransport final : public Transport {
     }
     ln.last_tag = req.tag;
     ln.sent = true;
+    const KillSpec& kill = spec_.kill;
+    if (kill.armed() && kill.worker == lane && kill.tag == req.tag) {
+      ln.kill_sent = true;
+    }
     stats_.frames_sent += 1;
     stats_.bytes_sent += kFrameHeaderBytes + f.payload.size();
     HM_OBS_INC_T("net.socket.frames_sent");

@@ -42,11 +42,22 @@ enum class TransportKind {
 const char* to_string(TransportKind kind);
 bool parse_transport_kind(const std::string& name, TransportKind& out);
 
+/// The trainer's app-routing tag of round `round`'s phase 1 or 2:
+/// 2 * round + (phase - 1). The socket transport decodes it to name the
+/// round and phase a worker died in.
+constexpr std::uint64_t round_tag(index_t round, int phase) {
+  return 2 * static_cast<std::uint64_t>(round) +
+         static_cast<std::uint64_t>(phase - 1);
+}
+constexpr std::uint64_t tag_round(std::uint64_t tag) { return tag / 2; }
+constexpr int tag_phase(std::uint64_t tag) {
+  return static_cast<int>(tag % 2) + 1;
+}
+
 /// Deterministic worker-kill injection for the fault matrix: when the
 /// request with `tag` reaches worker `worker`, the worker SIGKILLs
-/// itself at the chosen point. Tags are app-routing tags (the trainer
-/// uses 2*round + phase), so the injection is independent of retry
-/// sequence numbers.
+/// itself at the chosen point. Tags are app-routing tags (round_tag),
+/// so the injection is independent of retry sequence numbers.
 enum class KillPoint {
   kNone = 0,
   kPreHandle,   // before computing the reply (crash pre-send)

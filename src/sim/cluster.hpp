@@ -18,7 +18,8 @@ class ClusterSim {
   parallel::ThreadPool& pool() const { return *pool_; }
 
   /// Run `job(i)` for i in [0, count) across the pool; each i is one
-  /// simulated device doing local work. Blocks until all jobs finish and
+  /// simulated device doing local work, or a piece of a pipelined run's
+  /// aggregation (callers count their device jobs in sim.device_jobs). Blocks until all jobs finish and
   /// rethrows the first job exception. Every job is its own region chunk
   /// (jobs are coarse, so a ticket per job costs nothing that matters),
   /// and chunks are claimed in index order, so a job may wait on
@@ -29,7 +30,6 @@ class ClusterSim {
                    const std::function<void(index_t)>& job) const {
     HM_OBS_SPAN("run_devices", "sim", count, 0);
     HM_OBS_INC("sim.device_batches");
-    HM_OBS_ADD("sim.device_jobs", count);
     pool_->run_region(
         count,
         [](void* fn, index_t i) {

@@ -182,21 +182,29 @@ TEST(HierMinimax, ThrowingLocalStepFailsTheRunWithoutHanging) {
 
 TEST(HierMinimax, OneDeviceRegionPerRound) {
   // Phase 1 is one device region per round, whatever the blocks per
-  // round: a per-block barrier would show as more batches.
+  // round: a per-block barrier would show as more batches. The region's
+  // aggregation pieces are not device jobs: each job is tau1 local steps.
   if (!HM_OBS_ENABLED) GTEST_SKIP() << "obs hooks compiled out";
   const auto fed = heterogeneous_task();
   const sim::HierTopology topo(fed.num_edges(), fed.clients_per_edge);
-  const nn::SoftmaxRegression model(fed.dim(), fed.num_classes());
+  const nn::SoftmaxRegression inner(fed.dim(), fed.num_classes());
+  std::atomic<std::int64_t> steps{0};
+  const testing_util::HookedModel model(
+      inner, [&](const data::Dataset&) { steps.fetch_add(1); });
   auto opts = quick_opts(5);
   opts.tau2 = 3;
-  const auto batches = [] {
+  const auto counter = [](const char* name) {
     const obs::MetricsSnapshot snap = obs::registry().snapshot();
-    const obs::MetricValue* v = snap.find("sim.device_batches");
+    const obs::MetricValue* v = snap.find(name);
     return v == nullptr ? std::int64_t{0} : v->value;
   };
-  const std::int64_t before = batches();
+  const std::int64_t batches = counter("sim.device_batches");
+  const std::int64_t jobs = counter("sim.device_jobs");
   train_hierminimax(model, fed, topo, opts, test_pool());
-  EXPECT_EQ(batches() - before, opts.rounds);
+  EXPECT_EQ(counter("sim.device_batches") - batches, opts.rounds);
+  EXPECT_EQ(counter("sim.device_jobs") - jobs, steps.load() / opts.tau1);
+  EXPECT_GT(steps.load(), 0);
+  EXPECT_EQ(steps.load() % opts.tau1, 0);
 }
 
 TEST(HierMinimax, SnapshotWriterLeavesNoThreadBehind) {

@@ -510,12 +510,12 @@ TEST(GemmNtFma, PoolSplitIsBitIdenticalForAnyPoolSize) {
 }
 
 TEST(GemmNtFma, GridSplitIsBitIdenticalForAnyPoolSize) {
-  // Shapes with fewer row bands than a pooled region wants take the
-  // bands x column-panels grid, packing B inside the region: ragged M and
-  // N (partial bands, partial last strip), one band, and the Fig. 4
-  // Phase-2 second layer (the first is PoolSplitIsBitIdentical's), with
-  // NaN, +-Inf and -0 planted in A, B and C. Every pool size gives the
-  // serial call's bits.
+  // A pooled packed-path call takes the bands x column-panels grid,
+  // packing B inside the region: ragged M and N (partial bands, partial
+  // last strip), one band, 13 bands (one panel, so later bands wait on
+  // the first chunk's whole pack), and the Fig. 4 Phase-2 second layer
+  // (the first is PoolSplitIsBitIdentical's), with NaN, +-Inf and -0
+  // planted in A, B and C. Every pool size gives the serial call's bits.
   const scalar_t inf = std::numeric_limits<scalar_t>::infinity();
   const scalar_t specials[] = {std::numeric_limits<scalar_t>::quiet_NaN(),
                                inf, -inf, -0.0};
@@ -529,7 +529,7 @@ TEST(GemmNtFma, GridSplitIsBitIdenticalForAnyPoolSize) {
   for (const GemmExactShape s :
        {GemmExactShape{192, 300, 100},
         GemmExactShape{67, 129, 37}, GemmExactShape{130, 65, 201},
-        GemmExactShape{40, 300, 97}}) {
+        GemmExactShape{40, 300, 97}, GemmExactShape{800, 40, 17}}) {
     Matrix a = random_matrix(s.m, s.k, gen);
     Matrix bt = random_matrix(s.n, s.k, gen);
     Matrix prior = random_matrix(s.m, s.n, gen);

@@ -518,6 +518,31 @@ TEST(SocketTransport, KillInjectionDemotesOnlyTheTargetLane) {
   }
 }
 
+TEST(SocketTransport, PostReplyKillStaysPlannedPastTheNextRequest) {
+  // A post-reply kill lands after its reply: the lane's next request may
+  // still reach the socket before the worker is gone. Either way the
+  // death is the armed kill's.
+  net::TransportSpec spec;
+  spec.kind = net::TransportKind::kSocket;
+  spec.kill = net::KillSpec{0, 42, net::KillPoint::kPostReply};
+  auto t = net::make_socket_transport(spec, 2, echo_factory());
+  std::vector<std::optional<net::RpcRequest>> reqs(2);
+  reqs[0] = net::RpcRequest{42, net::Bytes(8, 1)};
+  reqs[1] = net::RpcRequest{42, net::Bytes(8, 2)};
+  ASSERT_TRUE(t->exchange(reqs)[0].has_value());
+  reqs[0] = net::RpcRequest{43, net::Bytes(8, 1)};
+  reqs[1] = net::RpcRequest{43, net::Bytes(8, 2)};
+  const auto replies = t->exchange(reqs);
+  t->check_liveness();
+  EXPECT_FALSE(replies[0].has_value());
+  EXPECT_TRUE(replies[1].has_value());
+  EXPECT_FALSE(t->lane_up(0));
+  EXPECT_EQ(t->stats().worker_deaths, 1u);
+  EXPECT_EQ(t->stats().unplanned_deaths, 0u);
+  t->shutdown();
+  EXPECT_TRUE(no_children_remain());
+}
+
 TEST(SocketTransport, DeathOutsideTheKillSpecIsUnplanned) {
   // Lane 0's handler exits on its own at tag 7 (round 3, Phase 2) while
   // the armed kill waits for lane 1 at a tag that never comes: one death,
